@@ -105,9 +105,15 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    vals = [float(x) for x in text.split(",") if x]
+    try:
+        vals = [float(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric grid {text!r}: {exc}") from exc
     if not vals:
         raise ConfigError(f"empty numeric grid {text!r}")
+    # times are >= 0 and resolvent shifts > 0, so no grid takes a negative value
+    if not all(math.isfinite(v) and v >= 0 for v in vals):
+        raise ConfigError(f"grid values must be finite and >= 0, got {text!r}")
     return vals
 
 
@@ -349,6 +355,7 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
+    times = _parse_floats(args.t)
     tower = _build_tower(args)
     level = args.level
     proxy_level = args.reference_level if args.reference_level is not None else level
@@ -361,7 +368,7 @@ def cmd_semigroup(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     applications = []
-    for t in _parse_floats(args.t):
+    for t in times:
         solve = sp.semigroup_solve(gen, t, f)
         write_vertex_function_report(out / f"semigroup_t_{t:g}.txt", solve.output)
         check = sp.markov_check(gen, t, trials=20, seed=args.seed)
@@ -379,6 +386,7 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    times = _parse_floats(args.t)
     tower = _build_tower(args)
     level = args.level
     proxy_level = args.reference_level if args.reference_level is not None else level
@@ -392,7 +400,6 @@ def cmd_simulate(args) -> int:
         print(f"rate validation failed on {len(rate_report.violations)} edges",
               file=sys.stderr)
         return 1
-    times = _parse_floats(args.t)
     horizon = max(times)
     init = mk.point_mass(gen.n, 1 if gen.n > 1 else 0)
     out = Path(args.out)
@@ -444,6 +451,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    times = _parse_floats(args.t)
     tower = _build_tower(args)
     levels = _parse_levels(args.levels)
     reference = args.reference_level if args.reference_level is not None else 6
@@ -475,7 +483,6 @@ def cmd_converge(args) -> int:
 
     f = _input_function(args, tower, reference)
     alphas = _alphas(args, constants)
-    times = _parse_floats(args.t)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +65,33 @@ class GeneratorMatrix:
 
     def rates_valid(self) -> bool:
         return bool(self.edge_factor.size == 0 or self.edge_factor.min() >= 0.0)
+
+    # Derived operators, built once per generator; a failed rate validation
+    # is not cached and raises on every access.
+    @cached_property
+    def uniformized(self) -> tuple[sparse.csr_matrix, float]:
+        """``(P, Lam)`` with ``Lam`` the largest holding rate and
+        ``P = I + L / Lam`` stochastic (``(I, 0)`` without jumps)."""
+        if not self.rates_valid():
+            bad = int(np.count_nonzero(self.edge_factor < 0.0))
+            raise RateValidationError(f"invalid rates on {bad} edges; semigroup evaluation refused")
+        lam_max = float(np.max(self.q)) if self.n else 0.0
+        if lam_max <= 0:
+            return sparse.identity(self.n, format="csr"), 0.0
+        return (sparse.identity(self.n) + self.L / lam_max).tocsr(), lam_max
+
+    @cached_property
+    def uniformized_transpose(self) -> sparse.csr_matrix:
+        return self.uniformized[0].T.tocsr()
+
+    @cached_property
+    def jump_tables(self) -> tuple[np.ndarray, list, list]:
+        """Holding rates, and per state the sorted neighbours with the
+        cumulative jump probabilities, for the path samplers."""
+        q, pi = jump_parameters(self)
+        pi.sort_indices()
+        rows = pi.indptr[1:-1]
+        return q, np.split(pi.indices, rows), [np.cumsum(p) for p in np.split(pi.data, rows)]
 
 
 def build_generator(
@@ -220,22 +248,6 @@ def point_mass(n: int, x: int) -> np.ndarray:
     return p
 
 
-def _jump_tables(gen: GeneratorMatrix):
-    cached = getattr(gen, "_jump_tables_cache", None)
-    if cached is not None:
-        return cached
-    q, pi = jump_parameters(gen)
-    pi_csr = pi.tocsr()
-    neighbors, cumulative = [], []
-    for x in range(gen.n):
-        row = pi_csr.getrow(x)
-        order = np.argsort(row.indices)
-        neighbors.append(row.indices[order])
-        cumulative.append(np.cumsum(row.data[order]))
-    gen._jump_tables_cache = (q, neighbors, cumulative)
-    return gen._jump_tables_cache
-
-
 def simulate(
     gen: GeneratorMatrix,
     initial,
@@ -253,7 +265,7 @@ def simulate(
     p0 = _check_initial(initial, gen.n)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    q, neighbors, cumulative = _jump_tables(gen)
+    q, neighbors, cumulative = gen.jump_tables
     rng = _philox(seed, index)
     x = int(rng.choice(gen.n, p=p0))
     times, states = [0.0], [x]
@@ -310,7 +322,7 @@ def ensemble_states(
     times = np.asarray(sorted(float(t) for t in times))
     if times.size and times[0] < 0:
         raise ValueError("times must be >= 0")
-    q, neighbors, cumulative = _jump_tables(gen)
+    q, neighbors, cumulative = gen.jump_tables
     rng = _philox(seed, ENSEMBLE_STREAM)
     state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
     now = np.zeros(n_paths)

@@ -10,7 +10,10 @@ rate, ``P = I + L / Lam`` is a stochastic matrix and ``exp(tL) f`` is the
 Poisson-weighted sum of ``P^k f``.  The method is positivity preserving by
 construction for validated generators, so the Markov-property checks probe
 the model rather than the numerics.  The Poisson tail is truncated below
-``POISSON_TAIL``.
+``POISSON_TAIL``.  ``f`` may be one vector or an ``(n, k)`` block of
+columns; a block runs one series for all columns, with results equal to
+the column-by-column ones, and :func:`markov_check` evaluates all of its
+trials as one block.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.stats import poisson
 
-from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates
+# RateValidationError and validate_rates stay importable from this module.
+from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
 from .resistance import DENSE_CUTOFF
 
 POISSON_TAIL = 1e-12
@@ -72,20 +76,6 @@ def resolvent(gen: GeneratorMatrix, alpha: float, f) -> np.ndarray:
     return resolvent_solve(gen, alpha, f).output
 
 
-def _uniformization(gen: GeneratorMatrix) -> tuple[sparse.csr_matrix, float]:
-    if not gen.rates_valid():
-        report = validate_rates(gen)
-        raise RateValidationError(
-            f"invalid rates on {len(report.violations)} edges; "
-            "semigroup evaluation refused"
-        )
-    lam_max = float(np.max(gen.q)) if gen.n else 0.0
-    if lam_max <= 0:
-        return sparse.identity(gen.n, format="csr"), 0.0
-    P = (sparse.identity(gen.n) + gen.L / lam_max).tocsr()
-    return P, lam_max
-
-
 def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int]:
     if mu_t == 0.0:
         return f.copy(), 0
@@ -93,20 +83,24 @@ def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int]:
     weights = poisson.pmf(np.arange(order + 1), mu_t)
     acc = weights[0] * f
     v = f
-    for k in range(1, order + 1):
+    for w in weights[1:]:
         v = P @ v
-        acc = acc + weights[k] * v
+        # Weights that underflow to exactly zero (the far left tail) add
+        # nothing; the powers of P still advance.
+        if w != 0.0:
+            acc += w * v
     return acc, order
 
 
 def semigroup_solve(gen: GeneratorMatrix, t: float, f) -> SemigroupApply:
-    """Evaluate ``exp(tL) f`` by uniformization with certified truncation."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    """Evaluate ``exp(tL) f`` by uniformization with certified truncation,
+    for an ``(n,)`` vector or an ``(n, k)`` block of columns ``f``."""
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     fv = np.asarray(f, dtype=float)
-    if fv.shape != (gen.n,):
-        raise ValueError(f"input has shape {fv.shape}, expected ({gen.n},)")
-    P, lam_max = _uniformization(gen)
+    if fv.ndim not in (1, 2) or fv.shape[0] != gen.n:
+        raise ValueError(f"input has shape {fv.shape}, expected ({gen.n},) or ({gen.n}, k)")
+    P, lam_max = gen.uniformized
     out, order = _poisson_series(P, lam_max * t, fv)
     return SemigroupApply(t, fv, out, order, lam_max)
 
@@ -114,12 +108,6 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f) -> SemigroupApply:
 def semigroup_apply(gen: GeneratorMatrix, t: float, f) -> np.ndarray:
     """Semigroup applied to ``f``; see :func:`semigroup_solve`."""
     return semigroup_solve(gen, t, f).output
-
-
-def _semigroup_apply_transpose(gen: GeneratorMatrix, t: float, f: np.ndarray) -> np.ndarray:
-    P, lam_max = _uniformization(gen)
-    out, _ = _poisson_series(P.T.tocsr(), lam_max * t, np.asarray(f, dtype=float))
-    return out
 
 
 @dataclass
@@ -137,15 +125,18 @@ def markov_check(
     gen: GeneratorMatrix, t: float, trials: int = 100, seed: int = 7, tol: float = 1e-10
 ) -> MarkovCheckReport:
     """For random ``0 <= f <= 1`` assert ``0 <= T_t f <= 1`` (within round-off),
-    and positivity ``f >= 0 => T_t f >= 0``."""
+    and positivity ``f >= 0 => T_t f >= 0``.  Each trial draws a uniform, then
+    an exponential column; all ``2 * trials`` columns run as one block."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = _philox(seed, 2)
-    lo, hi, pos = np.inf, -np.inf, np.inf
+    columns = []
     for _ in range(trials):
-        f = rng.random(gen.n)
-        out = semigroup_apply(gen, t, f)
-        lo = min(lo, float(out.min()))
-        hi = max(hi, float(out.max()))
-        pos = min(pos, float(semigroup_apply(gen, t, rng.exponential(1.0, gen.n)).min()))
+        columns.append(rng.random(gen.n))
+        columns.append(rng.exponential(1.0, gen.n))
+    out = semigroup_apply(gen, t, np.column_stack(columns))
+    lo, hi = float(out[:, 0::2].min()), float(out[:, 0::2].max())
+    pos = float(out[:, 1::2].min())
     ok = lo >= -tol and hi <= 1.0 + tol and pos >= -tol
     return MarkovCheckReport(t, trials, seed, lo, hi, pos, bool(ok))
 
@@ -184,7 +175,7 @@ def contraction_growth_check(
             estimate = float(np.sqrt(np.sum(mu * u * u)))
             if estimate == 0.0:
                 break
-            w = _semigroup_apply_transpose(gen, t, mu * u) / mu
+            w = _poisson_series(gen.uniformized_transpose, gen.uniformized[1] * t, mu * u)[0] / mu
             nw = np.sqrt(np.sum(mu * w * w))
             if nw == 0.0:
                 break

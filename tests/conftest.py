@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from driftform import tower as tw
+
+
+@pytest.fixture(scope="session")
+def interval_config() -> str:
+    """Path of the shipped interval structure config, independent of the
+    directory pytest runs from."""
+    return str(Path(__file__).resolve().parents[1] / "docs" / "configs" / "interval.json")
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,20 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"no_such_key": 1}))
         assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("mode_args", [
+        ["semigroup", "--t", "-0.1"],
+        ["semigroup", "--t", "nan"],
+        ["simulate", "--t", "0.05,inf"],
+        ["converge", "--levels", "1", "--reference-level", "2", "--t", "-1"],
+        ["semigroup", "--t", "0.1x"],
+        ["resolvent", "--alpha", "nan"],
+        ["resolvent", "--alpha", "inf"],
+    ])
+    def test_bad_numeric_grid_exits_2(self, tmp_path, capsys, mode_args):
+        assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("mode_args", [
@@ -181,8 +195,8 @@ class TestModes:
         assert report["level"] == 1
         assert report["smallness"]["drift_energy"] == 0.0
 
-    def test_custom_structure(self, tmp_path):
-        assert run(["check", "--structure", "docs/configs/interval.json",
+    def test_custom_structure(self, tmp_path, interval_config):
+        assert run(["check", "--structure", interval_config,
                     "--drift", "none", "--level", "3", "--out", str(tmp_path)]) == 0
         report = load_report_json(tmp_path / "check_report.json")
         assert report["structure"] == "interval"

@@ -180,8 +180,8 @@ class TestBuildRoutes:
             assert a.edges == b.edges
             assert a.vertex_count == b.vertex_count
 
-    def test_interval_structure(self):
-        interval = pcf.load_structure("docs/configs/interval.json")
+    def test_interval_structure(self, interval_config):
+        interval = pcf.load_structure(interval_config)
         for n in range(6):
             cx = pcf.build_level(interval, n)
             assert cx.vertex_count == 2**n + 1
@@ -189,8 +189,8 @@ class TestBuildRoutes:
             got = sorted(float(x) for x in cx.coordinates[:, 0])
             assert got == [k / 2**n for k in range(2**n + 1)]
 
-    def test_interval_combinatorial_route(self):
-        interval = pcf.load_structure("docs/configs/interval.json")
+    def test_interval_combinatorial_route(self, interval_config):
+        interval = pcf.load_structure(interval_config)
         stripped = dataclasses.replace(interval, embedding=None)
         for n in range(5):
             assert (

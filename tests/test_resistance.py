@@ -187,8 +187,8 @@ class TestHarmonicExtension:
         assert ext.max() <= max(bvals) + 1e-9
         assert ext.min() >= min(bvals) - 1e-9
 
-    def test_interval_extension_is_linear_interpolation(self):
-        interval = pcf.load_structure("docs/configs/interval.json")
+    def test_interval_extension_is_linear_interpolation(self, interval_config):
+        interval = pcf.load_structure(interval_config)
         from driftform.tower import LevelTower
 
         t = LevelTower(interval)
@@ -238,8 +238,8 @@ class TestEffectiveResistance:
         for x, y, z in itertools.product(range(m), repeat=3):
             assert r[x, y] <= r[x, z] + r[z, y] + 1e-10
 
-    def test_interval_resistance_is_distance(self):
-        interval = pcf.load_structure("docs/configs/interval.json")
+    def test_interval_resistance_is_distance(self, interval_config):
+        interval = pcf.load_structure(interval_config)
         from driftform.tower import LevelTower
 
         t = LevelTower(interval)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from scipy import sparse
+from scipy.stats import poisson
 
 from driftform import tower as tw
-from driftform.markov import RateValidationError, point_mass
+from driftform.markov import RateValidationError, _philox, point_mass
 from driftform.spectral import (
+    _poisson_series,
     contraction_growth_check,
     markov_check,
     resolvent,
@@ -134,13 +137,61 @@ class TestSemigroup:
     def test_invalid_rates_refused(self, sg_tower):
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
         gen = sg_tower.generator(1, tw.realize_drift(sg_tower, cfg, 1))
-        with pytest.raises(RateValidationError):
-            semigroup_apply(gen, 0.1, np.ones(gen.n))
+        # the uniformized operator is cached on the generator; a refusal is not
+        for _ in range(2):
+            with pytest.raises(RateValidationError):
+                semigroup_apply(gen, 0.1, np.ones(gen.n))
 
     def test_negative_time_rejected(self, setup):
         gen, _ = setup
         with pytest.raises(ValueError):
             semigroup_apply(gen, -0.1, np.ones(gen.n))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, setup, t):
+        gen, _ = setup
+        with pytest.raises(ValueError):
+            semigroup_apply(gen, t, np.ones(gen.n))
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("t", [0.0, 0.07])
+    def test_block_equals_columns(self, setup, k, t):
+        gen, _ = setup
+        block = np.random.default_rng(29).standard_normal((gen.n, k))
+        solve = semigroup_solve(gen, t, block)
+        assert solve.output.shape == (gen.n, k)
+        columns = [semigroup_solve(gen, t, block[:, j]) for j in range(k)]
+        expected = np.column_stack([c.output for c in columns])
+        assert np.array_equal(solve.output, expected)
+        assert solve.truncation_order == columns[0].truncation_order
+
+    def test_zero_weight_skip_matches_full_sum(self):
+        # mu_t = 800 underflows the left Poisson tail to exact zeros; a cyclic
+        # shift never mixes, so a misplaced power of P would show
+        n = 7
+        P = sparse.csr_matrix(np.roll(np.eye(n), 1, axis=1))
+        f = np.random.default_rng(31).standard_normal((n, 3))
+        out, order = _poisson_series(P, 800.0, f)
+        weights = poisson.pmf(np.arange(order + 1), 800.0)
+        assert weights[0] == 0.0
+        acc, v = weights[0] * f, f
+        for w in weights[1:]:
+            v = P @ v
+            acc = acc + w * v
+        assert np.array_equal(out, acc)
+
+    @pytest.mark.parametrize("shape", ["three_d", "wrong_n", "wrong_n_block"])
+    def test_bad_shapes_rejected(self, setup, shape):
+        gen, _ = setup
+        f = {
+            "three_d": np.ones((gen.n, 2, 1)),
+            "wrong_n": np.ones(gen.n + 1),
+            "wrong_n_block": np.ones((gen.n - 1, 3)),
+        }[shape]
+        with pytest.raises(ValueError):
+            semigroup_solve(gen, 0.1, f)
 
 
 class TestMarkovChecks:
@@ -160,6 +211,28 @@ class TestMarkovChecks:
         gen, _ = setup
         report = markov_check(gen, t, trials=40, seed=19)
         assert report.ok, (report.min_value, report.max_value, report.positivity_min)
+
+    @pytest.mark.parametrize("seed", [0, 19])
+    def test_block_matches_per_trial_loop(self, sg_tower, admissible_cfg, seed):
+        gen = sg_tower.generator(3, tw.realize_drift(sg_tower, admissible_cfg, 3))
+        t, trials = 0.1, 6
+        # reference: one semigroup series per trial column, same Philox stream
+        rng = _philox(seed, 2)
+        lo, hi, pos = np.inf, -np.inf, np.inf
+        for _ in range(trials):
+            out = semigroup_apply(gen, t, rng.random(gen.n))
+            lo = min(lo, float(out.min()))
+            hi = max(hi, float(out.max()))
+            pos = min(pos, float(semigroup_apply(gen, t, rng.exponential(1.0, gen.n)).min()))
+        report = markov_check(gen, t, trials=trials, seed=seed)
+        assert (report.min_value, report.max_value, report.positivity_min) == (lo, hi, pos)
+        assert report.ok
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, setup, trials):
+        gen, _ = setup
+        with pytest.raises(ValueError):
+            markov_check(gen, 0.1, trials=trials)
 
 
 class TestGrowthBound:
