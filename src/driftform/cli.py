@@ -9,7 +9,8 @@ semigroup  evaluate the semigroup on a time grid, with Markov checks.
 simulate   sample trajectories and empirical laws.
 converge   per-level gap reports against a reference level.
 
-Exit codes: 0 success, 1 admissibility failure, 2 usage/config error.
+Exit codes: 0 success, 1 admissibility or numerical failure (a solve whose
+residual exceeds its tolerance), 2 usage/config error.
 All report files start with one timestamp header line; everything after it
 is a deterministic function of the configuration and seed.
 """
@@ -165,7 +166,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert one config value the way argparse converts the flag's text."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if value is None:
+        return action.default
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config key {key!r} needs a number or a string, got {value!r}")
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
+    if action.choices is not None and converted not in action.choices:
+        raise ConfigError(
+            f"config key {key!r} must be one of {sorted(action.choices)}, got {value!r}"
+        )
+    return converted
+
+
+def apply_config_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
     if not args.config:
         return args
     try:
@@ -173,11 +197,17 @@ def apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config {args.config} must hold a JSON object")
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = {a.dest: a for a in subparsers.choices[args.mode]._actions}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions or not hasattr(args, dest):
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(actions[dest], key, value))
     return args
 
 
@@ -320,9 +350,13 @@ def cmd_check(args) -> int:
 
 
 def _alphas(args, constants) -> list[float]:
-    if args.alpha is not None:
-        return _parse_floats(args.alpha)
-    return [2.0 * constants.lam]
+    if args.alpha is None:
+        return [2.0 * constants.lam]
+    alphas = _parse_floats(args.alpha)
+    for alpha in alphas:
+        if alpha <= constants.lam:
+            raise ConfigError(f"alpha {alpha} must exceed lambda {constants.lam:.6g}")
+    return alphas
 
 
 def cmd_resolvent(args) -> int:
@@ -339,10 +373,6 @@ def cmd_resolvent(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     solves = []
     for alpha in _alphas(args, report.constants):
-        if alpha <= report.constants.lam:
-            raise ConfigError(
-                f"alpha {alpha} must exceed lambda {report.constants.lam:.6g}"
-            )
         solve = sp.resolvent_solve(gen, alpha, f)
         write_vertex_function_report(out / f"resolvent_alpha_{alpha:g}.txt", solve.output)
         solves.append({"alpha": alpha, "residual": solve.residual,
@@ -471,6 +501,7 @@ def cmd_converge(args) -> int:
         if not ok:
             return _fail_admissibility(failed)
     constants = per_level[reference]["report"].constants
+    alphas = _alphas(args, constants)
 
     sandwich_levels = {}
     for n in levels:
@@ -482,7 +513,6 @@ def cmd_converge(args) -> int:
             smallest_pass = n
 
     f = _input_function(args, tower, reference)
-    alphas = _alphas(args, constants)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -554,7 +584,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = apply_config_file(args)
+        args = apply_config_file(args, parser)
         return COMMANDS[args.mode](args)
     except (ConfigError, StructureError, dr.DriftError, NetworkError, OSError,
             json.JSONDecodeError, KeyError) as exc:
@@ -565,6 +595,9 @@ def main(argv=None) -> int:
         return 1
     except mk.RateValidationError as exc:
         print(f"rate validation failure: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -101,6 +101,13 @@ def ks_norm_check(
     ).finalize_trend()
 
 
+def _level_generator(
+    tower: LevelTower, drift_cfg: DriftConfig | None, n: int
+) -> markov_mod.GeneratorMatrix:
+    spec = realize_drift(tower, drift_cfg, n) if drift_cfg is not None else None
+    return tower.generator(n, spec)
+
+
 def _per_level_outputs(
     tower: LevelTower,
     drift_cfg: DriftConfig | None,
@@ -111,8 +118,7 @@ def _per_level_outputs(
 ) -> tuple[list[float], dict]:
     f_ref = np.asarray(f_ref, dtype=float)
     def output_at(n: int) -> np.ndarray:
-        spec = realize_drift(tower, drift_cfg, n) if drift_cfg is not None else None
-        gen = tower.generator(n, spec)
+        gen = _level_generator(tower, drift_cfg, n)
         return apply_fn(gen, restriction(tower, reference, n)(f_ref))
 
     ref_out = output_at(reference)
@@ -191,18 +197,16 @@ def path_law_convergence(
     if not fs:
         raise ValueError("need at least one test function")
 
-    def exact_mean(n: int, f: np.ndarray) -> float:
-        spec = realize_drift(tower, drift_cfg, n) if drift_cfg is not None else None
-        gen = tower.generator(n, spec)
+    def exact_mean(gen: markov_mod.GeneratorMatrix, n: int, f: np.ndarray) -> float:
         fn = restriction(tower, reference, n)(f)
         return float(spectral_mod.semigroup_apply(gen, t, fn)[initial_vertex])
 
-    ref_means = [exact_mean(reference, f) for f in fs]
+    ref_gen = _level_generator(tower, drift_cfg, reference)
+    ref_means = [exact_mean(ref_gen, reference, f) for f in fs]
 
     errors, mc_table = [], {}
     for n in levels:
-        spec = realize_drift(tower, drift_cfg, n) if drift_cfg is not None else None
-        gen = tower.generator(n, spec)
+        gen = _level_generator(tower, drift_cfg, n)
         init = markov_mod.point_mass(gen.n, initial_vertex)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
         rows, worst = [], 0.0
@@ -210,7 +214,7 @@ def path_law_convergence(
             samples = restriction(tower, reference, n)(f)[states]
             mean = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
-            exact = exact_mean(n, f)
+            exact = exact_mean(gen, n, f)
             rows.append(
                 {"mc_mean": mean, "mc_se": se, "exact": exact,
                  "mc_vs_exact": abs(mean - exact), "reference_exact": ref_val}

@@ -11,7 +11,9 @@ and verifies the closed-form and Markov axioms on seeded random batches.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -81,11 +83,56 @@ class DriftSpec:
         return not np.any(self.b)
 
 
+_EXPRESSION_FUNCTIONS = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
+}
+_BINARY_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _evaluate_expression(text: str, names: Mapping[str, object]):
+    """Evaluate an arithmetic expression over ``names``.
+
+    Config data is never executed: the text is parsed, and only numeric
+    literals, the given names, unary and binary ``+ - * / **`` and
+    one-argument calls of ``sin cos exp sqrt abs`` are evaluated; anything
+    else raises :class:`DriftError`.  Literals become floats, so ``**``
+    cannot start an unbounded integer power.
+    """
+    def ev(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            return _UNARY_OPS[type(node.op)](ev(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPRESSION_FUNCTIONS
+                and len(node.args) == 1 and not node.keywords):
+            return _EXPRESSION_FUNCTIONS[node.func.id](ev(node.args[0]))
+        raise DriftError(f"expression {text!r}: {ast.unparse(node)!r} is not allowed")
+
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise DriftError(f"cannot parse expression {text!r}: {exc}") from exc
+    try:
+        return ev(tree.body)
+    except (ArithmeticError, RecursionError) as exc:
+        raise DriftError(f"cannot evaluate expression {text!r}: {exc}") from exc
+
+
 def sample_field(spec, n: int, coordinates: np.ndarray | None) -> np.ndarray:
     """Sample one drift coefficient field at the working level.
 
     ``spec`` is ``("constant", v)``, ``("expression", text)`` (needs an
-    embedding; variables ``x``/``y``/``z`` are the coordinates), or
+    embedding; variables ``x``/``y``/``z`` are the coordinates, see
+    :func:`_evaluate_expression` for what else it may contain), or
     ``("samples", values)`` with values indexed by vertex id.
     """
     kind, payload = spec
@@ -94,16 +141,11 @@ def sample_field(spec, n: int, coordinates: np.ndarray | None) -> np.ndarray:
     if kind == "expression":
         if coordinates is None:
             raise DriftError("expression fields need an embedded structure")
-        names = {"x": coordinates[:, 0]}
-        if coordinates.shape[1] > 1:
-            names["y"] = coordinates[:, 1]
-        if coordinates.shape[1] > 2:
-            names["z"] = coordinates[:, 2]
-        names.update(
-            {"np": np, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-             "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi}
-        )
-        vals = eval(payload, {"__builtins__": {}}, names)  # restricted namespace
+        if not isinstance(payload, str):
+            raise DriftError(f"expression must be a string, got {payload!r}")
+        names = {"pi": np.pi}
+        names.update(zip("xyz", coordinates.T))
+        vals = _evaluate_expression(payload, names)
         return np.broadcast_to(np.asarray(vals, dtype=float), (n,)).copy()
     if kind == "samples":
         if isinstance(payload, Mapping):

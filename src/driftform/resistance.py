@@ -7,7 +7,10 @@ minimizing) extension of boundary data, effective resistance, and assembly
 of the self-similar energies on refinement levels of a structure.
 
 Solves factor the interior block directly; dense linear algebra is used for
-networks below ``DENSE_CUTOFF`` vertices and sparse LU above.
+networks below ``DENSE_CUTOFF`` vertices and sparse LU above.  All-pairs
+resistances (the matrix and the diameter) come from one sparse LU of the
+Laplacian grounded at vertex 0, solved against identity columns in blocks
+of ``BLOCK_COLUMNS``, so the diameter needs O(n * block) memory.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .pcf import LevelComplex
 
 DENSE_CUTOFF = 500
 SCHUR_CLAMP = 1e-14
+BLOCK_COLUMNS = 64  # right-hand sides per grounded solve in _resistance_blocks
 
 
 class NetworkError(ValueError):
@@ -258,21 +262,52 @@ def effective_resistance(net: ConductanceNetwork, x: int, y: int) -> float:
     return 1.0 / e
 
 
-def resistance_matrix(net: ConductanceNetwork) -> np.ndarray:
-    """All-pairs effective resistances via the Laplacian pseudo-inverse."""
+def _resistance_blocks(net: ConductanceNetwork):
+    """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` columns.
+
+    Vertex 0 is grounded and the grounded Laplacian ``L[1:, 1:]`` (SPD for a
+    connected network) is factored once; solving it against identity columns
+    gives ``G``, the Green function killed at vertex 0, with ``G[0, :] = 0``.
+    Then ``R(x, j) = G_xx + G_jj - 2 G_xj``.  Each yielded ``(lo, hi, r)``
+    holds ``r[x, j - lo] = R(x, j)`` for every vertex ``x < hi`` and column
+    ``lo <= j < hi``; by symmetry the blocks together cover every pair.
+    """
     if not net.is_connected():
         raise NetworkError("network is disconnected")
-    lap = net.laplacian(dense=True)
-    pinv = np.linalg.pinv(lap, hermitian=True)
-    d = np.diag(pinv)
-    r = d[:, None] + d[None, :] - 2.0 * pinv
-    np.fill_diagonal(r, 0.0)
+    n = net.n
+    if n < 2:
+        return
+    lu = splu(net.laplacian(dense=False)[1:, 1:].tocsc())
+    width = BLOCK_COLUMNS
+    d = np.zeros(n)  # diag(G), filled block by block; d[0] = 0 at the ground
+    for lo in range(1, n, width):
+        hi = min(lo + width, n)
+        cols = np.arange(hi - lo)
+        rhs = np.zeros((n - 1, hi - lo))
+        rhs[lo - 1 + cols, cols] = 1.0
+        g = lu.solve(rhs)[: hi - 1]  # G[x, lo:hi] for vertices 1 <= x < hi
+        d[lo:hi] = g[lo - 1 + cols, cols]
+        r = d[:hi, None] + d[None, lo:hi]
+        r[1:] -= 2.0 * g
+        yield lo, hi, r
+
+
+def resistance_matrix(net: ConductanceNetwork) -> np.ndarray:
+    """All-pairs effective resistances (symmetric, zero diagonal)."""
+    r = np.zeros((net.n, net.n))
+    for lo, hi, block in _resistance_blocks(net):
+        r[:lo, lo:hi] = block[:lo]
+        r[lo:hi, :lo] = block[:lo].T
+        upper = np.triu(block[lo:hi], 1)
+        r[lo:hi, lo:hi] = upper + upper.T
     return r
 
 
 def resistance_diameter(net: ConductanceNetwork) -> float:
-    """Largest effective resistance over all vertex pairs."""
-    return float(resistance_matrix(net).max())
+    """Largest effective resistance over all vertex pairs, in O(n * block)
+    memory."""
+    return max((float(block.max()) for *_, block in _resistance_blocks(net)),
+               default=0.0)
 
 
 def assemble_self_similar(

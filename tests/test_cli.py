@@ -74,6 +74,46 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"no_such_key": 1}))
         assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_converge_alpha_below_lambda_exits_2(self, tmp_path, capsys):
+        assert run(["converge", "--levels", "1", "--reference-level", "2",
+                    "--alpha", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    def test_config_values_take_the_flag_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": "1", "reference-level": 2,
+                                   "draws": "50", "t": 0.1, "assumption": "B"}))
+        out = tmp_path / "out"
+        assert run(["check", "--config", str(cfg), "--out", str(out)]) == 0
+        report = load_report_json(out / "check_report.json")
+        assert report["level"] == 1
+        assert report["assumption"] == "B"
+
+    @pytest.mark.parametrize("overrides", [
+        {"level": "three"},
+        {"level": 1.5},
+        {"level": True},
+        {"seed": [1]},
+        {"assumption": "C"},
+        {"paired": "yes"},
+        {"mode": "check"},
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        assert run(["simulate", "--config", str(cfg), "--level", "1",
+                    "--paths", "2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    def test_resolvent_residual_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a negative tolerance makes every solve fail its residual certificate
+        monkeypatch.setattr("driftform.spectral.RESIDUAL_TOL", -1.0)
+        assert run(["resolvent", "--level", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
     @pytest.mark.parametrize("mode_args", [
         ["semigroup", "--t", "-0.1"],
         ["semigroup", "--t", "nan"],

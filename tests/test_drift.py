@@ -16,6 +16,7 @@ from driftform.drift import (
     check_condition_II,
     discrete_mutual_energy,
     eta,
+    sample_field,
     select_constants,
     verify_SD_axioms,
     verify_drift_bound,
@@ -477,3 +478,57 @@ class TestDriftSpecConstruction:
         # restriction to level 2 slices the prefix
         s2 = drift_on(sg_tower, cfg, 2)
         np.testing.assert_allclose(s2.b[0], vals[: sg_tower.vertex_count(2)])
+
+
+class TestExpressionFields:
+    """Expression fields are parsed against a whitelist, never executed."""
+
+    @pytest.fixture()
+    def coords(self, sg_tower):
+        return sg_tower.coordinates(3)
+
+    @pytest.mark.parametrize("text, reference", [
+        ("0.2*x", lambda x, y: 0.2 * x),
+        ("x*(1-y)", lambda x, y: x * (1 - y)),
+        ("-x**2 + sin(pi*y)/3 - abs(cos(x)) + exp(-y) * sqrt(x)",
+         lambda x, y: -x**2 + np.sin(np.pi * y) / 3 - np.abs(np.cos(x))
+         + np.exp(-y) * np.sqrt(x)),
+        ("2", lambda x, y: np.full_like(x, 2.0)),
+    ])
+    def test_values_match_numpy(self, coords, text, reference):
+        got = sample_field(("expression", text), len(coords), coords)
+        assert np.array_equal(got, reference(coords[:, 0], coords[:, 1]))
+
+    @pytest.mark.parametrize("text", [
+        "np.save('pwned.npy', x)",
+        "x.T",
+        "__import__('os').system('true')",
+        "(lambda: 1)()",
+        "lambda: x",
+        "np",
+        "sin(x, y)",  # a second argument would be numpy's `out`
+        "sin(x=x)",
+        "z",  # the gasket is planar
+        "x if 1 else y",
+        "[x]",
+        "'x'",
+        "True * x",
+        "9**9**9**9",
+        "1/0",
+        "x +",
+    ])
+    def test_rejected(self, coords, text, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = coords.copy()
+        with pytest.raises(DriftError):
+            sample_field(("expression", text), len(coords), coords)
+        assert list(tmp_path.iterdir()) == []
+        assert np.array_equal(coords, before)
+
+    def test_rejected_through_config(self, sg_tower):
+        cfg = tw.DriftConfig.from_dict(
+            {"b": [{"expression": "np.save('f', x)"}],
+             "h": [{"base_level": 0, "values": [1.0, 0.0, 0.0]}]}
+        )
+        with pytest.raises(DriftError, match="not allowed"):
+            tw.realize_drift(sg_tower, cfg, 1)

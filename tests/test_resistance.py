@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftform import pcf
+from driftform import pcf, resistance
 from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
@@ -287,6 +287,32 @@ class TestAssembly:
             assemble_self_similar(wrong, (0.6, 0.6, 0.6), sg_tower.complex(1))
 
 
+def pinv_resistances(net: ConductanceNetwork) -> np.ndarray:
+    """Reference oracle: ``R = d_x + d_y - 2 L+_xy`` from the dense
+    Moore-Penrose pseudo-inverse of the Laplacian."""
+    lplus = np.linalg.pinv(net.laplacian(dense=True), hermitian=True)
+    d = np.diag(lplus)
+    r = d[:, None] + d[None, :] - 2.0 * lplus
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+def random_weighted_network(seed: int, n: int) -> ConductanceNetwork:
+    """Connected: a random spanning tree plus random chords, conductances
+    spread over three decades."""
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for v in range(1, n):
+        edges[(int(rng.integers(v)), v)] = None
+    for a, b in rng.integers(n, size=(2 * n, 2)):
+        if a != b:
+            edges[(int(min(a, b)), int(max(a, b)))] = None
+    return ConductanceNetwork.from_edges(
+        [(a, b, float(10.0 ** rng.uniform(-1.5, 1.5))) for a, b in edges],
+        vertices=range(n),
+    )
+
+
 class TestDiameter:
     def test_unit_triangle(self, unit_triangle):
         assert resistance_diameter(unit_triangle) == pytest.approx(2.0 / 3.0)
@@ -294,17 +320,78 @@ class TestDiameter:
     def test_two_vertex(self):
         net = ConductanceNetwork.from_edges([(0, 1, 0.5)])
         assert resistance_diameter(net) == pytest.approx(2.0)
+        np.testing.assert_allclose(resistance_matrix(net), [[0.0, 2.0], [2.0, 0.0]])
+
+    def test_single_vertex(self):
+        net = ConductanceNetwork([7], np.zeros((1, 1)))
+        assert resistance_diameter(net) == 0.0
+        assert resistance_matrix(net).tolist() == [[0.0]]
 
     def test_sg_nondecreasing_in_level(self, sg_tower):
         diams = [resistance_diameter(sg_tower.network(n)) for n in range(5)]
         assert all(b >= a - 1e-12 for a, b in zip(diams, diams[1:]))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sg_diameter_is_two_thirds(self, sg_tower, n):
+        assert abs(resistance_diameter(sg_tower.network(n)) - 2.0 / 3.0) < 1e-11
+
     def test_disconnected_rejected(self):
         net = ConductanceNetwork.from_edges(
             [(0, 1, 1.0), (2, 3, 1.0)], vertices=range(4)
         )
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="disconnected"):
             resistance_diameter(net)
+        with pytest.raises(NetworkError, match="disconnected"):
+            resistance_matrix(net)
+
+
+class TestResistanceMatrix:
+    """The blocked grounded factorization against the dense pinv oracle."""
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_sg_matches_pinv(self, sg_tower, n):
+        net = sg_tower.network(n)
+        np.testing.assert_allclose(
+            resistance_matrix(net), pinv_resistances(net), rtol=0, atol=1e-10
+        )
+
+    def test_interval_matches_pinv(self, interval_config):
+        from driftform.tower import LevelTower
+
+        # 65 vertices: 64 grounded columns fill exactly one block
+        net = LevelTower(pcf.load_structure(interval_config)).network(6)
+        assert net.n == resistance.BLOCK_COLUMNS + 1
+        np.testing.assert_allclose(
+            resistance_matrix(net), pinv_resistances(net), rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_weighted_graph_matches_pinv(self, seed):
+        net = random_weighted_network(seed, 150)
+        np.testing.assert_allclose(
+            resistance_matrix(net), pinv_resistances(net), rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 1000])
+    def test_block_width_does_not_matter(self, sg_tower, monkeypatch, width):
+        # SG L4 has 123 vertices: 122 grounded columns are a ragged last
+        # block for widths 7 and 64, one block for 1000, all singles for 1
+        net = sg_tower.network(4)
+        monkeypatch.setattr(resistance, "BLOCK_COLUMNS", width)
+        r = resistance_matrix(net)
+        np.testing.assert_allclose(r, pinv_resistances(net), rtol=0, atol=1e-10)
+        assert resistance_diameter(net) == pytest.approx(r.max(), rel=1e-14)
+
+    def test_exactly_symmetric_with_zero_diagonal(self):
+        r = resistance_matrix(random_weighted_network(2, 90))
+        assert np.array_equal(r, r.T)
+        assert np.all(np.diag(r) == 0.0)
+
+    def test_diameter_is_matrix_max(self):
+        net = random_weighted_network(3, 200)
+        assert resistance_diameter(net) == pytest.approx(
+            resistance_matrix(net).max(), rel=1e-14
+        )
 
 
 class TestSupNormBound:
