@@ -95,11 +95,14 @@ def write_vertex_function_report(path: Path, values: np.ndarray) -> None:
 
 def _parse_levels(text: str) -> list[int]:
     text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":")
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(x) for x in text.split(",") if x]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ConfigError(f"bad level range {text!r}: use 'a:b' or 'a,b,c'") from exc
     if not levels or min(levels) < 1:
         raise ConfigError(f"levels must be >= 1, got {text!r}")
     return levels
@@ -215,22 +218,6 @@ def apply_config_file(
 # Shared setup
 # ---------------------------------------------------------------------------
 
-def _build_tower(args) -> tw.LevelTower:
-    if args.structure == "sg":
-        structure = build_sierpinski_structure()
-    else:
-        structure = load_structure(args.structure)
-    return tw.LevelTower(structure)
-
-
-def _drift_config(args, tower: tw.LevelTower, proxy_level: int) -> tw.DriftConfig:
-    if args.drift == "none":
-        return tw.zero_drift_config(tower.structure.boundary_size)
-    if args.drift == "default":
-        return tw.default_admissible_drift(tower, proxy_level=proxy_level)
-    return tw.load_drift_config(args.drift)
-
-
 def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
     spec = args.f
     n = tower.vertex_count(level)
@@ -245,12 +232,17 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
             raise ConfigError(f"structure has no {spec!r} coordinate")
         return coords[:, col].copy()
     if spec.startswith("indicator:"):
-        vid = int(spec.split(":", 1)[1])
+        vid = spec.split(":", 1)[1]
+        if not vid.isdecimal() or int(vid) >= n:
+            raise ConfigError(f"{spec!r}: level {level} has vertex ids 0..{n - 1}")
         f = np.zeros(n)
-        f[vid] = 1.0
+        f[int(vid)] = 1.0
         return f
     if spec.startswith("harmonic:"):
-        vals = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        try:
+            vals = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad boundary values in {spec!r}") from exc
         if len(vals) != tower.structure.boundary_size:
             raise ConfigError("harmonic input needs one value per boundary point")
         return harmonic_extension(tower.network(level), dict(enumerate(vals)))
@@ -258,41 +250,40 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
     return np.array([data[k] for k in range(n)])
 
 
-def _admissibility(args, tower, config, level, proxy_level):
-    """Drift realization + smallness report + the assumption verdict."""
-    spec, report = tw.constants_for(
-        tower, config, level, proxy_level=proxy_level, delta=args.delta
-    )
-    cond3 = {
-        "structurally_satisfied": True,
-        "note": "finitely ramified: complement components are the level cells "
-                "and their boundaries are level vertices",
-        "cell_count": len(tower.complex(level).cells),
-        "cell_boundary_size": tower.structure.boundary_size,
-    }
-    if args.assumption == "A":
-        ok = report.condition_I.satisfied and report.condition_II.satisfied
-        failed = []
-        if not report.condition_I.satisfied:
-            failed.append(("Condition (I)", report.condition_I.margin))
-        if not report.condition_II.satisfied:
-            failed.append(("Condition (II)", report.condition_II.margin))
+def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None):
+    """The run's tower and drift configuration, and the smallness report of
+    each level (default: the working level) against one proxy diameter
+    (default: ``--reference-level``, else the working level).
+
+    Returns ``(tower, config, reports, failed)``: the reports stop at the
+    first level that fails the chosen assumption, and ``failed`` lists that
+    level's failed conditions (empty when every level passes).
+    """
+    if args.draws < 1:
+        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+    if args.paths < 0:
+        raise ConfigError(f"--paths must be >= 0, got {args.paths}")
+    if proxy_level is None:
+        proxy_level = args.reference_level if args.reference_level is not None else args.level
+    if args.structure == "sg":
+        tower = tw.LevelTower(build_sierpinski_structure())
     else:
-        ok = report.condition_I.satisfied
-        failed = (
-            [] if ok else [("Condition (I)", report.condition_I.margin)]
+        tower = tw.LevelTower(load_structure(args.structure))
+    if args.drift == "none":
+        config = tw.zero_drift_config(tower.structure.boundary_size)
+    elif args.drift == "default":
+        config = tw.default_admissible_drift(tower, proxy_level=proxy_level)
+    else:
+        config = tw.load_drift_config(args.drift)
+    reports: dict[int, dr.SmallnessReport] = {}
+    for n in levels or [args.level]:
+        _, reports[n] = tw.constants_for(
+            tower, config, n, proxy_level=proxy_level, delta=args.delta
         )
-    if report.constants is None and not any(
-        name == "Condition (I)" for name, _ in failed
-    ):
-        # (I) may hold while the comparison-slope interval is still empty
-        # for the chosen delta
-        ok = False
-        lower = math.sqrt(report.drift_energy / 2.0) * (
-            math.sqrt(report.diam_proxy) + (args.delta or 0.1 * math.sqrt(report.diam_proxy))
-        )
-        failed.append(("comparison-slope interval", 1.0 - lower))
-    return spec, report, cond3, ok, failed
+        failed = reports[n].failed_conditions(args.assumption)
+        if failed:
+            return tower, config, reports, failed
+    return tower, config, reports, []
 
 
 def _fail_admissibility(failed) -> int:
@@ -307,13 +298,9 @@ def _fail_admissibility(failed) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    tower = _build_tower(args)
+    tower, config, reports, failed = _setup(args)
     level = args.level
-    proxy_level = args.reference_level if args.reference_level is not None else level
-    config = _drift_config(args, tower, proxy_level)
-    spec, report, cond3, ok, failed = _admissibility(
-        args, tower, config, level, proxy_level
-    )
+    report = reports[level]
     payload: dict = {
         "mode": "check",
         "structure": tower.structure.name,
@@ -321,16 +308,22 @@ def cmd_check(args) -> int:
         "assumption": args.assumption,
         "seed": args.seed,
         "smallness": report.to_dict(),
-        "condition_III": cond3,
+        "condition_III": {
+            "structurally_satisfied": True,
+            "note": "finitely ramified: complement components are the level "
+                    "cells and their boundaries are level vertices",
+            "cell_count": len(tower.complex(level).cells),
+            "cell_boundary_size": tower.structure.boundary_size,
+        },
         "trace_compatibility_gap": tower.trace_compatibility_gap(),
-        "admissible": ok,
+        "admissible": not failed,
     }
-    gen = tower.generator(level, spec)
+    gen = tower.generator(level, config)
     payload["rate_validation"] = mk.validate_rates(gen).to_dict()
     payload["detailed_balance_gap"] = mk.detailed_balance_gap(gen)
     if report.constants is not None:
         c = report.constants
-        asm = tower.assembly(level, spec)
+        asm = tower.assembly(level, config)
         payload["sandwich"] = dr.verify_sandwich(
             asm, c.s, c.lam, draws=args.draws, seed=args.seed
         ).to_dict()
@@ -344,7 +337,7 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json_report(out / "check_report.json", payload)
-    if not ok:
+    if failed:
         return _fail_admissibility(failed)
     return 0
 
@@ -360,40 +353,36 @@ def _alphas(args, constants) -> list[float]:
 
 
 def cmd_resolvent(args) -> int:
-    tower = _build_tower(args)
-    level = args.level
-    proxy_level = args.reference_level if args.reference_level is not None else level
-    config = _drift_config(args, tower, proxy_level)
-    spec, report, _, ok, failed = _admissibility(args, tower, config, level, proxy_level)
-    if not ok:
+    tower, config, reports, failed = _setup(args)
+    if failed:
         return _fail_admissibility(failed)
-    gen = tower.generator(level, spec)
+    level = args.level
+    constants = reports[level].constants
+    gen = tower.generator(level, config)
     f = _input_function(args, tower, level)
+    alphas = _alphas(args, constants)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     solves = []
-    for alpha in _alphas(args, report.constants):
+    for alpha in alphas:
         solve = sp.resolvent_solve(gen, alpha, f)
         write_vertex_function_report(out / f"resolvent_alpha_{alpha:g}.txt", solve.output)
         solves.append({"alpha": alpha, "residual": solve.residual,
                        "sup_norm": float(np.max(np.abs(solve.output)))})
     write_json_report(out / "resolvent_report.json", {
         "mode": "resolvent", "level": level, "f": args.f,
-        "lambda": report.constants.lam, "solves": solves,
+        "lambda": constants.lam, "solves": solves,
     })
     return 0
 
 
 def cmd_semigroup(args) -> int:
     times = _parse_floats(args.t)
-    tower = _build_tower(args)
-    level = args.level
-    proxy_level = args.reference_level if args.reference_level is not None else level
-    config = _drift_config(args, tower, proxy_level)
-    spec, report, _, ok, failed = _admissibility(args, tower, config, level, proxy_level)
-    if not ok:
+    tower, config, _, failed = _setup(args)
+    if failed:
         return _fail_admissibility(failed)
-    gen = tower.generator(level, spec)
+    level = args.level
+    gen = tower.generator(level, config)
     f = _input_function(args, tower, level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -417,14 +406,11 @@ def cmd_semigroup(args) -> int:
 
 def cmd_simulate(args) -> int:
     times = _parse_floats(args.t)
-    tower = _build_tower(args)
-    level = args.level
-    proxy_level = args.reference_level if args.reference_level is not None else level
-    config = _drift_config(args, tower, proxy_level)
-    spec, report, _, ok, failed = _admissibility(args, tower, config, level, proxy_level)
-    if not ok:
+    tower, config, _, failed = _setup(args)
+    if failed:
         return _fail_admissibility(failed)
-    gen = tower.generator(level, spec)
+    level = args.level
+    gen = tower.generator(level, config)
     rate_report = mk.validate_rates(gen)
     if not rate_report.ok:
         print(f"rate validation failed on {len(rate_report.violations)} edges",
@@ -482,31 +468,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     times = _parse_floats(args.t)
-    tower = _build_tower(args)
     levels = _parse_levels(args.levels)
     reference = args.reference_level if args.reference_level is not None else 6
     if reference <= max(levels):
         raise ConfigError(
             f"reference level {reference} must exceed the requested levels"
         )
-    config = _drift_config(args, tower, reference)
-
     # Admissibility at every requested level, constants from the reference
     # proxy so all levels share one shift.
-    per_level = {}
-    smallest_pass = None
-    for n in levels + [reference]:
-        spec, report, _, ok, failed = _admissibility(args, tower, config, n, reference)
-        per_level[n] = {"report": report, "ok": ok, "failed": failed}
-        if not ok:
-            return _fail_admissibility(failed)
-    constants = per_level[reference]["report"].constants
+    tower, config, reports, failed = _setup(args, levels + [reference], reference)
+    if failed:
+        return _fail_admissibility(failed)
+    constants = reports[reference].constants
     alphas = _alphas(args, constants)
 
     sandwich_levels = {}
+    smallest_pass = None
     for n in levels:
-        asm = tower.assembly(n, tw.realize_drift(tower, config, n))
-        sw = dr.verify_sandwich(asm, constants.s, constants.lam,
+        sw = dr.verify_sandwich(tower.assembly(n, config), constants.s, constants.lam,
                                 draws=args.draws, seed=args.seed)
         sandwich_levels[n] = sw.passed
         if sw.passed and smallest_pass is None:
@@ -546,7 +525,7 @@ def cmd_converge(args) -> int:
         "t": times[0],
         "constants": constants.to_dict(),
         "per_level_drift_energy": {
-            n: per_level[n]["report"].drift_energy for n in levels
+            n: reports[n].drift_energy for n in levels
         },
         "sandwich_passed_by_level": sandwich_levels,
         "smallest_passing_level": smallest_pass,

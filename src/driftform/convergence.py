@@ -21,7 +21,7 @@ import numpy as np
 
 from . import markov as markov_mod
 from . import spectral as spectral_mod
-from .tower import DriftConfig, LevelTower, realize_drift
+from .tower import DriftConfig, LevelTower
 
 PATH_LAW_BANNER = (
     "path-law comparison uses fixed-time test-function expectations, not "
@@ -101,13 +101,6 @@ def ks_norm_check(
     ).finalize_trend()
 
 
-def _level_generator(
-    tower: LevelTower, drift_cfg: DriftConfig | None, n: int
-) -> markov_mod.GeneratorMatrix:
-    spec = realize_drift(tower, drift_cfg, n) if drift_cfg is not None else None
-    return tower.generator(n, spec)
-
-
 def _per_level_outputs(
     tower: LevelTower,
     drift_cfg: DriftConfig | None,
@@ -118,7 +111,7 @@ def _per_level_outputs(
 ) -> tuple[list[float], dict]:
     f_ref = np.asarray(f_ref, dtype=float)
     def output_at(n: int) -> np.ndarray:
-        gen = _level_generator(tower, drift_cfg, n)
+        gen = tower.generator(n, drift_cfg)
         return apply_fn(gen, restriction(tower, reference, n)(f_ref))
 
     ref_out = output_at(reference)
@@ -201,12 +194,12 @@ def path_law_convergence(
         fn = restriction(tower, reference, n)(f)
         return float(spectral_mod.semigroup_apply(gen, t, fn)[initial_vertex])
 
-    ref_gen = _level_generator(tower, drift_cfg, reference)
+    ref_gen = tower.generator(reference, drift_cfg)
     ref_means = [exact_mean(ref_gen, reference, f) for f in fs]
 
     errors, mc_table = [], {}
     for n in levels:
-        gen = _level_generator(tower, drift_cfg, n)
+        gen = tower.generator(n, drift_cfg)
         init = markov_mod.point_mass(gen.n, initial_vertex)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
         rows, worst = [], 0.0

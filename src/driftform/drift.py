@@ -36,7 +36,12 @@ class DriftError(ValueError):
 
 
 class InadmissibleDriftError(ValueError):
-    """No admissible constants exist; the drift must be shrunk."""
+    """No admissible constants exist; the drift must be shrunk.  ``s_lower``
+    is the lower end of the comparison-slope interval ``(s_lower, 1)``."""
+
+    def __init__(self, message: str, s_lower: float):
+        super().__init__(message)
+        self.s_lower = s_lower
 
 
 @dataclass
@@ -271,12 +276,6 @@ class FormAssembly:
         f = np.asarray(f, float)
         return float(np.sum(self.mu * f * f))
 
-    def A_shifted(self, f, alpha: float) -> float:
-        return self.A(f) + alpha * self.l2_sq(f)
-
-    def E_shifted(self, f, alpha: float) -> float:
-        return self.E(f) + alpha * self.l2_sq(f)
-
     # Batched quadratic forms over rows of F, used by the random verifiers.
     def batch_quad(self, matrix, F: np.ndarray) -> np.ndarray:
         return np.einsum("kn,kn->k", F, (matrix @ F.T).T)
@@ -436,13 +435,14 @@ def select_constants(
     if s_lower >= 1.0:
         raise InadmissibleDriftError(
             f"no admissible comparison slope: lower bound {s_lower:.6g} >= 1; "
-            "shrink the drift coefficients"
+            "shrink the drift coefficients",
+            s_lower,
         )
     if s is None:
         s = 0.5 * (s_lower + 1.0)
     elif not (s_lower < s < 1.0):
         raise InadmissibleDriftError(
-            f"s={s} outside the admissible interval ({s_lower:.6g}, 1)"
+            f"s={s} outside the admissible interval ({s_lower:.6g}, 1)", s_lower
         )
     lam = 1.0 / (4.0 * delta * (root_diam + delta))
     return Constants(delta, s, lam * s, lam, s_lower, diam_proxy)
@@ -450,7 +450,8 @@ def select_constants(
 
 @dataclass
 class SmallnessReport:
-    """Admissibility summary at one working level."""
+    """Admissibility summary at one working level; ``s_lower`` is kept also
+    when the comparison-slope interval is empty (``constants`` is ``None``)."""
 
     level: int
     diam_proxy: float
@@ -459,16 +460,21 @@ class SmallnessReport:
     condition_I: ConditionCheck
     condition_II: ConditionCheck
     constants: Constants | None
+    s_lower: float
     inadmissible_reason: str | None = None
     caveat: str = DIAMETER_CAVEAT
 
-    @property
-    def condition_I_satisfied(self) -> bool:
-        return self.condition_I.satisfied
-
-    @property
-    def condition_II_max(self) -> float:
-        return self.condition_II.value
+    def failed_conditions(self, assumption: str) -> list[tuple[str, float]]:
+        """``(name, margin)`` of each failed condition of assumption ``"A"``
+        ((I) and (II)) or ``"B"`` ((I) only); an empty comparison-slope
+        interval fails with margin ``1 - s_lower``.  Empty means admissible."""
+        checks = [("Condition (I)", self.condition_I)]
+        if assumption == "A":
+            checks.append(("Condition (II)", self.condition_II))
+        failed = [(name, c.margin) for name, c in checks if not c.satisfied]
+        if self.constants is None and self.condition_I.satisfied:
+            failed.append(("comparison-slope interval", 1.0 - self.s_lower))
+        return failed
 
     def to_dict(self) -> dict:
         d = {
@@ -502,8 +508,9 @@ def smallness_report(
     constants, reason = None, None
     try:
         constants = select_constants(cond1.value, diam_proxy, delta=delta, s=s)
+        s_lower = constants.s_lower
     except InadmissibleDriftError as exc:
-        reason = str(exc)
+        reason, s_lower = str(exc), exc.s_lower
     return SmallnessReport(
         level=drift.level,
         diam_proxy=diam_proxy,
@@ -512,6 +519,7 @@ def smallness_report(
         condition_I=cond1,
         condition_II=cond2,
         constants=constants,
+        s_lower=s_lower,
         inadmissible_reason=reason,
     )
 

@@ -379,14 +379,3 @@ def read_trajectories_jsonl(path) -> list[Trajectory]:
             if line:
                 out.append(Trajectory.from_dict(json.loads(line)))
     return out
-
-
-def write_trajectory_grid_csv(
-    trajectories: Sequence[Trajectory], times: Sequence[float], path
-) -> None:
-    """Time-grid samples of each trajectory, one row per (path, time)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path,time,state\n")
-        for k, traj in enumerate(trajectories):
-            for t in times:
-                fh.write(f"{k},{t!r},{traj.state_at(t)}\n")

@@ -390,7 +390,3 @@ def read_vertex_function(path) -> dict[int, float]:
             x, v = line.split()
             out[int(x)] = float(v)
     return out
-
-
-def values_to_dict(net: ConductanceNetwork, values: np.ndarray) -> dict[int, float]:
-    return {int(v): float(values[k]) for k, v in enumerate(net.vertices)}

@@ -4,9 +4,10 @@ A :class:`LevelTower` owns everything that is shared between levels: the
 base conductances, the per-symbol resistance scale factors and measure
 weights, plus caches so each level is built once.  It also realizes drift
 configurations consistently across levels (one base-level data set for the
-reference functions, coefficients re-sampled per level) and selects the
-derived constants against a fixed proxy diameter so that all levels are
-compared with the same shift.
+reference functions, coefficients re-sampled per level), keeps the realized
+drift, its form assembly and its chain generator once per (level, drift
+configuration), and selects the derived constants against a fixed proxy
+diameter so that all levels are compared with the same shift.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class LevelTower:
         self._networks: dict[int, ConductanceNetwork] = {}
         self._measures: dict[int, np.ndarray] = {}
         self._diameters: dict[int, float] = {}
+        # keyed by (level, _config_key(config))
+        self._drifts: dict[tuple, drift_mod.DriftSpec] = {}
+        self._generators: dict[tuple, markov_mod.GeneratorMatrix] = {}
+        self._assemblies: dict[tuple, drift_mod.FormAssembly] = {}
 
     def complex(self, n: int) -> LevelComplex:
         if n not in self._complexes:
@@ -107,15 +112,31 @@ class LevelTower:
         gap = abs(traced.c - self.base_network.c)
         return float(gap.max()) if gap.nnz else 0.0
 
-    def generator(
-        self, n: int, drift: drift_mod.DriftSpec | None
-    ) -> markov_mod.GeneratorMatrix:
-        return markov_mod.build_generator(self.network(n), drift, self.measure(n), level=n)
+    def _drift(self, n: int, config: DriftConfig | None) -> drift_mod.DriftSpec | None:
+        """``config`` realized at level ``n`` once (``None`` for the drift-free
+        chain); a realization that raises is not kept."""
+        if config is None:
+            return None
+        key = (n, _config_key(config))
+        if key not in self._drifts:
+            self._drifts[key] = realize_drift(self, config, n)
+        return self._drifts[key]
 
-    def assembly(
-        self, n: int, drift: drift_mod.DriftSpec | None
-    ) -> drift_mod.FormAssembly:
-        return drift_mod.assemble_forms(self.network(n), drift, self.measure(n), level=n)
+    def _built(self, cache: dict, build, n: int, config: DriftConfig | None):
+        key = (n, _config_key(config))
+        if key not in cache:
+            cache[key] = build(
+                self.network(n), self._drift(n, config), self.measure(n), level=n
+            )
+        return cache[key]
+
+    def generator(self, n: int, config: DriftConfig | None) -> markov_mod.GeneratorMatrix:
+        """Chain generator of level ``n`` under ``config``, built once."""
+        return self._built(self._generators, markov_mod.build_generator, n, config)
+
+    def assembly(self, n: int, config: DriftConfig | None) -> drift_mod.FormAssembly:
+        """Form assembly of level ``n`` under ``config``, built once."""
+        return self._built(self._assemblies, drift_mod.assemble_forms, n, config)
 
 
 def sierpinski_tower() -> LevelTower:
@@ -173,6 +194,12 @@ class DriftConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise drift_mod.DriftError(f"malformed drift config: {exc}") from exc
         return cls(tuple(b_specs), tuple(h_specs))
+
+
+def _config_key(config: DriftConfig | None) -> str | None:
+    """Cache key of a drift configuration: equal for configurations with the
+    same content (``samples`` payloads make the dataclass unhashable)."""
+    return None if config is None else json.dumps(config.to_dict(), sort_keys=True)
 
 
 def load_drift_config(path) -> DriftConfig:
@@ -247,7 +274,7 @@ def constants_for(
     """
     if proxy_level is None:
         proxy_level = level
-    spec = realize_drift(tower, config, level)
+    spec = tower._drift(level, config)
     report = drift_mod.smallness_report(
         tower.network(level),
         spec,

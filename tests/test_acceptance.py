@@ -108,8 +108,7 @@ def test_criterion_4_semi_dirichlet_suite(instance):
     start = time.monotonic()
     failures = []
     for level in range(1, 6):
-        spec = tw.realize_drift(sg_tower, cfg, level)
-        asm = sg_tower.assembly(level, spec)
+        asm = sg_tower.assembly(level, cfg)
         sw = verify_sandwich(asm, c.s, c.lam, draws=1000, seed=level)
         sd = verify_SD_axioms(asm, c.s, c.lam, c.delta, c.diam_proxy,
                               draws=1000, seed=level)
@@ -133,8 +132,7 @@ def test_criterion_5_resolvent_semigroup_identities(instance):
     failures = []
 
     level = 3
-    spec = tw.realize_drift(sg_tower, cfg, level)
-    gen = sg_tower.generator(level, spec)
+    gen = sg_tower.generator(level, cfg)
     alpha, beta = 2.0 * c.lam, 3.0 * c.lam
     ones = np.ones(gen.n)
 
@@ -161,9 +159,8 @@ def test_criterion_5_resolvent_semigroup_identities(instance):
         failures.append(f"semigroup property: {gap:.2e}")
 
     for n in range(1, 5):
-        spec_n = tw.realize_drift(sg_tower, cfg, n)
-        gen_n = sg_tower.generator(n, spec_n)
-        asm_n = sg_tower.assembly(n, spec_n)
+        gen_n = sg_tower.generator(n, cfg)
+        asm_n = sg_tower.assembly(n, cfg)
         lhs_mat = -np.diag(gen_n.mu) @ gen_n.L.toarray()
         rhs_mat = asm_n.A_matrix.toarray()
         scale = max(1.0, float(np.abs(rhs_mat).max()))
@@ -209,8 +206,7 @@ def test_criterion_7_monte_carlo_coherence(instance):
     failures = []
     checks = 0
     for level in (1, 2, 3):
-        spec = tw.realize_drift(sg_tower, cfg, level)
-        gen = sg_tower.generator(level, spec)
+        gen = sg_tower.generator(level, cfg)
         init = point_mass(gen.n, 1)
         n_lvl = gen.n
         for t in (0.01, 0.1):

@@ -122,6 +122,15 @@ class TestExitCodes:
         ["semigroup", "--t", "0.1x"],
         ["resolvent", "--alpha", "nan"],
         ["resolvent", "--alpha", "inf"],
+        ["semigroup", "--f", "indicator:999"],
+        ["semigroup", "--f", "indicator:-1"],
+        ["semigroup", "--f", "indicator:abc"],
+        ["semigroup", "--f", "harmonic:1,a,0"],
+        ["converge", "--levels", "a", "--reference-level", "2"],
+        ["converge", "--levels", "1:2:3", "--reference-level", "4"],
+        ["check", "--draws", "0"],
+        ["check", "--draws", "-5"],
+        ["simulate", "--paths", "-3"],
     ])
     def test_bad_numeric_grid_exits_2(self, tmp_path, capsys, mode_args):
         assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2

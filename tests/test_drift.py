@@ -297,6 +297,11 @@ class TestSelectConstants:
         with pytest.raises(InadmissibleDriftError):
             select_constants(0.5, 1.0, s=0.01)
 
+    def test_inadmissible_carries_slope_bound(self):
+        with pytest.raises(InadmissibleDriftError) as exc:
+            select_constants(50.0, 1.0)
+        assert exc.value.s_lower == pytest.approx(5.0 * 1.1)
+
     def test_interval_invariant(self):
         c = select_constants(0.3, 0.8)
         assert c.s_lower < c.s < 1.0
@@ -328,16 +333,14 @@ class TestSandwich:
     def test_admissible_instance_passes(
         self, sg_tower, admissible_cfg, admissible_constants, level
     ):
-        spec = drift_on(sg_tower, admissible_cfg, level)
-        asm = sg_tower.assembly(level, spec)
+        asm = sg_tower.assembly(level, admissible_cfg)
         c = admissible_constants
         rep = verify_sandwich(asm, c.s, c.lam, draws=1000)
         assert rep.passed, (rep.lower_margin, rep.upper_margin)
 
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_drift_bound(self, sg_tower, admissible_cfg, admissible_constants, level):
-        spec = drift_on(sg_tower, admissible_cfg, level)
-        asm = sg_tower.assembly(level, spec)
+        asm = sg_tower.assembly(level, admissible_cfg)
         c = admissible_constants
         rep = verify_drift_bound(asm, c.s, c.t, draws=1000)
         assert rep.passed, rep.margin
@@ -345,24 +348,21 @@ class TestSandwich:
 
 class TestSDAxioms:
     def test_zero_drift(self, sg_tower):
-        spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
-        asm = sg_tower.assembly(2, spec)
+        asm = sg_tower.assembly(2, tw.zero_drift_config(3))
         rep = verify_SD_axioms(asm, s=0.5, lam=1.0, delta=0.1, diam_proxy=2 / 3, draws=300)
         assert rep.passed
         assert rep.edge_one_plus_eta_min == 1.0  # every edge factor is exactly 1
 
     def test_zero_cut_level(self, sg_tower, admissible_cfg):
         # a = 0 with f >= 0: f ^ 0 = 0 and the pairing vanishes
-        spec = drift_on(sg_tower, admissible_cfg, 2)
-        asm = sg_tower.assembly(2, spec)
+        asm = sg_tower.assembly(2, admissible_cfg)
         rng = np.random.default_rng(47)
         f = np.abs(rng.standard_normal(asm.n))
         g1 = np.minimum(f, 0.0)
         assert float((f - g1) @ (asm.A_matrix @ g1)) == 0.0
 
     def test_admissible_instance(self, sg_tower, admissible_cfg, admissible_constants):
-        spec = drift_on(sg_tower, admissible_cfg, 3)
-        asm = sg_tower.assembly(3, spec)
+        asm = sg_tower.assembly(3, admissible_cfg)
         c = admissible_constants
         rep = verify_SD_axioms(asm, c.s, c.lam, c.delta, c.diam_proxy, draws=1000)
         assert rep.passed
@@ -394,8 +394,7 @@ class TestStrongLocality:
     def test_localized_pairing_vanishes(self, sg_tower, admissible_cfg):
         # f constant on the closed star of supp(g) forces A(f, g) = 0
         level = 3
-        spec = drift_on(sg_tower, admissible_cfg, level)
-        asm = sg_tower.assembly(level, spec)
+        asm = sg_tower.assembly(level, admissible_cfg)
         cx = sg_tower.complex(level)
         support = {5}
         star = set()
@@ -431,6 +430,28 @@ class TestSmallnessReport:
         assert not report.condition_I.satisfied
         assert report.constants is None
         assert "shrink" in report.inadmissible_reason
+
+    def test_failed_conditions_by_assumption(self, sg_tower, admissible_cfg):
+        _, ok = tw.constants_for(sg_tower, admissible_cfg, 3, proxy_level=6)
+        assert ok.failed_conditions("A") == ok.failed_conditions("B") == []
+        cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
+        _, bad = tw.constants_for(sg_tower, cfg, 2, proxy_level=2)
+        assert bad.failed_conditions("A") == [
+            ("Condition (I)", bad.condition_I.margin),
+            ("Condition (II)", bad.condition_II.margin),
+        ]
+        assert bad.failed_conditions("B") == [("Condition (I)", bad.condition_I.margin)]
+
+    def test_empty_slope_interval_fails_with_its_margin(self, sg_tower, admissible_cfg):
+        # (I) and (II) hold, but delta = 2 pushes the slope bound past 1
+        _, report = tw.constants_for(sg_tower, admissible_cfg, 2, proxy_level=6, delta=2.0)
+        assert report.condition_I.satisfied and report.condition_II.satisfied
+        assert report.constants is None
+        lower = math.sqrt(report.drift_energy / 2.0) * (math.sqrt(report.diam_proxy) + 2.0)
+        for assumption in ("A", "B"):
+            assert report.failed_conditions(assumption) == [
+                ("comparison-slope interval", 1.0 - lower)
+            ]
 
 
 class TestDriftSpecConstruction:

@@ -29,7 +29,7 @@ def gen_plain_l2(sg_tower):
 
 @pytest.fixture(scope="module")
 def gen_drift_l2(sg_tower, admissible_cfg):
-    return sg_tower.generator(2, tw.realize_drift(sg_tower, admissible_cfg, 2))
+    return sg_tower.generator(2, admissible_cfg)
 
 
 class TestGenerator:
@@ -44,9 +44,8 @@ class TestGenerator:
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_duality_with_form_on_full_basis(self, sg_tower, admissible_cfg, level):
-        spec = tw.realize_drift(sg_tower, admissible_cfg, level)
-        gen = sg_tower.generator(level, spec)
-        asm = sg_tower.assembly(level, spec)
+        gen = sg_tower.generator(level, admissible_cfg)
+        asm = sg_tower.assembly(level, admissible_cfg)
         lhs = -np.diag(gen.mu) @ gen.L.toarray()  # (-L f, g)_mu on basis pairs
         rhs = asm.A_matrix.toarray()
         scale = np.abs(rhs).max()
@@ -55,7 +54,7 @@ class TestGenerator:
     def test_offdiagonals_factor_through_eta(self, sg_tower, admissible_cfg):
         level = 2
         spec = tw.realize_drift(sg_tower, admissible_cfg, level)
-        gen = sg_tower.generator(level, spec)
+        gen = sg_tower.generator(level, admissible_cfg)
         gen0 = sg_tower.generator(level, None)
         net = sg_tower.network(level)
         L, L0 = gen.L.toarray(), gen0.L.toarray()
@@ -95,7 +94,7 @@ class TestJumpParameters:
     def test_perturbed_kernel_renormalizes_edge_factors(self, sg_tower, admissible_cfg):
         level = 2
         spec = tw.realize_drift(sg_tower, admissible_cfg, level)
-        gen = sg_tower.generator(level, spec)
+        gen = sg_tower.generator(level, admissible_cfg)
         net = sg_tower.network(level)
         _, pi = jump_parameters(gen)
         dense = pi.toarray()
@@ -108,7 +107,7 @@ class TestJumpParameters:
 
     def test_invalid_rates_refused(self, sg_tower):
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
-        gen = sg_tower.generator(1, tw.realize_drift(sg_tower, cfg, 1))
+        gen = sg_tower.generator(1, cfg)
         with pytest.raises(RateValidationError):
             jump_parameters(gen)
 
@@ -125,7 +124,7 @@ class TestValidateRates:
         # |dh| = 3/5, so b = 10 violates them
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
         spec = tw.realize_drift(sg_tower, cfg, 1)
-        gen = sg_tower.generator(1, spec)
+        gen = sg_tower.generator(1, cfg)
         report = validate_rates(gen)
         assert not report.ok
         net = sg_tower.network(1)
@@ -239,15 +238,18 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.1, 0.5]), np.array([0, 1]), 1.0, 0, 0, 3)
 
-    def test_grid_csv_matches_states(self, tmp_path, gen_drift_l2):
-        from driftform.markov import write_trajectory_grid_csv
+    def test_grid_csv_matches_states(self, tmp_path):
+        # the simulate mode's time grid against the trajectories it wrote
+        from driftform.cli import main
 
-        trajs = simulate_batch(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.1, 4, seed=81)
-        times = [0.0, 0.05, 0.1]
-        path = tmp_path / "grid.csv"
-        write_trajectory_grid_csv(trajs, times, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "path,time,state"
-        for line in lines[1:]:
+        assert main(["simulate", "--level", "2", "--paths", "4", "--t", "0,0.05,0.1",
+                     "--seed", "81", "--out", str(tmp_path)]) == 0
+        trajs = read_trajectories_jsonl(tmp_path / "trajectories.jsonl")
+        assert len(trajs) == 4
+        lines = (tmp_path / "trajectory_grid.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated ")
+        assert lines[1] == "path,time,state"
+        assert len(lines) == 2 + 4 * 3
+        for line in lines[2:]:
             k, t, s = line.split(",")
             assert trajs[int(k)].state_at(float(t)) == int(s)

@@ -23,8 +23,7 @@ from driftform.spectral import (
 @pytest.fixture(scope="module")
 def setup(sg_tower, admissible_cfg, admissible_constants):
     level = 2
-    spec = tw.realize_drift(sg_tower, admissible_cfg, level)
-    gen = sg_tower.generator(level, spec)
+    gen = sg_tower.generator(level, admissible_cfg)
     return gen, admissible_constants
 
 
@@ -114,8 +113,7 @@ class TestSemigroup:
         # independent oracle: adaptive quadrature of exp(-alpha t) T_t f over
         # [0, 40/alpha]; the truncated tail is below 1e-17 |f|
         level = 1
-        spec = tw.realize_drift(sg_tower, admissible_cfg, level)
-        gen = sg_tower.generator(level, spec)
+        gen = sg_tower.generator(level, admissible_cfg)
         rng = np.random.default_rng(17)
         f = rng.standard_normal(gen.n)
         alpha = 8.0
@@ -136,7 +134,7 @@ class TestSemigroup:
 
     def test_invalid_rates_refused(self, sg_tower):
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
-        gen = sg_tower.generator(1, tw.realize_drift(sg_tower, cfg, 1))
+        gen = sg_tower.generator(1, cfg)
         # the uniformized operator is cached on the generator; a refusal is not
         for _ in range(2):
             with pytest.raises(RateValidationError):
@@ -214,7 +212,7 @@ class TestMarkovChecks:
 
     @pytest.mark.parametrize("seed", [0, 19])
     def test_block_matches_per_trial_loop(self, sg_tower, admissible_cfg, seed):
-        gen = sg_tower.generator(3, tw.realize_drift(sg_tower, admissible_cfg, 3))
+        gen = sg_tower.generator(3, admissible_cfg)
         t, trials = 0.1, 6
         # reference: one semigroup series per trial column, same Philox stream
         rng = _philox(seed, 2)

@@ -1,0 +1,84 @@
+"""The per-(level, drift) context of a LevelTower: realized drift, form
+assembly and chain generator are built once and shared."""
+
+import pytest
+
+from driftform import markov
+from driftform import tower as tw
+from driftform.cli import main
+from driftform.drift import DriftError
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the ``level`` of
+    every call; returns the list of recorded levels."""
+    original = getattr(module, name)
+    levels = []
+
+    def wrapper(*args, **kwargs):
+        levels.append(kwargs["level"] if "level" in kwargs else args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return levels
+
+
+class TestContext:
+    def test_generator_and_assembly_built_once(self, sg_tower, admissible_cfg):
+        assert sg_tower.generator(2, admissible_cfg) is sg_tower.generator(2, admissible_cfg)
+        assert sg_tower.assembly(2, admissible_cfg) is sg_tower.assembly(2, admissible_cfg)
+        assert sg_tower.generator(2, None) is sg_tower.generator(2, None)
+
+    def test_equal_configs_share_one_entry(self, tmp_path, monkeypatch, admissible_cfg):
+        tower = tw.sierpinski_tower()
+        realized = counting(monkeypatch, tw, "realize_drift")
+        path = tmp_path / "drift.json"
+        tw.save_drift_config(admissible_cfg, path)
+        first, second = tw.load_drift_config(path), tw.load_drift_config(path)
+        assert first is not second
+        gen = tower.generator(2, first)
+        assert tower.generator(2, second) is gen
+        assert tower.assembly(2, second) is tower.assembly(2, first)
+        assert realized == [2]
+        # the drift-free chain, another config and another level are other entries
+        assert tower.generator(2, None) is not gen
+        other = tw.DriftConfig((("constant", 0.1),), first.h_specs)
+        assert tower.generator(2, other) is not gen
+        assert tower.generator(3, first) is not gen
+        assert realized == [2, 2, 3]
+
+    def test_unhashable_samples_payload(self):
+        tower = tw.sierpinski_tower()
+        n = tower.vertex_count(2)
+        cfg = tw.DriftConfig((("samples", [0.1] * n),), ((0, (1.0, 0.0, 0.0)),))
+        again = tw.DriftConfig((("samples", {k: 0.1 for k in range(n)}),),
+                               ((0, (1.0, 0.0, 0.0)),))
+        assert tower.generator(2, cfg) is tower.generator(2, cfg)
+        assert tower.generator(2, again) is not tower.generator(2, cfg)
+
+    def test_failed_realization_is_not_cached(self, monkeypatch, admissible_cfg):
+        tower = tw.sierpinski_tower()
+        original = tw.realize_drift
+        calls = []
+
+        def fails_once(tower_, config, level):
+            calls.append(level)
+            if len(calls) == 1:
+                raise DriftError("transient failure")
+            return original(tower_, config, level)
+
+        monkeypatch.setattr(tw, "realize_drift", fails_once)
+        with pytest.raises(DriftError):
+            tower.generator(1, admissible_cfg)
+        gen = tower.generator(1, admissible_cfg)
+        assert tower.generator(1, admissible_cfg) is gen
+        tower.assembly(1, admissible_cfg)  # shares the realized drift
+        assert calls == [1, 1]
+
+    def test_converge_realizes_and_builds_each_level_once(self, tmp_path, monkeypatch):
+        realized = counting(monkeypatch, tw, "realize_drift")
+        built = counting(monkeypatch, markov, "build_generator")
+        assert main(["converge", "--levels", "1:2", "--reference-level", "3",
+                     "--paths", "200", "--out", str(tmp_path)]) == 0
+        assert sorted(realized) == [1, 2, 3]
+        assert sorted(built) == [1, 2, 3]
