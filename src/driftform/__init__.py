@@ -58,12 +58,10 @@ from .markov import (
     Trajectory,
     build_generator,
     detailed_balance_gap,
-    empirical_law,
     ensemble_states,
     jump_parameters,
     point_mass,
-    simulate,
-    simulate_batch,
+    sample_paths,
     validate_rates,
 )
 from .spectral import (

@@ -6,7 +6,7 @@ check      admissibility of a drift at one level: smallness conditions,
            derived constants, form axioms, rate validation.
 resolvent  solve the shifted systems for a grid of shifts.
 semigroup  evaluate the semigroup on a time grid, with Markov checks.
-simulate   sample trajectories and empirical laws.
+simulate   sample paths and their empirical laws.
 converge   per-level gap reports against a reference level.
 
 Exit codes: 0 success, 1 admissibility or numerical failure (a solve whose
@@ -416,23 +416,24 @@ def cmd_simulate(args) -> int:
         print(f"rate validation failed on {len(rate_report.violations)} edges",
               file=sys.stderr)
         return 1
-    horizon = max(times)
     init = mk.point_mass(gen.n, 1 if gen.n > 1 else 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    trajectories = mk.simulate_batch(gen, init, horizon, args.paths, args.seed)
+    states, trajectories = mk.sample_paths(gen, init, times, args.paths, args.seed)
     mk.write_trajectories_jsonl(trajectories, out / "trajectories.jsonl")
+    # states has one row per time in increasing order; take them in --t order
+    states = states[np.searchsorted(np.sort(times), times)]
     grid_rows = ["path,time,state"]
-    for k, traj in enumerate(trajectories):
-        grid_rows += [f"{k},{t!r},{traj.state_at(t)}" for t in times]
+    grid_rows += [f"{k},{t!r},{s}" for k, column in enumerate(states.T)
+                  for t, s in zip(times, column)]
     write_csv_report(out / "trajectory_grid.csv", grid_rows)
 
     rows = ["time,state,frequency"]
-    for t in times:
-        if trajectories:
-            law = mk.empirical_law(trajectories, t)
-            rows += [f"{t!r},{s},{float(law[s])!r}" for s in range(gen.n)]
+    if args.paths:
+        for t, row in zip(times, states):
+            law = np.bincount(row, minlength=gen.n) / args.paths
+            rows += [f"{t!r},{s},{float(p)!r}" for s, p in enumerate(law)]
     write_csv_report(out / "law_summary.csv", rows)
 
     payload = {
@@ -474,6 +475,8 @@ def cmd_converge(args) -> int:
         raise ConfigError(
             f"reference level {reference} must exceed the requested levels"
         )
+    if args.paths < 2:
+        raise ConfigError(f"converge needs --paths >= 2 for a standard error, got {args.paths}")
     # Admissibility at every requested level, constants from the reference
     # proxy so all levels share one shift.
     tower, config, reports, failed = _setup(args, levels + [reference], reference)

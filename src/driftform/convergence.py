@@ -189,6 +189,8 @@ def path_law_convergence(
     fs = [np.asarray(f, dtype=float) for f in test_functions]
     if not fs:
         raise ValueError("need at least one test function")
+    if paths < 2:
+        raise ValueError(f"need at least 2 paths for a standard error, got {paths}")
 
     def exact_mean(gen: markov_mod.GeneratorMatrix, n: int, f: np.ndarray) -> float:
         fn = restriction(tower, reference, n)(f)
@@ -206,7 +208,7 @@ def path_law_convergence(
         for f, ref_val in zip(fs, ref_means):
             samples = restriction(tower, reference, n)(f)[states]
             mean = float(np.mean(samples))
-            se = float(np.std(samples, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
+            se = float(np.std(samples, ddof=1) / np.sqrt(paths))
             exact = exact_mean(gen, n, f)
             rows.append(
                 {"mc_mean": mean, "mc_se": se, "exact": exact,

@@ -7,10 +7,11 @@ nonnegative for oversized drifts; :func:`validate_rates` lists the offending
 edges and all simulation entry points refuse invalid generators rather than
 clamping (clamping would silently change the form).
 
-Randomness comes from numpy's counter-based Philox generator.  Trajectory
-``k`` of a run seeded with ``seed`` uses the key ``(seed, k)``, so paths are
-reproducible and independent without coordination; the vectorized ensemble
-sampler uses the key ``(seed, 2**63)``.
+Both samplers, :func:`ensemble_states` (states at fixed times) and
+:func:`sample_paths` (full paths as :class:`Trajectory` objects), run one
+vectorized jump-chain engine over a block of chains.  Randomness comes from
+numpy's counter-based Philox generator with the key ``(seed, 2**63)``; path
+``k`` is column ``k`` of the block, and equal arguments give equal paths.
 """
 
 from __future__ import annotations
@@ -85,13 +86,24 @@ class GeneratorMatrix:
         return self.uniformized[0].T.tocsr()
 
     @cached_property
-    def jump_tables(self) -> tuple[np.ndarray, list, list]:
-        """Holding rates, and per state the sorted neighbours with the
-        cumulative jump probabilities, for the path samplers."""
+    def jump_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Holding rates, the ``n x max_degree`` tables of sorted neighbours
+        and of cumulative jump probabilities (padded with ``+inf``), and
+        each state's total jump probability, for the path sampler."""
         q, pi = jump_parameters(self)
         pi.sort_indices()
-        rows = pi.indptr[1:-1]
-        return q, np.split(pi.indices, rows), [np.cumsum(p) for p in np.split(pi.data, rows)]
+        degree = np.diff(pi.indptr)
+        rows = np.repeat(np.arange(self.n), degree)
+        cols = np.arange(pi.nnz) - pi.indptr[rows]
+        shape = (self.n, int(degree.max()))
+        neighbors = np.zeros(shape, dtype=np.int64)
+        neighbors[rows, cols] = pi.indices
+        probabilities = np.zeros(shape)
+        probabilities[rows, cols] = pi.data
+        cumulative = np.cumsum(probabilities, axis=1)
+        total = cumulative[np.arange(self.n), degree - 1]
+        cumulative[np.arange(shape[1]) >= degree[:, None]] = np.inf
+        return q, neighbors, cumulative, total
 
 
 def build_generator(
@@ -209,10 +221,6 @@ class Trajectory:
         k = int(np.searchsorted(self.jump_times, t, side="right")) - 1
         return int(self.states[k])
 
-    def holding_times(self) -> np.ndarray:
-        """Completed holding intervals (the censored last one is dropped)."""
-        return np.diff(self.jump_times)
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -248,61 +256,49 @@ def point_mass(n: int, x: int) -> np.ndarray:
     return p
 
 
-def simulate(
+def _jump_chains(
     gen: GeneratorMatrix,
     initial,
-    horizon: float,
-    seed: int,
-    index: int = 0,
-) -> Trajectory:
-    """Sample one path by the jump-chain construction.
-
-    Holding times are exponential with the state's rate, the next state is
-    drawn from the jump kernel, and the path stops at the horizon.  The
-    result is a deterministic function of ``(gen, initial, horizon, seed,
-    index)``.
-    """
-    p0 = _check_initial(initial, gen.n)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    q, neighbors, cumulative = gen.jump_tables
-    rng = _philox(seed, index)
-    x = int(rng.choice(gen.n, p=p0))
-    times, states = [0.0], [x]
-    t = 0.0
-    if horizon > 0:
-        while True:
-            t += rng.exponential(1.0 / q[x])
-            if t >= horizon:
-                break
-            u = rng.random()
-            k = int(np.searchsorted(cumulative[x], u * cumulative[x][-1]))
-            x = int(neighbors[x][min(k, len(neighbors[x]) - 1)])
-            times.append(t)
-            states.append(x)
-    return Trajectory(np.array(times), np.array(states), horizon, seed, index, gen.n)
-
-
-def simulate_batch(
-    gen: GeneratorMatrix,
-    initial,
-    horizon: float,
+    times: Sequence[float],
     n_paths: int,
     seed: int,
-) -> list[Trajectory]:
-    """Independent trajectories; path ``k`` uses the substream ``(seed, k)``."""
-    return [simulate(gen, initial, horizon, seed, index=k) for k in range(n_paths)]
+    log_jumps: bool,
+) -> tuple[np.ndarray, list | None]:
+    """Gillespie's jump-chain construction on a block of chains.
 
-
-def empirical_law(trajectories: Sequence[Trajectory], t: float) -> np.ndarray:
-    """Occupancy frequencies of the paths at time ``t`` (right-continuous)."""
-    if not trajectories:
-        raise ValueError("no trajectories")
-    n = trajectories[0].n_states
-    counts = np.zeros(n)
-    for traj in trajectories:
-        counts[traj.state_at(t)] += 1.0
-    return counts / len(trajectories)
+    Each round draws the holding times of the paths still short of the next
+    recording time, then the uniforms of the paths that jump before it.  At
+    a recording time the clocks restart, which leaves the law unchanged
+    (memorylessness).  Returns the ``(len(times), n_paths)`` states at the
+    sorted times and, if ``log_jumps``, the ``(paths, jump times, new
+    states)`` of each round, the start first.
+    """
+    p0 = _check_initial(initial, gen.n)
+    times = np.sort(np.asarray(times, dtype=float))
+    if times.size and times[0] < 0:
+        raise ValueError("times must be >= 0")
+    q, neighbors, cumulative, total = gen.jump_tables
+    rng = _philox(seed, ENSEMBLE_STREAM)
+    state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
+    now = np.zeros(n_paths)
+    out = np.empty((len(times), n_paths), dtype=np.int64)
+    log = [(np.arange(n_paths), now.copy(), state.copy())] if log_jumps else None
+    for row, t_rec in enumerate(times):
+        idx = np.flatnonzero(now < t_rec)
+        while idx.size:
+            t_new = now[idx] + rng.exponential(1.0, size=idx.size) / q[state[idx]]
+            jumps = t_new < t_rec
+            now[idx] = np.where(jumps, t_new, t_rec)
+            idx = idx[jumps]
+            s = state[idx]
+            v = rng.random(idx.size) * total[s]
+            # searchsorted(side="left") row by row; the count stays below the
+            # degree because v <= total
+            state[idx] = neighbors[s, np.count_nonzero(cumulative[s] < v[:, None], axis=1)]
+            if log is not None:
+                log.append((idx, now[idx], state[idx]))
+        out[row] = state
+    return out, log
 
 
 def ensemble_states(
@@ -312,42 +308,40 @@ def ensemble_states(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """States of ``n_paths`` independent chains at the given times.
+    """States of ``n_paths`` independent chains at the given times, as an
+    ``(len(times), n_paths)`` array with rows in increasing time order;
+    path ``k`` is column ``k``."""
+    return _jump_chains(gen, initial, times, n_paths, seed, log_jumps=False)[0]
 
-    Vectorized jump-chain sampler: between recording times the exponential
-    clocks are restarted, which leaves the law of the process unchanged
-    (memorylessness).  Returns an ``(len(times), n_paths)`` array.
+
+def sample_paths(
+    gen: GeneratorMatrix,
+    initial,
+    times: Sequence[float],
+    n_paths: int,
+    seed: int,
+) -> tuple[np.ndarray, list[Trajectory]]:
+    """Full paths up to the largest of ``times``, with their states at
+    ``times``.
+
+    Returns the states exactly as :func:`ensemble_states` gives them for the
+    same arguments, and one :class:`Trajectory` per column.
     """
-    p0 = _check_initial(initial, gen.n)
-    times = np.asarray(sorted(float(t) for t in times))
-    if times.size and times[0] < 0:
-        raise ValueError("times must be >= 0")
-    q, neighbors, cumulative = gen.jump_tables
-    rng = _philox(seed, ENSEMBLE_STREAM)
-    state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
-    now = np.zeros(n_paths)
-    out = np.empty((len(times), n_paths), dtype=np.int64)
-    for row, t_rec in enumerate(times):
-        active = now < t_rec
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            hold = rng.exponential(1.0, size=idx.size) / q[state[idx]]
-            t_new = now[idx] + hold
-            crossed = t_new >= t_rec
-            now[idx[crossed]] = t_rec
-            jump_idx = idx[~crossed]
-            now[jump_idx] = t_new[~crossed]
-            if jump_idx.size:
-                u = rng.random(jump_idx.size)
-                js = state[jump_idx]
-                for s in np.unique(js):
-                    sel = jump_idx[js == s]
-                    cum = cumulative[s]
-                    k = np.searchsorted(cum, u[js == s] * cum[-1])
-                    state[sel] = neighbors[s][np.minimum(k, len(neighbors[s]) - 1)]
-            active = now < t_rec
-        out[row] = state
-    return out
+    states, log = _jump_chains(gen, initial, times, n_paths, seed, log_jumps=True)
+    # lay the rounds out path by path; a path jumps at most once a round
+    counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    cursor = bounds[:-1].copy()
+    jump_times, jump_states = np.empty(bounds[-1]), np.empty(bounds[-1], dtype=np.int64)
+    for paths, t, s in log:
+        jump_times[cursor[paths]], jump_states[cursor[paths]] = t, s
+        cursor[paths] += 1
+    horizon = float(max(times, default=0.0))
+    trajectories = [
+        Trajectory(jump_times[a:b], jump_states[a:b], horizon, seed, k, gen.n)
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    return states, trajectories
 
 
 def detailed_balance_gap(gen: GeneratorMatrix) -> float:

@@ -184,8 +184,9 @@ class DriftConfig:
             b_specs = []
             for entry in d["b"]:
                 (kind, payload), = entry.items()
-                if kind == "samples" and isinstance(payload, Mapping):
-                    payload = {int(k): float(v) for k, v in payload.items()}
+                if kind == "samples":
+                    payload = ({int(k): float(v) for k, v in payload.items()}
+                               if isinstance(payload, Mapping) else [float(v) for v in payload])
                 b_specs.append((kind, payload))
             h_specs = [
                 (int(entry["base_level"]), tuple(float(v) for v in entry["values"]))

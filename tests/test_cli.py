@@ -69,6 +69,15 @@ class TestExitCodes:
             run(["check", "--no-such-flag"])
         assert exc.value.code == 2
 
+    def test_non_numeric_drift_samples_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "drift.json"
+        bad.write_text(json.dumps({"b": [{"samples": ["a"]}],
+                                   "h": [{"base_level": 0, "values": [1.0, 0.0, 0.0]}]}))
+        assert run(["check", "--level", "1", "--drift", str(bad),
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
     def test_bad_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_key": 1}))
@@ -131,6 +140,8 @@ class TestExitCodes:
         ["check", "--draws", "0"],
         ["check", "--draws", "-5"],
         ["simulate", "--paths", "-3"],
+        ["converge", "--levels", "1", "--reference-level", "2", "--paths", "0"],
+        ["converge", "--levels", "1", "--reference-level", "2", "--paths", "1"],
     ])
     def test_bad_numeric_grid_exits_2(self, tmp_path, capsys, mode_args):
         assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2

@@ -145,6 +145,13 @@ class TestPathLaw:
             noise = 3.0 * (a["mc_se"] + b["mc_se"])
             assert gap > noise, (lvl, gap, noise)
 
+    @pytest.mark.parametrize("paths", [0, 1])
+    def test_fewer_than_two_paths_rejected(self, sg_tower, admissible_cfg, x_coord, paths):
+        # one sample has no standard error
+        with pytest.raises(ValueError):
+            path_law_convergence(sg_tower, admissible_cfg, 0.05, [x_coord], [1], REF,
+                                 paths=paths, seed=7)
+
     def test_banner_documents_weakening(self, sg_tower, admissible_cfg, x_coord):
         rep = path_law_convergence(
             sg_tower, admissible_cfg, 0.05, [x_coord], [1], REF, paths=100, seed=7

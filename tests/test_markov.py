@@ -6,17 +6,16 @@ import pytest
 from driftform import tower as tw
 from driftform.drift import eta
 from driftform.markov import (
+    ENSEMBLE_STREAM,
     RateValidationError,
     Trajectory,
     build_generator,
     detailed_balance_gap,
-    empirical_law,
     ensemble_states,
     jump_parameters,
     point_mass,
     read_trajectories_jsonl,
-    simulate,
-    simulate_batch,
+    sample_paths,
     validate_rates,
     write_trajectories_jsonl,
 )
@@ -136,23 +135,66 @@ class TestValidateRates:
         assert {(3, 0), (4, 0)} <= {(x, y) for x, y, _ in report.violations}
 
 
+def _one_path(gen, initial, horizon, seed):
+    """The first trajectory of a one-path run up to ``horizon``."""
+    return sample_paths(gen, initial, [horizon], 1, seed)[1][0]
+
+
+def _per_state_loop(gen, initial, times, n_paths, seed):
+    """The sampler as it was before the padded jump tables: one
+    ``searchsorted`` per distinct jumping state and round, on per-state
+    neighbour lists.  Kept as the oracle of the vectorized lookup."""
+    q, pi = jump_parameters(gen)
+    pi.sort_indices()
+    rows = pi.indptr[1:-1]
+    neighbors = np.split(pi.indices, rows)
+    cumulative = [np.cumsum(p) for p in np.split(pi.data, rows)]
+    times = np.asarray(sorted(float(t) for t in times))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([np.uint64(seed), np.uint64(ENSEMBLE_STREAM)], dtype=np.uint64)))
+    state = rng.choice(gen.n, size=n_paths, p=initial).astype(np.int64)
+    now = np.zeros(n_paths)
+    out = np.empty((len(times), n_paths), dtype=np.int64)
+    for row, t_rec in enumerate(times):
+        active = now < t_rec
+        while np.any(active):
+            idx = np.flatnonzero(active)
+            hold = rng.exponential(1.0, size=idx.size) / q[state[idx]]
+            t_new = now[idx] + hold
+            crossed = t_new >= t_rec
+            now[idx[crossed]] = t_rec
+            jump_idx = idx[~crossed]
+            now[jump_idx] = t_new[~crossed]
+            if jump_idx.size:
+                u = rng.random(jump_idx.size)
+                js = state[jump_idx]
+                for s in np.unique(js):
+                    sel = jump_idx[js == s]
+                    cum = cumulative[s]
+                    k = np.searchsorted(cum, u[js == s] * cum[-1])
+                    state[sel] = neighbors[s][np.minimum(k, len(neighbors[s]) - 1)]
+            active = now < t_rec
+        out[row] = state
+    return out
+
+
 class TestSimulate:
     def test_zero_horizon(self, gen_drift_l2):
-        traj = simulate(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.0, seed=5)
+        traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.0, seed=5)
         assert traj.states.tolist() == [1]
         assert traj.jump_times.tolist() == [0.0]
 
     def test_seeded_reproducibility(self, gen_drift_l2):
         init = point_mass(gen_drift_l2.n, 1)
-        a = simulate(gen_drift_l2, init, 0.2, seed=42, index=3)
-        b = simulate(gen_drift_l2, init, 0.2, seed=42, index=3)
-        c = simulate(gen_drift_l2, init, 0.2, seed=42, index=4)
+        a = sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1][3]
+        b = sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1][3]
+        c = sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1][4]
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.jump_times, c.jump_times)
 
     def test_trajectory_invariants(self, gen_drift_l2):
-        traj = simulate(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.5, seed=9)
+        traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.5, seed=9)
         assert traj.jump_times[0] == 0.0
         assert np.all(np.diff(traj.jump_times) > 0)
         assert traj.jump_times[-1] <= traj.horizon
@@ -160,35 +202,94 @@ class TestSimulate:
 
     def test_invalid_initial_rejected(self, gen_drift_l2):
         with pytest.raises(ValueError):
-            simulate(gen_drift_l2, np.full(gen_drift_l2.n, 0.3), 0.1, seed=0)
+            sample_paths(gen_drift_l2, np.full(gen_drift_l2.n, 0.3), [0.1], 1, seed=0)
 
     def test_holding_time_mean_level_one(self, sg_tower):
-        # every vertex holds Exp(30) at level 1, so the mean is 1/30
+        # every vertex holds Exp(30) at level 1, so the mean is 1/30; the
+        # last interval of each path is censored at the horizon, so the
+        # estimate is the total exposure over the number of jumps
         gen = sg_tower.generator(1, None)
-        trajs = simulate_batch(gen, point_mass(gen.n, 1), 2.0, 300, seed=123)
-        holds = np.concatenate([t.holding_times() for t in trajs])
-        mean = holds.mean()
-        se = holds.std(ddof=1) / np.sqrt(len(holds))
+        paths, horizon = 300, 2.0
+        trajs = sample_paths(gen, point_mass(gen.n, 1), [horizon], paths, seed=123)[1]
+        jumps = sum(len(t.states) - 1 for t in trajs)
+        mean = paths * horizon / jumps
+        se = mean / np.sqrt(jumps)
         assert abs(mean - 1.0 / 30.0) <= 3.0 * se
 
     def test_right_continuity(self, gen_drift_l2):
-        traj = simulate(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.3, seed=21)
+        traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.3, seed=21)
         if len(traj.jump_times) > 1:
             t1 = traj.jump_times[1]
             assert traj.state_at(t1) == traj.states[1]
             assert traj.state_at(t1 - 1e-12) == traj.states[0]
 
 
+class TestEngine:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("times", [[0.1], [0.05, 0.0, 0.01]])
+    def test_ensemble_matches_per_state_loop(self, sg_tower, admissible_cfg,
+                                             level, drift, times):
+        gen = sg_tower.generator(level, admissible_cfg if drift else None)
+        init = point_mass(gen.n, 1)
+        expected = _per_state_loop(gen, init, times, 3000, 17)
+        assert np.array_equal(ensemble_states(gen, init, times, 3000, 17), expected)
+
+    def test_zero_paths(self, gen_drift_l2):
+        init = point_mass(gen_drift_l2.n, 1)
+        states = ensemble_states(gen_drift_l2, init, [0.1, 0.2], 0, 3)
+        assert states.shape == (2, 0)
+        assert np.array_equal(states, _per_state_loop(gen_drift_l2, init, [0.1, 0.2], 0, 3))
+        states, trajs = sample_paths(gen_drift_l2, init, [0.1, 0.2], 0, 3)
+        assert states.shape == (2, 0) and trajs == []
+
+    def test_sample_paths_states_equal_ensemble_states(self, gen_drift_l2):
+        init = point_mass(gen_drift_l2.n, 1)
+        times = [0.1, 0.0, 0.03]
+        states, trajs = sample_paths(gen_drift_l2, init, times, 500, 8)
+        assert np.array_equal(states, ensemble_states(gen_drift_l2, init, times, 500, 8))
+        assert len(trajs) == 500
+        assert all(t.horizon == 0.1 and t.index == k for k, t in enumerate(trajs))
+
+    def test_paths_pass_through_their_states(self, gen_drift_l2):
+        times = [0.0, 0.02, 0.05, 0.1]
+        states, trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1),
+                                     times, 300, 4)
+        for k, traj in enumerate(trajs):
+            assert [traj.state_at(t) for t in times] == states[:, k].tolist()
+
+    def test_every_step_is_an_edge(self, gen_drift_l2):
+        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.2], 300, 6)[1]
+        adjacency = gen_drift_l2.net.c.toarray() > 0
+        steps = np.concatenate([np.stack([t.states[:-1], t.states[1:]]) for t in trajs], axis=1)
+        assert steps.shape[1] > 0
+        assert np.all(adjacency[steps[0], steps[1]])
+
+    def test_seed_fixes_the_paths(self, gen_drift_l2):
+        init = point_mass(gen_drift_l2.n, 1)
+        a = sample_paths(gen_drift_l2, init, [0.1], 50, 1)[1]
+        b = sample_paths(gen_drift_l2, init, [0.1], 50, 1)[1]
+        c = sample_paths(gen_drift_l2, init, [0.1], 50, 2)[1]
+        assert all(np.array_equal(x.jump_times, y.jump_times)
+                   and np.array_equal(x.states, y.states) for x, y in zip(a, b))
+        assert not all(np.array_equal(x.jump_times, y.jump_times) for x, y in zip(a, c))
+
+    def test_negative_time_rejected(self, gen_drift_l2):
+        with pytest.raises(ValueError):
+            ensemble_states(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [-0.1], 5, 0)
+
+
 class TestEmpiricalLaw:
     def test_time_zero_recovers_initial(self, gen_drift_l2):
-        trajs = simulate_batch(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.05, 200, seed=7)
-        law = empirical_law(trajs, 0.0)
+        init = point_mass(gen_drift_l2.n, 1)
+        states = sample_paths(gen_drift_l2, init, [0.0, 0.05], 200, seed=7)[0]
+        law = np.bincount(states[0], minlength=gen_drift_l2.n) / 200
         assert law[1] == 1.0
 
     def test_beyond_horizon_rejected(self, gen_drift_l2):
-        trajs = simulate_batch(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.05, 3, seed=7)
+        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.05], 3, seed=7)[1]
         with pytest.raises(ValueError):
-            empirical_law(trajs, 0.1)
+            trajs[0].state_at(0.1)
 
     def test_long_time_law_approaches_reference_measure(self, sg_tower):
         # reversible unperturbed chain: the stationary law is the reference
@@ -198,18 +299,6 @@ class TestEmpiricalLaw:
         law = np.bincount(states, minlength=gen.n) / len(states)
         tv = 0.5 * np.abs(law - gen.mu).sum()
         assert tv < 0.02
-
-    def test_engines_agree(self, sg_tower):
-        # trajectory sampler and vectorized ensemble sampler draw from the
-        # same law (compare within a generous CLT band)
-        gen = sg_tower.generator(1, None)
-        init = point_mass(gen.n, 1)
-        t = 0.05
-        trajs = simulate_batch(gen, init, t, 2000, seed=11)
-        law_a = empirical_law(trajs, t)
-        states = ensemble_states(gen, init, [t], 2000, seed=12)[0]
-        law_b = np.bincount(states, minlength=gen.n) / 2000.0
-        assert 0.5 * np.abs(law_a - law_b).sum() < 0.05
 
 
 class TestDetailedBalance:
@@ -222,7 +311,7 @@ class TestDetailedBalance:
 
 class TestTrajectoryIO:
     def test_jsonl_round_trip(self, tmp_path, gen_drift_l2):
-        trajs = simulate_batch(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.1, 5, seed=77)
+        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.1], 5, seed=77)[1]
         path = tmp_path / "trajs.jsonl"
         write_trajectories_jsonl(trajs, path)
         back = read_trajectories_jsonl(path)
