@@ -393,7 +393,10 @@ def cmd_semigroup(args) -> int:
         check = sp.markov_check(gen, t, trials=20, seed=args.seed)
         applications.append({
             "t": t,
+            "method": solve.method,
             "truncation_order": solve.truncation_order,
+            "tail_bound": solve.tail_bound,
+            "growth": solve.growth,
             "uniformization_rate": solve.uniformization_rate,
             "markov_check": check.__dict__,
         })
@@ -541,11 +544,13 @@ def cmd_converge(args) -> int:
             "semigroup_sup": {
                 "errors": semigroup_rep.errors,
                 "trend_from": semigroup_rep.trend_nonincreasing_from,
+                "methods": semigroup_rep.details["methods"],
             },
             "path_law": {
                 "errors": path_rep.errors,
                 "banner": path_rep.banner,
                 "mc": path_rep.details["mc"],
+                "methods": path_rep.details["methods"],
             },
         },
     }

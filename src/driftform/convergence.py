@@ -154,13 +154,18 @@ def semigroup_convergence(
     levels: Sequence[int],
     reference: int,
 ) -> ConvergenceReport:
-    """Same comparison for the semigroup at one time."""
-    errors, details = _per_level_outputs(
-        tower, drift_cfg, levels, reference,
-        lambda gen, f: spectral_mod.semigroup_apply(gen, t, f),
-        f_ref,
-    )
+    """Same comparison for the semigroup at one time; ``details["methods"]``
+    names the semigroup method of each level, the reference included."""
+    methods = {}
+
+    def apply(gen: markov_mod.GeneratorMatrix, f: np.ndarray) -> np.ndarray:
+        solve = spectral_mod.semigroup_solve(gen, t, f)
+        methods[gen.level] = solve.method
+        return solve.output
+
+    errors, details = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
     details["t"] = t
+    details["methods"] = methods
     return ConvergenceReport(
         "semigroup_sup", list(levels), errors, reference, details=details
     ).finalize_trend()
@@ -184,7 +189,8 @@ def path_law_convergence(
     common coarse vertex present in every level.  Every Monte-Carlo mean is
     cross-checked against the same level's exact semigroup value, and the
     reported error is the gap to the exact reference value, maximized over
-    test functions.
+    test functions.  ``details["methods"]`` names the semigroup method of
+    each level's exact values (``uniformization`` if any of them fell back).
     """
     fs = [np.asarray(f, dtype=float) for f in test_functions]
     if not fs:
@@ -192,9 +198,13 @@ def path_law_convergence(
     if paths < 2:
         raise ValueError(f"need at least 2 paths for a standard error, got {paths}")
 
+    methods = {}
+
     def exact_mean(gen: markov_mod.GeneratorMatrix, n: int, f: np.ndarray) -> float:
-        fn = restriction(tower, reference, n)(f)
-        return float(spectral_mod.semigroup_apply(gen, t, fn)[initial_vertex])
+        solve = spectral_mod.semigroup_solve(gen, t, restriction(tower, reference, n)(f))
+        if methods.get(n) != spectral_mod.UNIFORMIZATION:
+            methods[n] = solve.method
+        return float(solve.output[initial_vertex])
 
     ref_gen = tower.generator(reference, drift_cfg)
     ref_means = [exact_mean(ref_gen, reference, f) for f in fs]
@@ -221,7 +231,7 @@ def path_law_convergence(
         "path_law", list(levels), errors, reference,
         banner=PATH_LAW_BANNER,
         details={"t": t, "paths": paths, "seed": seed,
-                 "initial_vertex": initial_vertex, "mc": mc_table},
+                 "initial_vertex": initial_vertex, "mc": mc_table, "methods": methods},
     ).finalize_trend()
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -262,16 +262,17 @@ def _jump_chains(
     times: Sequence[float],
     n_paths: int,
     seed: int,
-    log_jumps: bool,
-) -> tuple[np.ndarray, list | None]:
+    on_round: Callable | None = None,
+) -> np.ndarray:
     """Gillespie's jump-chain construction on a block of chains.
 
     Each round draws the holding times of the paths still short of the next
     recording time, then the uniforms of the paths that jump before it.  At
     a recording time the clocks restart, which leaves the law unchanged
     (memorylessness).  Returns the ``(len(times), n_paths)`` states at the
-    sorted times and, if ``log_jumps``, the ``(paths, jump times, new
-    states)`` of each round, the start first.
+    sorted times.  ``on_round(paths, clocks, states)``, if given, sees the
+    start and then each round: the paths that jumped in it (at most once
+    each) and the clocks and states of all paths after it.
     """
     p0 = _check_initial(initial, gen.n)
     times = np.sort(np.asarray(times, dtype=float))
@@ -282,7 +283,8 @@ def _jump_chains(
     state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
     now = np.zeros(n_paths)
     out = np.empty((len(times), n_paths), dtype=np.int64)
-    log = [(np.arange(n_paths), now.copy(), state.copy())] if log_jumps else None
+    if on_round is not None:
+        on_round(np.arange(n_paths), now, state)
     for row, t_rec in enumerate(times):
         idx = np.flatnonzero(now < t_rec)
         while idx.size:
@@ -295,10 +297,10 @@ def _jump_chains(
             # searchsorted(side="left") row by row; the count stays below the
             # degree because v <= total
             state[idx] = neighbors[s, np.count_nonzero(cumulative[s] < v[:, None], axis=1)]
-            if log is not None:
-                log.append((idx, now[idx], state[idx]))
+            if on_round is not None:
+                on_round(idx, now, state)
         out[row] = state
-    return out, log
+    return out
 
 
 def ensemble_states(
@@ -311,7 +313,7 @@ def ensemble_states(
     """States of ``n_paths`` independent chains at the given times, as an
     ``(len(times), n_paths)`` array with rows in increasing time order;
     path ``k`` is column ``k``."""
-    return _jump_chains(gen, initial, times, n_paths, seed, log_jumps=False)[0]
+    return _jump_chains(gen, initial, times, n_paths, seed)
 
 
 def sample_paths(
@@ -325,17 +327,26 @@ def sample_paths(
     ``times``.
 
     Returns the states exactly as :func:`ensemble_states` gives them for the
-    same arguments, and one :class:`Trajectory` per column.
+    same arguments, and one :class:`Trajectory` per column.  The engine runs
+    twice on the same Philox stream: the first pass counts the jumps of each
+    path, the second writes them in place, so no round-by-round log is kept.
     """
-    states, log = _jump_chains(gen, initial, times, n_paths, seed, log_jumps=True)
-    # lay the rounds out path by path; a path jumps at most once a round
-    counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)
+    counts = np.zeros(n_paths, dtype=np.int64)
+
+    def count(paths, clocks, states):
+        counts[paths] += 1
+
+    _jump_chains(gen, initial, times, n_paths, seed, count)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     cursor = bounds[:-1].copy()
     jump_times, jump_states = np.empty(bounds[-1]), np.empty(bounds[-1], dtype=np.int64)
-    for paths, t, s in log:
-        jump_times[cursor[paths]], jump_states[cursor[paths]] = t, s
-        cursor[paths] += 1
+
+    def write(paths, clocks, states):
+        at = cursor[paths]
+        jump_times[at], jump_states[at] = clocks[paths], states[paths]
+        cursor[paths] = at + 1
+
+    states = _jump_chains(gen, initial, times, n_paths, seed, write)
     horizon = float(max(times, default=0.0))
     trajectories = [
         Trajectory(jump_times[a:b], jump_states[a:b], horizon, seed, k, gen.n)

@@ -5,15 +5,31 @@ product terms this is exactly the characterizing identity
 ``A_alpha(u, v) = (f, v)_mu`` for every test vector ``v``, and the residual
 of that identity is attached to every solve.
 
-Semigroups are computed by uniformization: with ``Lam`` the largest holding
-rate, ``P = I + L / Lam`` is a stochastic matrix and ``exp(tL) f`` is the
-Poisson-weighted sum of ``P^k f``.  The method is positivity preserving by
-construction for validated generators, so the Markov-property checks probe
-the model rather than the numerics.  The Poisson tail is truncated below
-``POISSON_TAIL``.  ``f`` may be one vector or an ``(n, k)`` block of
-columns; a block runs one series for all columns, with results equal to
-the column-by-column ones, and :func:`markov_check` evaluates all of its
-trials as one block.
+Semigroups run on the uniformized operator: with ``Lam`` the largest
+holding rate and ``tau = Lam t``, ``P = I + L / Lam`` is stochastic and
+``exp(tL) f = exp(tau (P - I)) f = sum_k c_k T_k(P) f``, a Chebyshev series
+with ``c_0 = ive(0, tau)``, ``c_k = 2 ive(k, tau)`` and
+``T_{k+1} = 2 P T_k - T_{k-1}`` (Tal-Ezer & Kosloff 1984).  It stops at the
+least degree ``K`` whose coefficient tail ``sum_{j>K} |c_j|`` is at most
+``POISSON_TAIL / 10``; ``K`` grows like ``sqrt(tau)``, where uniformization
+(the Poisson-weighted sum of ``P^k f``) needs about ``tau`` products.
+
+The series converges for a spectrum in ``[-1, 1]``.  Without drift ``P`` is
+self-adjoint in the ``mu``-weighted inner product, every ``||T_k(P)||`` is at
+most 1 in that norm and the tail bounds the error.  A drift can move
+eigenvalues off the interval, where ``T_k(P) f`` grows geometrically, so
+every evaluation tracks the growth ``max_k ||T_k(P) f||_inf / ||f||_inf``
+and reports the tail times the growth as its error bound (an empirical
+guard).  When the growth passes ``GROWTH_LIMIT`` the same call recomputes
+the result by uniformization and reports ``method = "uniformization"``; it
+never falls back silently.  The Chebyshev sum has terms of both signs, so
+positivity no longer holds by construction: :func:`markov_check` tests the
+numerics as well as the model.
+
+``f`` may be one vector or an ``(n, k)`` block of columns; a block runs one
+series for all columns and one method for the whole block.  A block that
+stays on the Chebyshev series equals its columns evaluated one by one, and
+:func:`markov_check` evaluates all of its trials as one block.
 """
 
 from __future__ import annotations
@@ -23,14 +39,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
-from scipy.stats import poisson
+from scipy.special import gammaln, ive, pdtrc, xlogy
 
 # RateValidationError and validate_rates stay importable from this module.
 from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
 from .resistance import DENSE_CUTOFF
 
 POISSON_TAIL = 1e-12
+SERIES_TAIL = POISSON_TAIL / 10.0  # truncation tolerance of both series
 RESIDUAL_TOL = 1e-9
+# Largest growth max_k ||T_k(P) f||_inf / ||f||_inf the Chebyshev series
+# accepts; past it the call falls back to uniformization.
+GROWTH_LIMIT = 10.0
+CHEBYSHEV = "chebyshev"
+UNIFORMIZATION = "uniformization"
 
 
 @dataclass
@@ -46,8 +68,11 @@ class SemigroupApply:
     t: float
     input: np.ndarray
     output: np.ndarray
-    truncation_order: int
+    truncation_order: int  # Chebyshev degree or Poisson order, per ``method``
     uniformization_rate: float
+    method: str  # CHEBYSHEV or UNIFORMIZATION
+    tail_bound: float  # relative sup-norm truncation error bound
+    growth: float  # observed Chebyshev growth max_k ||T_k(P) f|| / ||f||
 
 
 def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
@@ -76,11 +101,90 @@ def resolvent(gen: GeneratorMatrix, alpha: float, f) -> np.ndarray:
     return resolvent_solve(gen, alpha, f).output
 
 
-def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int]:
+def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
+    """Coefficients ``c_0 .. c_K`` of ``exp(tau (x - 1))`` on ``[-1, 1]`` and
+    their tail ``sum_{j>K} c_j``, with ``K`` the least degree whose tail is
+    at most ``SERIES_TAIL``."""
+    m = int(np.sqrt(80.0 * tau)) + 40
+    while True:
+        c = ive(np.arange(m + 1), tau)
+        # I_{k+1}(tau) / I_k(tau) <= r_k = tau / (k + 1/2 + sqrt((k + 1/2)^2 + tau^2))
+        # with r_k decreasing (Amos, Math. Comp. 28, 1974), so the terms past
+        # m sum to at most c_m r_m / (1 - r_m).
+        r = tau / (m + 0.5 + np.hypot(m + 0.5, tau))
+        rest = 2.0 * c[m] * r / (1.0 - r)
+        if rest <= SERIES_TAIL * 1e-3:
+            break
+        m *= 2
+    c[1:] *= 2.0
+    tails = np.append(np.cumsum(c[::-1])[-2::-1], 0.0) + rest
+    degree = int(np.argmax(tails <= SERIES_TAIL))
+    return c[: degree + 1], float(tails[degree])
+
+
+def _chebyshev_series(
+    P, tau: float, f: np.ndarray, growth_limit: float = np.inf
+) -> tuple[np.ndarray | None, int, float, float]:
+    """``exp(tau (P - I)) f`` by the Chebyshev series of ``P``.
+
+    Returns ``(sum, degree, coefficient tail, growth)``, with ``growth`` the
+    largest ``||T_k(P) f_j||_inf / ||f_j||_inf`` over the degrees and the
+    columns so far.  The recurrence stops as soon as the growth passes
+    ``growth_limit``, and the sum is then ``None``.
+    """
+    c, tail = _chebyshev_coefficients(tau)
+    if len(c) == 1:
+        return c[0] * f, 0, tail, 1.0
+    # Each column runs scaled to unit sup norm, so the growth is the largest
+    # entry of the block; a zero column stays zero.
+    scale = np.abs(f).max(axis=0, initial=0.0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    f = f / scale
+    # 2P T_k - T_{k-1} with 2P formed once; doubling is exact, so the terms
+    # equal those of 2 (P T_k) - T_{k-1}
+    P2 = P * 2.0
+    acc = c[0] * f
+    tmp = np.empty_like(acc)
+    growth = 1.0
+    prev, cur = f, P @ f
+    for k in range(1, len(c)):
+        if k > 1:
+            nxt = P2 @ cur
+            nxt -= prev
+            prev, cur = cur, nxt
+        growth = max(growth, float(cur.max(initial=0.0)), -float(cur.min(initial=0.0)))
+        if growth > growth_limit:
+            return None, len(c) - 1, tail, growth
+        np.multiply(cur, c[k], out=tmp)
+        acc += tmp
+    acc *= scale
+    return acc, len(c) - 1, tail, growth
+
+
+def _poisson_weights(mu_t: float) -> tuple[np.ndarray, float]:
+    """Poisson(``mu_t``) probabilities of ``0 .. order`` and the tail mass
+    past ``order``, with ``order`` one past the least ``k`` whose tail mass
+    ``P(N > k)`` is at most ``SERIES_TAIL``."""
+    lo, width = int(mu_t), int(10.0 * np.sqrt(mu_t)) + 40
+    while True:
+        ks = np.arange(lo, lo + width)
+        below = np.flatnonzero(pdtrc(ks, mu_t) <= SERIES_TAIL)
+        if below.size:
+            break
+        width *= 2
+    order = int(ks[below[0]]) + 1
+    k = np.arange(order + 1)
+    return np.exp(xlogy(k, mu_t) - gammaln(k + 1) - mu_t), float(pdtrc(order, mu_t))
+
+
+def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """``exp(mu_t (P - I)) f`` by uniformization, the Poisson-weighted sum of
+    ``P^k f`` (see :func:`_poisson_weights`).  Returns ``(sum, order, tail
+    mass past order)``; the tail mass bounds the relative sup-norm error,
+    since ``P`` is stochastic."""
     if mu_t == 0.0:
-        return f.copy(), 0
-    order = int(poisson.isf(POISSON_TAIL / 10.0, mu_t)) + 1
-    weights = poisson.pmf(np.arange(order + 1), mu_t)
+        return f.copy(), 0, 0.0
+    weights, tail = _poisson_weights(mu_t)
     acc = weights[0] * f
     v = f
     for w in weights[1:]:
@@ -89,20 +193,28 @@ def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int]:
         # nothing; the powers of P still advance.
         if w != 0.0:
             acc += w * v
-    return acc, order
+    return acc, len(weights) - 1, tail
 
 
-def semigroup_solve(gen: GeneratorMatrix, t: float, f) -> SemigroupApply:
-    """Evaluate ``exp(tL) f`` by uniformization with certified truncation,
-    for an ``(n,)`` vector or an ``(n, k)`` block of columns ``f``."""
+def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) -> SemigroupApply:
+    """Evaluate ``exp(tL) f`` (``exp(tL^T) f`` with ``transpose``) for an
+    ``(n,)`` vector or an ``(n, k)`` block of columns ``f``: by the
+    Chebyshev series of ``P``, or by uniformization when the series grows
+    past ``GROWTH_LIMIT``; the result names its method and certificate."""
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     fv = np.asarray(f, dtype=float)
     if fv.ndim not in (1, 2) or fv.shape[0] != gen.n:
         raise ValueError(f"input has shape {fv.shape}, expected ({gen.n},) or ({gen.n}, k)")
     P, lam_max = gen.uniformized
-    out, order = _poisson_series(P, lam_max * t, fv)
-    return SemigroupApply(t, fv, out, order, lam_max)
+    if transpose:
+        P = gen.uniformized_transpose
+    tau = lam_max * t
+    out, degree, tail, growth = _chebyshev_series(P, tau, fv, GROWTH_LIMIT)
+    if out is not None:
+        return SemigroupApply(t, fv, out, degree, lam_max, CHEBYSHEV, tail * growth, growth)
+    out, order, tail = _poisson_series(P, tau, fv)
+    return SemigroupApply(t, fv, out, order, lam_max, UNIFORMIZATION, tail, growth)
 
 
 def semigroup_apply(gen: GeneratorMatrix, t: float, f) -> np.ndarray:
@@ -119,6 +231,7 @@ class MarkovCheckReport:
     max_value: float
     positivity_min: float
     ok: bool
+    method: str
 
 
 def markov_check(
@@ -134,11 +247,12 @@ def markov_check(
     for _ in range(trials):
         columns.append(rng.random(gen.n))
         columns.append(rng.exponential(1.0, gen.n))
-    out = semigroup_apply(gen, t, np.column_stack(columns))
+    solve = semigroup_solve(gen, t, np.column_stack(columns))
+    out = solve.output
     lo, hi = float(out[:, 0::2].min()), float(out[:, 0::2].max())
     pos = float(out[:, 1::2].min())
     ok = lo >= -tol and hi <= 1.0 + tol and pos >= -tol
-    return MarkovCheckReport(t, trials, seed, lo, hi, pos, bool(ok))
+    return MarkovCheckReport(t, trials, seed, lo, hi, pos, bool(ok), solve.method)
 
 
 @dataclass
@@ -147,6 +261,7 @@ class GrowthCheckPoint:
     norm_estimate: float
     bound: float
     ok: bool
+    method: str  # UNIFORMIZATION if any series of the iteration fell back
 
 
 def contraction_growth_check(
@@ -170,16 +285,23 @@ def contraction_growth_check(
         v = rng.standard_normal(gen.n)
         v /= np.sqrt(np.sum(mu * v * v))
         estimate = 0.0
+        methods = set()
         for _ in range(iters):
-            u = semigroup_apply(gen, t, v)
+            forward = semigroup_solve(gen, t, v)
+            u = forward.output
             estimate = float(np.sqrt(np.sum(mu * u * u)))
             if estimate == 0.0:
                 break
-            w = _poisson_series(gen.uniformized_transpose, gen.uniformized[1] * t, mu * u)[0] / mu
+            # the mu-weighted adjoint of exp(tL) is mu^-1 exp(tL^T) mu
+            backward = semigroup_solve(gen, t, mu * u, transpose=True)
+            methods.update((forward.method, backward.method))
+            w = backward.output / mu
             nw = np.sqrt(np.sum(mu * w * w))
             if nw == 0.0:
                 break
             v = w / nw
         bound = float(np.exp(lam * t))
-        out.append(GrowthCheckPoint(float(t), estimate, bound, bool(estimate <= bound * (1 + tol))))
+        method = UNIFORMIZATION if UNIFORMIZATION in methods else CHEBYSHEV
+        out.append(GrowthCheckPoint(float(t), estimate, bound,
+                                    bool(estimate <= bound * (1 + tol)), method))
     return out

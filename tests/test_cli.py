@@ -1,6 +1,10 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,9 @@ class TestConverge:
         assert errs[-1] < errs[0]
         assert report["smallest_passing_level"] == 1
         assert "lambda" in report["constants"]
+        semigroup, path_law = report["reports"]["semigroup_sup"], report["reports"]["path_law"]
+        assert semigroup["methods"] == {str(n): "chebyshev" for n in (1, 2, 3, 4)}
+        assert path_law["methods"] == {str(n): "chebyshev" for n in (1, 2, 3, 4)}
 
     def test_time_zero_semigroup_errors_vanish(self, tmp_path):
         assert run(["converge", "--levels", "1:2", "--reference-level", "3",
@@ -244,6 +251,10 @@ class TestModes:
                     "--out", str(tmp_path)]) == 0
         report = load_report_json(tmp_path / "semigroup_report.json")
         assert all(a["markov_check"]["ok"] for a in report["applications"])
+        for a in report["applications"]:
+            assert a["method"] == a["markov_check"]["method"] == "chebyshev"
+            assert a["truncation_order"] >= 1 and 1.0 <= a["growth"] <= 10.0
+            assert a["tail_bound"] <= 1e-13 * a["growth"]
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -261,3 +272,16 @@ class TestModes:
         report = load_report_json(tmp_path / "check_report.json")
         assert report["structure"] == "interval"
         assert report["smallness"]["diam_proxy"] == pytest.approx(1.0)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of a second to import and nothing in the
+    # package needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import driftform.cli, sys; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

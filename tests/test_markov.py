@@ -9,6 +9,7 @@ from driftform.markov import (
     ENSEMBLE_STREAM,
     RateValidationError,
     Trajectory,
+    _jump_chains,
     build_generator,
     detailed_balance_gap,
     ensemble_states,
@@ -257,6 +258,24 @@ class TestEngine:
                                      times, 300, 4)
         for k, traj in enumerate(trajs):
             assert [traj.state_at(t) for t in times] == states[:, k].tolist()
+
+    def test_paths_equal_a_round_by_round_log(self, gen_drift_l2):
+        # reference: one engine run logging each round, laid out path by path
+        # in a Python loop
+        init, times = point_mass(gen_drift_l2.n, 1), [0.03, 0.1]
+        log = []
+        _jump_chains(gen_drift_l2, init, times, 200, 9,
+                     lambda paths, clocks, states: log.append(
+                         (paths.copy(), clocks[paths], states[paths])))
+        jump_times, jump_states = [[] for _ in range(200)], [[] for _ in range(200)]
+        for paths, t, s in log:
+            for k, tk, sk in zip(paths, t, s):
+                jump_times[k].append(tk)
+                jump_states[k].append(sk)
+        trajs = sample_paths(gen_drift_l2, init, times, 200, 9)[1]
+        for k, traj in enumerate(trajs):
+            assert np.array_equal(traj.jump_times, jump_times[k])
+            assert np.array_equal(traj.states, jump_states[k])
 
     def test_every_step_is_an_edge(self, gen_drift_l2):
         trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.2], 300, 6)[1]

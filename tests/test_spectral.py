@@ -1,16 +1,32 @@
-"""Resolvent and semigroup identities, Markov bounds, growth estimates."""
+"""Resolvent and semigroup identities, Markov bounds, growth estimates.
+
+The semigroup kernel is checked against dense ``scipy.linalg.expm`` and
+against the uniformization series, which stays in ``spectral`` as the
+kernel's fallback and serves here as an oracle.
+"""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 from scipy import sparse
+from scipy.special import ive
 from scipy.stats import poisson
 
+from driftform import pcf
 from driftform import tower as tw
-from driftform.markov import RateValidationError, _philox, point_mass
+from driftform.markov import GeneratorMatrix, RateValidationError, _philox, point_mass
 from driftform.spectral import (
+    CHEBYSHEV,
+    GROWTH_LIMIT,
+    SERIES_TAIL,
+    UNIFORMIZATION,
+    _chebyshev_coefficients,
+    _chebyshev_series,
     _poisson_series,
+    _poisson_weights,
     contraction_growth_check,
     markov_check,
     resolvent,
@@ -18,6 +34,31 @@ from driftform.spectral import (
     semigroup_apply,
     semigroup_solve,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
+
+# Two drift terms whose L4 generator has a complex spectrum.
+TWO_TERM_DRIFT = tw.DriftConfig(
+    (("expression", "0.3*sin(7*x)*cos(5*y)"), ("constant", 0.1)),
+    ((0, (1.0, 0.0, 0.0)), (0, (0.0, 1.0, -1.0))),
+)
+
+
+def expm_oracle(gen, t, f, transpose=False):
+    L = gen.L.toarray()
+    return scipy.linalg.expm(t * (L.T if transpose else L)) @ f
+
+
+def cycle_generator(n, rate):
+    """Directed cycle ``x -> x + 1`` at one rate.  Its uniformized operator
+    is a cyclic shift, whose eigenvalues (the n-th roots of unity) lie off
+    the interval [-1, 1] where the Chebyshev series converges."""
+    rows = np.arange(n)
+    cols = (rows + 1) % n
+    off = sparse.coo_matrix((np.full(n, rate), (rows, cols)), shape=(n, n))
+    L = (off - rate * sparse.identity(n)).tocsr()
+    return GeneratorMatrix(L, np.ones(n), -1, rows, cols, np.ones(n))
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +126,18 @@ class TestSemigroup:
         gen, _ = setup
         rng = np.random.default_rng(7)
         f = rng.standard_normal(gen.n)
-        np.testing.assert_allclose(semigroup_apply(gen, 0.0, f), f)
+        solve = semigroup_solve(gen, 0.0, f)
+        assert np.array_equal(solve.output, f)
+        assert solve.output is not f
+        assert (solve.method, solve.truncation_order, solve.tail_bound, solve.growth) == (
+            CHEBYSHEV, 0, 0.0, 1.0)
+
+    def test_empty_block(self, setup):
+        gen, _ = setup
+        for t in (0.0, 0.1):
+            solve = semigroup_solve(gen, t, np.empty((gen.n, 0)))
+            assert solve.output.shape == (gen.n, 0)
+            assert solve.method == CHEBYSHEV
 
     def test_conservativity(self, setup):
         gen, _ = setup
@@ -131,6 +183,9 @@ class TestSemigroup:
         solve = semigroup_solve(gen, 0.05, np.ones(gen.n))
         assert solve.uniformization_rate == pytest.approx(float(gen.q.max()))
         assert solve.truncation_order >= 1
+        assert solve.method == CHEBYSHEV
+        assert 1.0 <= solve.growth <= GROWTH_LIMIT
+        assert solve.tail_bound <= SERIES_TAIL * solve.growth
 
     def test_invalid_rates_refused(self, sg_tower):
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
@@ -164,14 +219,26 @@ class TestBlockKernel:
         expected = np.column_stack([c.output for c in columns])
         assert np.array_equal(solve.output, expected)
         assert solve.truncation_order == columns[0].truncation_order
+        assert {c.method for c in columns} == {solve.method} == {CHEBYSHEV}
+        assert solve.growth == max(c.growth for c in columns)
+
+    def test_zero_column_in_block(self, setup):
+        gen, _ = setup
+        block = np.random.default_rng(41).standard_normal((gen.n, 3))
+        block[:, 1] = 0.0
+        out = semigroup_apply(gen, 0.07, block)
+        assert np.array_equal(out[:, 1], np.zeros(gen.n))
+        assert np.array_equal(out[:, [0, 2]], semigroup_apply(gen, 0.07, block[:, [0, 2]]))
 
     def test_zero_weight_skip_matches_full_sum(self):
         # mu_t = 800 underflows the left Poisson tail to exact zeros; a cyclic
-        # shift never mixes, so a misplaced power of P would show
-        n = 7
-        P = sparse.csr_matrix(np.roll(np.eye(n), 1, axis=1))
-        f = np.random.default_rng(31).standard_normal((n, 3))
-        out, order = _poisson_series(P, 800.0, f)
+        # shift never mixes, so a misplaced power of P would show.  The shift
+        # is the uniformized directed cycle, on which the semigroup falls back
+        # to this series.
+        gen = cycle_generator(7, 50.0)
+        P = gen.uniformized[0]
+        f = np.random.default_rng(31).standard_normal((gen.n, 3))
+        out, order, _ = _poisson_series(P, 800.0, f)
         weights = poisson.pmf(np.arange(order + 1), 800.0)
         assert weights[0] == 0.0
         acc, v = weights[0] * f, f
@@ -179,6 +246,9 @@ class TestBlockKernel:
             v = P @ v
             acc = acc + w * v
         assert np.array_equal(out, acc)
+        solve = semigroup_solve(gen, 16.0, f)
+        assert solve.method == UNIFORMIZATION
+        assert np.array_equal(solve.output, out)
 
     @pytest.mark.parametrize("shape", ["three_d", "wrong_n", "wrong_n_block"])
     def test_bad_shapes_rejected(self, setup, shape):
@@ -209,6 +279,7 @@ class TestMarkovChecks:
         gen, _ = setup
         report = markov_check(gen, t, trials=40, seed=19)
         assert report.ok, (report.min_value, report.max_value, report.positivity_min)
+        assert report.method == CHEBYSHEV
 
     @pytest.mark.parametrize("seed", [0, 19])
     def test_block_matches_per_trial_loop(self, sg_tower, admissible_cfg, seed):
@@ -253,3 +324,124 @@ class TestGrowthBound:
         )
         for p in points:
             assert p.ok, (p.t, p.norm_estimate, p.bound)
+            assert p.method == CHEBYSHEV
+
+    def test_directed_cycle_reports_fallback(self):
+        # exp(tL) of a directed cycle is doubly stochastic: a contraction
+        (p,) = contraction_growth_check(cycle_generator(12, 50.0), 0.0, [0.1], iters=5)
+        assert p.method == UNIFORMIZATION
+        assert p.ok and p.norm_estimate <= 1.0 + 1e-12
+
+
+class TestChebyshevKernel:
+    @pytest.mark.parametrize("drift", ["none", "default", "two_term"])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_matches_dense_expm(self, sg_tower, admissible_cfg, drift, level):
+        cfg = {"none": None, "default": admissible_cfg, "two_term": TWO_TERM_DRIFT}[drift]
+        gen = sg_tower.generator(level, cfg)
+        f = np.random.default_rng(level).standard_normal((gen.n, 2))
+        for t in (0.01, 0.1, 1.0):
+            solve = semigroup_solve(gen, t, f)
+            assert solve.method == CHEBYSHEV
+            gap = np.max(np.abs(solve.output - expm_oracle(gen, t, f)))
+            assert gap <= 1e-12 * np.max(np.abs(f)), (t, gap)
+
+    def test_two_term_drift_has_complex_spectrum(self, sg_tower):
+        # the dense-expm comparison above covers a non-real spectrum
+        eigenvalues = np.linalg.eigvals(sg_tower.generator(4, TWO_TERM_DRIFT).L.toarray())
+        assert np.max(np.abs(eigenvalues.imag)) > 0.1
+
+    def test_transpose_matches_dense_expm(self, setup):
+        gen, _ = setup
+        f = np.random.default_rng(43).standard_normal(gen.n)
+        solve = semigroup_solve(gen, 0.1, f, transpose=True)
+        assert solve.method == CHEBYSHEV
+        gap = np.max(np.abs(solve.output - expm_oracle(gen, 0.1, f, transpose=True)))
+        assert gap <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("config", ["interval.json", "sg_combinatorial.json"])
+    def test_shipped_structures_match_dense_expm(self, config):
+        tower = tw.LevelTower(pcf.load_structure(CONFIGS / config))
+        boundary = tower.vertex_count(0)
+        indicator = tuple(1.0 if k == 0 else 0.0 for k in range(boundary))
+        drift = tw.DriftConfig((("constant", 0.2),), ((0, indicator),))
+        for level in (1, 2, 3):
+            for cfg in (None, drift):
+                gen = tower.generator(level, cfg)
+                f = np.random.default_rng(level).standard_normal(gen.n)
+                for t in (0.01, 0.1, 1.0):
+                    solve = semigroup_solve(gen, t, f)
+                    assert solve.method == CHEBYSHEV
+                    gap = np.max(np.abs(solve.output - expm_oracle(gen, t, f)))
+                    assert gap <= 1e-12 * np.max(np.abs(f)), (config, level, t, gap)
+
+    def test_matches_uniformization_oracle(self, sg_tower, admissible_cfg):
+        gen = sg_tower.generator(5, admissible_cfg)
+        P, lam = gen.uniformized
+        f = np.random.default_rng(47).standard_normal((gen.n, 2))
+        oracle, _, _ = _poisson_series(P, lam * 0.1, f)
+        gap = np.max(np.abs(semigroup_apply(gen, 0.1, f) - oracle))
+        assert gap <= 1e-11 * np.max(np.abs(f))
+
+    def test_default_drift_stays_on_chebyshev(self, sg_tower, admissible_cfg):
+        for level in range(1, 7):
+            gen = sg_tower.generator(level, admissible_cfg)
+            solve = semigroup_solve(gen, 0.1, sg_tower.coordinates(level)[:, 0])
+            assert solve.method == CHEBYSHEV, level
+            assert solve.growth <= 2.0 and solve.tail_bound <= 2.0 * SERIES_TAIL
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_directed_cycle_falls_back_and_says_so(self, t):
+        gen = cycle_generator(12, 50.0)
+        f = np.random.default_rng(53).standard_normal(gen.n)
+        exact = expm_oracle(gen, t, f)
+        # unguarded, the series is useless here
+        raw, _, _, growth = _chebyshev_series(gen.uniformized[0], 50.0 * t, f)
+        assert growth > 1e6
+        assert np.max(np.abs(raw - exact)) > 1e-8
+        solve = semigroup_solve(gen, t, f)
+        assert solve.method == UNIFORMIZATION
+        assert solve.growth > GROWTH_LIMIT
+        assert solve.tail_bound <= SERIES_TAIL
+        assert np.max(np.abs(solve.output - exact)) <= 1e-12 * np.max(np.abs(f))
+        assert markov_check(gen, t, trials=3).method == UNIFORMIZATION
+
+
+class TestSeriesTruncation:
+    TAUS = [1e-6, 0.5, 5.0, 120.0, 10195.0, 48765.0]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_chebyshev_degree_is_the_least_certified_one(self, tau):
+        c, tail = _chebyshev_coefficients(tau)
+        degree = len(c) - 1
+        k = np.arange(degree + 1)
+        assert np.array_equal(c, np.where(k == 0, 1.0, 2.0) * ive(k, tau))
+        # oracle: the tail summed term by term far past the degree
+        far = np.arange(degree + 1, degree + 40 * int(np.sqrt(tau)) + 200)
+        assert tail == pytest.approx(2.0 * ive(far, tau).sum(), rel=1e-9, abs=2e-16)
+        assert tail <= SERIES_TAIL < tail + c[-1]
+        # exp(tau (x - 1)) is 1 at x = 1, where every T_k is 1
+        assert c.sum() + tail == pytest.approx(1.0, abs=1e-13)
+        # about sqrt(2 tau ln(1/tol)) products, against about tau for uniformization
+        assert degree <= np.sqrt(2.0 * tau * np.log(1.0 / SERIES_TAIL)) + 10
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_bessel_ratio_bound_behind_the_tail_estimate(self, tau):
+        k = np.arange(int(np.sqrt(80.0 * tau)) + 60)
+        terms = ive(k, tau)
+        seen = terms[1:] > 1e-290
+        ratio = terms[1:][seen] / terms[:-1][seen]
+        bound = tau / (k[:-1] + 0.5 + np.hypot(k[:-1] + 0.5, tau))
+        assert np.all(ratio <= bound[seen] * (1.0 + 1e-12))
+        assert np.all(np.diff(bound) <= 0.0)
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 7.0, 800.0, 10195.3, 48765.0])
+    def test_poisson_order_bounds_the_tail_mass(self, mu):
+        weights, tail = _poisson_weights(mu)
+        order = len(weights) - 1
+        # one past the least k with P(N > k) <= SERIES_TAIL, as the inverse
+        # survival function of scipy.stats gives it (to its rounding of 1 - q)
+        assert poisson.sf(order - 1, mu) <= SERIES_TAIL
+        assert abs((order - 1) - poisson.isf(SERIES_TAIL, mu)) <= 1
+        assert tail == pytest.approx(poisson.sf(order, mu), rel=1e-9)
+        assert np.array_equal(weights, poisson.pmf(np.arange(order + 1), mu))
