@@ -146,6 +146,13 @@ def resolvent_convergence(
     ).finalize_trend()
 
 
+def _record_method(methods: dict, n: int, method: str) -> None:
+    """Name the semigroup method of level ``n`` in ``methods``; once any
+    series of the level falls back, the level stays ``uniformization``."""
+    if methods.get(n) != spectral_mod.UNIFORMIZATION:
+        methods[n] = method
+
+
 def semigroup_convergence(
     tower: LevelTower,
     drift_cfg: DriftConfig | None,
@@ -155,12 +162,13 @@ def semigroup_convergence(
     reference: int,
 ) -> ConvergenceReport:
     """Same comparison for the semigroup at one time; ``details["methods"]``
-    names the semigroup method of each level, the reference included."""
+    names the semigroup method of each level, the reference included
+    (see :func:`_record_method`)."""
     methods = {}
 
     def apply(gen: markov_mod.GeneratorMatrix, f: np.ndarray) -> np.ndarray:
         solve = spectral_mod.semigroup_solve(gen, t, f)
-        methods[gen.level] = solve.method
+        _record_method(methods, gen.level, solve.method)
         return solve.output
 
     errors, details = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
@@ -202,8 +210,7 @@ def path_law_convergence(
 
     def exact_mean(gen: markov_mod.GeneratorMatrix, n: int, f: np.ndarray) -> float:
         solve = spectral_mod.semigroup_solve(gen, t, restriction(tower, reference, n)(f))
-        if methods.get(n) != spectral_mod.UNIFORMIZATION:
-            methods[n] = solve.method
+        _record_method(methods, n, solve.method)
         return float(solve.output[initial_vertex])
 
     ref_gen = tower.generator(reference, drift_cfg)

@@ -327,26 +327,29 @@ def sample_paths(
     ``times``.
 
     Returns the states exactly as :func:`ensemble_states` gives them for the
-    same arguments, and one :class:`Trajectory` per column.  The engine runs
-    twice on the same Philox stream: the first pass counts the jumps of each
-    path, the second writes them in place, so no round-by-round log is kept.
+    same arguments, and one :class:`Trajectory` per column.  One engine run
+    logs each round with 32-bit path and state indices; the rounds are then
+    placed path by path in two flat arrays, each dropped from the log once
+    placed, so the log is gone before the trajectories are built.
     """
-    counts = np.zeros(n_paths, dtype=np.int64)
+    log = []
 
-    def count(paths, clocks, states):
-        counts[paths] += 1
+    def record(paths, clocks, states):
+        log.append((paths.astype(np.int32), clocks[paths], states[paths].astype(np.int32)))
 
-    _jump_chains(gen, initial, times, n_paths, seed, count)
+    states = _jump_chains(gen, initial, times, n_paths, seed, record)
+    counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     cursor = bounds[:-1].copy()
     jump_times, jump_states = np.empty(bounds[-1]), np.empty(bounds[-1], dtype=np.int64)
-
-    def write(paths, clocks, states):
+    # a path jumps at most once a round, so the rounds in order keep each
+    # path's jumps in time order
+    log.reverse()
+    while log:
+        paths, t, s = log.pop()
         at = cursor[paths]
-        jump_times[at], jump_states[at] = clocks[paths], states[paths]
+        jump_times[at], jump_states[at] = t, s
         cursor[paths] = at + 1
-
-    states = _jump_chains(gen, initial, times, n_paths, seed, write)
     horizon = float(max(times, default=0.0))
     trajectories = [
         Trajectory(jump_times[a:b], jump_states[a:b], horizon, seed, k, gen.n)

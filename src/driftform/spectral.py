@@ -11,7 +11,7 @@ holding rate and ``tau = Lam t``, ``P = I + L / Lam`` is stochastic and
 with ``c_0 = ive(0, tau)``, ``c_k = 2 ive(k, tau)`` and
 ``T_{k+1} = 2 P T_k - T_{k-1}`` (Tal-Ezer & Kosloff 1984).  It stops at the
 least degree ``K`` whose coefficient tail ``sum_{j>K} |c_j|`` is at most
-``POISSON_TAIL / 10``; ``K`` grows like ``sqrt(tau)``, where uniformization
+``SERIES_TAIL``; ``K`` grows like ``sqrt(tau)``, where uniformization
 (the Poisson-weighted sum of ``P^k f``) needs about ``tau`` products.
 
 The series converges for a spectrum in ``[-1, 1]``.  Without drift ``P`` is
@@ -45,8 +45,7 @@ from scipy.special import gammaln, ive, pdtrc, xlogy
 from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
 from .resistance import DENSE_CUTOFF
 
-POISSON_TAIL = 1e-12
-SERIES_TAIL = POISSON_TAIL / 10.0  # truncation tolerance of both series
+SERIES_TAIL = 1e-13  # truncation tolerance of both series
 RESIDUAL_TOL = 1e-9
 # Largest growth max_k ||T_k(P) f||_inf / ||f||_inf the Chebyshev series
 # accepts; past it the call falls back to uniformization.
@@ -122,15 +121,13 @@ def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
     return c[: degree + 1], float(tails[degree])
 
 
-def _chebyshev_series(
-    P, tau: float, f: np.ndarray, growth_limit: float = np.inf
-) -> tuple[np.ndarray | None, int, float, float]:
+def _chebyshev_series(P, tau: float, f: np.ndarray) -> tuple[np.ndarray | None, int, float, float]:
     """``exp(tau (P - I)) f`` by the Chebyshev series of ``P``.
 
     Returns ``(sum, degree, coefficient tail, growth)``, with ``growth`` the
     largest ``||T_k(P) f_j||_inf / ||f_j||_inf`` over the degrees and the
     columns so far.  The recurrence stops as soon as the growth passes
-    ``growth_limit``, and the sum is then ``None``.
+    ``GROWTH_LIMIT``, and the sum is then ``None``.
     """
     c, tail = _chebyshev_coefficients(tau)
     if len(c) == 1:
@@ -153,7 +150,7 @@ def _chebyshev_series(
             nxt -= prev
             prev, cur = cur, nxt
         growth = max(growth, float(cur.max(initial=0.0)), -float(cur.min(initial=0.0)))
-        if growth > growth_limit:
+        if growth > GROWTH_LIMIT:
             return None, len(c) - 1, tail, growth
         np.multiply(cur, c[k], out=tmp)
         acc += tmp
@@ -210,7 +207,7 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     if transpose:
         P = gen.uniformized_transpose
     tau = lam_max * t
-    out, degree, tail, growth = _chebyshev_series(P, tau, fv, GROWTH_LIMIT)
+    out, degree, tail, growth = _chebyshev_series(P, tau, fv)
     if out is not None:
         return SemigroupApply(t, fv, out, degree, lam_max, CHEBYSHEV, tail * growth, growth)
     out, order, tail = _poisson_series(P, tau, fv)

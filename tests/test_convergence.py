@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftform.convergence import (
+    _record_method,
     energy_monotonicity_profile,
     ks_norm_check,
     path_law_convergence,
@@ -104,6 +105,13 @@ class TestSemigroupConvergence:
     def test_decaying_profile(self, sg_tower, admissible_cfg, x_coord):
         rep = semigroup_convergence(sg_tower, admissible_cfg, 0.1, x_coord, [1, 2, 3, 4], REF)
         assert all(b < a for a, b in zip(rep.errors, rep.errors[1:]))
+
+
+def test_a_fallback_sticks_to_its_level():
+    methods = {}
+    for n, method in [(1, "chebyshev"), (2, "uniformization"), (2, "chebyshev"), (1, "chebyshev")]:
+        _record_method(methods, n, method)
+    assert methods == {1: "chebyshev", 2: "uniformization"}
 
 
 class TestPathLaw:
