@@ -13,25 +13,18 @@ from .pcf import (
     StructureError,
     build_level,
     build_sierpinski_structure,
-    cells_containing,
     load_structure,
     measure_weights,
-    save_structure,
 )
 from .resistance import (
     ConductanceNetwork,
     NetworkError,
     assemble_self_similar,
-    effective_resistance,
     energy,
     harmonic_extension,
-    read_edge_list,
-    read_vertex_function,
     resistance_diameter,
     resistance_matrix,
     trace,
-    write_edge_list,
-    write_vertex_function,
 )
 from .drift import (
     Constants,
@@ -43,8 +36,6 @@ from .drift import (
     assemble_forms,
     check_condition_I,
     check_condition_II,
-    discrete_mutual_energy,
-    eta,
     make_drift,
     select_constants,
     smallness_report,
@@ -65,7 +56,6 @@ from .markov import (
     validate_rates,
 )
 from .spectral import (
-    contraction_growth_check,
     markov_check,
     resolvent,
     resolvent_solve,
@@ -83,12 +73,9 @@ from .tower import (
 )
 from .convergence import (
     ConvergenceReport,
-    RestrictionMap,
-    energy_monotonicity_profile,
     ks_norm_check,
     path_law_convergence,
     resolvent_convergence,
-    restriction,
     semigroup_convergence,
 )
 

@@ -32,7 +32,7 @@ from . import markov as mk
 from . import spectral as sp
 from . import tower as tw
 from .pcf import StructureError, build_sierpinski_structure, load_structure
-from .resistance import NetworkError, harmonic_extension, read_vertex_function
+from .resistance import NetworkError, harmonic_extension
 
 
 class ConfigError(Exception):
@@ -69,12 +69,6 @@ def write_json_report(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def load_report_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        body = "".join(line for line in fh if not line.startswith("#"))
-    return json.loads(body)
-
-
 def write_csv_report(path: Path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header())
@@ -87,6 +81,29 @@ def write_vertex_function_report(path: Path, values: np.ndarray) -> None:
         fh.write(_header())
         for k, v in enumerate(np.asarray(values, dtype=float)):
             fh.write(f"{k} {v:.17g}\n")
+
+
+def read_vertex_function(path, n: int) -> np.ndarray:
+    """Values at vertices ``0 .. n-1`` from an ``id value`` file, the format
+    :func:`write_vertex_function_report` writes; blank lines and ``#``
+    lines are skipped, and ids past ``n - 1`` are ignored."""
+    data: dict[int, float] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            try:
+                x, v = fields
+                data[int(x)] = float(v)
+            except ValueError:
+                raise ConfigError(
+                    f"{path} line {lineno}: expected 'id value', got {line.strip()!r}"
+                ) from None
+    missing = next((k for k in range(n) if k not in data), None)
+    if missing is not None:
+        raise ConfigError(f"{path} has no value for vertex {missing} (needs ids 0..{n - 1})")
+    return np.array([data[k] for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +263,7 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
         if len(vals) != tower.structure.boundary_size:
             raise ConfigError("harmonic input needs one value per boundary point")
         return harmonic_extension(tower.network(level), dict(enumerate(vals)))
-    data = read_vertex_function(spec)
-    return np.array([data[k] for k in range(n)])
+    return read_vertex_function(spec, n)
 
 
 def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None):
@@ -409,6 +425,8 @@ def cmd_semigroup(args) -> int:
 
 def cmd_simulate(args) -> int:
     times = _parse_floats(args.t)
+    if args.paired and args.paths < 2:
+        raise ConfigError(f"--paired needs --paths >= 2 for a standard error, got {args.paths}")
     tower, config, _, failed = _setup(args)
     if failed:
         return _fail_admissibility(failed)
@@ -459,7 +477,7 @@ def cmd_simulate(args) -> int:
             s0 = mk.ensemble_states(gen0, init, [t], args.paths, args.seed)[0]
             for name, fn in test_fns.items():
                 d = fn[s1] - fn[s0]
-                se = float(np.std(d, ddof=1) / np.sqrt(len(d))) if len(d) > 1 else 0.0
+                se = float(np.std(d, ddof=1) / np.sqrt(len(d)))
                 prows.append(
                     f"{t!r},{name},{float(np.mean(fn[s1]))!r},"
                     f"{float(np.mean(fn[s0]))!r},{float(np.mean(d))!r},{se!r}"
@@ -574,7 +592,7 @@ def main(argv=None) -> int:
         args = apply_config_file(args, parser)
         return COMMANDS[args.mode](args)
     except (ConfigError, StructureError, dr.DriftError, NetworkError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except dr.InadmissibleDriftError as exc:

@@ -29,27 +29,6 @@ PATH_LAW_BANNER = (
 )
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
-    """Restriction of fine-level vertex functions to a coarser level."""
-
-    source_level: int
-    target_level: int
-    target_size: int
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f)
-        if f.shape[0] < self.target_size:
-            raise ValueError("function lives on fewer vertices than the target level")
-        return f[: self.target_size]
-
-
-def restriction(tower: LevelTower, source: int, target: int) -> RestrictionMap:
-    if target > source:
-        raise ValueError(f"target level {target} is finer than source {source}")
-    return RestrictionMap(source, target, tower.vertex_count(target))
-
-
 @dataclass
 class ConvergenceReport:
     quantity: str  # ks_norm | resolvent_sup | semigroup_sup | path_law
@@ -92,7 +71,7 @@ def ks_norm_check(
     ref_norm = float(np.sqrt(np.sum(tower.measure(reference) * f_ref**2)))
     errors = []
     for n in levels:
-        fn = restriction(tower, reference, n)(f_ref)
+        fn = f_ref[: tower.vertex_count(n)]
         norm_n = float(np.sqrt(np.sum(tower.measure(n) * fn**2)))
         errors.append(abs(norm_n - ref_norm))
     return ConvergenceReport(
@@ -112,13 +91,13 @@ def _per_level_outputs(
     f_ref = np.asarray(f_ref, dtype=float)
     def output_at(n: int) -> np.ndarray:
         gen = tower.generator(n, drift_cfg)
-        return apply_fn(gen, restriction(tower, reference, n)(f_ref))
+        return apply_fn(gen, f_ref[: gen.n])
 
     ref_out = output_at(reference)
     errors, details = [], {"per_level_sup": {}}
     for n in levels:
         out_n = output_at(n)
-        gap = float(np.max(np.abs(out_n - restriction(tower, reference, n)(ref_out))))
+        gap = float(np.max(np.abs(out_n - ref_out[: len(out_n)])))
         errors.append(gap)
         details["per_level_sup"][n] = gap
     return errors, details
@@ -209,7 +188,7 @@ def path_law_convergence(
     methods = {}
 
     def exact_mean(gen: markov_mod.GeneratorMatrix, n: int, f: np.ndarray) -> float:
-        solve = spectral_mod.semigroup_solve(gen, t, restriction(tower, reference, n)(f))
+        solve = spectral_mod.semigroup_solve(gen, t, f[: gen.n])
         _record_method(methods, n, solve.method)
         return float(solve.output[initial_vertex])
 
@@ -223,7 +202,7 @@ def path_law_convergence(
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
         rows, worst = [], 0.0
         for f, ref_val in zip(fs, ref_means):
-            samples = restriction(tower, reference, n)(f)[states]
+            samples = f[: gen.n][states]
             mean = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / np.sqrt(paths))
             exact = exact_mean(gen, n, f)
@@ -240,28 +219,3 @@ def path_law_convergence(
         details={"t": t, "paths": paths, "seed": seed,
                  "initial_vertex": initial_vertex, "mc": mc_table, "methods": methods},
     ).finalize_trend()
-
-
-def energy_monotonicity_profile(
-    tower: LevelTower,
-    f_ref: np.ndarray,
-    levels: Sequence[int],
-    slack: float = 1e-10,
-) -> dict:
-    """Per-level energies of the restricted function; the sequence must be
-    non-decreasing for a compatible trace tower."""
-    f_ref = np.asarray(f_ref, dtype=float)
-    values = []
-    for n in levels:
-        fn = f_ref[: tower.vertex_count(n)]
-        asm = tower.assembly(n, None)
-        values.append(float(fn @ (asm.E_matrix @ fn)))
-    diffs = np.diff(values)
-    scale = max(1.0, max(abs(v) for v in values))
-    nondecreasing = bool(np.all(diffs >= -slack * scale))
-    return {
-        "levels": list(levels),
-        "energies": values,
-        "nondecreasing": nondecreasing,
-        "slack": slack,
-    }

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .resistance import ConductanceNetwork, as_values, harmonic_extension
+from .resistance import ConductanceNetwork, harmonic_extension
 
 DEFAULT_DRAW_SEED = 1729
 SD4_TOLERANCE = -1e-12
@@ -204,16 +204,6 @@ def make_drift(
 # Edge weights and form matrices
 # ---------------------------------------------------------------------------
 
-def eta(net: ConductanceNetwork, drift: DriftSpec, x: int, y: int) -> float:
-    """Asymmetric edge weight ``1/2 * sum_i b_i(x) (h_i(x) - h_i(y))``.
-
-    Defined for any ordered vertex pair; only pairs with positive
-    conductance influence forms and rates.
-    """
-    px, py = net.positions([x, y])
-    return 0.5 * float(np.dot(drift.b[:, px], drift.h[:, px] - drift.h[:, py]))
-
-
 def eta_edge_values(net: ConductanceNetwork, drift: DriftSpec):
     """``(rows, cols, eta_vals)`` over the ordered conductance pattern."""
     coo = net.c.tocoo()
@@ -272,10 +262,6 @@ class FormAssembly:
         g = f if g is None else np.asarray(g, float)
         return float(g @ (self.A_matrix @ f))
 
-    def l2_sq(self, f) -> float:
-        f = np.asarray(f, float)
-        return float(np.sum(self.mu * f * f))
-
     # Batched quadratic forms over rows of F, used by the random verifiers.
     def batch_quad(self, matrix, F: np.ndarray) -> np.ndarray:
         return np.einsum("kn,kn->k", F, (matrix @ F.T).T)
@@ -308,18 +294,6 @@ def assemble_forms(
     return FormAssembly(lvl, e_mat, q_mat, a_mat, mu, net=net, drift=drift)
 
 
-def discrete_mutual_energy(net: ConductanceNetwork, h, h2, g) -> float:
-    """Weighted pairing ``sum_{x != y} c_xy g(x) (h(x)-h(y)) (h2(x)-h2(y))``.
-
-    No 1/2 factor: with ``g == 1`` and ``h == h2`` this is twice the energy.
-    """
-    hv, h2v, gv = as_values(net, h), as_values(net, h2), as_values(net, g)
-    coo = net.c.tocoo()
-    dh = hv[coo.row] - hv[coo.col]
-    dh2 = h2v[coo.row] - h2v[coo.col]
-    return float(np.sum(coo.data * gv[coo.row] * dh * dh2))
-
-
 # ---------------------------------------------------------------------------
 # Smallness conditions and derived constants
 # ---------------------------------------------------------------------------
@@ -348,19 +322,16 @@ class ConditionCheck:
 def check_condition_I(
     net: ConductanceNetwork, drift: DriftSpec, diam_proxy: float
 ) -> ConditionCheck:
-    """Global drift-energy smallness: the summed pairings of the drift
-    fields against the reference-function differences must stay strictly
-    below ``2 / diam``.
+    """Global drift-energy smallness: the summed mutual energies
+    ``sum_ij sum_{x != y} c_xy b_i(x) b_j(x) (h_i(x)-h_i(y)) (h_j(x)-h_j(y))``
+    of the drift terms must stay strictly below ``2 / diam``.
 
-    The coefficient fields are sampled at the left endpoint of every ordered
-    pair, matching their placement in the drift form.
+    The coefficients sit at the left endpoint of every ordered pair, as in
+    the drift form, so the sum is ``4 sum_{x != y} c_xy eta(x, y)^2`` over
+    the edge weights of :func:`eta_edge_values`.
     """
-    total = 0.0
-    for i in range(drift.N):
-        for j in range(drift.N):
-            total += discrete_mutual_energy(
-                net, drift.h[i], drift.h[j], drift.b[i] * drift.b[j]
-            )
+    _, _, ev = eta_edge_values(net, drift)
+    total = 4.0 * float(np.sum(net.c.tocoo().data * ev * ev))
     threshold = 2.0 / diam_proxy
     return ConditionCheck(
         "condition_I", total, threshold, total < threshold, threshold - total

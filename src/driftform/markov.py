@@ -231,17 +231,6 @@ class Trajectory:
             "states": self.states.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Trajectory":
-        return cls(
-            np.array(d["times"], dtype=float),
-            np.array(d["states"], dtype=np.int64),
-            float(d["horizon"]),
-            int(d["seed"]),
-            int(d["index"]),
-            int(d["n_states"]),
-        )
-
 
 def _check_initial(initial, n: int) -> np.ndarray:
     p = np.asarray(initial, dtype=float)
@@ -377,13 +366,3 @@ def write_trajectories_jsonl(trajectories: Sequence[Trajectory], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for traj in trajectories:
             fh.write(json.dumps(traj.to_dict(), sort_keys=True) + "\n")
-
-
-def read_trajectories_jsonl(path) -> list[Trajectory]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Trajectory.from_dict(json.loads(line)))
-    return out

@@ -380,13 +380,6 @@ def build_level(structure: SelfSimilarStructure, n: int) -> LevelComplex:
     return LevelComplex(n, count, tuple(cells), _edges_from_cells(cells), None)
 
 
-def cells_containing(complex_: LevelComplex, x: int) -> list[tuple[Word, tuple[int, ...]]]:
-    """All cells whose boundary contains vertex ``x``."""
-    if not (0 <= x < complex_.vertex_count):
-        raise KeyError(f"vertex {x} not in level-{complex_.level} complex")
-    return [cell for cell in complex_.cells if x in cell[1]]
-
-
 def measure_weights(
     structure: SelfSimilarStructure,
     complex_: LevelComplex,
@@ -419,35 +412,6 @@ def measure_weights(
 # ---------------------------------------------------------------------------
 # Structured-text configuration (documented in docs/structure_config.md)
 # ---------------------------------------------------------------------------
-
-def structure_to_dict(structure: SelfSimilarStructure) -> dict:
-    d: dict = {
-        "name": structure.name,
-        "symbol_count": structure.symbol_count,
-        "boundary_size": structure.boundary_size,
-        "identifications": [
-            [list(a), list(b)] for a, b in structure.identifications
-        ],
-        "boundary_addresses": [list(a) for a in structure.boundary_addresses],
-        "assumed_dense": structure.assumed_dense,
-    }
-    if structure.embedding is not None:
-        emb = structure.embedding
-        d["embedding"] = {
-            "boundary_coords": emb.boundary_coords.tolist(),
-            "maps": [
-                {"matrix": m.matrix.tolist(), "offset": m.offset.tolist()}
-                for m in emb.maps
-            ],
-        }
-    if structure.scalings is not None:
-        d["scalings"] = list(structure.scalings)
-    if structure.weights is not None:
-        d["weights"] = list(structure.weights)
-    if structure.base_conductances is not None:
-        d["base_conductances"] = [list(e) for e in structure.base_conductances]
-    return d
-
 
 def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
     try:
@@ -491,9 +455,3 @@ def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
 def load_structure(path) -> SelfSimilarStructure:
     with open(path, "r", encoding="utf-8") as fh:
         return structure_from_dict(json.load(fh))
-
-
-def save_structure(structure: SelfSimilarStructure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_dict(structure), fh, indent=2, sort_keys=True)
-        fh.write("\n")

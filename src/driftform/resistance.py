@@ -95,9 +95,6 @@ class ConductanceNetwork:
         ).tocsr()
         return cls(vertices, mat)
 
-    def conductance(self, x: int, y: int) -> float:
-        return float(self.c[self.index[int(x)], self.index[int(y)]])
-
     def edge_list(self) -> list[tuple[int, int, float]]:
         coo = sparse.triu(self.c, k=1).tocoo()
         triples = [
@@ -246,22 +243,6 @@ def harmonic_extension(net: ConductanceNetwork, boundary_values: Mapping[int, fl
     return values
 
 
-def effective_resistance(net: ConductanceNetwork, x: int, y: int) -> float:
-    """Resistance between two vertices: ``1 / E(f)`` for the unit Dirichlet
-    problem ``f(x) = 1, f(y) = 0`` solved harmonically elsewhere.
-
-    Returns 0 for ``x == y`` so the resistance is a (total) metric.
-    """
-    if int(x) == int(y):
-        net.positions([x])
-        return 0.0
-    f = harmonic_extension(net, {int(x): 1.0, int(y): 0.0})
-    e = energy(net, f)
-    if e <= 0:
-        raise NetworkError(f"vertices {x} and {y} are not resistively connected")
-    return 1.0 / e
-
-
 def _resistance_blocks(net: ConductanceNetwork):
     """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` columns.
 
@@ -349,44 +330,3 @@ def assemble_self_similar(
                 acc[key] = acc.get(key, 0.0) + rw_inv * c
     edges = [(u, v, c) for (u, v), c in sorted(acc.items())]
     return ConductanceNetwork.from_edges(edges, vertices=range(complex_.vertex_count))
-
-
-# ---------------------------------------------------------------------------
-# Text serialization: edge lists ("x y c") and vertex functions ("x value").
-# 17 significant digits round-trip doubles exactly.
-# ---------------------------------------------------------------------------
-
-def write_edge_list(net: ConductanceNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y, c in net.edge_list():
-            fh.write(f"{x} {y} {c:.17g}\n")
-
-
-def read_edge_list(path) -> ConductanceNetwork:
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y, c = line.split()
-            edges.append((int(x), int(y), float(c)))
-    return ConductanceNetwork.from_edges(edges)
-
-
-def write_vertex_function(values: Mapping[int, float], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for x in sorted(values):
-            fh.write(f"{x} {values[x]:.17g}\n")
-
-
-def read_vertex_function(path) -> dict[int, float]:
-    out: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, v = line.split()
-            out[int(x)] = float(v)
-    return out

@@ -250,55 +250,3 @@ def markov_check(
     pos = float(out[:, 1::2].min())
     ok = lo >= -tol and hi <= 1.0 + tol and pos >= -tol
     return MarkovCheckReport(t, trials, seed, lo, hi, pos, bool(ok), solve.method)
-
-
-@dataclass
-class GrowthCheckPoint:
-    t: float
-    norm_estimate: float
-    bound: float
-    ok: bool
-    method: str  # UNIFORMIZATION if any series of the iteration fell back
-
-
-def contraction_growth_check(
-    gen: GeneratorMatrix,
-    lam: float,
-    t_grid,
-    iters: int = 50,
-    seed: int = 11,
-    tol: float = 1e-8,
-) -> list[GrowthCheckPoint]:
-    """Estimate the weighted operator norm of the semigroup by power
-    iteration and compare against ``exp(lam * t)``.
-
-    The estimate is a reproducible lower bound on the true norm, adequate
-    for checking an upper bound.
-    """
-    mu = gen.mu
-    out = []
-    for t in t_grid:
-        rng = _philox(seed, 3)
-        v = rng.standard_normal(gen.n)
-        v /= np.sqrt(np.sum(mu * v * v))
-        estimate = 0.0
-        methods = set()
-        for _ in range(iters):
-            forward = semigroup_solve(gen, t, v)
-            u = forward.output
-            estimate = float(np.sqrt(np.sum(mu * u * u)))
-            if estimate == 0.0:
-                break
-            # the mu-weighted adjoint of exp(tL) is mu^-1 exp(tL^T) mu
-            backward = semigroup_solve(gen, t, mu * u, transpose=True)
-            methods.update((forward.method, backward.method))
-            w = backward.output / mu
-            nw = np.sqrt(np.sum(mu * w * w))
-            if nw == 0.0:
-                break
-            v = w / nw
-        bound = float(np.exp(lam * t))
-        method = UNIFORMIZATION if UNIFORMIZATION in methods else CHEBYSHEV
-        out.append(GrowthCheckPoint(float(t), estimate, bound,
-                                    bool(estimate <= bound * (1 + tol)), method))
-    return out

@@ -208,12 +208,6 @@ def load_drift_config(path) -> DriftConfig:
         return DriftConfig.from_dict(json.load(fh))
 
 
-def save_drift_config(config: DriftConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def zero_drift_config(boundary_size: int) -> DriftConfig:
     """Coefficient-free drift: one vanishing term over the base indicator."""
     h0 = tuple(1.0 if k == 0 else 0.0 for k in range(boundary_size))

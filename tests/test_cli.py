@@ -8,12 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from driftform.cli import load_report_json, main
-from driftform.tower import DriftConfig, save_drift_config
+from driftform.cli import main
+from driftform.tower import DriftConfig
 
 
 def run(args):
     return main(args)
+
+
+def load_report_json(path) -> dict:
+    """A JSON report without its timestamp header line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        body = "".join(line for line in fh if not line.startswith("#"))
+    return json.loads(body)
 
 
 def body_bytes(path):
@@ -26,9 +33,8 @@ def body_bytes(path):
 @pytest.fixture()
 def oversized_drift(tmp_path):
     path = tmp_path / "big_drift.json"
-    save_drift_config(
-        DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),)), path
-    )
+    config = DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
+    path.write_text(json.dumps(config.to_dict()))
     return path
 
 
@@ -144,11 +150,36 @@ class TestExitCodes:
         ["check", "--draws", "0"],
         ["check", "--draws", "-5"],
         ["simulate", "--paths", "-3"],
+        ["simulate", "--paired", "--paths", "0"],
+        ["simulate", "--paired", "--paths", "1"],
         ["converge", "--levels", "1", "--reference-level", "2", "--paths", "0"],
         ["converge", "--levels", "1", "--reference-level", "2", "--paths", "1"],
     ])
     def test_bad_numeric_grid_exits_2(self, tmp_path, capsys, mode_args):
         assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize("content, names", [
+        ("0 0.5\n1 abc\n2 0.25\n", "line 2"),
+        ("# vertex value\n0 0.5\n1 0.5 7\n2 0.25\n", "line 3"),
+        ("0 0.5\n2 0.25\n", "vertex 1"),
+    ], ids=["non_numeric_value", "three_fields", "missing_id"])
+    def test_malformed_vertex_function_file_exits_2(self, tmp_path, capsys, content, names):
+        path = tmp_path / "f.txt"
+        path.write_text(content)
+        assert run(["semigroup", "--level", "0", "--f", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert str(path) in err[0] and names in err[0], err
+
+    @pytest.mark.parametrize("flag", ["--f", "--drift", "--structure", "--config"])
+    def test_undecodable_input_file_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert run(["semigroup", "--level", "1", flag, str(path),
+                    "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
 

@@ -5,11 +5,9 @@ import pytest
 
 from driftform.convergence import (
     _record_method,
-    energy_monotonicity_profile,
     ks_norm_check,
     path_law_convergence,
     resolvent_convergence,
-    restriction,
     semigroup_convergence,
 )
 from driftform.resistance import harmonic_extension
@@ -18,29 +16,23 @@ from driftform.resistance import harmonic_extension
 REF = 5  # module-local reference level keeps these tests quick
 
 
+def energy_monotonicity_profile(tower, f_ref, levels, slack=1e-10) -> dict:
+    """Per-level energies of the restricted function; the sequence must be
+    non-decreasing for a compatible trace tower."""
+    values = []
+    for n in levels:
+        fn = f_ref[: tower.vertex_count(n)]
+        values.append(float(fn @ (tower.assembly(n, None).E_matrix @ fn)))
+    scale = max(1.0, max(abs(v) for v in values))
+    return {
+        "energies": values,
+        "nondecreasing": bool(np.all(np.diff(values) >= -slack * scale)),
+    }
+
+
 @pytest.fixture(scope="module")
 def x_coord(sg_tower):
     return sg_tower.coordinates(REF)[:, 0].copy()
-
-
-class TestRestriction:
-    def test_composition(self, sg_tower):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal(sg_tower.vertex_count(4))
-        phi42 = restriction(sg_tower, 4, 2)
-        phi43 = restriction(sg_tower, 4, 3)
-        phi32 = restriction(sg_tower, 3, 2)
-        np.testing.assert_array_equal(phi32(phi43(f)), phi42(f))
-
-    def test_sup_norm_nonexpanding(self, sg_tower):
-        rng = np.random.default_rng(2)
-        f = rng.standard_normal(sg_tower.vertex_count(4))
-        phi = restriction(sg_tower, 4, 1)
-        assert np.max(np.abs(phi(f))) <= np.max(np.abs(f))
-
-    def test_wrong_direction_rejected(self, sg_tower):
-        with pytest.raises(ValueError):
-            restriction(sg_tower, 2, 4)
 
 
 class TestKSNorm:

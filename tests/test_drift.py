@@ -1,6 +1,7 @@
 """Drift forms, smallness conditions, constants, and the form axioms."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from driftform.drift import (
     assemble_forms,
     check_condition_I,
     check_condition_II,
-    discrete_mutual_energy,
-    eta,
+    eta_edge_values,
     sample_field,
     select_constants,
     verify_SD_axioms,
@@ -24,10 +24,18 @@ from driftform.drift import (
 )
 from driftform.resistance import (
     ConductanceNetwork,
-    effective_resistance,
     energy,
     harmonic_extension,
 )
+from oracles import (
+    TWO_TERM_DRIFT,
+    condition_I_loop,
+    discrete_mutual_energy,
+    effective_resistance,
+    eta,
+)
+
+CONSTANT_DRIFT = Path(__file__).resolve().parents[1] / "docs" / "configs" / "drift_constant.json"
 
 
 def brute_force_Q(net, drift, f, g) -> float:
@@ -76,13 +84,20 @@ def recursive_harmonic_oracle(levels: int) -> dict[tuple, float]:
     }
 
 
+def edge_eta(net, drift) -> dict[tuple[int, int], float]:
+    """``eta_edge_values`` keyed by ordered vertex-id pair."""
+    rows, cols, ev = eta_edge_values(net, drift)
+    return {
+        (int(net.vertices[x]), int(net.vertices[y])): v for x, y, v in zip(rows, cols, ev)
+    }
+
+
 class TestEta:
     def test_zero_coefficients(self, sg_tower, admissible_cfg):
         cfg = tw.zero_drift_config(3)
         spec = drift_on(sg_tower, cfg, 2)
         net = sg_tower.network(2)
-        for x, y, _ in net.edge_list()[:10]:
-            assert eta(net, spec, x, y) == 0.0
+        assert all(v == 0.0 for v in edge_eta(net, spec).values())
 
     def test_direct_arithmetic(self):
         net = ConductanceNetwork.from_edges([(0, 1, 1.0)])
@@ -93,14 +108,26 @@ class TestEta:
             h_base_level=0,
             h_base=np.array([[3.0, 1.0]]),
         )
-        assert eta(net, spec, 0, 1) == pytest.approx(0.5 * 2.0 * (3.0 - 1.0))
-        assert eta(net, spec, 1, 0) == pytest.approx(0.5 * 2.0 * (1.0 - 3.0))
+        values = edge_eta(net, spec)
+        assert values == {(0, 1): pytest.approx(0.5 * 2.0 * (3.0 - 1.0)),
+                          (1, 0): pytest.approx(0.5 * 2.0 * (1.0 - 3.0))}
+        assert values[(0, 1)] == pytest.approx(eta(net, spec, 0, 1))
 
     def test_asymmetry(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 2)
         net = sg_tower.network(2)
+        values = edge_eta(net, spec)
         x, y, _ = net.edge_list()[0]
-        assert eta(net, spec, x, y) != eta(net, spec, y, x)
+        assert values[(x, y)] != values[(y, x)]
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matches_scalar_oracle(self, sg_tower, level):
+        spec = drift_on(sg_tower, TWO_TERM_DRIFT, level)
+        net = sg_tower.network(level)
+        values = edge_eta(net, spec)
+        assert len(values) == 2 * len(net.edge_list())
+        for (x, y), v in values.items():
+            assert v == pytest.approx(eta(net, spec, x, y), rel=1e-12, abs=1e-15)
 
     def test_matches_recursive_harmonic_oracle(self, sg_tower):
         # coefficients epsilon: eta is eps/2 times finite differences of the
@@ -115,9 +142,11 @@ class TestEta:
         def hval(v):
             return oracle[(round(coords[v, 0], 10), round(coords[v, 1], 10))]
 
+        values = edge_eta(net, spec)
         for x, y, _ in net.edge_list():
-            expected = 0.5 * eps * (hval(x) - hval(y))
-            assert eta(net, spec, x, y) == pytest.approx(expected, abs=1e-12)
+            for a, b in ((x, y), (y, x)):
+                expected = 0.5 * eps * (hval(a) - hval(b))
+                assert values[(a, b)] == pytest.approx(expected, abs=1e-12)
 
 
 class TestAssembleQ:
@@ -212,17 +241,27 @@ class TestMutualEnergy:
         # conductance-weighted sum of squared drift differences
         spec = drift_on(sg_tower, admissible_cfg, 3)
         net = sg_tower.network(3)
-        report = check_condition_I(net, spec, 2.0 / 3.0)
-        from driftform.drift import eta_edge_values
-
-        _, _, ev = eta_edge_values(net, spec)
-        coo = net.c.tocoo()
-        assert report.value == pytest.approx(
-            float(np.sum(coo.data * (2.0 * ev) ** 2)), rel=1e-12
+        squares = sum(
+            c * (2.0 * eta(net, spec, x, y)) ** 2 + c * (2.0 * eta(net, spec, y, x)) ** 2
+            for x, y, c in net.edge_list()
         )
+        assert condition_I_loop(net, spec) == pytest.approx(squares, rel=1e-12)
 
 
 class TestConditionI:
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("drift", ["default", "two_term", "constant"])
+    def test_matches_mutual_energy_loop(self, sg_tower, admissible_cfg, drift, level):
+        cfg = {
+            "default": admissible_cfg,
+            "two_term": TWO_TERM_DRIFT,
+            "constant": tw.load_drift_config(CONSTANT_DRIFT),
+        }[drift]
+        spec = drift_on(sg_tower, cfg, level)
+        net = sg_tower.network(level)
+        value = check_condition_I(net, spec, 2.0 / 3.0).value
+        assert value == pytest.approx(condition_I_loop(net, spec), rel=1e-14, abs=0.0)
+
     def test_zero_drift_satisfied(self, sg_tower):
         spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
         check = check_condition_I(sg_tower.network(2), spec, 2.0 / 3.0)
@@ -325,8 +364,9 @@ class TestSandwich:
         asm = assemble_forms(sg_tower.network(2), spec, sg_tower.measure(2))
         c = admissible_constants
         f = np.full(asm.n, 1.7)
-        a_lam = asm.A(f) + c.lam * asm.l2_sq(f)
-        e_lam = asm.E(f) + c.lam * asm.l2_sq(f)
+        l2_sq = float(np.sum(asm.mu * f * f))
+        a_lam = asm.A(f) + c.lam * l2_sq
+        e_lam = asm.E(f) + c.lam * l2_sq
         assert (1 - c.s) * e_lam <= a_lam <= (1 + c.s) * e_lam
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])

@@ -1,10 +1,11 @@
 """Generators, jump parameters, rate validation and path sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from driftform import tower as tw
-from driftform.drift import eta
 from driftform.markov import (
     ENSEMBLE_STREAM,
     RateValidationError,
@@ -15,11 +16,22 @@ from driftform.markov import (
     ensemble_states,
     jump_parameters,
     point_mass,
-    read_trajectories_jsonl,
     sample_paths,
     validate_rates,
     write_trajectories_jsonl,
 )
+from oracles import eta
+
+
+def read_trajectories_jsonl(path) -> list[Trajectory]:
+    """The trajectories of a ``trajectories.jsonl`` report, one per line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return [
+        Trajectory(np.array(d["times"]), np.array(d["states"]), d["horizon"],
+                   d["seed"], d["index"], d["n_states"])
+        for d in records
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -113,19 +113,14 @@ class TestCellsContaining:
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, 1)
         for mid in (3, 4, 5):
-            assert len(pcf.cells_containing(cx, mid)) == 2
+            assert sum(mid in ids for _, ids in cx.cells) == 2
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_corner_in_one_cell(self, n):
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, n)
         for corner in (0, 1, 2):
-            assert len(pcf.cells_containing(cx, corner)) == 1
-
-    def test_unknown_vertex_rejected(self):
-        cx = pcf.build_level(pcf.build_sierpinski_structure(), 1)
-        with pytest.raises(KeyError):
-            pcf.cells_containing(cx, 99)
+            assert sum(corner in ids for _, ids in cx.cells) == 1
 
 
 class TestValidation:
@@ -222,14 +217,6 @@ class TestMeasure:
 
 
 class TestConfigIO:
-    def test_round_trip(self, tmp_path):
-        sg = pcf.build_sierpinski_structure()
-        path = tmp_path / "sg.json"
-        pcf.save_structure(sg, path)
-        loaded = pcf.load_structure(path)
-        assert pcf.structure_to_dict(loaded) == pcf.structure_to_dict(sg)
-        assert pcf.build_level(loaded, 2).cells == pcf.build_level(sg, 2).cells
-
     def test_malformed_config_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"symbol_count": 2}')

@@ -6,6 +6,7 @@ kernel's fallback and serves here as an oracle.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,22 +28,44 @@ from driftform.spectral import (
     _chebyshev_series,
     _poisson_series,
     _poisson_weights,
-    contraction_growth_check,
     markov_check,
     resolvent,
     resolvent_solve,
     semigroup_apply,
     semigroup_solve,
 )
+from oracles import TWO_TERM_DRIFT
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 
-# Two drift terms whose L4 generator has a complex spectrum.
-TWO_TERM_DRIFT = tw.DriftConfig(
-    (("expression", "0.3*sin(7*x)*cos(5*y)"), ("constant", 0.1)),
-    ((0, (1.0, 0.0, 0.0)), (0, (0.0, 1.0, -1.0))),
-)
+
+def contraction_growth_check(gen, lam, t_grid, iters=50, seed=11, tol=1e-8):
+    """Per time ``t``: a power-iteration estimate of the ``mu``-weighted norm
+    of ``exp(tL)`` (a reproducible lower bound) against ``exp(lam t)``, and
+    the method of its series (``uniformization`` if any of them fell back)."""
+    mu = gen.mu
+    out = []
+    for t in t_grid:
+        v = _philox(seed, 3).standard_normal(gen.n)
+        v /= np.sqrt(np.sum(mu * v * v))
+        estimate, methods = 0.0, set()
+        for _ in range(iters):
+            forward = semigroup_solve(gen, t, v)
+            u = forward.output
+            estimate = float(np.sqrt(np.sum(mu * u * u)))
+            if estimate == 0.0:
+                break
+            # the mu-weighted adjoint of exp(tL) is mu^-1 exp(tL^T) mu
+            backward = semigroup_solve(gen, t, mu * u, transpose=True)
+            methods.update((forward.method, backward.method))
+            w = backward.output / mu
+            v = w / np.sqrt(np.sum(mu * w * w))
+        bound = float(np.exp(lam * t))
+        method = UNIFORMIZATION if UNIFORMIZATION in methods else CHEBYSHEV
+        out.append(SimpleNamespace(t=t, norm_estimate=estimate, bound=bound,
+                                   ok=estimate <= bound * (1 + tol), method=method))
+    return out
 
 
 def expm_oracle(gen, t, f, transpose=False):

@@ -1,6 +1,8 @@
 """The per-(level, drift) context of a LevelTower: realized drift, form
 assembly and chain generator are built once and shared."""
 
+import json
+
 import pytest
 
 from driftform import markov
@@ -33,7 +35,7 @@ class TestContext:
         tower = tw.sierpinski_tower()
         realized = counting(monkeypatch, tw, "realize_drift")
         path = tmp_path / "drift.json"
-        tw.save_drift_config(admissible_cfg, path)
+        path.write_text(json.dumps(admissible_cfg.to_dict()))
         first, second = tw.load_drift_config(path), tw.load_drift_config(path)
         assert first is not second
         gen = tower.generator(2, first)
