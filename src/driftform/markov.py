@@ -87,9 +87,13 @@ class GeneratorMatrix:
 
     @cached_property
     def jump_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Holding rates, the ``n x max_degree`` tables of sorted neighbours
-        and of cumulative jump probabilities (padded with ``+inf``), and
-        each state's total jump probability, for the path sampler."""
+        """Tables of the path sampler: the holding rates; the
+        ``n x max_degree`` table of sorted neighbours; the cumulative jump
+        probabilities as ``max_degree - 1`` contiguous columns, column ``j``
+        holding each state's probability of jumping to one of its first
+        ``j + 1`` neighbours (``+inf`` past its degree); and each state's
+        total jump probability.  The last column is left out: a uniform
+        scaled by the total stays below it."""
         q, pi = jump_parameters(self)
         pi.sort_indices()
         degree = np.diff(pi.indptr)
@@ -103,7 +107,7 @@ class GeneratorMatrix:
         cumulative = np.cumsum(probabilities, axis=1)
         total = cumulative[np.arange(self.n), degree - 1]
         cumulative[np.arange(shape[1]) >= degree[:, None]] = np.inf
-        return q, neighbors, cumulative, total
+        return q, neighbors, np.ascontiguousarray(cumulative[:, :-1].T), total
 
 
 def build_generator(
@@ -258,36 +262,51 @@ def _jump_chains(
     Each round draws the holding times of the paths still short of the next
     recording time, then the uniforms of the paths that jump before it.  At
     a recording time the clocks restart, which leaves the law unchanged
-    (memorylessness).  Returns the ``(len(times), n_paths)`` states at the
-    sorted times.  ``on_round(paths, clocks, states)``, if given, sees the
-    start and then each round: the paths that jumped in it (at most once
-    each) and the clocks and states of all paths after it.
+    (memorylessness).  The running paths are kept compacted, as arrays of
+    path indices, clocks and states in ascending path order; a path that
+    reaches the recording time leaves them and its state is written back.
+    Returns the ``(len(times), n_paths)`` states at the sorted times.
+
+    ``on_round(paths, clocks, states)``, if given, sees the start (every
+    path at clock 0) and then each round: the paths that jumped in it (at
+    most once each, ascending), their jump times and their new states.  The
+    arrays are the engine's own and may change in later rounds; the callback
+    copies what it keeps.
     """
     p0 = _check_initial(initial, gen.n)
-    times = np.sort(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    times = np.sort(times)
     if times.size and times[0] < 0:
         raise ValueError("times must be >= 0")
     q, neighbors, cumulative, total = gen.jump_tables
+    count_type = np.min_scalar_type(len(cumulative))
     rng = _philox(seed, ENSEMBLE_STREAM)
     state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
-    now = np.zeros(n_paths)
     out = np.empty((len(times), n_paths), dtype=np.int64)
     if on_round is not None:
-        on_round(np.arange(n_paths), now, state)
+        on_round(np.arange(n_paths), np.zeros(n_paths), state)
+    start = 0.0  # every clock stands here between recording times
     for row, t_rec in enumerate(times):
-        idx = np.flatnonzero(now < t_rec)
-        while idx.size:
-            t_new = now[idx] + rng.exponential(1.0, size=idx.size) / q[state[idx]]
-            jumps = t_new < t_rec
-            now[idx] = np.where(jumps, t_new, t_rec)
-            idx = idx[jumps]
-            s = state[idx]
-            v = rng.random(idx.size) * total[s]
-            # searchsorted(side="left") row by row; the count stays below the
-            # degree because v <= total
-            state[idx] = neighbors[s, np.count_nonzero(cumulative[s] < v[:, None], axis=1)]
-            if on_round is not None:
-                on_round(idx, now, state)
+        if t_rec > start:
+            paths, clock, cur = np.arange(n_paths), np.full(n_paths, start), state.copy()
+            start = t_rec
+            while paths.size:
+                clock += rng.standard_exponential(paths.size) / q[cur]
+                jumps = clock < t_rec
+                if not jumps.all():
+                    ended = ~jumps
+                    state[paths[ended]] = cur[ended]
+                    paths, clock, cur = paths[jumps], clock[jumps], cur[jumps]
+                v = rng.random(paths.size) * total[cur]
+                # searchsorted(side="left") in the state's row, as a count
+                counts = np.zeros(paths.size, dtype=count_type)
+                for column in cumulative:
+                    counts += column[cur] < v
+                cur = neighbors[cur, counts]
+                if on_round is not None:
+                    on_round(paths, clock, cur)
         out[row] = state
     return out
 
@@ -324,7 +343,7 @@ def sample_paths(
     log = []
 
     def record(paths, clocks, states):
-        log.append((paths.astype(np.int32), clocks[paths], states[paths].astype(np.int32)))
+        log.append((paths.astype(np.int32), clocks.copy(), states.astype(np.int32)))
 
     states = _jump_chains(gen, initial, times, n_paths, seed, record)
     counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)

@@ -95,14 +95,6 @@ class ConductanceNetwork:
         ).tocsr()
         return cls(vertices, mat)
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        coo = sparse.triu(self.c, k=1).tocoo()
-        triples = [
-            (int(self.vertices[i]), int(self.vertices[j]), float(v))
-            for i, j, v in zip(coo.row, coo.col, coo.data)
-        ]
-        return sorted(triples)
-
     def laplacian(self, dense: bool | None = None):
         deg = np.asarray(self.c.sum(axis=1)).ravel()
         lap = sparse.diags(deg) - self.c

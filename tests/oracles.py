@@ -1,13 +1,16 @@
-"""Reference implementations the tests compare the library against, and a
-drift that exercises them.
+"""Reference implementations the tests compare the library against, a
+drift that exercises them, and an edge walker.
 
 Each oracle evaluates a quantity straight from its definition, pair by pair
-or solve by solve, where the library uses a vectorized or factored route.
+or solve by solve, or by an earlier, plainer route, where the library uses
+a vectorized, factored or compacted one.
 """
 
 import numpy as np
+from scipy import sparse
 
 from driftform import tower as tw
+from driftform.markov import ENSEMBLE_STREAM, jump_parameters
 from driftform.resistance import energy, harmonic_extension
 
 # Two drift terms, one with a varying coefficient field; the L4 generator
@@ -55,3 +58,52 @@ def effective_resistance(net, x: int, y: int) -> float:
         return 0.0
     f = harmonic_extension(net, {int(x): 1.0, int(y): 0.0})
     return 1.0 / energy(net, f)
+
+
+def edge_list(net) -> list[tuple[int, int, float]]:
+    """The undirected edges ``(x, y, c_xy)`` with ``x < y``, sorted, in
+    vertex ids."""
+    coo = sparse.triu(net.c, k=1).tocoo()
+    triples = [
+        (int(net.vertices[i]), int(net.vertices[j]), float(v))
+        for i, j, v in zip(coo.row, coo.col, coo.data)
+    ]
+    return sorted(triples)
+
+
+def padded_row_chains(gen, initial, times, n_paths: int, seed: int) -> np.ndarray:
+    """The fixed-time jump-chain sampler with per-round gathers and scatters
+    over the full path arrays, and a neighbour lookup that compares a whole
+    padded row of cumulative probabilities per jump.  Same Philox stream
+    and draw order as ``markov._jump_chains``."""
+    q, pi = jump_parameters(gen)
+    pi.sort_indices()
+    degree = np.diff(pi.indptr)
+    rows = np.repeat(np.arange(gen.n), degree)
+    cols = np.arange(pi.nnz) - pi.indptr[rows]
+    shape = (gen.n, int(degree.max()))
+    neighbors = np.zeros(shape, dtype=np.int64)
+    neighbors[rows, cols] = pi.indices
+    probabilities = np.zeros(shape)
+    probabilities[rows, cols] = pi.data
+    cumulative = np.cumsum(probabilities, axis=1)
+    total = cumulative[np.arange(gen.n), degree - 1]
+    cumulative[np.arange(shape[1]) >= degree[:, None]] = np.inf
+    times = np.sort(np.asarray(times, dtype=float))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([np.uint64(seed), np.uint64(ENSEMBLE_STREAM)], dtype=np.uint64)))
+    state = rng.choice(gen.n, size=n_paths, p=initial).astype(np.int64)
+    now = np.zeros(n_paths)
+    out = np.empty((len(times), n_paths), dtype=np.int64)
+    for row, t_rec in enumerate(times):
+        idx = np.flatnonzero(now < t_rec)
+        while idx.size:
+            t_new = now[idx] + rng.exponential(1.0, size=idx.size) / q[state[idx]]
+            jumps = t_new < t_rec
+            now[idx] = np.where(jumps, t_new, t_rec)
+            idx = idx[jumps]
+            s = state[idx]
+            v = rng.random(idx.size) * total[s]
+            state[idx] = neighbors[s, np.count_nonzero(cumulative[s] < v[:, None], axis=1)]
+        out[row] = state
+    return out

@@ -31,6 +31,7 @@ from oracles import (
     TWO_TERM_DRIFT,
     condition_I_loop,
     discrete_mutual_energy,
+    edge_list,
     effective_resistance,
     eta,
 )
@@ -117,7 +118,7 @@ class TestEta:
         spec = drift_on(sg_tower, admissible_cfg, 2)
         net = sg_tower.network(2)
         values = edge_eta(net, spec)
-        x, y, _ = net.edge_list()[0]
+        x, y, _ = edge_list(net)[0]
         assert values[(x, y)] != values[(y, x)]
 
     @pytest.mark.parametrize("level", [1, 2, 3])
@@ -125,7 +126,7 @@ class TestEta:
         spec = drift_on(sg_tower, TWO_TERM_DRIFT, level)
         net = sg_tower.network(level)
         values = edge_eta(net, spec)
-        assert len(values) == 2 * len(net.edge_list())
+        assert len(values) == 2 * len(edge_list(net))
         for (x, y), v in values.items():
             assert v == pytest.approx(eta(net, spec, x, y), rel=1e-12, abs=1e-15)
 
@@ -143,7 +144,7 @@ class TestEta:
             return oracle[(round(coords[v, 0], 10), round(coords[v, 1], 10))]
 
         values = edge_eta(net, spec)
-        for x, y, _ in net.edge_list():
+        for x, y, _ in edge_list(net):
             for a, b in ((x, y), (y, x)):
                 expected = 0.5 * eps * (hval(a) - hval(b))
                 assert values[(a, b)] == pytest.approx(expected, abs=1e-12)
@@ -243,7 +244,7 @@ class TestMutualEnergy:
         net = sg_tower.network(3)
         squares = sum(
             c * (2.0 * eta(net, spec, x, y)) ** 2 + c * (2.0 * eta(net, spec, y, x)) ** 2
-            for x, y, c in net.edge_list()
+            for x, y, c in edge_list(net)
         )
         assert condition_I_loop(net, spec) == pytest.approx(squares, rel=1e-12)
 
@@ -419,7 +420,7 @@ class TestSDAxioms:
         level = 2
         spec = drift_on(sg_tower, admissible_cfg, level)
         net = sg_tower.network(level)
-        for x, y, _ in net.edge_list():
+        for x, y, _ in edge_list(net):
             for a, b in ((x, y), (y, x)):
                 lhs = abs(2.0 * eta(net, spec, a, b))
                 frozen = spec.b[:, net.index[a]] @ spec.h

@@ -1,10 +1,14 @@
 """Generators, jump parameters, rate validation and path sampling."""
 
 import json
+import signal
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftform import pcf
 from driftform import tower as tw
 from driftform.markov import (
     ENSEMBLE_STREAM,
@@ -20,7 +24,10 @@ from driftform.markov import (
     validate_rates,
     write_trajectories_jsonl,
 )
-from oracles import eta
+from oracles import edge_list, eta, padded_row_chains
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 
 
 def read_trajectories_jsonl(path) -> list[Trajectory]:
@@ -70,7 +77,7 @@ class TestGenerator:
         gen0 = sg_tower.generator(level, None)
         net = sg_tower.network(level)
         L, L0 = gen.L.toarray(), gen0.L.toarray()
-        for x, y, _ in net.edge_list():
+        for x, y, _ in edge_list(net):
             assert L[x, y] == pytest.approx(
                 L0[x, y] * (1.0 + eta(net, spec, x, y)), rel=1e-12
             )
@@ -146,6 +153,21 @@ class TestValidateRates:
         # jumps from the midpoints up into the h = 1 corner are suppressed
         # hardest: eta(3, 0) = 5 * (0.4 - 1.0) = -3
         assert {(3, 0), (4, 0)} <= {(x, y) for x, y, _ in report.violations}
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _one_path(gen, initial, horizon, seed):
@@ -248,6 +270,31 @@ class TestEngine:
         expected = _per_state_loop(gen, init, times, 3000, 17)
         assert np.array_equal(ensemble_states(gen, init, times, 3000, 17), expected)
 
+    def test_ensemble_matches_padded_row_engine_at_level_4(self, sg_tower, admissible_cfg):
+        # the converge case: 20000 paths from vertex 1 to t = 0.1
+        gen = sg_tower.generator(4, admissible_cfg)
+        init = point_mass(gen.n, 1)
+        expected = padded_row_chains(gen, init, [0.1], 20000, 1)
+        assert np.array_equal(ensemble_states(gen, init, [0.1], 20000, 1), expected)
+
+    @pytest.mark.parametrize("config", ["interval.json", "sg_combinatorial.json"])
+    def test_ensemble_matches_padded_row_engine_on_shipped_structures(self, config):
+        # the interval mixes degrees 1 and 2 (padded rows) and has degree 1
+        # only at level 0; a spread initial law and unsorted times
+        tower = tw.LevelTower(pcf.load_structure(CONFIGS / config))
+        boundary = tower.vertex_count(0)
+        indicator = tuple(1.0 if k == 0 else 0.0 for k in range(boundary))
+        drift = tw.DriftConfig((("constant", 0.2),), ((0, indicator),))
+        times = [0.3, 0.0, 0.05, 0.3, 0.1]
+        for level in (0, 1, 2, 3):
+            for cfg in (None, drift):
+                gen = tower.generator(level, cfg)
+                init = np.arange(1.0, gen.n + 1.0)
+                init /= init.sum()
+                expected = padded_row_chains(gen, init, times, 1000, 5)
+                got = ensemble_states(gen, init, times, 1000, 5)
+                assert np.array_equal(got, expected), (config, level, cfg)
+
     def test_zero_paths(self, gen_drift_l2):
         init = point_mass(gen_drift_l2.n, 1)
         states = ensemble_states(gen_drift_l2, init, [0.1, 0.2], 0, 3)
@@ -278,7 +325,7 @@ class TestEngine:
         log = []
         _jump_chains(gen_drift_l2, init, times, 200, 9,
                      lambda paths, clocks, states: log.append(
-                         (paths.copy(), clocks[paths], states[paths])))
+                         (paths.copy(), clocks.copy(), states.copy())))
         jump_times, jump_states = [[] for _ in range(200)], [[] for _ in range(200)]
         for paths, t, s in log:
             for k, tk, sk in zip(paths, t, s):
@@ -308,6 +355,25 @@ class TestEngine:
     def test_negative_time_rejected(self, gen_drift_l2):
         with pytest.raises(ValueError):
             ensemble_states(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [-0.1], 5, 0)
+
+    def test_nan_time_rejected(self, gen_drift_l2):
+        init = point_mass(gen_drift_l2.n, 1)
+        with pytest.raises(ValueError, match="finite"):
+            ensemble_states(gen_drift_l2, init, [0.1, float("nan")], 5, 0)
+        with pytest.raises(ValueError, match="finite"):
+            sample_paths(gen_drift_l2, init, [float("nan")], 5, 0)
+
+    def test_infinite_time_rejected(self, gen_drift_l2):
+        # refused before the first round: no round reaches an infinite
+        # horizon, so the alarm turns a hang into a failure
+        init = point_mass(gen_drift_l2.n, 1)
+        with deadline(10):
+            with pytest.raises(ValueError, match="finite"):
+                ensemble_states(gen_drift_l2, init, [float("inf")], 5, 0)
+            with pytest.raises(ValueError, match="finite"):
+                sample_paths(gen_drift_l2, init, [0.1, float("inf")], 5, 0)
+            with pytest.raises(ValueError, match="finite"):
+                ensemble_states(gen_drift_l2, init, [-float("inf")], 5, 0)
 
 
 class TestEmpiricalLaw:
