@@ -173,11 +173,13 @@ def path_law_convergence(
     against the exact reference-level value.
 
     Test functions are given on the reference level; the chains start at a
-    common coarse vertex present in every level.  Every Monte-Carlo mean is
-    cross-checked against the same level's exact semigroup value, and the
-    reported error is the gap to the exact reference value, maximized over
-    test functions.  ``details["methods"]`` names the semigroup method of
-    each level's exact values (``uniformization`` if any of them fell back).
+    common coarse vertex present in every level.  Each level's law at time
+    ``t``, ``p_t = exp(t L^T) delta_x0``, comes from one transpose series,
+    and every exact value is ``p_t . f``.  Every Monte-Carlo mean is
+    cross-checked against the same level's exact value, and the reported
+    error is the gap to the exact reference value, maximized over test
+    functions.  ``details["methods"]`` names the semigroup method of each
+    level's law.
     """
     fs = [np.asarray(f, dtype=float) for f in test_functions]
     if not fs:
@@ -187,25 +189,27 @@ def path_law_convergence(
 
     methods = {}
 
-    def exact_mean(gen: markov_mod.GeneratorMatrix, n: int, f: np.ndarray) -> float:
-        solve = spectral_mod.semigroup_solve(gen, t, f[: gen.n])
+    def law(gen: markov_mod.GeneratorMatrix, n: int) -> np.ndarray:
+        start = markov_mod.point_mass(gen.n, initial_vertex)
+        solve = spectral_mod.semigroup_solve(gen, t, start, transpose=True)
         _record_method(methods, n, solve.method)
-        return float(solve.output[initial_vertex])
+        return solve.output
 
-    ref_gen = tower.generator(reference, drift_cfg)
-    ref_means = [exact_mean(ref_gen, reference, f) for f in fs]
+    ref_law = law(tower.generator(reference, drift_cfg), reference)
+    ref_means = [float(ref_law @ f[: len(ref_law)]) for f in fs]
 
     errors, mc_table = [], {}
     for n in levels:
         gen = tower.generator(n, drift_cfg)
         init = markov_mod.point_mass(gen.n, initial_vertex)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
+        p_t = law(gen, n)
         rows, worst = [], 0.0
         for f, ref_val in zip(fs, ref_means):
             samples = f[: gen.n][states]
             mean = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / np.sqrt(paths))
-            exact = exact_mean(gen, n, f)
+            exact = float(p_t @ f[: gen.n])
             rows.append(
                 {"mc_mean": mean, "mc_se": se, "exact": exact,
                  "mc_vs_exact": abs(mean - exact), "reference_exact": ref_val}

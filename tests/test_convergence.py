@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftform import spectral as spectral_mod
 from driftform.convergence import (
     _record_method,
     ks_norm_check,
@@ -126,6 +127,37 @@ class TestPathLaw:
         for rows in rep.details["mc"].values():
             for row in rows:
                 assert row["mc_vs_exact"] <= 3.0 * row["mc_se"] + 1e-12
+
+    def test_exact_values_equal_semigroup_values(self, sg_tower, admissible_cfg,
+                                                 x_coord, monkeypatch):
+        # one transpose series per level, the reference included, and each
+        # p_t . f equals (exp(tL) f)(x0) from a series per function
+        f2 = np.cos(3.0 * x_coord)
+        calls = []
+        solve = spectral_mod.semigroup_solve
+
+        def counted(gen, t, f, transpose=False):
+            calls.append((gen.level, transpose))
+            return solve(gen, t, f, transpose)
+
+        monkeypatch.setattr(spectral_mod, "semigroup_solve", counted)
+        rep = path_law_convergence(
+            sg_tower, admissible_cfg, 0.1, [x_coord, f2], [1, 2, 3], REF,
+            paths=100, seed=3,
+        )
+        assert sorted(calls) == [(1, True), (2, True), (3, True), (REF, True)]
+        monkeypatch.undo()
+
+        def semigroup_value(level, f):
+            gen = sg_tower.generator(level, admissible_cfg)
+            return float(solve(gen, 0.1, f[: gen.n]).output[1])
+
+        for k, f in enumerate((x_coord, f2)):
+            for lvl, rows in rep.details["mc"].items():
+                assert rows[k]["exact"] == pytest.approx(semigroup_value(lvl, f), abs=1e-13)
+                assert rows[k]["reference_exact"] == pytest.approx(
+                    semigroup_value(REF, f), abs=1e-13)
+        assert rep.details["methods"] == {lvl: "chebyshev" for lvl in (1, 2, 3, REF)}
 
     def test_drift_shifts_expectations(self, sg_tower, admissible_cfg):
         # paired seeds: the drift moves the mean at every level.  The height
