@@ -271,7 +271,7 @@ class TestEngine:
         assert np.array_equal(ensemble_states(gen, init, times, 3000, 17), expected)
 
     def test_ensemble_matches_padded_row_engine_at_level_4(self, sg_tower, admissible_cfg):
-        # the converge case: 20000 paths from vertex 1 to t = 0.1
+        # the largest sample of converge: 20000 paths from vertex 1 to t = 0.1
         gen = sg_tower.generator(4, admissible_cfg)
         init = point_mass(gen.n, 1)
         expected = padded_row_chains(gen, init, [0.1], 20000, 1)
