@@ -189,13 +189,13 @@ def path_law_convergence(
 
     methods = {}
 
-    def law(gen: markov_mod.GeneratorMatrix, n: int) -> np.ndarray:
+    def law(gen: markov_mod.GeneratorMatrix) -> np.ndarray:
         start = markov_mod.point_mass(gen.n, initial_vertex)
         solve = spectral_mod.semigroup_solve(gen, t, start, transpose=True)
-        _record_method(methods, n, solve.method)
+        _record_method(methods, gen.level, solve.method)
         return solve.output
 
-    ref_law = law(tower.generator(reference, drift_cfg), reference)
+    ref_law = law(tower.generator(reference, drift_cfg))
     ref_means = [float(ref_law @ f[: len(ref_law)]) for f in fs]
 
     errors, mc_table = [], {}
@@ -203,7 +203,7 @@ def path_law_convergence(
         gen = tower.generator(n, drift_cfg)
         init = markov_mod.point_mass(gen.n, initial_vertex)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
-        p_t = law(gen, n)
+        p_t = law(gen)
         rows, worst = [], 0.0
         for f, ref_val in zip(fs, ref_means):
             samples = f[: gen.n][states]
