@@ -114,14 +114,17 @@ def _parse_levels(text: str) -> list[int]:
     text = text.strip()
     try:
         if ":" in text:
-            lo, hi = text.split(":")
-            levels = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split(":"))
+            # a descending range keeps its ends so the order check names it
+            levels = list(range(lo, hi + 1)) if lo <= hi else [lo, hi]
         else:
             levels = [int(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise ConfigError(f"bad level range {text!r}: use 'a:b' or 'a,b,c'") from exc
     if not levels or min(levels) < 1:
         raise ConfigError(f"levels must be >= 1, got {text!r}")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"levels must be strictly increasing, got {text!r}")
     return levels
 
 

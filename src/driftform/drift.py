@@ -400,8 +400,8 @@ def select_constants(
     root_diam = math.sqrt(diam_proxy)
     if delta is None:
         delta = 0.1 * root_diam
-    if delta <= 0:
-        raise DriftError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DriftError(f"delta must be positive and finite, got {delta}")
     s_lower = math.sqrt(drift_energy / 2.0) * (root_diam + delta)
     if s_lower >= 1.0:
         raise InadmissibleDriftError(

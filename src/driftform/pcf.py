@@ -166,13 +166,18 @@ class SelfSimilarStructure:
 
 @dataclass(frozen=True)
 class LevelComplex:
-    """All cells, vertices and intra-cell edges of one refinement level."""
+    """All cells, vertices and intra-cell edges of one refinement level.
+
+    ``coarser_counts`` holds the vertex counts ``N_0 < ... < N_{n-1}`` of the
+    coarser levels; level ``k`` keeps the ids ``0 .. N_k - 1``.
+    """
 
     level: int
     vertex_count: int
     cells: tuple[tuple[Word, tuple[int, ...]], ...]
     edges: tuple[tuple[int, int], ...]
     coordinates: np.ndarray | None = None
+    coarser_counts: tuple[int, ...] = ()
 
     @property
     def vertices(self) -> range:
@@ -363,21 +368,27 @@ def build_level(structure: SelfSimilarStructure, n: int) -> LevelComplex:
         coords = [emb.boundary_coords[j] for j in range(structure.boundary_size)]
         cells: Sequence = complex_.cells
         cell_maps: Sequence[AffineMap] = [AffineMap.identity(emb.dim)]
+        counts = []
         for level in range(1, n + 1):
+            counts.append(len(key_to_id))
             cells, cell_maps = _refine_by_coordinates(
                 structure, cells, cell_maps, key_to_id, coords
             )
         return LevelComplex(
             n, len(key_to_id), tuple(cells), _edges_from_cells(cells),
-            np.array(coords),
+            np.array(coords), tuple(counts),
         )
 
     pattern = _level_one_pattern(structure)
     cells = complex_.cells
     count = complex_.vertex_count
+    counts = []
     for level in range(1, n + 1):
+        counts.append(count)
         cells, count = _refine_combinatorially(structure, pattern, cells, count)
-    return LevelComplex(n, count, tuple(cells), _edges_from_cells(cells), None)
+    return LevelComplex(
+        n, count, tuple(cells), _edges_from_cells(cells), None, tuple(counts)
+    )
 
 
 def measure_weights(

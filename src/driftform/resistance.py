@@ -8,9 +8,13 @@ of the self-similar energies on refinement levels of a structure.
 
 Solves factor the interior block directly; dense linear algebra is used for
 networks below ``DENSE_CUTOFF`` vertices and sparse LU above.  All-pairs
-resistances (the matrix and the diameter) come from one sparse LU of the
-Laplacian grounded at vertex 0, solved against identity columns in blocks
-of ``BLOCK_COLUMNS``, so the diameter needs O(n * block) memory.
+resistances (the matrix and the diameter) come from one engine: the Green
+function grounded at vertex 0, built by block elimination over nested
+vertex sets ``[0, N_0) ⊂ ... ⊂ [0, N_{n-1}) ⊂ [0, n)``, as a p.c.f. level
+and its coarser levels provide them.  The new vertices of one level are
+eliminated cell by cell (small dense inverses), the Green function is held
+dense on the next-to-finest set and streamed in blocks of ``BLOCK_COLUMNS``
+rows at the finest one.  Without nested sets it is one dense inverse.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .pcf import LevelComplex
 
 DENSE_CUTOFF = 500
 SCHUR_CLAMP = 1e-14
-BLOCK_COLUMNS = 64  # right-hand sides per grounded solve in _resistance_blocks
+BLOCK_COLUMNS = 64  # rows per streamed block in _resistance_rows
 
 
 class NetworkError(ValueError):
@@ -235,51 +239,152 @@ def harmonic_extension(net: ConductanceNetwork, boundary_values: Mapping[int, fl
     return values
 
 
-def _resistance_blocks(net: ConductanceNetwork):
-    """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` columns.
+def _block_inverse(a) -> sparse.csr_matrix:
+    """Inverse of a sparse matrix whose connected components are small: one
+    batched dense inverse per component size."""
+    m = a.shape[0]
+    ncomp, labels = csgraph.connected_components(a, directed=False)
+    sizes = np.bincount(labels, minlength=ncomp)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty(m, dtype=np.intp)  # place of each vertex in its component
+    pos[order] = np.arange(m) - np.repeat(starts, sizes)
+    coo = a.tocoo()
+    coo.sum_duplicates()
+    rows, cols, vals = [], [], []
+    for size in np.unique(sizes):
+        comps = np.flatnonzero(sizes == size)
+        slot = np.full(ncomp, -1)
+        slot[comps] = np.arange(len(comps))
+        members = order[starts[comps][:, None] + np.arange(size)]
+        blocks = np.zeros((len(comps), size, size))
+        mine = slot[labels[coo.row]] >= 0
+        r, c = coo.row[mine], coo.col[mine]
+        blocks[slot[labels[r]], pos[r], pos[c]] = coo.data[mine]
+        inv = np.linalg.inv(blocks)
+        rows.append(np.broadcast_to(members[:, :, None], inv.shape).ravel())
+        cols.append(np.broadcast_to(members[:, None, :], inv.shape).ravel())
+        vals.append(inv.ravel())
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m),
+    )
 
-    Vertex 0 is grounded and the grounded Laplacian ``L[1:, 1:]`` (SPD for a
-    connected network) is factored once; solving it against identity columns
-    gives ``G``, the Green function killed at vertex 0, with ``G[0, :] = 0``.
-    Then ``R(x, j) = G_xx + G_jj - 2 G_xj``.  Each yielded ``(lo, hi, r)``
-    holds ``r[x, j - lo] = R(x, j)`` for every vertex ``x < hi`` and column
-    ``lo <= j < hi``; by symmetry the blocks together cover every pair.
+
+def _resistance_rows(net: ConductanceNetwork, counts: Sequence[int] = ()):
+    """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` rows.
+
+    ``G`` is the Green function killed at vertex 0 (``G[0, :] = 0``) and
+    ``R(x, y) = G_xx + G_yy - 2 G_xy``.  ``counts`` are nested vertex counts
+    ``N_0 < ... < N_{n-1}`` (vertex sets ``[0, N_k)``); the vertices
+    ``I = [N_{k-1}, N_k)`` are eliminated from the Laplacian level by level,
+    fine to coarse: ``H_k = -L_II^-1 L_IS`` and ``L_SS + L_SI H_k`` is the
+    trace onto ``[0, N_{k-1})``, whose diagonal is reset to minus its
+    off-diagonal row sums.  ``G`` is rebuilt coarse to fine as
+    ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]``, held dense up to ``N_{n-1}``
+    and streamed at the finest level.  This is block Gaussian elimination,
+    exact for any counts; it is fast when ``L_II`` splits into small blocks
+    (new vertices of different cells of a p.c.f. level share no edge).
+    Without counts ``G`` is one dense inverse.
+
+    Each yielded ``(lo, hi, r)`` holds ``r[x - lo, y - lo] = R(x, y)`` for
+    ``lo <= x < hi`` and ``lo <= y < n``; by symmetry the blocks cover every
+    pair.  ``r`` is a view of a buffer that the next block overwrites.
     """
     if not net.is_connected():
         raise NetworkError("network is disconnected")
     n = net.n
     if n < 2:
         return
-    lu = splu(net.laplacian(dense=False)[1:, 1:].tocsc())
+    bounds = [int(c) for c in counts] + [n]
+    if bounds[0] < 1 or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise NetworkError(
+            f"level counts {list(counts)} must increase strictly from 1 or more "
+            f"to below {n}"
+        )
+    lap = net.laplacian(dense=False)
+    steps = []  # (L_II^-1, H_k) for k = n .. 1
+    for lo in reversed(bounds[:-1]):
+        inv = _block_inverse(lap[lo:, lo:])
+        h = -(inv @ lap[lo:, :lo]).tocsr()
+        steps.append((inv, h))
+        lap = (lap[:lo, :lo] + lap[:lo, lo:] @ h).tocsr()
+        # the trace of a Laplacian is a Laplacian: rebuild its diagonal from
+        # the off-diagonal row sums, so no cancellation enters the diagonal
+        lap.setdiag(0.0)
+        lap = (lap - sparse.diags(np.asarray(lap.sum(axis=1)).ravel())).tocsr()
+    steps.reverse()
+
     width = BLOCK_COLUMNS
-    d = np.zeros(n)  # diag(G), filled block by block; d[0] = 0 at the ground
-    for lo in range(1, n, width):
-        hi = min(lo + width, n)
-        cols = np.arange(hi - lo)
-        rhs = np.zeros((n - 1, hi - lo))
-        rhs[lo - 1 + cols, cols] = 1.0
-        g = lu.solve(rhs)[: hi - 1]  # G[x, lo:hi] for vertices 1 <= x < hi
-        d[lo:hi] = g[lo - 1 + cols, cols]
-        r = d[:hi, None] + d[None, lo:hi]
-        r[1:] -= 2.0 * g
+    m = bounds[-2] if counts else n
+    g = np.zeros((m, m))
+    g[1:bounds[0], 1:bounds[0]] = np.linalg.inv(lap[1:, 1:].toarray())
+    for (inv, h), lo, hi in zip(steps[:-1], bounds, bounds[1:]):
+        coarse = np.ascontiguousarray(g[:lo, :lo])
+        for a in range(lo, hi, width):  # rows a:b of [H G, H G H^T]
+            b = min(a + width, hi)
+            hg = h[a - lo:b - lo] @ coarse
+            g[a:b, :lo] = hg
+            g[:lo, a:b] = hg.T
+            g[a:b, lo:hi] = (h @ hg.T).T
+        del coarse
+        block = inv.tocoo()
+        g[lo + block.row, lo + block.col] += block.data
+
+    if steps:
+        inv, h = steps[-1]
+    else:  # nothing to stream from: every row is a row of the dense G
+        inv, h = sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, n))
+    d = np.empty(n)  # diag(G); d[0] = 0 at the ground
+    d[:m] = np.diag(g)
+    d[m:] = inv.diagonal()
+    for lo in range(m, n, width):
+        hb = h[lo - m:lo - m + width]
+        d[lo:lo + width] += np.asarray(hb.multiply(hb @ g).sum(axis=1)).ravel()
+    buf = np.empty((width, n))
+    for lo, hi in _row_blocks(m, n, width):
+        r = buf[:hi - lo, lo:]
+        if hi <= m:  # rows of V_{n-1}: [G, G H^T]
+            r[:, :m - lo] = g[lo:hi, lo:]
+            r[:, m - lo:] = (h @ g[lo:hi].T).T
+        else:  # new rows: L_II^-1 + H G H^T, right of the diagonal
+            hg = h[lo - m:hi - m] @ g
+            r[:] = (h[lo - m:] @ hg.T).T
+            rows = inv[lo - m:hi - m, lo - m:].tocoo()
+            r[rows.row, rows.col] += rows.data
+        r *= -2.0
+        r += d[lo:]
+        r += d[lo:hi, None]
         yield lo, hi, r
 
 
-def resistance_matrix(net: ConductanceNetwork) -> np.ndarray:
-    """All-pairs effective resistances (symmetric, zero diagonal)."""
+def _row_blocks(m: int, n: int, width: int):
+    """``(lo, hi)`` blocks of at most ``width`` rows over ``[0, m)`` and then
+    ``[m, n)``, so that no block straddles ``m``."""
+    for start, stop in ((0, m), (m, n)):
+        for lo in range(start, stop, width):
+            yield lo, min(lo + width, stop)
+
+
+def resistance_matrix(net: ConductanceNetwork, counts: Sequence[int] = ()) -> np.ndarray:
+    """All-pairs effective resistances (symmetric, zero diagonal); ``counts``
+    as in :func:`resistance_diameter`."""
     r = np.zeros((net.n, net.n))
-    for lo, hi, block in _resistance_blocks(net):
-        r[:lo, lo:hi] = block[:lo]
-        r[lo:hi, :lo] = block[:lo].T
-        upper = np.triu(block[lo:hi], 1)
-        r[lo:hi, lo:hi] = upper + upper.T
-    return r
+    for lo, hi, block in _resistance_rows(net, counts):
+        r[lo:hi, lo:] = block
+    r = np.triu(r, 1)
+    return r + r.T
 
 
-def resistance_diameter(net: ConductanceNetwork) -> float:
-    """Largest effective resistance over all vertex pairs, in O(n * block)
-    memory."""
-    return max((float(block.max()) for *_, block in _resistance_blocks(net)),
+def resistance_diameter(net: ConductanceNetwork, counts: Sequence[int] = ()) -> float:
+    """Largest effective resistance over all vertex pairs.
+
+    ``counts`` are the vertex counts ``N_0 < ... < N_{n-1}`` of nested
+    coarser vertex sets ``[0, N_k)`` (the coarser levels of a p.c.f. level);
+    they set the elimination order, not the result.  Memory is one dense
+    Green function on ``[0, N_{n-1})`` plus ``BLOCK_COLUMNS`` rows.
+    """
+    return max((float(block.max()) for *_, block in _resistance_rows(net, counts)),
                default=0.0)
 
 

@@ -95,7 +95,9 @@ class LevelTower:
 
     def diameter(self, n: int) -> float:
         if n not in self._diameters:
-            self._diameters[n] = resistance_diameter(self.network(n))
+            self._diameters[n] = resistance_diameter(
+                self.network(n), self.complex(n).coarser_counts
+            )
         return self._diameters[n]
 
     def vertex_count(self, n: int) -> int:

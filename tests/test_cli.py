@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from driftform.cli import main
+from driftform.cli import _parse_levels, main
 from driftform.tower import DriftConfig
 
 
@@ -159,6 +159,43 @@ class TestExitCodes:
         assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize("mode_args", [
+        ["check", "--level", "2"],
+        ["converge", "--levels", "1", "--reference-level", "2", "--paths", "100"],
+    ], ids=["check", "converge"])
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.5", "0"])
+    def test_bad_delta_exits_2(self, tmp_path, capsys, mode_args, delta):
+        assert run(mode_args + ["--delta", delta, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "delta must be positive and finite" in err[0], err
+        assert not (tmp_path / "check_report.json").exists()
+        assert not (tmp_path / "converge_report.json").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_bad_delta_in_config_file_exits_2(self, tmp_path, capsys, delta):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"delta": delta}))
+        assert run(["check", "--level", "2", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "delta must be positive and finite" in err[0], err
+
+    @pytest.mark.parametrize("levels", ["2,1,1", "2,1", "1,1", "1,3,2", "2:1"])
+    def test_levels_not_strictly_increasing_exit_2(self, tmp_path, capsys, levels):
+        assert run(["converge", "--levels", levels, "--reference-level", "3",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0] == (
+            f"config error: levels must be strictly increasing, got {levels!r}"
+        ), err
+
+    def test_level_range_and_list_parse(self):
+        assert _parse_levels("1:3") == [1, 2, 3]
+        assert _parse_levels("2:2") == [2]
+        assert _parse_levels("1,3,5") == [1, 3, 5]
 
     @pytest.mark.parametrize("content, names", [
         ("0 0.5\n1 abc\n2 0.25\n", "line 2"),

@@ -342,6 +342,11 @@ class TestSelectConstants:
             select_constants(50.0, 1.0)
         assert exc.value.s_lower == pytest.approx(5.0 * 1.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(DriftError, match="positive and finite"):
+            select_constants(0.0, 2.0 / 3.0, delta=delta)
+
     def test_interval_invariant(self):
         c = select_constants(0.3, 0.8)
         assert c.s_lower < c.s < 1.0

@@ -1,10 +1,12 @@
 """Energy calculus on finite networks: traces, extensions, resistances."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from driftform import pcf, resistance
 from driftform.resistance import (
@@ -310,6 +312,12 @@ def random_weighted_network(seed: int, n: int) -> ConductanceNetwork:
     )
 
 
+def tower_counts(tower, n: int) -> tuple[int, ...]:
+    """Vertex counts of the levels below ``n``: the elimination order the
+    tower hands to the engine."""
+    return tower.complex(n).coarser_counts
+
+
 class TestDiameter:
     def test_unit_triangle(self, unit_triangle):
         assert resistance_diameter(unit_triangle) == pytest.approx(2.0 / 3.0)
@@ -325,42 +333,84 @@ class TestDiameter:
         assert resistance_matrix(net).tolist() == [[0.0]]
 
     def test_sg_nondecreasing_in_level(self, sg_tower):
-        diams = [resistance_diameter(sg_tower.network(n)) for n in range(5)]
+        diams = [sg_tower.diameter(n) for n in range(5)]
         assert all(b >= a - 1e-12 for a, b in zip(diams, diams[1:]))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sg_diameter_is_two_thirds(self, sg_tower, n):
-        assert abs(resistance_diameter(sg_tower.network(n)) - 2.0 / 3.0) < 1e-11
+        assert abs(sg_tower.diameter(n) - 2.0 / 3.0) < 1e-11
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sg_diameter_is_two_thirds_to_rounding(self, sg_tower, n):
+        # each trace keeps zero row sums, so the eliminations add no drift
+        # (a plain Schur complement leaves about 1e-13 at L5-L7)
+        assert abs(sg_tower.diameter(n) - 2.0 / 3.0) < 1e-14
+
+    def test_tower_passes_the_coarser_counts(self, sg_tower):
+        assert tower_counts(sg_tower, 0) == ()
+        assert tower_counts(sg_tower, 4) == (3, 6, 15, 42)
+        assert [sg_tower.vertex_count(k) for k in range(4)] == [3, 6, 15, 42]
 
     def test_disconnected_rejected(self):
         net = ConductanceNetwork.from_edges(
             [(0, 1, 1.0), (2, 3, 1.0)], vertices=range(4)
         )
-        with pytest.raises(NetworkError, match="disconnected"):
-            resistance_diameter(net)
-        with pytest.raises(NetworkError, match="disconnected"):
-            resistance_matrix(net)
+        for counts in ((), (2,), (1, 3)):
+            with pytest.raises(NetworkError, match="disconnected"):
+                resistance_diameter(net, counts)
+            with pytest.raises(NetworkError, match="disconnected"):
+                resistance_matrix(net, counts)
+
+    @pytest.mark.parametrize("counts", [(0,), (3, 3), (5, 4), (30,), (12, 200)])
+    def test_bad_counts_rejected(self, counts):
+        net = random_weighted_network(4, 30)
+        with pytest.raises(NetworkError, match="increase strictly"):
+            resistance_diameter(net, counts)
 
 
 class TestResistanceMatrix:
-    """The blocked grounded factorization against the dense pinv oracle."""
+    """The level-by-level elimination against the dense pinv oracle."""
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_sg_matches_pinv(self, sg_tower, n):
         net = sg_tower.network(n)
-        np.testing.assert_allclose(
-            resistance_matrix(net), pinv_resistances(net), rtol=0, atol=1e-10
-        )
+        oracle = pinv_resistances(net)
+        for counts in ((), tower_counts(sg_tower, n)):
+            r = resistance_matrix(net, counts)
+            np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
+            assert resistance_diameter(net, counts) == pytest.approx(
+                r.max(), rel=1e-14
+            )
 
     def test_interval_matches_pinv(self, interval_config):
         from driftform.tower import LevelTower
 
-        # 65 vertices: 64 grounded columns fill exactly one block
-        net = LevelTower(pcf.load_structure(interval_config)).network(6)
+        # 65 vertices: without counts, one full block of 64 rows and one row
+        tower = LevelTower(pcf.load_structure(interval_config))
+        net = tower.network(6)
         assert net.n == resistance.BLOCK_COLUMNS + 1
-        np.testing.assert_allclose(
-            resistance_matrix(net), pinv_resistances(net), rtol=0, atol=1e-10
-        )
+        oracle = pinv_resistances(net)
+        for counts in ((), tower_counts(tower, 6)):
+            np.testing.assert_allclose(
+                resistance_matrix(net, counts), oracle, rtol=0, atol=1e-10
+            )
+            assert resistance_diameter(net, counts) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_combinatorial_sg_matches_pinv(self, n):
+        from driftform.tower import LevelTower
+
+        path = Path(__file__).resolve().parents[1] / "docs" / "configs" / "sg_combinatorial.json"
+        tower = LevelTower(pcf.load_structure(str(path)))
+        net = tower.network(n)
+        oracle = pinv_resistances(net)
+        for counts in ((), tower_counts(tower, n)):
+            r = resistance_matrix(net, counts)
+            np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
+            assert resistance_diameter(net, counts) == pytest.approx(
+                r.max(), rel=1e-14
+            )
+        assert abs(tower.diameter(n) - oracle.max()) < 1e-11
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_weighted_graph_matches_pinv(self, seed):
@@ -369,20 +419,41 @@ class TestResistanceMatrix:
             resistance_matrix(net), pinv_resistances(net), rtol=0, atol=1e-10
         )
 
+    @pytest.mark.parametrize("counts", [(1,), (40,), (10, 70, 120), (2, 3, 149)])
+    def test_arbitrary_prefix_split_is_exact(self, counts):
+        # a random graph has no cell structure: the eliminated blocks are
+        # large, not 3x3, and the elimination must still be exact
+        net = random_weighted_network(5, 150)
+        bounds = (*counts, net.n)
+        lap = net.laplacian(dense=False)
+        largest = max(
+            np.bincount(csgraph.connected_components(lap[lo:hi, lo:hi])[1]).max()
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+        assert largest > 3
+        oracle = pinv_resistances(net)
+        r = resistance_matrix(net, counts)
+        np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
+        assert resistance_diameter(net, counts) == pytest.approx(r.max(), rel=1e-14)
+
     @pytest.mark.parametrize("width", [1, 7, 64, 1000])
     def test_block_width_does_not_matter(self, sg_tower, monkeypatch, width):
-        # SG L4 has 123 vertices: 122 grounded columns are a ragged last
-        # block for widths 7 and 64, one block for 1000, all singles for 1
+        # SG L4 has 123 vertices, 42 of them on level 3: ragged last blocks
+        # for widths 7 and 64, one block per level for 1000, all singles for 1
         net = sg_tower.network(4)
         monkeypatch.setattr(resistance, "BLOCK_COLUMNS", width)
-        r = resistance_matrix(net)
-        np.testing.assert_allclose(r, pinv_resistances(net), rtol=0, atol=1e-10)
-        assert resistance_diameter(net) == pytest.approx(r.max(), rel=1e-14)
+        oracle = pinv_resistances(net)
+        for counts in ((), tower_counts(sg_tower, 4)):
+            r = resistance_matrix(net, counts)
+            np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
+            assert resistance_diameter(net, counts) == pytest.approx(r.max(), rel=1e-14)
 
     def test_exactly_symmetric_with_zero_diagonal(self):
-        r = resistance_matrix(random_weighted_network(2, 90))
-        assert np.array_equal(r, r.T)
-        assert np.all(np.diag(r) == 0.0)
+        net = random_weighted_network(2, 90)
+        for counts in ((), (30, 60)):
+            r = resistance_matrix(net, counts)
+            assert np.array_equal(r, r.T)
+            assert np.all(np.diag(r) == 0.0)
 
     def test_diameter_is_matrix_max(self):
         net = random_weighted_network(3, 200)
