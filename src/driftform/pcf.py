@@ -8,10 +8,11 @@ complex applies the gluing pattern inside each cell; vertex ids are stable
 under refinement and deterministic across runs (new ids are handed out in
 order of the lexicographically smallest ``(word, boundary slot)`` address).
 
-Structures with a planar/affine embedding resolve identifications by
-coordinate equality (tolerance ``COORD_TOL``); purely combinatorial
-structures use the gluing pattern directly.  Both routes produce identical
-complexes for consistent data.
+Every structure refines through the gluing pattern.  An optional affine
+embedding only places the vertices: a new vertex sits at the composed-map
+image of its smallest address.  The embedding must agree with the gluing
+data at level 1 (images coincide, to ``COORD_TOL``, exactly where the gluing
+identifies them) and must keep distinct vertices apart at every level.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -130,10 +132,24 @@ class SelfSimilarStructure:
 
     def _validate_embedding(self) -> None:
         emb = self.embedding
-        if emb.boundary_coords.shape[0] != self.boundary_size:
-            raise StructureError("embedding must give one coordinate per boundary point")
+        coords = emb.boundary_coords
+        if coords.ndim != 2 or coords.shape[0] != self.boundary_size or coords.shape[1] < 1:
+            raise StructureError(
+                f"embedding boundary_coords must have shape ({self.boundary_size}, dim), "
+                f"got {coords.shape}"
+            )
         if len(emb.maps) != self.symbol_count:
             raise StructureError("embedding must give one affine map per symbol")
+        d = emb.dim
+        for i, amap in enumerate(emb.maps):
+            if amap.matrix.shape != (d, d) or amap.offset.shape != (d,):
+                raise StructureError(
+                    f"embedding map {i} must have a {d}x{d} matrix and a length-{d} "
+                    f"offset, got {amap.matrix.shape} and {amap.offset.shape}"
+                )
+        arrays = [coords] + [a for amap in emb.maps for a in (amap.matrix, amap.offset)]
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise StructureError("embedding coordinates and maps must be finite")
         images = {
             (i, j): emb.maps[i](emb.boundary_coords[j])[0]
             for i in range(self.symbol_count)
@@ -264,16 +280,6 @@ def build_sierpinski_structure() -> SelfSimilarStructure:
     return structure
 
 
-def _level_zero(structure: SelfSimilarStructure) -> LevelComplex:
-    nb = structure.boundary_size
-    ids = tuple(range(nb))
-    edges = tuple((a, b) for a in range(nb) for b in range(a + 1, nb))
-    coords = None
-    if structure.embedding is not None:
-        coords = np.array(structure.embedding.boundary_coords, dtype=float)
-    return LevelComplex(0, nb, (((), ids),), edges, coords)
-
-
 def _edges_from_cells(cells: Sequence[tuple[Word, tuple[int, ...]]]) -> tuple:
     seen: set[tuple[int, int]] = set()
     for _, ids in cells:
@@ -282,112 +288,91 @@ def _edges_from_cells(cells: Sequence[tuple[Word, tuple[int, ...]]]) -> tuple:
     return tuple(sorted(seen))
 
 
-def _refine_by_coordinates(
-    structure: SelfSimilarStructure,
-    cells: Sequence[tuple[Word, tuple[int, ...]]],
-    cell_maps: Sequence[AffineMap],
-    key_to_id: dict[tuple, int],
-    coords: list[np.ndarray],
-) -> tuple[list, list]:
-    emb = structure.embedding
-    prev_count = len(key_to_id)
-    new_cells: list[tuple[Word, tuple[int, ...]]] = []
-    new_maps: list[AffineMap] = []
-    seen_old: set[int] = set()
-    for (word, _), amap in zip(cells, cell_maps):
-        for i in range(structure.symbol_count):
-            cmap = amap.compose(emb.maps[i])
-            pts = cmap(emb.boundary_coords)
-            ids = []
-            for j in range(structure.boundary_size):
-                key = _coord_key(pts[j])
-                vid = key_to_id.get(key)
-                if vid is None:
-                    vid = len(key_to_id)
-                    key_to_id[key] = vid
-                    coords.append(pts[j])
-                elif vid < prev_count:
-                    seen_old.add(vid)
-                ids.append(vid)
-            new_cells.append((word + (i,), tuple(ids)))
-            new_maps.append(cmap)
-    if len(seen_old) != prev_count:
-        raise StructureError(
-            "embedding does not nest the previous level into the refinement"
-        )
-    return new_cells, new_maps
-
-
-def _refine_combinatorially(
+def _refine(
     structure: SelfSimilarStructure,
     pattern: _GluingPattern,
     cells: Sequence[tuple[Word, tuple[int, ...]]],
     vertex_count: int,
-) -> tuple[list, int]:
+    cell_maps: Sequence[AffineMap] | None,
+    coords: list[np.ndarray] | None,
+) -> tuple[list, int, list | None]:
+    """One refinement step through the gluing pattern.
+
+    With an embedding, ``cell_maps`` holds each cell's composed map; the
+    children's maps are returned and the coordinate of each new vertex (the
+    image of its smallest address) is appended to ``coords``.
+    """
+    emb = structure.embedding
+    m, nb = structure.symbol_count, structure.boundary_size
+    fresh = [k for k in range(len(pattern.classes)) if k not in pattern.corner_of_class]
+    child_classes = [
+        tuple(pattern.class_of[(i, j)] for j in range(nb)) for i in range(m)
+    ]
     new_cells: list[tuple[Word, tuple[int, ...]]] = []
+    new_maps: list[AffineMap] | None = None if emb is None else []
     next_id = vertex_count
-    for word, ids in cells:
-        class_vertex: dict[int, int] = {}
-        for k in range(len(pattern.classes)):
-            slot = pattern.corner_of_class.get(k)
-            if slot is not None:
-                class_vertex[k] = ids[slot]
-            else:
-                class_vertex[k] = next_id
-                next_id += 1
-        for i in range(structure.symbol_count):
-            sub = tuple(
-                class_vertex[pattern.class_of[(i, j)]]
-                for j in range(structure.boundary_size)
-            )
-            new_cells.append((word + (i,), sub))
-    return new_cells, next_id
+    for c, (word, ids) in enumerate(cells):
+        class_vertex = {k: ids[slot] for k, slot in pattern.corner_of_class.items()}
+        for k in fresh:
+            class_vertex[k] = next_id
+            next_id += 1
+        for i in range(m):
+            new_cells.append((word + (i,), tuple(class_vertex[k] for k in child_classes[i])))
+        if emb is not None:
+            child_maps = [cell_maps[c].compose(f) for f in emb.maps]
+            new_maps.extend(child_maps)
+            images: dict[int, np.ndarray] = {}
+            for k in fresh:
+                i, j = pattern.classes[k][0]
+                if i not in images:
+                    images[i] = child_maps[i](emb.boundary_coords)
+                coords.append(images[i][j])
+    return new_cells, next_id, new_maps
+
+
+def _reject_coincident(coordinates: np.ndarray) -> None:
+    """Refuse an embedding that places two distinct vertices at one point."""
+    keys = np.rint(coordinates / COORD_TOL)
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    if len(first) == len(keys):
+        return
+    owner = first[inverse.ravel()]
+    v = int(np.flatnonzero(owner != np.arange(len(keys)))[0])
+    raise StructureError(
+        f"embedding places vertices {int(owner[v])} and {v} at one point "
+        f"{coordinates[v].tolist()}, but the gluing data keeps them apart"
+    )
 
 
 def build_level(structure: SelfSimilarStructure, n: int) -> LevelComplex:
     """Build the level-``n`` complex; ids of coarser levels are preserved.
 
-    Raises :class:`StructureError` for negative levels or inconsistent
-    structure data.
+    Raises :class:`StructureError` for negative levels, inconsistent
+    structure data, or an embedding that makes two vertices coincide.
     """
     if n < 0:
         raise StructureError(f"level must be >= 0, got {n}")
     structure.validate()
-    complex_ = _level_zero(structure)
-    if n == 0:
-        return complex_
-
-    if structure.embedding is not None:
-        emb = structure.embedding
-        key_to_id = {
-            _coord_key(emb.boundary_coords[j]): j
-            for j in range(structure.boundary_size)
-        }
-        if len(key_to_id) != structure.boundary_size:
-            raise StructureError("boundary coordinates are not distinct")
-        coords = [emb.boundary_coords[j] for j in range(structure.boundary_size)]
-        cells: Sequence = complex_.cells
-        cell_maps: Sequence[AffineMap] = [AffineMap.identity(emb.dim)]
-        counts = []
-        for level in range(1, n + 1):
-            counts.append(len(key_to_id))
-            cells, cell_maps = _refine_by_coordinates(
-                structure, cells, cell_maps, key_to_id, coords
-            )
-        return LevelComplex(
-            n, len(key_to_id), tuple(cells), _edges_from_cells(cells),
-            np.array(coords), tuple(counts),
-        )
-
+    emb = structure.embedding
     pattern = _level_one_pattern(structure)
-    cells = complex_.cells
-    count = complex_.vertex_count
+    count = structure.boundary_size
+    cells: Sequence = [((), tuple(range(count)))]
+    cell_maps = None if emb is None else [AffineMap.identity(emb.dim)]
+    coords = None if emb is None else list(emb.boundary_coords)
     counts = []
-    for level in range(1, n + 1):
+    for _ in range(n):
         counts.append(count)
-        cells, count = _refine_combinatorially(structure, pattern, cells, count)
+        cells, count, cell_maps = _refine(
+            structure, pattern, cells, count, cell_maps, coords
+        )
+    coordinates = None
+    if emb is not None:
+        coordinates = np.array(coords)
+        _reject_coincident(coordinates)
     return LevelComplex(
-        n, count, tuple(cells), _edges_from_cells(cells), None, tuple(counts)
+        n, count, tuple(cells), _edges_from_cells(cells), coordinates, tuple(counts)
     )
 
 
@@ -425,6 +410,7 @@ def measure_weights(
 # ---------------------------------------------------------------------------
 
 def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
+    index = operator.index  # integers only: 1.5 or "1" is an error, not 1
     try:
         embedding = None
         if "embedding" in d and d["embedding"] is not None:
@@ -440,17 +426,20 @@ def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
                 ),
             )
         structure = SelfSimilarStructure(
-            symbol_count=int(d["symbol_count"]),
-            boundary_size=int(d["boundary_size"]),
+            symbol_count=index(d["symbol_count"]),
+            boundary_size=index(d["boundary_size"]),
             identifications=tuple(
-                (tuple(a), tuple(b)) for a, b in d["identifications"]
+                ((index(i), index(a)), (index(j), index(b)))
+                for (i, a), (j, b) in d["identifications"]
             ),
-            boundary_addresses=tuple(tuple(a) for a in d["boundary_addresses"]),
+            boundary_addresses=tuple(
+                (index(i), index(a)) for i, a in d["boundary_addresses"]
+            ),
             embedding=embedding,
-            scalings=tuple(d["scalings"]) if d.get("scalings") else None,
-            weights=tuple(d["weights"]) if d.get("weights") else None,
+            scalings=tuple(float(r) for r in d["scalings"]) if d.get("scalings") else None,
+            weights=tuple(float(w) for w in d["weights"]) if d.get("weights") else None,
             base_conductances=tuple(
-                (int(a), int(b), float(c)) for a, b, c in d["base_conductances"]
+                (index(a), index(b), float(c)) for a, b, c in d["base_conductances"]
             )
             if d.get("base_conductances")
             else None,

@@ -90,7 +90,12 @@ class ConductanceNetwork:
         for x, y, c in edges:
             if x == y:
                 raise NetworkError(f"self loop at vertex {x}")
-            i, j = index[int(x)], index[int(y)]
+            try:
+                i, j = index[int(x)], index[int(y)]
+            except KeyError as exc:
+                raise NetworkError(
+                    f"edge ({x}, {y}, {c}) names unknown vertex {exc.args[0]}"
+                ) from None
             rows += [i, j]
             cols += [j, i]
             vals += [float(c), float(c)]

@@ -74,6 +74,49 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run(["check", "--structure", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"scalings": ["a", "b"]}, "malformed"),
+        ({"weights": ["a", "b"]}, "malformed"),
+        ({"boundary_addresses": [["a", 0], [1, 1]]}, "malformed"),
+        ({"boundary_addresses": [[0.9, 0], [1, 1]]}, "malformed"),
+        ({"embedding": {"boundary_coords": [[0.0, 0.0], [1.0, 0.0]],
+                        "maps": [{"matrix": [[0.5]], "offset": [0.0, 0.0]},
+                                 {"matrix": [[0.5, 0.0], [0.0, 0.5]],
+                                  "offset": [0.5, 0.0]}]}},
+         "2x2 matrix"),
+        ({"embedding": {"boundary_coords": [[0.0], [1.0]],
+                        "maps": [{"matrix": [[0.5]], "offset": [0.0, 1.0]},
+                                 {"matrix": [[0.5]], "offset": [0.5]}]}},
+         "length-1 offset"),
+        ({"embedding": {"boundary_coords": [0.0, 1.0],
+                        "maps": [{"matrix": [[0.5]], "offset": [0.0]},
+                                 {"matrix": [[0.5]], "offset": [0.5]}]}},
+         "boundary_coords must have shape"),
+        ({"embedding": {"boundary_coords": [[float("nan")], [1.0]],
+                        "maps": [{"matrix": [[0.5]], "offset": [0.0]},
+                                 {"matrix": [[0.5]], "offset": [0.5]}]}},
+         "must be finite"),
+        ({"base_conductances": [[0, 5, 1.0]]}, "edge (0, 5, 1.0) names unknown vertex 5"),
+        ({"symbol_count": 3, "scalings": [0.5, 0.5, 0.5], "weights": [0.25, 0.25, 0.5],
+          "identifications": [[[0, 1], [2, 0]]], "boundary_addresses": [[0, 0], [2, 1]],
+          "embedding": {"boundary_coords": [[0.0], [1.0]],
+                        "maps": [{"matrix": [[0.5]], "offset": [o]} for o in (0.0, 0.25, 0.5)]}},
+         "at one point"),
+    ])
+    def test_malformed_structure_fields_exit_2(self, tmp_path, capsys, interval_config,
+                                               edit, message):
+        with open(interval_config, encoding="utf-8") as fh:
+            config = json.load(fh)
+        bad = tmp_path / "structure.json"
+        bad.write_text(json.dumps({**config, **edit}))
+        assert run(["check", "--structure", str(bad), "--level", "2", "--drift", "none",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+        assert message in lines[0]
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["check", "--no-such-flag"])

@@ -27,6 +27,56 @@ def brute_force_vertex_count(structure: pcf.SelfSimilarStructure, n: int) -> int
     return len(seen)
 
 
+def composed_image(structure: pcf.SelfSimilarStructure, word, slot) -> np.ndarray:
+    """Image of boundary slot ``slot`` under ``F_word``, composing the maps
+    outermost first: ``M, b <- M A_i, M c_i + b`` for each symbol ``i``."""
+    emb = structure.embedding
+    mat, off = np.eye(emb.dim), np.zeros(emb.dim)
+    for sym in word:
+        mat, off = mat @ emb.maps[sym].matrix, mat @ emb.maps[sym].offset + off
+    return (emb.boundary_coords @ mat.T + off)[slot]
+
+
+def smallest_addresses(structure: pcf.SelfSimilarStructure, n: int) -> list:
+    """Per vertex of level ``n``: the level it is born at and its smallest
+    ``(word, slot)`` address there."""
+    born: dict[int, tuple] = {}
+    for level in range(n + 1):
+        new: dict[int, tuple] = {}
+        for word, ids in pcf.build_level(structure, level).cells:
+            for slot, vid in enumerate(ids):
+                if vid not in born:
+                    new[vid] = min(new.get(vid, (level, word, slot)), (level, word, slot))
+        born.update(new)
+    return [born[v] for v in range(len(born))]
+
+
+def skewed_gasket() -> pcf.SelfSimilarStructure:
+    """The gasket on a scalene triangle: images of one point through its
+    different addresses agree only to rounding, so the coordinate of a vertex
+    shows which address placed it."""
+    corners = np.array([[0.1, 0.2], [0.9, 0.15], [0.45, 0.8]])
+    maps = tuple(pcf.AffineMap(0.5 * np.eye(2), c / 2.0) for c in corners)
+    return dataclasses.replace(
+        pcf.build_sierpinski_structure(), embedding=pcf.Embedding(corners, maps)
+    )
+
+
+def overlapping_interval() -> dict:
+    """Three half-scale maps of [0, 1] with offsets 0, 1/4, 1/2: level 1 is
+    consistent with the gluing ``(0, 1) ~ (2, 0)``, deeper levels overlap."""
+    return {
+        "symbol_count": 3,
+        "boundary_size": 2,
+        "identifications": [[[0, 1], [2, 0]]],
+        "boundary_addresses": [[0, 0], [2, 1]],
+        "embedding": {
+            "boundary_coords": [[0.0], [1.0]],
+            "maps": [{"matrix": [[0.5]], "offset": [o]} for o in (0.0, 0.25, 0.5)],
+        },
+    }
+
+
 class TestSierpinskiStructure:
     def test_boundary_coordinates(self):
         sg = pcf.build_sierpinski_structure()
@@ -106,6 +156,54 @@ class TestRefinement:
         cx = pcf.build_level(pcf.build_sierpinski_structure(), 2)
         words = [w for w, _ in cx.cells]
         assert words == sorted(words)
+
+
+class TestSmallestAddressOracle:
+    """A vertex sits at the image of its smallest address at its birth level,
+    and new ids are handed out in the order of those addresses."""
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("make", [pcf.build_sierpinski_structure, skewed_gasket])
+    def test_gasket_coordinates_are_smallest_address_images(self, make, n):
+        structure = make()
+        cx = pcf.build_level(structure, n)
+        for vid, (_, word, slot) in enumerate(smallest_addresses(structure, n)):
+            assert np.array_equal(cx.coordinates[vid], composed_image(structure, word, slot))
+
+    def test_skewed_gasket_addresses_disagree_in_rounding(self):
+        # the oracle above can tell addresses apart only if some do disagree
+        structure = skewed_gasket()
+        gaps = [
+            np.max(np.abs(composed_image(structure, word + (0, i), k)
+                          - composed_image(structure, word + (0, k), i)))
+            for word in itertools.product(range(3), repeat=2)
+            for i, k in ((1, 2), (2, 1))
+        ]
+        assert 0 < max(gaps) < pcf.COORD_TOL
+
+    def test_interval_coordinates_are_smallest_address_images(self, interval_config):
+        interval = pcf.load_structure(interval_config)
+        cx = pcf.build_level(interval, 5)
+        for vid, (_, word, slot) in enumerate(smallest_addresses(interval, 5)):
+            assert np.array_equal(cx.coordinates[vid], composed_image(interval, word, slot))
+
+    @pytest.mark.parametrize("embedded", [True, False])
+    def test_ids_ascend_with_smallest_address(self, embedded):
+        sg = pcf.build_sierpinski_structure()
+        if not embedded:
+            sg = dataclasses.replace(sg, embedding=None)
+        addresses = smallest_addresses(sg, 4)
+        assert addresses == sorted(addresses)
+
+    def test_overlapping_embedding_rejected(self):
+        structure = pcf.structure_from_dict(overlapping_interval())
+        assert pcf.build_level(structure, 1).vertex_count == 5
+        # the gluing data gives 14 vertices at level 2; the maps put them
+        # on 9 points
+        stripped = dataclasses.replace(structure, embedding=None)
+        assert pcf.build_level(stripped, 2).vertex_count == 14
+        with pytest.raises(pcf.StructureError, match="at one point"):
+            pcf.build_level(structure, 2)
 
 
 class TestCellsContaining:
