@@ -23,7 +23,6 @@ from .resistance import (
     energy,
     harmonic_extension,
     resistance_diameter,
-    resistance_matrix,
     trace,
 )
 from .drift import (
@@ -34,14 +33,14 @@ from .drift import (
     SmallnessReport,
     assemble_Q,
     assemble_forms,
+    certify_SD_axioms,
+    certify_drift_bound,
+    certify_sandwich,
     check_condition_I,
     check_condition_II,
     make_drift,
     select_constants,
     smallness_report,
-    verify_SD_axioms,
-    verify_drift_bound,
-    verify_sandwich,
 )
 from .markov import (
     GeneratorMatrix,
@@ -59,7 +58,6 @@ from .spectral import (
     markov_check,
     resolvent,
     resolvent_solve,
-    semigroup_apply,
     semigroup_solve,
 )
 from .tower import (
@@ -68,7 +66,6 @@ from .tower import (
     default_admissible_drift,
     load_drift_config,
     realize_drift,
-    sierpinski_tower,
     zero_drift_config,
 )
 from .convergence import (

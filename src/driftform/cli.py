@@ -10,7 +10,8 @@ simulate   sample paths and their empirical laws.
 converge   per-level gap reports against a reference level.
 
 Exit codes: 0 success, 1 admissibility or numerical failure (a solve whose
-residual exceeds its tolerance), 2 usage/config error.
+residual exceeds its tolerance, an eigen-certificate that cannot be formed),
+2 usage/config error.
 All report files start with one timestamp header line; everything after it
 is a deterministic function of the configuration and seed.
 """
@@ -169,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--delta", type=float, default=None,
                         help="override the derived delta")
-    common.add_argument("--draws", type=int, default=1000,
-                        help="random draws for the form-axiom checks")
     common.add_argument("--assumption", choices=["A", "B"], default="A")
     common.add_argument("--out", default="runs")
     common.add_argument("--config", default=None,
@@ -278,8 +277,6 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
     first level that fails the chosen assumption, and ``failed`` lists that
     level's failed conditions (empty when every level passes).
     """
-    if args.draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     if args.paths < 0:
         raise ConfigError(f"--paths must be >= 0, got {args.paths}")
     if proxy_level is None:
@@ -343,15 +340,11 @@ def cmd_check(args) -> int:
     if report.constants is not None:
         c = report.constants
         asm = tower.assembly(level, config)
-        payload["sandwich"] = dr.verify_sandwich(
-            asm, c.s, c.lam, draws=args.draws, seed=args.seed
-        ).to_dict()
-        payload["drift_bound"] = dr.verify_drift_bound(
-            asm, c.s, c.t, draws=args.draws, seed=args.seed
-        ).__dict__
-        payload["sd_axioms"] = dr.verify_SD_axioms(
-            asm, c.s, c.lam, c.delta, report.diam_proxy,
-            draws=args.draws, seed=args.seed,
+        sandwich = dr.certify_sandwich(asm, c.s, c.lam)
+        payload["sandwich"] = sandwich.to_dict()
+        payload["drift_bound"] = dr.certify_drift_bound(asm, c.s, c.t).to_dict()
+        payload["sd_axioms"] = dr.certify_SD_axioms(
+            asm, sandwich, c.delta, report.diam_proxy
         ).to_dict()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -509,14 +502,9 @@ def cmd_converge(args) -> int:
     constants = reports[reference].constants
     alphas = _alphas(args, constants)
 
-    sandwich_levels = {}
-    smallest_pass = None
-    for n in levels:
-        sw = dr.verify_sandwich(tower.assembly(n, config), constants.s, constants.lam,
-                                draws=args.draws, seed=args.seed)
-        sandwich_levels[n] = sw.passed
-        if sw.passed and smallest_pass is None:
-            smallest_pass = n
+    sandwiches = {n: dr.certify_sandwich(tower.assembly(n, config), constants.s, constants.lam)
+                  for n in levels}
+    smallest_pass = next((n for n in levels if sandwiches[n].passed), None)
 
     f = _input_function(args, tower, reference)
     out = Path(args.out)
@@ -554,7 +542,11 @@ def cmd_converge(args) -> int:
         "per_level_drift_energy": {
             n: reports[n].drift_energy for n in levels
         },
-        "sandwich_passed_by_level": sandwich_levels,
+        "per_level_sandwich_margins": {
+            n: {"lower_margin": sw.lower_margin.to_dict(),
+                "upper_margin": sw.upper_margin.to_dict()} for n, sw in sandwiches.items()
+        },
+        "sandwich_passed_by_level": {n: sw.passed for n, sw in sandwiches.items()},
         "smallest_passing_level": smallest_pass,
         "reports": {
             "ks_norm": {"errors": ks.errors, "trend_from": ks.trend_nonincreasing_from},

@@ -6,7 +6,8 @@ working level together with piecewise-harmonic reference functions ``h_i``
 terms to the symmetric energy gives a non-symmetric bilinear form; this
 module assembles the form matrices, evaluates the global and pointwise
 smallness conditions with their derived constants ``(delta, s, t, lambda)``,
-and verifies the closed-form and Markov axioms on seeded random batches.
+and certifies the form inequalities and axioms by extreme generalized
+eigenvalues, each with its residual bound.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
+from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh, splu
 
 from .resistance import ConductanceNetwork, harmonic_extension
-
-DEFAULT_DRAW_SEED = 1729
-SD4_TOLERANCE = -1e-12
 
 DIAMETER_CAVEAT = (
     "diameter proxy is the maximum resistance over the finite vertex set of "
@@ -246,28 +245,6 @@ class FormAssembly:
     @property
     def n(self) -> int:
         return len(self.mu)
-
-    def E(self, f, g=None) -> float:
-        f = np.asarray(f, float)
-        g = f if g is None else np.asarray(g, float)
-        return float(g @ (self.E_matrix @ f))
-
-    def Q(self, f, g=None) -> float:
-        f = np.asarray(f, float)
-        g = f if g is None else np.asarray(g, float)
-        return float(g @ (self.Q_matrix @ f))
-
-    def A(self, f, g=None) -> float:
-        f = np.asarray(f, float)
-        g = f if g is None else np.asarray(g, float)
-        return float(g @ (self.A_matrix @ f))
-
-    # Batched quadratic forms over rows of F, used by the random verifiers.
-    def batch_quad(self, matrix, F: np.ndarray) -> np.ndarray:
-        return np.einsum("kn,kn->k", F, (matrix @ F.T).T)
-
-    def batch_l2_sq(self, F: np.ndarray) -> np.ndarray:
-        return (F * F) @ self.mu
 
 
 def assemble_forms(
@@ -496,182 +473,236 @@ def smallness_report(
 
 
 # ---------------------------------------------------------------------------
-# Randomized verification of the form axioms
+# Exact certificates of the form inequalities
 # ---------------------------------------------------------------------------
 
-def _draw_batch(n: int, draws: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    return rng.standard_normal((draws, n))
+class CertificateError(ArithmeticError):
+    """No eigen-certificate: no convergence, a singular factor or a non-finite residual."""
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A certified value: ``value`` and the interval ``[lo, hi]`` that the
+    eigen-residual bound ``residual`` gives around it.  The interval holds
+    (the image of) an eigenvalue of the pencil, and of the extreme one when
+    the solver has found the extreme eigenpair, which nothing here checks."""
+
+    value: float
+    lo: float
+    hi: float
+    residual: float
+
+    def map(self, fn) -> "Bracket":
+        """The bracket of ``fn(value)`` for a monotone ``fn``."""
+        lo, hi = sorted((fn(self.lo), fn(self.hi)))
+        return Bracket(fn(self.value), lo, hi, self.residual)
+
+    def to_dict(self) -> dict:
+        ends = [x if math.isfinite(x) else None for x in (self.lo, self.hi)]
+        return {"value": self.value, "bracket": ends, "residual": self.residual}
+
+
+_ZERO = Bracket(0.0, 0.0, 0.0, 0.0)  # the extreme eigenvalues of a zero pencil
+
+
+def _factor(b):
+    """The ``splu`` solve of the SPD matrix ``b``."""
+    try:
+        return splu(sparse.csc_matrix(b)).solve
+    except RuntimeError as exc:  # an exactly singular factor
+        raise CertificateError(f"cannot factor the pencil's right-hand side: {exc}") from exc
+
+
+def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
+    """Extreme eigenvalues of the symmetric pencil ``a v = θ b v``, ``b`` SPD
+    with the factored solve ``solve_b``; ``which`` is ``"LA"`` (the top),
+    ``"LM"`` (largest modulus) or ``"BE"`` (bottom, then top).
+
+    Each value is the Rayleigh quotient ``θ`` of its eigenvector ``x`` with
+    the residual bound ``‖a x − θ b x‖_{b⁻¹} / ‖x‖_b``: an eigenvalue lies
+    within it of ``θ``, and it is the extreme one when the solver has found
+    the extreme pair (Parlett, *The Symmetric Eigenvalue Problem*, 1998,
+    ch. 11).  ``eigsh`` in generalized mode with ``solve_b`` as ``Minv``;
+    dense ``eigh`` only on pencils too small for ARPACK.
+    """
+    if sparse.issparse(a) and not a.count_nonzero():
+        return [_ZERO] * (2 if which == "BE" else 1)
+    n, k = b.shape[0], 2 if which == "BE" else 1
+    a = aslinearoperator(a)
+    try:
+        if k >= n - 1:  # eigh reads the lower triangle of a
+            vecs = linalg.eigh(a.matmat(np.eye(n)), b.toarray())[1]
+            vecs = vecs[:, [n - 1] if which == "LA" else [0, n - 1]]
+        else:
+            # a fixed start vector keeps the reports deterministic
+            start = np.random.default_rng(0).standard_normal(n)
+            minv = LinearOperator((n, n), matvec=solve_b, dtype=float)
+            w, vecs = eigsh(a, k=k, M=b, Minv=minv, which=which, v0=start)
+            vecs = vecs[:, np.argsort(w)]
+    except (ArpackError, np.linalg.LinAlgError) as exc:
+        raise CertificateError(f"extreme eigenvalue not found: {exc}") from exc
+    out = []
+    for x in vecs.T:
+        ax, bx = a.matvec(x), b @ x
+        norm_sq = float(x @ bx)
+        theta = float(x @ ax) / norm_sq
+        r = ax - theta * bx
+        residual = math.sqrt(max(float(r @ solve_b(r)), 0.0) / norm_sq)
+        if not (math.isfinite(theta) and math.isfinite(residual)):
+            raise CertificateError(f"no bracket: Ritz value {theta}, residual {residual}")
+        out.append(Bracket(theta, theta - residual, theta + residual, residual))
+    return [max(out, key=lambda e: abs(e.value))] if which == "LM" else out
+
+
+def _drift_pencil(assembly: FormAssembly, e_coeff: float, m_coeff: float):
+    """``(Q_sym, B, solve)``: the symmetric part of the drift matrix, the SPD
+    ``B = e_coeff E + m_coeff M`` and its factored solve."""
+    q = assembly.Q_matrix
+    b = (e_coeff * assembly.E_matrix + m_coeff * sparse.diags(assembly.mu)).tocsc()
+    return (0.5 * (q + q.T)).tocsr(), b, _factor(b)
 
 
 @dataclass
 class SandwichReport:
+    """``(1-s) E_lam <= A_lam <= (1+s) E_lam``: the margins ``s + min θ`` and
+    ``s - max θ`` of ``Q_sym v = θ E_lam v`` are the least relative slacks
+    ``(A_lam - (1-s) E_lam) / E_lam`` and ``((1+s) E_lam - A_lam) / E_lam``."""
+
     level: int
     s: float
     lam: float
-    draws: int
-    seed: int
-    lower_margin: float  # min over draws of (A_lam - (1-s) E_lam) / E_lam
-    upper_margin: float  # min over draws of ((1+s) E_lam - A_lam) / E_lam
-    passed: bool
+    lower_margin: Bracket
+    upper_margin: Bracket
+
+    @property
+    def passed(self) -> bool:
+        return self.lower_margin.lo >= 0.0 and self.upper_margin.lo >= 0.0
 
     def to_dict(self) -> dict:
-        return self.__dict__ | {"lambda": self.lam}
+        return {"level": self.level, "s": self.s, "lambda": self.lam,
+                "lower_margin": self.lower_margin.to_dict(),
+                "upper_margin": self.upper_margin.to_dict(), "passed": self.passed}
 
 
-def verify_sandwich(
-    assembly: FormAssembly,
-    s: float,
-    lam: float,
-    draws: int = 1000,
-    seed: int = DEFAULT_DRAW_SEED,
-    tol: float = 1e-10,
-) -> SandwichReport:
-    """Check ``(1-s) E_lam(f) <= A_lam(f) <= (1+s) E_lam(f)`` on a seeded
-    random batch; the worst relative slack on each side is reported.
-    Failures are recorded, not raised."""
-    F = _draw_batch(assembly.n, draws, seed)
-    e_lam = assembly.batch_quad(assembly.E_matrix, F) + lam * assembly.batch_l2_sq(F)
-    a_lam = assembly.batch_quad(assembly.A_matrix, F) + lam * assembly.batch_l2_sq(F)
-    lower = float(np.min((a_lam - (1.0 - s) * e_lam) / e_lam))
-    upper = float(np.min(((1.0 + s) * e_lam - a_lam) / e_lam))
-    return SandwichReport(
-        assembly.level, s, lam, draws, seed,
-        lower, upper, bool(lower >= -tol and upper >= -tol),
-    )
+def certify_sandwich(assembly: FormAssembly, s: float, lam: float) -> SandwichReport:
+    """The sandwich margins of one level as exact brackets; a check passes
+    on the pessimistic end of its bracket."""
+    bottom, top = _extremes(*_drift_pencil(assembly, 1.0, lam), "BE")
+    return SandwichReport(assembly.level, s, lam,
+                          bottom.map(lambda x: s + x), top.map(lambda x: s - x))
 
 
 @dataclass
 class DriftBoundReport:
+    """``|Q(f)| <= s E(f) + t |f|^2``: the margin ``1 - max |θ|`` of
+    ``Q_sym v = θ (s E + t M) v`` is the least relative slack."""
+
     level: int
     s: float
     t: float
-    draws: int
-    seed: int
-    margin: float  # min over draws of (s E + t |f|^2 - |Q(f)|) / (s E + t |f|^2)
-    passed: bool
+    margin: Bracket
+
+    @property
+    def passed(self) -> bool:
+        return self.margin.lo >= 0.0
+
+    def to_dict(self) -> dict:
+        return {"level": self.level, "s": self.s, "t": self.t,
+                "margin": self.margin.to_dict(), "passed": self.passed}
 
 
-def verify_drift_bound(
-    assembly: FormAssembly,
-    s: float,
-    t: float,
-    draws: int = 1000,
-    seed: int = DEFAULT_DRAW_SEED,
-    tol: float = 1e-10,
-) -> DriftBoundReport:
-    """Check ``|Q(f)| <= s E(f) + t |f|^2`` on a seeded random batch."""
-    F = _draw_batch(assembly.n, draws, seed)
-    q = np.abs(assembly.batch_quad(assembly.Q_matrix, F))
-    bound = s * assembly.batch_quad(assembly.E_matrix, F) + t * assembly.batch_l2_sq(F)
-    margin = float(np.min((bound - q) / bound))
-    return DriftBoundReport(
-        assembly.level, s, t, draws, seed, margin, bool(margin >= -tol)
-    )
+def certify_drift_bound(assembly: FormAssembly, s: float, t: float) -> DriftBoundReport:
+    """The drift-bound margin of one level as an exact bracket."""
+    (theta,) = _extremes(*_drift_pencil(assembly, s, t), "LM")
+    v, r = abs(theta.value), theta.residual
+    # max |θ| lies in [max(v - r, 0), v + r]
+    margin = Bracket(1.0 - v, 1.0 - v - r, 1.0 - max(v - r, 0.0), r)
+    return DriftBoundReport(assembly.level, s, t, margin)
 
 
 @dataclass
 class SDAxiomReport:
     """Outcome of the closed-form and Markov axiom checks.
 
-    ``sector_bound`` is the analytic sector constant
-    ``(1-s)^-1 (1 + (sqrt(diam) + 2 delta) * sum_i |b_i|_inf E(h_i)^(1/2))``;
-    the empirical value must stay below it.  ``edge_one_plus_eta_min`` is
-    the rate certificate, ``edge_markov_min`` the certificate
-    ``1 + sum_i b_i(x)(h_i(x)-h_i(y)) >= 0`` behind the Markov property.
+    ``sd1_min`` is ``min θ`` of ``S v = θ M v`` with ``S = E_lam + Q_sym``
+    (bracketed through ``1 / max ν`` of ``M v = ν S v``).  ``sector_constant``
+    is ``sqrt(1 + ρ²)``, ``ρ²`` the top eigenvalue of ``-K S⁻¹ K v = ρ² S v``
+    with ``K`` the antisymmetric part of ``Q``: the least ``C`` with
+    ``|A_lam(f, g)| <= C A_lam(f)^(1/2) A_lam(g)^(1/2)`` (Ma & Röckner,
+    1992, ch. I).  Both are ``None``, and SD1 and SD3 fail, when ``S`` is
+    not shown positive definite.  ``sector_bound`` is the analytic constant
+    ``(1-s)^-1 (1 + (sqrt(diam) + 2 delta) sum_i |b_i|_inf E(h_i)^(1/2))``.
+    ``edge_one_plus_eta_min`` is the rate certificate, ``edge_markov_min``
+    the certificate ``1 + sum_i b_i(x)(h_i(x)-h_i(y)) >= 0`` behind the
+    Markov property (SD4).
     """
 
     level: int
-    draws: int
-    seed: int
-    sd1_min: float
-    sector_empirical: float
+    sd1_min: Bracket | None
+    sector_constant: Bracket | None
     sector_bound: float
-    sd4_min: float
-    sd4_tolerance: float
     edge_one_plus_eta_min: float
     edge_markov_min: float
-    sd1_passed: bool
-    sd3_passed: bool
-    sd4_passed: bool
-    edges_passed: bool
+
+    @property
+    def sd1_passed(self) -> bool:
+        return self.sd1_min is not None and self.sd1_min.lo >= 0.0
+
+    @property
+    def sd3_passed(self) -> bool:
+        return self.sector_constant is not None and self.sector_constant.hi <= self.sector_bound
+
+    @property
+    def sd4_passed(self) -> bool:
+        return self.edge_markov_min >= 0.0
 
     @property
     def passed(self) -> bool:
-        return self.sd1_passed and self.sd3_passed and self.sd4_passed and self.edges_passed
+        return self.sd1_passed and self.sd3_passed and self.sd4_passed
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
-        d["passed"] = self.passed
+        for key in ("sd1_min", "sector_constant"):
+            d[key] = None if d[key] is None else d[key].to_dict()
+        for key in ("sd1_passed", "sd3_passed", "sd4_passed", "passed"):
+            d[key] = getattr(self, key)
         return d
 
 
-def verify_SD_axioms(
-    assembly: FormAssembly,
-    s: float,
-    lam: float,
-    delta: float,
-    diam_proxy: float,
-    draws: int = 1000,
-    seed: int = DEFAULT_DRAW_SEED,
+def certify_SD_axioms(
+    assembly: FormAssembly, sandwich: SandwichReport, delta: float, diam_proxy: float
 ) -> SDAxiomReport:
-    """Verify nonnegativity of the shifted form, the sector inequality and
-    the Markov property on seeded random data, plus the edgewise
-    certificates that guarantee them."""
+    """Certify nonnegativity of the shifted form (SD1) and the sector
+    condition (SD3) by extreme eigenvalues, and the Markov property (SD4) by
+    its edgewise certificate, with ``s`` and ``lam`` of ``sandwich`` (the
+    sandwich certificate of this assembly).  As ``S v = (1 + θ) E_lam v`` on
+    the sandwich pencil, ``S`` is factored, and the SD1 and sector values
+    computed, only when the lower margin ``s + min θ`` exceeds ``s - 1``.
+    """
+    s, lam = sandwich.s, sandwich.lam
     if assembly.net is None:
         raise DriftError("assembly must carry its network for the edge checks")
-    F = _draw_batch(assembly.n, draws, seed)
-    l2 = assembly.batch_l2_sq(F)
-    a_lam = assembly.batch_quad(assembly.A_matrix, F) + lam * l2
-    sd1_min = float(np.min(a_lam))
-
-    # Sector constant on random pairs (consecutive draws are paired).
-    G = np.roll(F, 1, axis=0)
-    cross = np.einsum("kn,kn->k", G, (assembly.A_matrix @ F.T).T)
-    g_lam = assembly.batch_quad(assembly.A_matrix, G) + lam * assembly.batch_l2_sq(G)
-    sector_emp = float(np.max(np.abs(cross) / np.sqrt(a_lam * g_lam)))
-
-    if assembly.drift is None or assembly.drift.is_zero():
+    drift = assembly.drift
+    if drift is None or drift.is_zero():
         coeff = 0.0
-    else:
-        drift = assembly.drift
-        h_energies = assembly.batch_quad(assembly.E_matrix, drift.h)
-        coeff = float(
-            np.sum(np.max(np.abs(drift.b), axis=1) * np.sqrt(h_energies))
-        )
-    sector_bound = (1.0 + (math.sqrt(diam_proxy) + 2.0 * delta) * coeff) / (1.0 - s)
-
-    # Markov property: A(f ^ a, f - f ^ a) >= 0 for a >= 0 (a = 0 included).
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))
-    )
-    a_cut = rng.uniform(0.0, np.maximum(np.max(np.abs(F), axis=1), 1e-6))
-    a_cut[: max(1, draws // 10)] = 0.0
-    g1 = np.minimum(F, a_cut[:, None])
-    g2 = F - g1
-    sd4_vals = np.einsum("kn,kn->k", g2, (assembly.A_matrix @ g1.T).T)
-    sd4_min = float(np.min(sd4_vals))
-
-    if assembly.drift is None or assembly.drift.is_zero():
         eta_min = markov_min = 1.0  # all edge factors are exactly 1
     else:
-        _, _, ev = eta_edge_values(assembly.net, assembly.drift)
+        h_energies = np.einsum("in,in->i", drift.h, (assembly.E_matrix @ drift.h.T).T)
+        coeff = float(np.sum(np.max(np.abs(drift.b), axis=1) * np.sqrt(h_energies)))
+        _, _, ev = eta_edge_values(assembly.net, drift)
         eta_min = float(np.min(1.0 + ev)) if ev.size else 1.0
         markov_min = float(np.min(1.0 + 2.0 * ev)) if ev.size else 1.0
+    sector_bound = (1.0 + (math.sqrt(diam_proxy) + 2.0 * delta) * coeff) / (1.0 - s)
 
-    return SDAxiomReport(
-        level=assembly.level,
-        draws=draws,
-        seed=seed,
-        sd1_min=sd1_min,
-        sector_empirical=sector_emp,
-        sector_bound=sector_bound,
-        sd4_min=sd4_min,
-        sd4_tolerance=SD4_TOLERANCE,
-        edge_one_plus_eta_min=eta_min,
-        edge_markov_min=markov_min,
-        sd1_passed=bool(sd1_min >= SD4_TOLERANCE),
-        sd3_passed=bool(sector_emp <= sector_bound),
-        sd4_passed=bool(sd4_min >= SD4_TOLERANCE),
-        edges_passed=bool(eta_min >= 0.0 and markov_min >= 0.0),
-    )
+    sd1 = sector = None
+    if sandwich.lower_margin.lo > s - 1.0:
+        q = assembly.Q_matrix
+        big_s = (assembly.E_matrix + lam * sparse.diags(assembly.mu) + 0.5 * (q + q.T)).tocsc()
+        solve_s = _factor(big_s)
+        (nu,) = _extremes(sparse.diags(assembly.mu), big_s, solve_s, "LA")
+        sd1 = nu.map(lambda x: 1.0 / x if x > 0.0 else math.inf)
+        k = (0.5 * (q - q.T)).tocsr()
+        op = LinearOperator(big_s.shape, dtype=float, matvec=lambda x: -(k @ solve_s(k @ x)))
+        (rho_sq,) = _extremes(op, big_s, solve_s, "LA") if k.count_nonzero() else (_ZERO,)
+        sector = rho_sq.map(lambda x: math.sqrt(1.0 + max(x, 0.0)))
+    return SDAxiomReport(assembly.level, sd1, sector, sector_bound, eta_min, markov_min)

@@ -218,13 +218,6 @@ class Trajectory:
         if self.jump_times[-1] > self.horizon:
             raise ValueError("jump beyond the horizon")
 
-    def state_at(self, t: float) -> int:
-        """State at time ``t``, holding the value over ``[jump_k, jump_k+1)``."""
-        if t < 0 or t > self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.jump_times, t, side="right")) - 1
-        return int(self.states[k])
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,

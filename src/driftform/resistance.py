@@ -7,11 +7,11 @@ minimizing) extension of boundary data, effective resistance, and assembly
 of the self-similar energies on refinement levels of a structure.
 
 Solves factor the interior block directly; dense linear algebra is used for
-networks below ``DENSE_CUTOFF`` vertices and sparse LU above.  All-pairs
-resistances (the matrix and the diameter) come from one engine: the Green
-function grounded at vertex 0, built by block elimination over nested
-vertex sets ``[0, N_0) ⊂ ... ⊂ [0, N_{n-1}) ⊂ [0, n)``, as a p.c.f. level
-and its coarser levels provide them.  The new vertices of one level are
+networks below ``DENSE_CUTOFF`` vertices and sparse LU above.  The resistance
+diameter streams all-pairs resistances from the Green function grounded at
+vertex 0, built by block elimination over nested vertex sets
+``[0, N_0) ⊂ ... ⊂ [0, N_{n-1}) ⊂ [0, n)``, as a p.c.f. level and its
+coarser levels provide them.  The new vertices of one level are
 eliminated cell by cell (small dense inverses), the Green function is held
 dense on the next-to-finest set and streamed in blocks of ``BLOCK_COLUMNS``
 rows at the finest one.  Without nested sets it is one dense inverse.
@@ -369,16 +369,6 @@ def _row_blocks(m: int, n: int, width: int):
     for start, stop in ((0, m), (m, n)):
         for lo in range(start, stop, width):
             yield lo, min(lo + width, stop)
-
-
-def resistance_matrix(net: ConductanceNetwork, counts: Sequence[int] = ()) -> np.ndarray:
-    """All-pairs effective resistances (symmetric, zero diagonal); ``counts``
-    as in :func:`resistance_diameter`."""
-    r = np.zeros((net.n, net.n))
-    for lo, hi, block in _resistance_rows(net, counts):
-        r[lo:hi, lo:] = block
-    r = np.triu(r, 1)
-    return r + r.T
 
 
 def resistance_diameter(net: ConductanceNetwork, counts: Sequence[int] = ()) -> float:

@@ -214,11 +214,6 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     return SemigroupApply(t, fv, out, order, lam_max, UNIFORMIZATION, tail, growth)
 
 
-def semigroup_apply(gen: GeneratorMatrix, t: float, f) -> np.ndarray:
-    """Semigroup applied to ``f``; see :func:`semigroup_solve`."""
-    return semigroup_solve(gen, t, f).output
-
-
 @dataclass
 class MarkovCheckReport:
     t: float

@@ -3,15 +3,20 @@ drift that exercises them, and an edge walker.
 
 Each oracle evaluates a quantity straight from its definition, pair by pair
 or solve by solve, or by an earlier, plainer route, where the library uses
-a vectorized, factored or compacted one.
+a vectorized, factored or compacted one.  The random-batch form checks are
+lower-bound oracles: a margin taken over finitely many vectors can only be
+looser than the extreme eigenvalue behind the library's certificate.
 """
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from driftform import tower as tw
 from driftform.markov import ENSEMBLE_STREAM, jump_parameters
-from driftform.resistance import energy, harmonic_extension
+from driftform.resistance import _resistance_rows, energy, harmonic_extension
+from driftform.spectral import semigroup_solve
+
+DEFAULT_DRAW_SEED = 1729
 
 # Two drift terms, one with a varying coefficient field; the L4 generator
 # of SG has a complex spectrum.
@@ -107,3 +112,102 @@ def padded_row_chains(gen, initial, times, n_paths: int, seed: int) -> np.ndarra
             state[idx] = neighbors[s, np.count_nonzero(cumulative[s] < v[:, None], axis=1)]
         out[row] = state
     return out
+
+
+def semigroup_apply(gen, t: float, f) -> np.ndarray:
+    """Semigroup applied to ``f``: the output of ``semigroup_solve``."""
+    return semigroup_solve(gen, t, f).output
+
+
+def resistance_matrix(net, counts=()) -> np.ndarray:
+    """All-pairs effective resistances (symmetric, zero diagonal), assembled
+    from the streamed rows behind ``resistance_diameter``."""
+    r = np.zeros((net.n, net.n))
+    for lo, hi, block in _resistance_rows(net, counts):
+        r[lo:hi, lo:] = block
+    r = np.triu(r, 1)
+    return r + r.T
+
+
+def state_at(traj, t: float) -> int:
+    """State of a trajectory at time ``t``, holding the value over
+    ``[jump_k, jump_k+1)``."""
+    if t < 0 or t > traj.horizon:
+        raise ValueError(f"time {t} outside [0, {traj.horizon}]")
+    k = int(np.searchsorted(traj.jump_times, t, side="right")) - 1
+    return int(traj.states[k])
+
+
+def form_value(matrix, f, g=None) -> float:
+    """The bilinear form ``g @ matrix @ f`` (``g = f`` by default)."""
+    f = np.asarray(f, float)
+    g = f if g is None else np.asarray(g, float)
+    return float(g @ (matrix @ f))
+
+
+# ---------------------------------------------------------------------------
+# Form inequalities: dense eigenvalues and random batches
+# ---------------------------------------------------------------------------
+
+def dense_form_values(asm, s: float, lam: float, t: float) -> dict:
+    """The exact form constants of one assembly from dense ``eigh`` and the
+    definition of the sector constant as ``‖S^(-1/2) A_lam S^(-1/2)‖``,
+    ``S`` the symmetric part of ``A_lam = A + lam M``."""
+    e, q, m = asm.E_matrix.toarray(), asm.Q_matrix.toarray(), np.diag(asm.mu)
+    q_sym = 0.5 * (q + q.T)
+    theta = linalg.eigh(q_sym, e + lam * m, eigvals_only=True)
+    drift = linalg.eigh(q_sym, s * e + t * m, eigvals_only=True)
+    big_s = e + lam * m + q_sym
+    chol = np.linalg.cholesky(big_s)
+    scaled = linalg.solve_triangular(chol, (e + q + lam * m), lower=True)
+    scaled = linalg.solve_triangular(chol, scaled.T, lower=True).T
+    return {
+        "lower": s + theta[0], "upper": s - theta[-1],
+        "drift": 1.0 - np.max(np.abs(drift)),
+        "sd1": linalg.eigh(big_s, m, eigvals_only=True)[0],
+        "sector": np.linalg.norm(scaled, 2),
+    }
+
+
+def draw_batch(n: int, draws: int, seed: int = DEFAULT_DRAW_SEED) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    return rng.standard_normal((draws, n))
+
+
+def batch_quad(matrix, F: np.ndarray) -> np.ndarray:
+    """``F[k] @ matrix @ F[k]`` for every row of ``F``."""
+    return np.einsum("kn,kn->k", F, (matrix @ F.T).T)
+
+
+def batch_l2_sq(asm, F: np.ndarray) -> np.ndarray:
+    return (F * F) @ asm.mu
+
+
+def random_form_values(asm, s: float, lam: float, t: float,
+                       draws: int = 1000, seed: int = DEFAULT_DRAW_SEED) -> dict:
+    """The form constants of :func:`dense_form_values` over a seeded batch:
+    the least relative slacks of the sandwich and the drift bound, the least
+    ``A_lam(f) / |f|^2``, and the largest ``|A_lam(f, g)| / (A_lam(f)
+    A_lam(g))^(1/2)`` over consecutive pairs of draws.  ``sd4`` is the least
+    Markov pairing ``A(f ^ a, f - f ^ a)`` over random cut levels
+    ``a >= 0`` (``a = 0`` for the first tenth)."""
+    F = draw_batch(asm.n, draws, seed)
+    l2 = batch_l2_sq(asm, F)
+    e = batch_quad(asm.E_matrix, F)
+    e_lam, q = e + lam * l2, batch_quad(asm.Q_matrix, F)
+    a_lam = e_lam + q
+    shifted = asm.A_matrix @ F.T + lam * asm.mu[:, None] * F.T
+    cross = np.einsum("kn,nk->k", np.roll(F, 1, axis=0), shifted)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    a_cut = rng.uniform(0.0, np.maximum(np.max(np.abs(F), axis=1), 1e-6))
+    a_cut[: max(1, draws // 10)] = 0.0
+    g1 = np.minimum(F, a_cut[:, None])
+    bound = s * e + t * l2
+    return {
+        "lower": np.min((a_lam - (1.0 - s) * e_lam) / e_lam),
+        "upper": np.min(((1.0 + s) * e_lam - a_lam) / e_lam),
+        "drift": np.min((bound - np.abs(q)) / bound),
+        "sd1": np.min(a_lam / l2),
+        "sector": np.max(np.abs(cross) / np.sqrt(a_lam * np.roll(a_lam, 1))),
+        "sd4": np.min(np.einsum("kn,kn->k", F - g1, (asm.A_matrix @ g1.T).T)),
+    }

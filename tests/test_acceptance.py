@@ -19,7 +19,7 @@ from driftform.convergence import (
     resolvent_convergence,
     semigroup_convergence,
 )
-from driftform.drift import verify_SD_axioms, verify_sandwich
+from driftform.drift import certify_SD_axioms, certify_drift_bound, certify_sandwich
 from driftform.markov import (
     detailed_balance_gap,
     ensemble_states,
@@ -27,7 +27,8 @@ from driftform.markov import (
     point_mass,
 )
 from driftform.resistance import harmonic_extension, trace
-from driftform.spectral import markov_check, resolvent, semigroup_apply
+from driftform.spectral import markov_check, resolvent
+from oracles import semigroup_apply
 
 MACHINE_REL = 8 * np.finfo(float).eps
 
@@ -109,21 +110,23 @@ def test_criterion_4_semi_dirichlet_suite(instance):
     failures = []
     for level in range(1, 6):
         asm = sg_tower.assembly(level, cfg)
-        sw = verify_sandwich(asm, c.s, c.lam, draws=1000, seed=level)
-        sd = verify_SD_axioms(asm, c.s, c.lam, c.delta, c.diam_proxy,
-                              draws=1000, seed=level)
+        sw = certify_sandwich(asm, c.s, c.lam)
+        db = certify_drift_bound(asm, c.s, c.t)
+        sd = certify_SD_axioms(asm, sw, c.delta, c.diam_proxy)
         if not sw.passed:
-            failures.append(f"level {level}: sandwich {sw.lower_margin:.2e}")
-        if sd.sd1_min < -1e-12:
-            failures.append(f"level {level}: sd1 {sd.sd1_min:.2e}")
-        if sd.sd4_min < -1e-12:
-            failures.append(f"level {level}: sd4 {sd.sd4_min:.2e}")
-        if sd.edge_one_plus_eta_min < 0.0:
-            failures.append(f"level {level}: edges {sd.edge_one_plus_eta_min:.2e}")
+            failures.append(f"level {level}: sandwich {sw.lower_margin}, {sw.upper_margin}")
+        if not db.passed:
+            failures.append(f"level {level}: drift bound {db.margin}")
+        if not sd.sd1_passed:
+            failures.append(f"level {level}: sd1 {sd.sd1_min}")
+        if not sd.sd3_passed or sd.sector_constant.lo < 1.0:
+            failures.append(f"level {level}: sector {sd.sector_constant}")
+        if not sd.sd4_passed or sd.edge_one_plus_eta_min < 0.0:
+            failures.append(f"level {level}: edges {sd.edge_markov_min:.2e}")
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 120.0
     verdict(4, "semi-Dirichlet suite", ok,
-            f"levels 1..5 x 1000 draws, {elapsed:.1f}s"
+            f"levels 1..5, exact eigen-certificates, {elapsed:.1f}s"
             + (f"; {failures}" if failures else ""))
 
 

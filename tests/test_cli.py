@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from driftform.cli import _parse_levels, main
 from driftform.tower import DriftConfig
@@ -56,6 +58,14 @@ class TestExitCodes:
         assert report["admissible"] is True
         assert report["sd_axioms"]["passed"] is True
         assert report["sandwich"]["passed"] is True
+        # every form margin is a bracket around its value
+        certified = [report["sandwich"]["lower_margin"], report["sandwich"]["upper_margin"],
+                     report["drift_bound"]["margin"], report["sd_axioms"]["sd1_min"]]
+        for entry in certified:
+            lo, hi = entry["bracket"]
+            assert 0.0 < lo <= entry["value"] <= hi and entry["residual"] >= 0.0
+        lo, hi = report["sd_axioms"]["sector_constant"]["bracket"]
+        assert 1.0 <= lo <= hi <= report["sd_axioms"]["sector_bound"]
         assert report["rate_validation"]["ok"] is True
         assert report["detailed_balance_gap"] > 0
 
@@ -145,7 +155,7 @@ class TestExitCodes:
     def test_config_values_take_the_flag_types(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"level": "1", "reference-level": 2,
-                                   "draws": "50", "t": 0.1, "assumption": "B"}))
+                                   "paths": "50", "t": 0.1, "assumption": "B"}))
         out = tmp_path / "out"
         assert run(["check", "--config", str(cfg), "--out", str(out)]) == 0
         report = load_report_json(out / "check_report.json")
@@ -169,6 +179,33 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
+    def test_retired_draws_option_exits_2(self, tmp_path, capsys):
+        # the form checks are exact eigen-certificates; no draw count is taken
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--draws", "50", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --draws" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"draws": 50}))
+        assert run(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: unknown config key 'draws'"], err
+
+    @pytest.mark.parametrize("failure", ["no_convergence", "nan_vectors"])
+    def test_certificate_failure_exits_1(self, tmp_path, capsys, monkeypatch, failure):
+        def broken_eigsh(a, k, **kwargs):
+            if failure == "no_convergence":
+                raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+            return np.zeros(k), np.full((a.shape[0], k), np.nan)
+
+        monkeypatch.setattr("driftform.drift.eigsh", broken_eigsh)
+        assert run(["check", "--level", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:"), lines
+        assert not (tmp_path / "check_report.json").exists()
+
     def test_resolvent_residual_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # a negative tolerance makes every solve fail its residual certificate
         monkeypatch.setattr("driftform.spectral.RESIDUAL_TOL", -1.0)
@@ -190,8 +227,6 @@ class TestExitCodes:
         ["semigroup", "--f", "harmonic:1,a,0"],
         ["converge", "--levels", "a", "--reference-level", "2"],
         ["converge", "--levels", "1:2:3", "--reference-level", "4"],
-        ["check", "--draws", "0"],
-        ["check", "--draws", "-5"],
         ["simulate", "--paths", "-3"],
         ["simulate", "--paired", "--paths", "0"],
         ["simulate", "--paired", "--paths", "1"],
@@ -267,6 +302,7 @@ class TestExitCodes:
 class TestDeterminism:
     @pytest.mark.parametrize("mode_args", [
         ["check", "--level", "2", "--reference-level", "3"],
+        ["check", "--level", "6"],  # eigsh certificates from a fixed start vector
         ["converge", "--levels", "1:2", "--reference-level", "3",
          "--paths", "500", "--t", "0.05"],
         ["simulate", "--level", "1", "--paths", "40", "--t", "0.02,0.05"],
@@ -296,6 +332,13 @@ class TestConverge:
         errs = report["reports"]["resolvent_sup"]["errors"]
         assert errs[-1] < errs[0]
         assert report["smallest_passing_level"] == 1
+        assert report["sandwich_passed_by_level"] == {"1": True, "2": True, "3": True}
+        margins = report["per_level_sandwich_margins"]
+        assert sorted(margins) == ["1", "2", "3"]
+        for level in margins.values():
+            for entry in level.values():
+                lo, hi = entry["bracket"]
+                assert 0.0 < lo <= entry["value"] <= hi
         assert "lambda" in report["constants"]
         semigroup, path_law = report["reports"]["semigroup_sup"], report["reports"]["path_law"]
         assert semigroup["methods"] == {str(n): "chebyshev" for n in (1, 2, 3, 4)}

@@ -1,26 +1,29 @@
 """Drift forms, smallness conditions, constants, and the form axioms."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftform import pcf
 from driftform import tower as tw
 from driftform.drift import (
     DriftError,
     DriftSpec,
     InadmissibleDriftError,
+    Bracket,
     assemble_Q,
     assemble_forms,
     check_condition_I,
+    certify_SD_axioms,
+    certify_drift_bound,
+    certify_sandwich,
     check_condition_II,
     eta_edge_values,
     sample_field,
     select_constants,
-    verify_SD_axioms,
-    verify_drift_bound,
-    verify_sandwich,
 )
 from driftform.resistance import (
     ConductanceNetwork,
@@ -34,9 +37,13 @@ from oracles import (
     edge_list,
     effective_resistance,
     eta,
+    dense_form_values,
+    form_value,
+    random_form_values,
 )
 
-CONSTANT_DRIFT = Path(__file__).resolve().parents[1] / "docs" / "configs" / "drift_constant.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
+CONSTANT_DRIFT = CONFIGS / "drift_constant.json"
 
 
 def brute_force_Q(net, drift, f, g) -> float:
@@ -359,11 +366,11 @@ class TestSandwich:
     def test_zero_drift_is_exact(self, sg_tower):
         spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
         asm = assemble_forms(sg_tower.network(2), spec, sg_tower.measure(2))
-        rep = verify_sandwich(asm, s=0.5, lam=1.0, draws=200)
+        rep = certify_sandwich(asm, s=0.5, lam=1.0)
         assert rep.passed
-        # A equals E exactly, so both relative margins equal s
-        assert rep.lower_margin == pytest.approx(0.5, rel=1e-9)
-        assert rep.upper_margin == pytest.approx(0.5, rel=1e-9)
+        # A equals E exactly, so both relative margins equal s exactly
+        assert rep.lower_margin == rep.upper_margin
+        assert rep.lower_margin == Bracket(0.5, 0.5, 0.5, 0.0)
 
     def test_constant_functions(self, sg_tower, admissible_cfg, admissible_constants):
         spec = drift_on(sg_tower, admissible_cfg, 2)
@@ -371,8 +378,8 @@ class TestSandwich:
         c = admissible_constants
         f = np.full(asm.n, 1.7)
         l2_sq = float(np.sum(asm.mu * f * f))
-        a_lam = asm.A(f) + c.lam * l2_sq
-        e_lam = asm.E(f) + c.lam * l2_sq
+        a_lam = form_value(asm.A_matrix, f) + c.lam * l2_sq
+        e_lam = form_value(asm.E_matrix, f) + c.lam * l2_sq
         assert (1 - c.s) * e_lam <= a_lam <= (1 + c.s) * e_lam
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
@@ -381,23 +388,29 @@ class TestSandwich:
     ):
         asm = sg_tower.assembly(level, admissible_cfg)
         c = admissible_constants
-        rep = verify_sandwich(asm, c.s, c.lam, draws=1000)
+        rep = certify_sandwich(asm, c.s, c.lam)
         assert rep.passed, (rep.lower_margin, rep.upper_margin)
+        for margin in (rep.lower_margin, rep.upper_margin):
+            assert 0.0 < margin.lo <= margin.value <= margin.hi < 1.0
 
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_drift_bound(self, sg_tower, admissible_cfg, admissible_constants, level):
         asm = sg_tower.assembly(level, admissible_cfg)
         c = admissible_constants
-        rep = verify_drift_bound(asm, c.s, c.t, draws=1000)
+        rep = certify_drift_bound(asm, c.s, c.t)
         assert rep.passed, rep.margin
+        assert rep.margin.lo <= rep.margin.value <= rep.margin.hi
 
 
 class TestSDAxioms:
     def test_zero_drift(self, sg_tower):
         asm = sg_tower.assembly(2, tw.zero_drift_config(3))
-        rep = verify_SD_axioms(asm, s=0.5, lam=1.0, delta=0.1, diam_proxy=2 / 3, draws=300)
+        rep = certify_SD_axioms(asm, certify_sandwich(asm, 0.5, 1.0), delta=0.1,
+                                diam_proxy=2 / 3)
         assert rep.passed
         assert rep.edge_one_plus_eta_min == 1.0  # every edge factor is exactly 1
+        # A_lam is symmetric: the sector constant is exactly 1
+        assert rep.sector_constant == Bracket(1.0, 1.0, 1.0, 0.0)
 
     def test_zero_cut_level(self, sg_tower, admissible_cfg):
         # a = 0 with f >= 0: f ^ 0 = 0 and the pairing vanishes
@@ -410,13 +423,28 @@ class TestSDAxioms:
     def test_admissible_instance(self, sg_tower, admissible_cfg, admissible_constants):
         asm = sg_tower.assembly(3, admissible_cfg)
         c = admissible_constants
-        rep = verify_SD_axioms(asm, c.s, c.lam, c.delta, c.diam_proxy, draws=1000)
+        rep = certify_SD_axioms(asm, certify_sandwich(asm, c.s, c.lam), c.delta, c.diam_proxy)
         assert rep.passed
-        assert rep.sd1_min >= 0.0
-        assert rep.sd4_min >= -1e-12
-        assert rep.sector_empirical <= rep.sector_bound
+        assert rep.sd1_min.lo > 0.0
+        # no sector constant is below 1 (take g = f)
+        assert 1.0 <= rep.sector_constant.lo <= rep.sector_constant.hi <= rep.sector_bound
         assert rep.edge_one_plus_eta_min >= 0.0
         assert rep.edge_markov_min >= 0.0
+
+    @pytest.mark.parametrize("level", [3, 6])
+    def test_indefinite_shifted_form_fails_without_crash(self, sg_tower, level):
+        # a drift far past the smallness threshold and a tiny shift leave
+        # S = E_lam + Q_sym indefinite
+        cfg = tw.DriftConfig((("constant", 40.0),), ((0, (1.0, 0.0, 0.0)),))
+        asm = sg_tower.assembly(level, cfg)
+        sandwich = certify_sandwich(asm, 0.5, 1e-3)
+        assert sandwich.lower_margin.hi < 0.5 - 1.0
+        rep = certify_SD_axioms(asm, sandwich, delta=0.1, diam_proxy=2 / 3)
+        assert rep.sd1_min is None and rep.sector_constant is None
+        assert not (rep.sd1_passed or rep.sd3_passed or rep.passed)
+        d = rep.to_dict()
+        assert d["sd1_min"] is None and d["sector_constant"] is None
+        assert d["passed"] is False
 
     def test_edge_certificate_from_pointwise_condition(self, sg_tower, admissible_cfg):
         # |sum_i b_i(x)(h_i(x)-h_i(y))| <= R(x,y)^(1/2) E(sum_i b_i(x) h_i)^(1/2)
@@ -452,8 +480,8 @@ class TestStrongLocality:
         f[list(star)] = 2.25  # constant on the closed star
         g = np.zeros(asm.n)
         g[list(support)] = rng.standard_normal(len(support))
-        assert asm.Q(f, g) == pytest.approx(0.0, abs=1e-12)
-        assert asm.A(f, g) == pytest.approx(0.0, abs=1e-12)
+        assert form_value(asm.Q_matrix, f, g) == pytest.approx(0.0, abs=1e-12)
+        assert form_value(asm.A_matrix, f, g) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSmallnessReport:
@@ -599,3 +627,101 @@ class TestExpressionFields:
         )
         with pytest.raises(DriftError, match="not allowed"):
             tw.realize_drift(sg_tower, cfg, 1)
+
+
+@pytest.fixture(scope="module")
+def form_instances(sg_tower, admissible_cfg):
+    """``name -> (tower, drift config)``: the default drift on SG and on the
+    two shipped non-SG structures, and the two-term drift on SG."""
+    out = {"sg": (sg_tower, admissible_cfg), "sg_two_term": (sg_tower, TWO_TERM_DRIFT)}
+    for name in ("interval", "sg_combinatorial"):
+        tower = tw.LevelTower(pcf.load_structure(CONFIGS / f"{name}.json"))
+        out[name] = (tower, tw.default_admissible_drift(tower, proxy_level=5))
+    return out
+
+
+def certified_values(asm, s, lam, t, delta=0.1, diam=2 / 3) -> dict:
+    """The certificates' values under the keys of ``dense_form_values``."""
+    sw = certify_sandwich(asm, s, lam)
+    sd = certify_SD_axioms(asm, sw, delta, diam)
+    return {"lower": sw.lower_margin, "upper": sw.upper_margin,
+            "drift": certify_drift_bound(asm, s, t).margin,
+            "sd1": sd.sd1_min, "sector": sd.sector_constant}
+
+
+@pytest.fixture(scope="module")
+def dense_oracle():
+    """``dense_form_values`` memoized per instance and level."""
+    cache = {}
+
+    def values(asm, key, *constants):
+        if key not in cache:
+            cache[key] = dense_form_values(asm, *constants)
+        return cache[key]
+    return values
+
+
+class TestCertificates:
+    # fixed s, lambda and t shared by every instance
+    S, LAM, T = 0.5, 1.5, 0.75
+
+    # level 0 (2 or 3 vertices) is too small for ARPACK and takes dense eigh
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["sg", "interval", "sg_combinatorial", "sg_two_term"])
+    def test_agree_with_dense_eigenvalues(self, form_instances, dense_oracle, name, level):
+        tower, cfg = form_instances[name]
+        asm = tower.assembly(level, cfg)
+        oracle = dense_oracle(asm, (name, level), self.S, self.LAM, self.T)
+        got = certified_values(asm, self.S, self.LAM, self.T)
+        for key, want in oracle.items():
+            b = got[key]
+            assert b.value == pytest.approx(want, abs=1e-10), key
+            assert b.lo - 1e-10 <= want <= b.hi + 1e-10, key
+            assert b.residual < 1e-10, key
+
+    def test_two_term_drift_has_a_rotating_part(self, form_instances):
+        # the antisymmetric part K of the two-term drift gives a sector
+        # constant above 1 and a generator with complex spectrum
+        tower, cfg = form_instances["sg_two_term"]
+        asm = tower.assembly(4, cfg)
+        assert certified_values(asm, self.S, self.LAM, self.T)["sector"].lo > 1.0
+        eigs = np.linalg.eigvals(tower.generator(4, cfg).L.toarray())
+        assert np.max(np.abs(eigs.imag)) > 1e-6
+
+    @pytest.mark.parametrize("level, want", [(5, 0.630984), (6, 0.630975), (7, 0.630973)])
+    def test_sandwich_lower_margin_is_level_stable(self, sg_tower, admissible_cfg,
+                                                   admissible_constants, level, want):
+        c = admissible_constants
+        asm = sg_tower.assembly(level, admissible_cfg)
+        margin = certify_sandwich(asm, c.s, c.lam).lower_margin
+        assert round(margin.value, 6) == want
+        assert margin.hi - margin.lo < 1e-11
+
+    @pytest.mark.parametrize("name, level", [("sg", 3), ("sg", 6), ("interval", 5),
+                                             ("sg_combinatorial", 4), ("sg_two_term", 4)])
+    def test_random_batches_are_looser(self, form_instances, name, level):
+        # on the same assembly a random margin is never below the exact one
+        tower, cfg = form_instances[name]
+        asm = tower.assembly(level, cfg)
+        exact = certified_values(asm, self.S, self.LAM, self.T)
+        batch = random_form_values(asm, self.S, self.LAM, self.T)
+        for key in ("lower", "upper", "drift", "sd1"):
+            assert batch[key] >= exact[key].value - 1e-12, key
+        assert batch["sector"] <= exact["sector"].value + 1e-12
+        # the Markov pairing is nonnegative wherever the edge certificate holds
+        assert batch["sd4"] >= -1e-12
+
+    def test_certificates_stay_small_in_memory(self, sg_tower, admissible_cfg,
+                                               admissible_constants):
+        # the random batch of 1000 draws needed about 26 MB at L6
+        c = admissible_constants
+        asm = sg_tower.assembly(6, admissible_cfg)
+        tracemalloc.start()
+        try:
+            sandwich = certify_sandwich(asm, c.s, c.lam)
+            certify_drift_bound(asm, c.s, c.t)
+            certify_SD_axioms(asm, sandwich, c.delta, c.diam_proxy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak

@@ -16,11 +16,10 @@ from driftform.resistance import (
     energy,
     harmonic_extension,
     resistance_diameter,
-    resistance_matrix,
     trace,
 )
 from driftform.cli import read_vertex_function, write_vertex_function_report
-from oracles import edge_list, effective_resistance
+from oracles import edge_list, effective_resistance, resistance_matrix
 
 
 def brute_force_energy(net: ConductanceNetwork, f, g) -> float:

@@ -31,10 +31,9 @@ from driftform.spectral import (
     markov_check,
     resolvent,
     resolvent_solve,
-    semigroup_apply,
     semigroup_solve,
 )
-from oracles import TWO_TERM_DRIFT
+from oracles import TWO_TERM_DRIFT, semigroup_apply
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
