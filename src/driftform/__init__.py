@@ -28,11 +28,8 @@ from .resistance import (
 from .drift import (
     Constants,
     DriftSpec,
-    FormAssembly,
     InadmissibleDriftError,
     SmallnessReport,
-    assemble_Q,
-    assemble_forms,
     certify_SD_axioms,
     certify_drift_bound,
     certify_sandwich,

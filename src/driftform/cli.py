@@ -87,7 +87,8 @@ def write_vertex_function_report(path: Path, values: np.ndarray) -> None:
 def read_vertex_function(path, n: int) -> np.ndarray:
     """Values at vertices ``0 .. n-1`` from an ``id value`` file, the format
     :func:`write_vertex_function_report` writes; blank lines and ``#``
-    lines are skipped, and ids past ``n - 1`` are ignored."""
+    lines are skipped, ids past ``n - 1`` are ignored, and every value must
+    be finite."""
     data: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -96,11 +97,14 @@ def read_vertex_function(path, n: int) -> np.ndarray:
                 continue
             try:
                 x, v = fields
-                data[int(x)] = float(v)
+                x, v = int(x), float(v)
             except ValueError:
                 raise ConfigError(
                     f"{path} line {lineno}: expected 'id value', got {line.strip()!r}"
                 ) from None
+            if not math.isfinite(v):
+                raise ConfigError(f"{path} line {lineno}: value {v} is not finite")
+            data[x] = v
     missing = next((k for k in range(n) if k not in data), None)
     if missing is not None:
         raise ConfigError(f"{path} has no value for vertex {missing} (needs ids 0..{n - 1})")
@@ -262,6 +266,8 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
             vals = [float(x) for x in spec.split(":", 1)[1].split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad boundary values in {spec!r}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"boundary values in {spec!r} must be finite")
         if len(vals) != tower.structure.boundary_size:
             raise ConfigError("harmonic input needs one value per boundary point")
         return harmonic_extension(tower.network(level), dict(enumerate(vals)))
@@ -279,6 +285,8 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
     """
     if args.paths < 0:
         raise ConfigError(f"--paths must be >= 0, got {args.paths}")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     if proxy_level is None:
         proxy_level = args.reference_level if args.reference_level is not None else args.level
     if args.structure == "sg":
@@ -293,7 +301,7 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
         config = tw.load_drift_config(args.drift)
     reports: dict[int, dr.SmallnessReport] = {}
     for n in levels or [args.level]:
-        _, reports[n] = tw.constants_for(
+        reports[n] = tw.constants_for(
             tower, config, n, proxy_level=proxy_level, delta=args.delta
         )
         failed = reports[n].failed_conditions(args.assumption)
@@ -339,12 +347,11 @@ def cmd_check(args) -> int:
     payload["detailed_balance_gap"] = mk.detailed_balance_gap(gen)
     if report.constants is not None:
         c = report.constants
-        asm = tower.assembly(level, config)
-        sandwich = dr.certify_sandwich(asm, c.s, c.lam)
+        sandwich = dr.certify_sandwich(gen, c.s, c.lam)
         payload["sandwich"] = sandwich.to_dict()
-        payload["drift_bound"] = dr.certify_drift_bound(asm, c.s, c.t).to_dict()
+        payload["drift_bound"] = dr.certify_drift_bound(gen, c.s, c.t).to_dict()
         payload["sd_axioms"] = dr.certify_SD_axioms(
-            asm, sandwich, c.delta, report.diam_proxy
+            gen, sandwich, c.delta, report.diam_proxy
         ).to_dict()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -502,7 +509,7 @@ def cmd_converge(args) -> int:
     constants = reports[reference].constants
     alphas = _alphas(args, constants)
 
-    sandwiches = {n: dr.certify_sandwich(tower.assembly(n, config), constants.s, constants.lam)
+    sandwiches = {n: dr.certify_sandwich(tower.generator(n, config), constants.s, constants.lam)
                   for n in levels}
     smallest_pass = next((n for n in levels if sandwiches[n].passed), None)
 

@@ -4,10 +4,12 @@ The perturbation data is a batch of scalar fields ``b_i`` sampled at the
 working level together with piecewise-harmonic reference functions ``h_i``
 (harmonic extensions of base-level data).  Adding the induced first-order
 terms to the symmetric energy gives a non-symmetric bilinear form; this
-module assembles the form matrices, evaluates the global and pointwise
+module computes its edge weights, evaluates the global and pointwise
 smallness conditions with their derived constants ``(delta, s, t, lambda)``,
 and certifies the form inequalities and axioms by extreme generalized
-eigenvalues, each with its residual bound.
+eigenvalues, each with its residual bound.  The form matrices are those of
+the chain generator (:class:`driftform.markov.GeneratorMatrix`), which every
+check here takes.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import ast
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh, splu
 
 from .resistance import ConductanceNetwork, harmonic_extension
+
+if TYPE_CHECKING:
+    from .markov import GeneratorMatrix
 
 DIAMETER_CAVEAT = (
     "diameter proxy is the maximum resistance over the finite vertex set of "
@@ -72,6 +77,8 @@ class DriftSpec:
             raise DriftError("at least one drift term is required")
         if not np.all(np.isfinite(self.b)):
             raise DriftError("b values must be finite")
+        if not np.all(np.isfinite(self.h_base)):
+            raise DriftError("h base values must be finite")
         if not self.b_labels:
             self.b_labels = tuple(f"b_{i}" for i in range(self.N))
 
@@ -200,75 +207,17 @@ def make_drift(
 
 
 # ---------------------------------------------------------------------------
-# Edge weights and form matrices
+# Edge weights
 # ---------------------------------------------------------------------------
 
-def eta_edge_values(net: ConductanceNetwork, drift: DriftSpec):
-    """``(rows, cols, eta_vals)`` over the ordered conductance pattern."""
+def eta_edge_values(net: ConductanceNetwork, drift: DriftSpec) -> np.ndarray:
+    """The edge weights ``eta(x, y)`` over the ordered conductance pattern
+    ``net.c.tocoo()``."""
     coo = net.c.tocoo()
     rows, cols = coo.row, coo.col
     p = np.einsum("in,in->n", drift.b, drift.h)
     cross = np.einsum("ir,ir->r", drift.b[:, rows], drift.h[:, cols])
-    return rows, cols, 0.5 * (p[rows] - cross)
-
-
-def assemble_Q(net: ConductanceNetwork, drift: DriftSpec) -> sparse.csr_matrix:
-    """Matrix of the drift form in the convention ``Q(f, g) = g @ Q @ f``.
-
-    Row index is the test-function (``g``) vertex, column index the input
-    (``f``) vertex.  The form vanishes for constant ``f`` by construction.
-    """
-    if drift.n_vertices != net.n:
-        raise DriftError(
-            f"drift realized on {drift.n_vertices} vertices, network has {net.n}"
-        )
-    rows, cols, ev = eta_edge_values(net, drift)
-    coo = net.c.tocoo()
-    weighted = coo.data * ev
-    off = sparse.coo_matrix((-weighted, (rows, cols)), shape=(net.n, net.n))
-    diag = np.bincount(rows, weights=weighted, minlength=net.n)
-    return (off + sparse.diags(diag)).tocsr()
-
-
-@dataclass
-class FormAssembly:
-    """Symmetric + drift form matrices with the level's reference weights."""
-
-    level: int
-    E_matrix: sparse.csr_matrix
-    Q_matrix: sparse.csr_matrix
-    A_matrix: sparse.csr_matrix
-    mu: np.ndarray
-    net: ConductanceNetwork | None = None
-    drift: DriftSpec | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.mu)
-
-
-def assemble_forms(
-    net: ConductanceNetwork,
-    drift: DriftSpec | None,
-    mu: np.ndarray,
-    level: int | None = None,
-) -> FormAssembly:
-    """Bundle the energy matrix, drift matrix and measure of one level."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (net.n,):
-        raise DriftError("measure must assign one weight per vertex")
-    if np.any(mu <= 0):
-        raise DriftError("measure weights must be positive")
-    e_mat = sparse.csr_matrix(net.laplacian(dense=False))
-    if drift is None or drift.is_zero():
-        q_mat = sparse.csr_matrix((net.n, net.n))
-        if drift is not None and drift.n_vertices != net.n:
-            raise DriftError("drift level does not match network")
-    else:
-        q_mat = assemble_Q(net, drift)
-    a_mat = (e_mat + q_mat).tocsr()
-    lvl = level if level is not None else (drift.level if drift else -1)
-    return FormAssembly(lvl, e_mat, q_mat, a_mat, mu, net=net, drift=drift)
+    return 0.5 * (p[rows] - cross)
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +245,28 @@ class ConditionCheck:
         return d
 
 
-def check_condition_I(
-    net: ConductanceNetwork, drift: DriftSpec, diam_proxy: float
-) -> ConditionCheck:
+def check_condition_I(gen: GeneratorMatrix, diam_proxy: float) -> ConditionCheck:
     """Global drift-energy smallness: the summed mutual energies
     ``sum_ij sum_{x != y} c_xy b_i(x) b_j(x) (h_i(x)-h_i(y)) (h_j(x)-h_j(y))``
     of the drift terms must stay strictly below ``2 / diam``.
 
     The coefficients sit at the left endpoint of every ordered pair, as in
     the drift form, so the sum is ``4 sum_{x != y} c_xy eta(x, y)^2`` over
-    the edge weights of :func:`eta_edge_values`.
+    the edge weights ``gen.edge_eta``.
     """
-    _, _, ev = eta_edge_values(net, drift)
-    total = 4.0 * float(np.sum(net.c.tocoo().data * ev * ev))
+    ev = gen.edge_eta
+    total = 4.0 * float(np.sum(gen.net.c.tocoo().data * ev * ev))
     threshold = 2.0 / diam_proxy
     return ConditionCheck(
         "condition_I", total, threshold, total < threshold, threshold - total
     )
 
 
-def check_condition_II(
-    net: ConductanceNetwork, drift: DriftSpec, diam_proxy: float
-) -> ConditionCheck:
+def check_condition_II(gen: GeneratorMatrix, diam_proxy: float) -> ConditionCheck:
     """Pointwise smallness: freezing the coefficients at any vertex, the
     energy of the combined reference function stays below ``1 / diam``."""
-    lap = sparse.csr_matrix(net.laplacian(dense=False))
-    gram = drift.h @ (lap @ drift.h.T)  # (N, N) energy pairings of the h rows
+    drift = gen.drift
+    gram = drift.h @ (gen.E_matrix @ drift.h.T)  # (N, N) energy pairings of the h rows
     vals = np.einsum("ix,ij,jx->x", drift.b, gram, drift.b)
     worst = int(np.argmax(vals))
     value = float(vals[worst])
@@ -360,14 +305,11 @@ class Constants:
 
 
 def select_constants(
-    drift_energy: float,
-    diam_proxy: float,
-    delta: float | None = None,
-    s: float | None = None,
+    drift_energy: float, diam_proxy: float, delta: float | None = None
 ) -> Constants:
     """Pick ``(delta, s, t, lambda)`` from the drift energy and diameter.
 
-    ``s`` defaults to the midpoint of its admissible interval
+    ``s`` is the midpoint of its admissible interval
     ``(sqrt(drift_energy / 2) * (sqrt(diam) + delta), 1)``; ``delta``
     defaults to a tenth of ``sqrt(diam)``.  Raises
     :class:`InadmissibleDriftError` when the interval is empty.
@@ -386,12 +328,7 @@ def select_constants(
             "shrink the drift coefficients",
             s_lower,
         )
-    if s is None:
-        s = 0.5 * (s_lower + 1.0)
-    elif not (s_lower < s < 1.0):
-        raise InadmissibleDriftError(
-            f"s={s} outside the admissible interval ({s_lower:.6g}, 1)", s_lower
-        )
+    s = 0.5 * (s_lower + 1.0)
     lam = 1.0 / (4.0 * delta * (root_diam + delta))
     return Constants(delta, s, lam * s, lam, s_lower, diam_proxy)
 
@@ -444,23 +381,21 @@ class SmallnessReport:
 
 
 def smallness_report(
-    net: ConductanceNetwork,
-    drift: DriftSpec,
+    gen: GeneratorMatrix,
     diam_proxy: float,
     diam_proxy_level: int,
     delta: float | None = None,
-    s: float | None = None,
 ) -> SmallnessReport:
-    cond1 = check_condition_I(net, drift, diam_proxy)
-    cond2 = check_condition_II(net, drift, diam_proxy)
+    cond1 = check_condition_I(gen, diam_proxy)
+    cond2 = check_condition_II(gen, diam_proxy)
     constants, reason = None, None
     try:
-        constants = select_constants(cond1.value, diam_proxy, delta=delta, s=s)
+        constants = select_constants(cond1.value, diam_proxy, delta=delta)
         s_lower = constants.s_lower
     except InadmissibleDriftError as exc:
         reason, s_lower = str(exc), exc.s_lower
     return SmallnessReport(
-        level=drift.level,
+        level=gen.level,
         diam_proxy=diam_proxy,
         diam_proxy_level=diam_proxy_level,
         drift_energy=cond1.value,
@@ -554,11 +489,11 @@ def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     return [max(out, key=lambda e: abs(e.value))] if which == "LM" else out
 
 
-def _drift_pencil(assembly: FormAssembly, e_coeff: float, m_coeff: float):
+def _drift_pencil(gen: GeneratorMatrix, e_coeff: float, m_coeff: float):
     """``(Q_sym, B, solve)``: the symmetric part of the drift matrix, the SPD
     ``B = e_coeff E + m_coeff M`` and its factored solve."""
-    q = assembly.Q_matrix
-    b = (e_coeff * assembly.E_matrix + m_coeff * sparse.diags(assembly.mu)).tocsc()
+    q = gen.Q_matrix
+    b = (e_coeff * gen.E_matrix + m_coeff * sparse.diags(gen.mu)).tocsc()
     return (0.5 * (q + q.T)).tocsr(), b, _factor(b)
 
 
@@ -584,11 +519,11 @@ class SandwichReport:
                 "upper_margin": self.upper_margin.to_dict(), "passed": self.passed}
 
 
-def certify_sandwich(assembly: FormAssembly, s: float, lam: float) -> SandwichReport:
+def certify_sandwich(gen: GeneratorMatrix, s: float, lam: float) -> SandwichReport:
     """The sandwich margins of one level as exact brackets; a check passes
     on the pessimistic end of its bracket."""
-    bottom, top = _extremes(*_drift_pencil(assembly, 1.0, lam), "BE")
-    return SandwichReport(assembly.level, s, lam,
+    bottom, top = _extremes(*_drift_pencil(gen, 1.0, lam), "BE")
+    return SandwichReport(gen.level, s, lam,
                           bottom.map(lambda x: s + x), top.map(lambda x: s - x))
 
 
@@ -611,13 +546,13 @@ class DriftBoundReport:
                 "margin": self.margin.to_dict(), "passed": self.passed}
 
 
-def certify_drift_bound(assembly: FormAssembly, s: float, t: float) -> DriftBoundReport:
+def certify_drift_bound(gen: GeneratorMatrix, s: float, t: float) -> DriftBoundReport:
     """The drift-bound margin of one level as an exact bracket."""
-    (theta,) = _extremes(*_drift_pencil(assembly, s, t), "LM")
+    (theta,) = _extremes(*_drift_pencil(gen, s, t), "LM")
     v, r = abs(theta.value), theta.residual
     # max |θ| lies in [max(v - r, 0), v + r]
     margin = Bracket(1.0 - v, 1.0 - v - r, 1.0 - max(v - r, 0.0), r)
-    return DriftBoundReport(assembly.level, s, t, margin)
+    return DriftBoundReport(gen.level, s, t, margin)
 
 
 @dataclass
@@ -670,39 +605,37 @@ class SDAxiomReport:
 
 
 def certify_SD_axioms(
-    assembly: FormAssembly, sandwich: SandwichReport, delta: float, diam_proxy: float
+    gen: GeneratorMatrix, sandwich: SandwichReport, delta: float, diam_proxy: float
 ) -> SDAxiomReport:
     """Certify nonnegativity of the shifted form (SD1) and the sector
     condition (SD3) by extreme eigenvalues, and the Markov property (SD4) by
     its edgewise certificate, with ``s`` and ``lam`` of ``sandwich`` (the
-    sandwich certificate of this assembly).  As ``S v = (1 + θ) E_lam v`` on
+    sandwich certificate of this generator).  As ``S v = (1 + θ) E_lam v`` on
     the sandwich pencil, ``S`` is factored, and the SD1 and sector values
     computed, only when the lower margin ``s + min θ`` exceeds ``s - 1``.
     """
     s, lam = sandwich.s, sandwich.lam
-    if assembly.net is None:
-        raise DriftError("assembly must carry its network for the edge checks")
-    drift = assembly.drift
+    drift = gen.drift
     if drift is None or drift.is_zero():
         coeff = 0.0
         eta_min = markov_min = 1.0  # all edge factors are exactly 1
     else:
-        h_energies = np.einsum("in,in->i", drift.h, (assembly.E_matrix @ drift.h.T).T)
+        h_energies = np.einsum("in,in->i", drift.h, (gen.E_matrix @ drift.h.T).T)
         coeff = float(np.sum(np.max(np.abs(drift.b), axis=1) * np.sqrt(h_energies)))
-        _, _, ev = eta_edge_values(assembly.net, drift)
+        ev = gen.edge_eta
         eta_min = float(np.min(1.0 + ev)) if ev.size else 1.0
         markov_min = float(np.min(1.0 + 2.0 * ev)) if ev.size else 1.0
     sector_bound = (1.0 + (math.sqrt(diam_proxy) + 2.0 * delta) * coeff) / (1.0 - s)
 
     sd1 = sector = None
     if sandwich.lower_margin.lo > s - 1.0:
-        q = assembly.Q_matrix
-        big_s = (assembly.E_matrix + lam * sparse.diags(assembly.mu) + 0.5 * (q + q.T)).tocsc()
+        q = gen.Q_matrix
+        big_s = (gen.E_matrix + lam * sparse.diags(gen.mu) + 0.5 * (q + q.T)).tocsc()
         solve_s = _factor(big_s)
-        (nu,) = _extremes(sparse.diags(assembly.mu), big_s, solve_s, "LA")
+        (nu,) = _extremes(sparse.diags(gen.mu), big_s, solve_s, "LA")
         sd1 = nu.map(lambda x: 1.0 / x if x > 0.0 else math.inf)
         k = (0.5 * (q - q.T)).tocsr()
         op = LinearOperator(big_s.shape, dtype=float, matvec=lambda x: -(k @ solve_s(k @ x)))
         (rho_sq,) = _extremes(op, big_s, solve_s, "LA") if k.count_nonzero() else (_ZERO,)
         sector = rho_sq.map(lambda x: math.sqrt(1.0 + max(x, 0.0)))
-    return SDAxiomReport(assembly.level, sd1, sector, sector_bound, eta_min, markov_min)
+    return SDAxiomReport(gen.level, sd1, sector, sector_bound, eta_min, markov_min)

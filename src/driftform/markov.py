@@ -2,7 +2,9 @@
 
 The generator has off-diagonal entries ``mu(x)^-1 c_xy (1 + eta(x, y))`` and
 a diagonal making every row sum to zero, so duality with the bilinear form
-``(-L f, g)_mu = A(f, g)`` holds by construction.  Rates can fail to be
+``(-L f, g)_mu = A(f, g)`` holds by construction; a :class:`GeneratorMatrix`
+also carries the matrices of ``A = E + Q``, so one object per level and
+drift serves the chain and the form checks alike.  Rates can fail to be
 nonnegative for oversized drifts; :func:`validate_rates` lists the offending
 edges and all simulation entry points refuse invalid generators rather than
 clamping (clamping would silently change the form).
@@ -41,10 +43,13 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass
 class GeneratorMatrix:
-    """Generator ``L`` with its reference weights and edge diagnostics.
+    """Generator ``L`` of one level under one drift, with the forms it
+    generates: ``(-L f, g)_mu = A(f, g)`` with ``A = E + Q``.
 
-    ``edge_rows``/``edge_cols``/``edge_factor`` give ``1 + eta`` over the
-    ordered conductance pattern (the sign certificates for the rates).
+    ``edge_rows``/``edge_cols``/``edge_eta`` give the drift edge weights
+    ``eta`` over the ordered conductance pattern (zero without drift); the
+    rates, the sign certificates and the drift matrix are all derived from
+    them.  ``E_matrix`` and ``Q_matrix`` are built on first use.
     """
 
     L: sparse.csr_matrix
@@ -52,8 +57,9 @@ class GeneratorMatrix:
     level: int
     edge_rows: np.ndarray
     edge_cols: np.ndarray
-    edge_factor: np.ndarray
+    edge_eta: np.ndarray
     net: ConductanceNetwork | None = None
+    drift: DriftSpec | None = None
 
     @property
     def n(self) -> int:
@@ -63,6 +69,31 @@ class GeneratorMatrix:
     def q(self) -> np.ndarray:
         """Holding rates ``-diag(L)``."""
         return -self.L.diagonal()
+
+    @property
+    def edge_factor(self) -> np.ndarray:
+        """The rate factors ``1 + eta`` of the ordered edges."""
+        return 1.0 + self.edge_eta
+
+    @cached_property
+    def E_matrix(self) -> sparse.csr_matrix:
+        """Matrix of the energy ``E(f, g) = g @ E @ f``: the network Laplacian."""
+        return sparse.csr_matrix(self.net.laplacian(dense=False))
+
+    @cached_property
+    def Q_matrix(self) -> sparse.csr_matrix:
+        """Matrix of the drift form in the convention ``Q(f, g) = g @ Q @ f``.
+
+        Row index is the test-function (``g``) vertex, column index the input
+        (``f``) vertex.  The form vanishes for constant ``f`` by construction.
+        """
+        if self.drift is None or self.drift.is_zero():
+            return sparse.csr_matrix((self.n, self.n))
+        weighted = self.net.c.tocoo().data * self.edge_eta
+        shape = (self.n, self.n)
+        off = sparse.coo_matrix((-weighted, (self.edge_rows, self.edge_cols)), shape=shape)
+        diag = np.bincount(self.edge_rows, weights=weighted, minlength=self.n)
+        return (off + sparse.diags(diag)).tocsr()
 
     def rates_valid(self) -> bool:
         return bool(self.edge_factor.size == 0 or self.edge_factor.min() >= 0.0)
@@ -114,11 +145,11 @@ def build_generator(
     net: ConductanceNetwork,
     drift: DriftSpec | None,
     mu: np.ndarray,
-    level: int | None = None,
+    level: int,
 ) -> GeneratorMatrix:
     """Generator of the chain: jump rate ``mu(x)^-1 c_xy (1 + eta(x, y))``
     from ``x`` to ``y``, diagonal the negative row sum (rows sum to zero
-    exactly)."""
+    exactly).  The edge weights ``eta`` are computed here, once."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (net.n,):
         raise ValueError("measure must assign one weight per vertex")
@@ -126,18 +157,16 @@ def build_generator(
         raise ValueError("measure weights must be positive")
     coo = net.c.tocoo()
     if drift is None or drift.is_zero():
-        factor = np.ones_like(coo.data)
+        eta = np.zeros_like(coo.data)
     else:
         if drift.n_vertices != net.n:
             raise ValueError("drift level does not match network")
-        _, _, ev = eta_edge_values(net, drift)
-        factor = 1.0 + ev
-    rates = coo.data * factor / mu[coo.row]
+        eta = eta_edge_values(net, drift)
+    rates = coo.data * (1.0 + eta) / mu[coo.row]
     off = sparse.coo_matrix((rates, (coo.row, coo.col)), shape=(net.n, net.n))
     diag = np.bincount(coo.row, weights=rates, minlength=net.n)
     L = (off - sparse.diags(diag)).tocsr()
-    lvl = level if level is not None else (drift.level if drift else -1)
-    return GeneratorMatrix(L, mu, lvl, coo.row.copy(), coo.col.copy(), factor, net=net)
+    return GeneratorMatrix(L, mu, level, coo.row.copy(), coo.col.copy(), eta, net, drift)
 
 
 @dataclass

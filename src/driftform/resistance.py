@@ -48,7 +48,7 @@ class ConductanceNetwork:
         Symmetric, nonnegative, zero diagonal.
     """
 
-    def __init__(self, vertices: Sequence[int], conductances, *, validate: bool = True):
+    def __init__(self, vertices: Sequence[int], conductances):
         self.vertices = np.asarray(list(vertices), dtype=np.int64)
         self.index = {int(v): k for k, v in enumerate(self.vertices)}
         c = sparse.csr_matrix(conductances, dtype=float)
@@ -58,14 +58,6 @@ class ConductanceNetwork:
             )
         c.eliminate_zeros()
         self.c = c
-        if validate:
-            self._validate()
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def _validate(self) -> None:
         if len(self.index) != self.n:
             raise NetworkError("duplicate vertex ids")
         gap = abs(self.c - self.c.T).max() if self.c.nnz else 0.0
@@ -75,6 +67,10 @@ class ConductanceNetwork:
             raise NetworkError("negative conductance")
         if np.any(self.c.diagonal() != 0):
             raise NetworkError("conductance diagonal must be zero")
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
 
     @classmethod
     def from_edges(
@@ -172,19 +168,15 @@ def _interior_solver(net: ConductanceNetwork, ipos: np.ndarray, bpos: np.ndarray
     return lambda rhs: np.linalg.solve(lii, rhs), lib
 
 
-def trace(
-    net: ConductanceNetwork,
-    boundary: Sequence[int],
-    *,
-    clamp: float = SCHUR_CLAMP,
-) -> ConductanceNetwork:
+def trace(net: ConductanceNetwork, boundary: Sequence[int]) -> ConductanceNetwork:
     """Trace the energy onto a boundary subset by eliminating the interior.
 
     The result is the network on ``boundary`` whose energy of any boundary
     data equals the minimum energy over all extensions to the full vertex
     set (the Schur complement of the Laplacian).  Tracing onto the full
-    vertex set returns the network unchanged.  Conductances below ``clamp``
-    are dropped to keep round-off fill-in out of the sparsity pattern.
+    vertex set returns the network unchanged.  Conductances below
+    ``SCHUR_CLAMP`` are dropped to keep round-off fill-in out of the
+    sparsity pattern.
     """
     bset = {int(v) for v in boundary}
     if not bset:
@@ -211,7 +203,7 @@ def trace(
     cond = -schur
     np.fill_diagonal(cond, 0.0)
     cond = 0.5 * (cond + cond.T)  # kill asymmetric round-off
-    cond[np.abs(cond) < clamp] = 0.0
+    cond[np.abs(cond) < SCHUR_CLAMP] = 0.0
     if cond.min() < 0:
         raise NetworkError(
             f"Schur complement produced a negative conductance ({cond.min():.3g})"

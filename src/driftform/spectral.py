@@ -82,13 +82,16 @@ def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
     fv = np.asarray(f, dtype=float)
     if fv.shape != (gen.n,):
         raise ValueError(f"input has shape {fv.shape}, expected ({gen.n},)")
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("input values must be finite")
     system = (alpha * sparse.identity(gen.n) - gen.L).tocsr()
     if gen.n < DENSE_CUTOFF:
         u = np.linalg.solve(system.toarray(), fv)
     else:
         u = splu(system.tocsc()).solve(fv)
     residual = float(np.max(np.abs(gen.mu * (system @ u - fv))))
-    if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(fv)))):
+    # fails closed: a NaN residual does not pass
+    if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(fv)))):
         raise ArithmeticError(
             f"resolvent solve residual {residual:.3g} exceeds tolerance"
         )
@@ -203,6 +206,8 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     fv = np.asarray(f, dtype=float)
     if fv.ndim not in (1, 2) or fv.shape[0] != gen.n:
         raise ValueError(f"input has shape {fv.shape}, expected ({gen.n},) or ({gen.n}, k)")
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("input values must be finite")
     P, lam_max = gen.uniformized
     if transpose:
         P = gen.uniformized_transpose

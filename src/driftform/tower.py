@@ -5,9 +5,9 @@ base conductances, the per-symbol resistance scale factors and measure
 weights, plus caches so each level is built once.  It also realizes drift
 configurations consistently across levels (one base-level data set for the
 reference functions, coefficients re-sampled per level), keeps the realized
-drift, its form assembly and its chain generator once per (level, drift
-configuration), and selects the derived constants against a fixed proxy
-diameter so that all levels are compared with the same shift.
+drift and its chain generator (which carries the form matrices) once per
+(level, drift configuration), and selects the derived constants against a
+fixed proxy diameter so that all levels are compared with the same shift.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -39,26 +39,14 @@ from .resistance import (
 
 
 class LevelTower:
-    def __init__(
-        self,
-        structure: SelfSimilarStructure,
-        scalings: Sequence[float] | None = None,
-        theta: Sequence[float] | None = None,
-        base_conductances: Sequence[tuple[int, int, float]] | None = None,
-    ):
+    def __init__(self, structure: SelfSimilarStructure):
         structure.validate()
         self.structure = structure
-        self.scalings = tuple(
-            scalings if scalings is not None else (structure.scalings or ())
-        )
+        self.scalings = tuple(structure.scalings or ())
         if not self.scalings:
             raise StructureError("no resistance scale factors configured")
-        self.theta = tuple(theta) if theta is not None else structure.weights
-        base = (
-            base_conductances
-            if base_conductances is not None
-            else structure.base_conductances
-        )
+        self.theta = structure.weights
+        base = structure.base_conductances
         if not base:
             nb = structure.boundary_size
             base = [(a, b, 1.0) for a in range(nb) for b in range(a + 1, nb)]
@@ -72,7 +60,6 @@ class LevelTower:
         # keyed by (level, _config_key(config))
         self._drifts: dict[tuple, drift_mod.DriftSpec] = {}
         self._generators: dict[tuple, markov_mod.GeneratorMatrix] = {}
-        self._assemblies: dict[tuple, drift_mod.FormAssembly] = {}
 
     def complex(self, n: int) -> LevelComplex:
         if n not in self._complexes:
@@ -124,21 +111,15 @@ class LevelTower:
             self._drifts[key] = realize_drift(self, config, n)
         return self._drifts[key]
 
-    def _built(self, cache: dict, build, n: int, config: DriftConfig | None):
+    def generator(self, n: int, config: DriftConfig | None) -> markov_mod.GeneratorMatrix:
+        """Chain generator of level ``n`` under ``config``, with its form
+        matrices, built once."""
         key = (n, _config_key(config))
-        if key not in cache:
-            cache[key] = build(
+        if key not in self._generators:
+            self._generators[key] = markov_mod.build_generator(
                 self.network(n), self._drift(n, config), self.measure(n), level=n
             )
-        return cache[key]
-
-    def generator(self, n: int, config: DriftConfig | None) -> markov_mod.GeneratorMatrix:
-        """Chain generator of level ``n`` under ``config``, built once."""
-        return self._built(self._generators, markov_mod.build_generator, n, config)
-
-    def assembly(self, n: int, config: DriftConfig | None) -> drift_mod.FormAssembly:
-        """Form assembly of level ``n`` under ``config``, built once."""
-        return self._built(self._assemblies, drift_mod.assemble_forms, n, config)
+        return self._generators[key]
 
 
 def sierpinski_tower() -> LevelTower:
@@ -234,24 +215,20 @@ def realize_drift(tower: LevelTower, config: DriftConfig, level: int) -> drift_m
     )
 
 
-def default_admissible_drift(
-    tower: LevelTower,
-    proxy_level: int = 6,
-    fraction: float = 0.5,
-) -> DriftConfig:
-    """One constant-coefficient term at ``fraction`` of the pointwise
-    smallness threshold, over the harmonic extension of the base indicator
+def default_admissible_drift(tower: LevelTower, proxy_level: int = 6) -> DriftConfig:
+    """One constant-coefficient term at half the pointwise smallness
+    threshold, over the harmonic extension of the base indicator
     ``(1, 0, ..., 0)``.
 
-    At ``fraction <= 1`` both smallness conditions hold (for a single
-    constant-coefficient term they coincide), with margin for ``fraction < 1``.
+    Both smallness conditions hold with margin (for a single
+    constant-coefficient term they coincide).
     """
     h0 = tuple(1.0 if k == 0 else 0.0 for k in range(tower.structure.boundary_size))
     h_energy = energy(tower.base_network, np.array(h0))
     diam = tower.diameter(proxy_level)
     b_max = math.sqrt(1.0 / (h_energy * diam))
     return DriftConfig(
-        (("constant", fraction * b_max),),
+        (("constant", 0.5 * b_max),),
         ((0, h0),),
     )
 
@@ -262,8 +239,7 @@ def constants_for(
     level: int,
     proxy_level: int | None = None,
     delta: float | None = None,
-    s: float | None = None,
-) -> tuple[drift_mod.DriftSpec, drift_mod.SmallnessReport]:
+) -> drift_mod.SmallnessReport:
     """Smallness report (and constants) for a drift at one working level.
 
     The proxy diameter defaults to the working level; multi-level studies
@@ -271,13 +247,6 @@ def constants_for(
     """
     if proxy_level is None:
         proxy_level = level
-    spec = tower._drift(level, config)
-    report = drift_mod.smallness_report(
-        tower.network(level),
-        spec,
-        tower.diameter(proxy_level),
-        proxy_level,
-        delta=delta,
-        s=s,
+    return drift_mod.smallness_report(
+        tower.generator(level, config), tower.diameter(proxy_level), proxy_level, delta=delta
     )
-    return spec, report

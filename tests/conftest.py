@@ -29,7 +29,7 @@ def admissible_cfg(sg_tower) -> tw.DriftConfig:
 @pytest.fixture(scope="session")
 def admissible_constants(sg_tower, admissible_cfg):
     """Constants shared by every level (proxy level 6)."""
-    _, report = tw.constants_for(sg_tower, admissible_cfg, 2, proxy_level=6)
+    report = tw.constants_for(sg_tower, admissible_cfg, 2, proxy_level=6)
     assert report.constants is not None
     return report.constants
 

@@ -149,11 +149,11 @@ def form_value(matrix, f, g=None) -> float:
 # Form inequalities: dense eigenvalues and random batches
 # ---------------------------------------------------------------------------
 
-def dense_form_values(asm, s: float, lam: float, t: float) -> dict:
-    """The exact form constants of one assembly from dense ``eigh`` and the
+def dense_form_values(gen, s: float, lam: float, t: float) -> dict:
+    """The exact form constants of one generator from dense ``eigh`` and the
     definition of the sector constant as ``‖S^(-1/2) A_lam S^(-1/2)‖``,
     ``S`` the symmetric part of ``A_lam = A + lam M``."""
-    e, q, m = asm.E_matrix.toarray(), asm.Q_matrix.toarray(), np.diag(asm.mu)
+    e, q, m = gen.E_matrix.toarray(), gen.Q_matrix.toarray(), np.diag(gen.mu)
     q_sym = 0.5 * (q + q.T)
     theta = linalg.eigh(q_sym, e + lam * m, eigvals_only=True)
     drift = linalg.eigh(q_sym, s * e + t * m, eigvals_only=True)
@@ -179,11 +179,11 @@ def batch_quad(matrix, F: np.ndarray) -> np.ndarray:
     return np.einsum("kn,kn->k", F, (matrix @ F.T).T)
 
 
-def batch_l2_sq(asm, F: np.ndarray) -> np.ndarray:
-    return (F * F) @ asm.mu
+def batch_l2_sq(gen, F: np.ndarray) -> np.ndarray:
+    return (F * F) @ gen.mu
 
 
-def random_form_values(asm, s: float, lam: float, t: float,
+def random_form_values(gen, s: float, lam: float, t: float,
                        draws: int = 1000, seed: int = DEFAULT_DRAW_SEED) -> dict:
     """The form constants of :func:`dense_form_values` over a seeded batch:
     the least relative slacks of the sandwich and the drift bound, the least
@@ -191,12 +191,13 @@ def random_form_values(asm, s: float, lam: float, t: float,
     A_lam(g))^(1/2)`` over consecutive pairs of draws.  ``sd4`` is the least
     Markov pairing ``A(f ^ a, f - f ^ a)`` over random cut levels
     ``a >= 0`` (``a = 0`` for the first tenth)."""
-    F = draw_batch(asm.n, draws, seed)
-    l2 = batch_l2_sq(asm, F)
-    e = batch_quad(asm.E_matrix, F)
-    e_lam, q = e + lam * l2, batch_quad(asm.Q_matrix, F)
+    F = draw_batch(gen.n, draws, seed)
+    l2 = batch_l2_sq(gen, F)
+    e = batch_quad(gen.E_matrix, F)
+    e_lam, q = e + lam * l2, batch_quad(gen.Q_matrix, F)
     a_lam = e_lam + q
-    shifted = asm.A_matrix @ F.T + lam * asm.mu[:, None] * F.T
+    a_mat = gen.E_matrix + gen.Q_matrix
+    shifted = a_mat @ F.T + lam * gen.mu[:, None] * F.T
     cross = np.einsum("kn,nk->k", np.roll(F, 1, axis=0), shifted)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     a_cut = rng.uniform(0.0, np.maximum(np.max(np.abs(F), axis=1), 1e-6))
@@ -209,5 +210,5 @@ def random_form_values(asm, s: float, lam: float, t: float,
         "drift": np.min((bound - np.abs(q)) / bound),
         "sd1": np.min(a_lam / l2),
         "sector": np.max(np.abs(cross) / np.sqrt(a_lam * np.roll(a_lam, 1))),
-        "sd4": np.min(np.einsum("kn,kn->k", F - g1, (asm.A_matrix @ g1.T).T)),
+        "sd4": np.min(np.einsum("kn,kn->k", F - g1, (a_mat @ g1.T).T)),
     }

@@ -232,6 +232,10 @@ class TestExitCodes:
         ["simulate", "--paired", "--paths", "1"],
         ["converge", "--levels", "1", "--reference-level", "2", "--paths", "0"],
         ["converge", "--levels", "1", "--reference-level", "2", "--paths", "1"],
+        ["semigroup", "--seed", "-1"],
+        ["simulate", "--seed", str(2**64)],
+        ["semigroup", "--f", "harmonic:nan,0,0"],
+        ["resolvent", "--f", "harmonic:1,inf,0"],
     ])
     def test_bad_numeric_grid_exits_2(self, tmp_path, capsys, mode_args):
         assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2
@@ -279,7 +283,9 @@ class TestExitCodes:
         ("0 0.5\n1 abc\n2 0.25\n", "line 2"),
         ("# vertex value\n0 0.5\n1 0.5 7\n2 0.25\n", "line 3"),
         ("0 0.5\n2 0.25\n", "vertex 1"),
-    ], ids=["non_numeric_value", "three_fields", "missing_id"])
+        ("0 nan\n1 0\n2 0\n", "line 1"),
+        ("0 0.5\n# inf\n1 -inf\n2 0.25\n", "line 3"),
+    ], ids=["non_numeric_value", "three_fields", "missing_id", "nan_value", "inf_value"])
     def test_malformed_vertex_function_file_exits_2(self, tmp_path, capsys, content, names):
         path = tmp_path / "f.txt"
         path.write_text(content)
@@ -288,6 +294,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert str(path) in err[0] and names in err[0], err
+
+    @pytest.mark.parametrize("mode", ["check", "resolvent"])
+    def test_non_finite_h_base_values_exit_2(self, tmp_path, capfd, mode):
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps({"b": [{"constant": 1e-3}],
+                                    "h": [{"base_level": 0, "values": [1, "nan", 0]}]}))
+        assert run([mode, "--level", "2", "--drift", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+        # capfd also sees what LAPACK would print straight to the descriptor
+        err = capfd.readouterr().err.splitlines()
+        assert err == ["config error: h base values must be finite"], err
 
     @pytest.mark.parametrize("flag", ["--f", "--drift", "--structure", "--config"])
     def test_undecodable_input_file_exits_2(self, tmp_path, capsys, flag):

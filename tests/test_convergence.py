@@ -23,7 +23,7 @@ def energy_monotonicity_profile(tower, f_ref, levels, slack=1e-10) -> dict:
     values = []
     for n in levels:
         fn = f_ref[: tower.vertex_count(n)]
-        values.append(float(fn @ (tower.assembly(n, None).E_matrix @ fn)))
+        values.append(float(fn @ (tower.generator(n, None).E_matrix @ fn)))
     scale = max(1.0, max(abs(v) for v in values))
     return {
         "energies": values,

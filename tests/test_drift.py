@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from driftform import pcf
 from driftform import tower as tw
@@ -14,8 +15,6 @@ from driftform.drift import (
     DriftSpec,
     InadmissibleDriftError,
     Bracket,
-    assemble_Q,
-    assemble_forms,
     check_condition_I,
     certify_SD_axioms,
     certify_drift_bound,
@@ -25,6 +24,7 @@ from driftform.drift import (
     sample_field,
     select_constants,
 )
+from driftform.markov import build_generator
 from driftform.resistance import (
     ConductanceNetwork,
     energy,
@@ -65,6 +65,12 @@ def drift_on(tower, cfg, level):
     return tw.realize_drift(tower, cfg, level)
 
 
+def generator_of(tower, spec):
+    """The generator of a realized drift on its level of ``tower``."""
+    level = spec.level
+    return build_generator(tower.network(level), spec, tower.measure(level), level)
+
+
 def recursive_harmonic_oracle(levels: int) -> dict[tuple, float]:
     """Harmonic values of boundary data (1,0,0) by recursive application of
     the midpoint rule (2a+2b+c)/5 inside each cell; keyed by rounded planar
@@ -94,7 +100,9 @@ def recursive_harmonic_oracle(levels: int) -> dict[tuple, float]:
 
 def edge_eta(net, drift) -> dict[tuple[int, int], float]:
     """``eta_edge_values`` keyed by ordered vertex-id pair."""
-    rows, cols, ev = eta_edge_values(net, drift)
+    coo = net.c.tocoo()
+    ev = eta_edge_values(net, drift)
+    rows, cols = coo.row, coo.col
     return {
         (int(net.vertices[x]), int(net.vertices[y])): v for x, y, v in zip(rows, cols, ev)
     }
@@ -160,13 +168,13 @@ class TestEta:
 class TestAssembleQ:
     def test_zero_drift_gives_zero_matrix(self, sg_tower):
         spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
-        q = assemble_Q(sg_tower.network(2), spec)
+        q = generator_of(sg_tower, spec).Q_matrix
         assert abs(q).max() == 0.0
 
     def test_matches_brute_force(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 2)
         net = sg_tower.network(2)
-        q = assemble_Q(net, spec)
+        q = generator_of(sg_tower, spec).Q_matrix
         rng = np.random.default_rng(23)
         for _ in range(5):
             f, g = rng.standard_normal((2, net.n))
@@ -177,7 +185,7 @@ class TestAssembleQ:
     def test_constant_g_cross_check(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 2)
         net = sg_tower.network(2)
-        q = assemble_Q(net, spec)
+        q = generator_of(sg_tower, spec).Q_matrix
         rng = np.random.default_rng(29)
         f = rng.standard_normal(net.n)
         ones = np.ones(net.n)
@@ -188,7 +196,7 @@ class TestAssembleQ:
     def test_constant_f_annihilated(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 2)
         net = sg_tower.network(2)
-        q = assemble_Q(net, spec)
+        q = generator_of(sg_tower, spec).Q_matrix
         rng = np.random.default_rng(31)
         const = np.full(net.n, 2.7)
         for _ in range(5):
@@ -203,7 +211,7 @@ class TestAssembleQ:
         spec = drift_on(sg_tower, cfg, 2)
         assert spec.N == 2
         net = sg_tower.network(2)
-        q = assemble_Q(net, spec)
+        q = generator_of(sg_tower, spec).Q_matrix
         rng = np.random.default_rng(37)
         f, g = rng.standard_normal((2, net.n))
         assert float(g @ (q @ f)) == pytest.approx(
@@ -211,10 +219,13 @@ class TestAssembleQ:
         )
 
     def test_decomposition_identity(self, sg_tower, admissible_cfg):
-        spec = drift_on(sg_tower, admissible_cfg, 2)
-        asm = assemble_forms(sg_tower.network(2), spec, sg_tower.measure(2))
-        gap = abs(asm.A_matrix - (asm.E_matrix + asm.Q_matrix))
-        assert (gap.max() if gap.nnz else 0.0) == 0.0
+        # E is the form of the drift-free generator, Q the rest of -mu L
+        gen, gen0 = sg_tower.generator(2, admissible_cfg), sg_tower.generator(2, None)
+        assert abs(gen.E_matrix - gen0.E_matrix).max() == 0.0
+        assert gen0.Q_matrix.nnz == 0
+        drift_part = -(sparse.diags(gen.mu) @ (gen.L - gen0.L)).toarray()
+        scale = np.abs(gen.E_matrix).max()
+        np.testing.assert_allclose(gen.Q_matrix.toarray(), drift_part, rtol=0, atol=1e-12 * scale)
 
 
 class TestMutualEnergy:
@@ -267,12 +278,12 @@ class TestConditionI:
         }[drift]
         spec = drift_on(sg_tower, cfg, level)
         net = sg_tower.network(level)
-        value = check_condition_I(net, spec, 2.0 / 3.0).value
+        value = check_condition_I(generator_of(sg_tower, spec), 2.0 / 3.0).value
         assert value == pytest.approx(condition_I_loop(net, spec), rel=1e-14, abs=0.0)
 
     def test_zero_drift_satisfied(self, sg_tower):
         spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
-        check = check_condition_I(sg_tower.network(2), spec, 2.0 / 3.0)
+        check = check_condition_I(generator_of(sg_tower, spec), 2.0 / 3.0)
         assert check.satisfied and check.value == 0.0
         assert check.margin == pytest.approx(3.0)
 
@@ -284,7 +295,7 @@ class TestConditionI:
         cfg = tw.DriftConfig((("constant", beta),), ((0, (1.0, 0.0, 0.0)),))
         for level in (2, 4):
             spec = drift_on(sg_tower, cfg, level)
-            check = check_condition_I(sg_tower.network(level), spec, 2.0 / 3.0)
+            check = check_condition_I(generator_of(sg_tower, spec), 2.0 / 3.0)
             assert check.value == pytest.approx(beta**2 * 2.0 * e_h, rel=1e-10)
 
     def test_quadratic_scaling(self, sg_tower, admissible_cfg):
@@ -292,16 +303,15 @@ class TestConditionI:
         beta = admissible_cfg.b_specs[0][1]
         cfg2 = tw.DriftConfig((("constant", 2 * beta),), admissible_cfg.h_specs)
         spec2 = drift_on(sg_tower, cfg2, 2)
-        net = sg_tower.network(2)
-        v1 = check_condition_I(net, spec1, 2.0 / 3.0).value
-        v2 = check_condition_I(net, spec2, 2.0 / 3.0).value
+        v1 = check_condition_I(generator_of(sg_tower, spec1), 2.0 / 3.0).value
+        v2 = check_condition_I(generator_of(sg_tower, spec2), 2.0 / 3.0).value
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
 class TestConditionII:
     def test_zero_drift(self, sg_tower):
         spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
-        check = check_condition_II(sg_tower.network(2), spec, 2.0 / 3.0)
+        check = check_condition_II(generator_of(sg_tower, spec), 2.0 / 3.0)
         assert check.satisfied and check.value == 0.0
 
     def test_single_term_reduces_to_scalar_inequality(self, sg_tower):
@@ -310,7 +320,7 @@ class TestConditionII:
         spec = drift_on(sg_tower, cfg, 3)
         net = sg_tower.network(3)
         e_h = energy(net, spec.h[0])
-        check = check_condition_II(net, spec, 2.0 / 3.0)
+        check = check_condition_II(generator_of(sg_tower, spec), 2.0 / 3.0)
         assert check.value == pytest.approx(beta**2 * e_h, rel=1e-10)
 
     def test_threshold_is_sharp(self, sg_tower):
@@ -318,11 +328,10 @@ class TestConditionII:
         diam = sg_tower.diameter(3)
         e_h = energy(sg_tower.base_network, np.array([1.0, 0.0, 0.0]))
         beta_max = math.sqrt(1.0 / (e_h * diam))
-        net = sg_tower.network(3)
         below = tw.DriftConfig((("constant", 0.999 * beta_max),), ((0, (1.0, 0.0, 0.0)),))
         above = tw.DriftConfig((("constant", 1.001 * beta_max),), ((0, (1.0, 0.0, 0.0)),))
-        assert check_condition_II(net, drift_on(sg_tower, below, 3), diam).satisfied
-        assert not check_condition_II(net, drift_on(sg_tower, above, 3), diam).satisfied
+        assert check_condition_II(sg_tower.generator(3, below), diam).satisfied
+        assert not check_condition_II(sg_tower.generator(3, above), diam).satisfied
 
 
 class TestSelectConstants:
@@ -339,10 +348,6 @@ class TestSelectConstants:
     def test_inadmissible_raises_with_advice(self):
         with pytest.raises(InadmissibleDriftError, match="shrink"):
             select_constants(50.0, 1.0)
-
-    def test_explicit_s_validated(self):
-        with pytest.raises(InadmissibleDriftError):
-            select_constants(0.5, 1.0, s=0.01)
 
     def test_inadmissible_carries_slope_bound(self):
         with pytest.raises(InadmissibleDriftError) as exc:
@@ -364,48 +369,46 @@ class TestSelectConstants:
 
 class TestSandwich:
     def test_zero_drift_is_exact(self, sg_tower):
-        spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
-        asm = assemble_forms(sg_tower.network(2), spec, sg_tower.measure(2))
-        rep = certify_sandwich(asm, s=0.5, lam=1.0)
+        gen = sg_tower.generator(2, tw.zero_drift_config(3))
+        rep = certify_sandwich(gen, s=0.5, lam=1.0)
         assert rep.passed
         # A equals E exactly, so both relative margins equal s exactly
         assert rep.lower_margin == rep.upper_margin
         assert rep.lower_margin == Bracket(0.5, 0.5, 0.5, 0.0)
 
     def test_constant_functions(self, sg_tower, admissible_cfg, admissible_constants):
-        spec = drift_on(sg_tower, admissible_cfg, 2)
-        asm = assemble_forms(sg_tower.network(2), spec, sg_tower.measure(2))
+        gen = sg_tower.generator(2, admissible_cfg)
         c = admissible_constants
-        f = np.full(asm.n, 1.7)
-        l2_sq = float(np.sum(asm.mu * f * f))
-        a_lam = form_value(asm.A_matrix, f) + c.lam * l2_sq
-        e_lam = form_value(asm.E_matrix, f) + c.lam * l2_sq
+        f = np.full(gen.n, 1.7)
+        l2_sq = float(np.sum(gen.mu * f * f))
+        a_lam = form_value(gen.E_matrix + gen.Q_matrix, f) + c.lam * l2_sq
+        e_lam = form_value(gen.E_matrix, f) + c.lam * l2_sq
         assert (1 - c.s) * e_lam <= a_lam <= (1 + c.s) * e_lam
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_admissible_instance_passes(
         self, sg_tower, admissible_cfg, admissible_constants, level
     ):
-        asm = sg_tower.assembly(level, admissible_cfg)
+        gen = sg_tower.generator(level, admissible_cfg)
         c = admissible_constants
-        rep = certify_sandwich(asm, c.s, c.lam)
+        rep = certify_sandwich(gen, c.s, c.lam)
         assert rep.passed, (rep.lower_margin, rep.upper_margin)
         for margin in (rep.lower_margin, rep.upper_margin):
             assert 0.0 < margin.lo <= margin.value <= margin.hi < 1.0
 
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_drift_bound(self, sg_tower, admissible_cfg, admissible_constants, level):
-        asm = sg_tower.assembly(level, admissible_cfg)
+        gen = sg_tower.generator(level, admissible_cfg)
         c = admissible_constants
-        rep = certify_drift_bound(asm, c.s, c.t)
+        rep = certify_drift_bound(gen, c.s, c.t)
         assert rep.passed, rep.margin
         assert rep.margin.lo <= rep.margin.value <= rep.margin.hi
 
 
 class TestSDAxioms:
     def test_zero_drift(self, sg_tower):
-        asm = sg_tower.assembly(2, tw.zero_drift_config(3))
-        rep = certify_SD_axioms(asm, certify_sandwich(asm, 0.5, 1.0), delta=0.1,
+        gen = sg_tower.generator(2, tw.zero_drift_config(3))
+        rep = certify_SD_axioms(gen, certify_sandwich(gen, 0.5, 1.0), delta=0.1,
                                 diam_proxy=2 / 3)
         assert rep.passed
         assert rep.edge_one_plus_eta_min == 1.0  # every edge factor is exactly 1
@@ -414,16 +417,16 @@ class TestSDAxioms:
 
     def test_zero_cut_level(self, sg_tower, admissible_cfg):
         # a = 0 with f >= 0: f ^ 0 = 0 and the pairing vanishes
-        asm = sg_tower.assembly(2, admissible_cfg)
+        gen = sg_tower.generator(2, admissible_cfg)
         rng = np.random.default_rng(47)
-        f = np.abs(rng.standard_normal(asm.n))
+        f = np.abs(rng.standard_normal(gen.n))
         g1 = np.minimum(f, 0.0)
-        assert float((f - g1) @ (asm.A_matrix @ g1)) == 0.0
+        assert float((f - g1) @ ((gen.E_matrix + gen.Q_matrix) @ g1)) == 0.0
 
     def test_admissible_instance(self, sg_tower, admissible_cfg, admissible_constants):
-        asm = sg_tower.assembly(3, admissible_cfg)
+        gen = sg_tower.generator(3, admissible_cfg)
         c = admissible_constants
-        rep = certify_SD_axioms(asm, certify_sandwich(asm, c.s, c.lam), c.delta, c.diam_proxy)
+        rep = certify_SD_axioms(gen, certify_sandwich(gen, c.s, c.lam), c.delta, c.diam_proxy)
         assert rep.passed
         assert rep.sd1_min.lo > 0.0
         # no sector constant is below 1 (take g = f)
@@ -436,10 +439,10 @@ class TestSDAxioms:
         # a drift far past the smallness threshold and a tiny shift leave
         # S = E_lam + Q_sym indefinite
         cfg = tw.DriftConfig((("constant", 40.0),), ((0, (1.0, 0.0, 0.0)),))
-        asm = sg_tower.assembly(level, cfg)
-        sandwich = certify_sandwich(asm, 0.5, 1e-3)
+        gen = sg_tower.generator(level, cfg)
+        sandwich = certify_sandwich(gen, 0.5, 1e-3)
         assert sandwich.lower_margin.hi < 0.5 - 1.0
-        rep = certify_SD_axioms(asm, sandwich, delta=0.1, diam_proxy=2 / 3)
+        rep = certify_SD_axioms(gen, sandwich, delta=0.1, diam_proxy=2 / 3)
         assert rep.sd1_min is None and rep.sector_constant is None
         assert not (rep.sd1_passed or rep.sd3_passed or rep.passed)
         d = rep.to_dict()
@@ -468,7 +471,7 @@ class TestStrongLocality:
     def test_localized_pairing_vanishes(self, sg_tower, admissible_cfg):
         # f constant on the closed star of supp(g) forces A(f, g) = 0
         level = 3
-        asm = sg_tower.assembly(level, admissible_cfg)
+        gen = sg_tower.generator(level, admissible_cfg)
         cx = sg_tower.complex(level)
         support = {5}
         star = set()
@@ -476,17 +479,17 @@ class TestStrongLocality:
             if support & set(ids):
                 star |= set(ids)
         rng = np.random.default_rng(53)
-        f = rng.standard_normal(asm.n)
+        f = rng.standard_normal(gen.n)
         f[list(star)] = 2.25  # constant on the closed star
-        g = np.zeros(asm.n)
+        g = np.zeros(gen.n)
         g[list(support)] = rng.standard_normal(len(support))
-        assert form_value(asm.Q_matrix, f, g) == pytest.approx(0.0, abs=1e-12)
-        assert form_value(asm.A_matrix, f, g) == pytest.approx(0.0, abs=1e-12)
+        assert form_value(gen.Q_matrix, f, g) == pytest.approx(0.0, abs=1e-12)
+        assert form_value(gen.E_matrix + gen.Q_matrix, f, g) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSmallnessReport:
     def test_report_fields(self, sg_tower, admissible_cfg):
-        spec, report = tw.constants_for(sg_tower, admissible_cfg, 3, proxy_level=6)
+        report = tw.constants_for(sg_tower, admissible_cfg, 3, proxy_level=6)
         d = report.to_dict()
         for key in ("diam_proxy", "drift_energy", "condition_I_satisfied",
                     "condition_II_max", "delta", "s", "t", "lambda", "caveat"):
@@ -500,16 +503,16 @@ class TestSmallnessReport:
 
     def test_oversized_drift_reported(self, sg_tower):
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
-        spec, report = tw.constants_for(sg_tower, cfg, 2, proxy_level=2)
+        report = tw.constants_for(sg_tower, cfg, 2, proxy_level=2)
         assert not report.condition_I.satisfied
         assert report.constants is None
         assert "shrink" in report.inadmissible_reason
 
     def test_failed_conditions_by_assumption(self, sg_tower, admissible_cfg):
-        _, ok = tw.constants_for(sg_tower, admissible_cfg, 3, proxy_level=6)
+        ok = tw.constants_for(sg_tower, admissible_cfg, 3, proxy_level=6)
         assert ok.failed_conditions("A") == ok.failed_conditions("B") == []
         cfg = tw.DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
-        _, bad = tw.constants_for(sg_tower, cfg, 2, proxy_level=2)
+        bad = tw.constants_for(sg_tower, cfg, 2, proxy_level=2)
         assert bad.failed_conditions("A") == [
             ("Condition (I)", bad.condition_I.margin),
             ("Condition (II)", bad.condition_II.margin),
@@ -518,7 +521,7 @@ class TestSmallnessReport:
 
     def test_empty_slope_interval_fails_with_its_margin(self, sg_tower, admissible_cfg):
         # (I) and (II) hold, but delta = 2 pushes the slope bound past 1
-        _, report = tw.constants_for(sg_tower, admissible_cfg, 2, proxy_level=6, delta=2.0)
+        report = tw.constants_for(sg_tower, admissible_cfg, 2, proxy_level=6, delta=2.0)
         assert report.condition_I.satisfied and report.condition_II.satisfied
         assert report.constants is None
         lower = math.sqrt(report.drift_energy / 2.0) * (math.sqrt(report.diam_proxy) + 2.0)
@@ -552,6 +555,11 @@ class TestDriftSpecConstruction:
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(DriftError):
             DriftSpec(0, np.array([[np.inf, 0.0]]), np.ones((1, 2)), 0, np.ones((1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_h_base_rejected(self, bad):
+        with pytest.raises(DriftError, match="h base values must be finite"):
+            DriftSpec(0, np.ones((1, 2)), np.ones((1, 2)), 0, np.array([[1.0, bad]]))
 
     def test_expression_needs_embedding(self, sg_tower):
         import dataclasses
@@ -640,12 +648,12 @@ def form_instances(sg_tower, admissible_cfg):
     return out
 
 
-def certified_values(asm, s, lam, t, delta=0.1, diam=2 / 3) -> dict:
+def certified_values(gen, s, lam, t, delta=0.1, diam=2 / 3) -> dict:
     """The certificates' values under the keys of ``dense_form_values``."""
-    sw = certify_sandwich(asm, s, lam)
-    sd = certify_SD_axioms(asm, sw, delta, diam)
+    sw = certify_sandwich(gen, s, lam)
+    sd = certify_SD_axioms(gen, sw, delta, diam)
     return {"lower": sw.lower_margin, "upper": sw.upper_margin,
-            "drift": certify_drift_bound(asm, s, t).margin,
+            "drift": certify_drift_bound(gen, s, t).margin,
             "sd1": sd.sd1_min, "sector": sd.sector_constant}
 
 
@@ -654,9 +662,9 @@ def dense_oracle():
     """``dense_form_values`` memoized per instance and level."""
     cache = {}
 
-    def values(asm, key, *constants):
+    def values(gen, key, *constants):
         if key not in cache:
-            cache[key] = dense_form_values(asm, *constants)
+            cache[key] = dense_form_values(gen, *constants)
         return cache[key]
     return values
 
@@ -670,9 +678,9 @@ class TestCertificates:
     @pytest.mark.parametrize("name", ["sg", "interval", "sg_combinatorial", "sg_two_term"])
     def test_agree_with_dense_eigenvalues(self, form_instances, dense_oracle, name, level):
         tower, cfg = form_instances[name]
-        asm = tower.assembly(level, cfg)
-        oracle = dense_oracle(asm, (name, level), self.S, self.LAM, self.T)
-        got = certified_values(asm, self.S, self.LAM, self.T)
+        gen = tower.generator(level, cfg)
+        oracle = dense_oracle(gen, (name, level), self.S, self.LAM, self.T)
+        got = certified_values(gen, self.S, self.LAM, self.T)
         for key, want in oracle.items():
             b = got[key]
             assert b.value == pytest.approx(want, abs=1e-10), key
@@ -683,8 +691,8 @@ class TestCertificates:
         # the antisymmetric part K of the two-term drift gives a sector
         # constant above 1 and a generator with complex spectrum
         tower, cfg = form_instances["sg_two_term"]
-        asm = tower.assembly(4, cfg)
-        assert certified_values(asm, self.S, self.LAM, self.T)["sector"].lo > 1.0
+        gen = tower.generator(4, cfg)
+        assert certified_values(gen, self.S, self.LAM, self.T)["sector"].lo > 1.0
         eigs = np.linalg.eigvals(tower.generator(4, cfg).L.toarray())
         assert np.max(np.abs(eigs.imag)) > 1e-6
 
@@ -692,19 +700,19 @@ class TestCertificates:
     def test_sandwich_lower_margin_is_level_stable(self, sg_tower, admissible_cfg,
                                                    admissible_constants, level, want):
         c = admissible_constants
-        asm = sg_tower.assembly(level, admissible_cfg)
-        margin = certify_sandwich(asm, c.s, c.lam).lower_margin
+        gen = sg_tower.generator(level, admissible_cfg)
+        margin = certify_sandwich(gen, c.s, c.lam).lower_margin
         assert round(margin.value, 6) == want
         assert margin.hi - margin.lo < 1e-11
 
     @pytest.mark.parametrize("name, level", [("sg", 3), ("sg", 6), ("interval", 5),
                                              ("sg_combinatorial", 4), ("sg_two_term", 4)])
     def test_random_batches_are_looser(self, form_instances, name, level):
-        # on the same assembly a random margin is never below the exact one
+        # on the same generator a random margin is never below the exact one
         tower, cfg = form_instances[name]
-        asm = tower.assembly(level, cfg)
-        exact = certified_values(asm, self.S, self.LAM, self.T)
-        batch = random_form_values(asm, self.S, self.LAM, self.T)
+        gen = tower.generator(level, cfg)
+        exact = certified_values(gen, self.S, self.LAM, self.T)
+        batch = random_form_values(gen, self.S, self.LAM, self.T)
         for key in ("lower", "upper", "drift", "sd1"):
             assert batch[key] >= exact[key].value - 1e-12, key
         assert batch["sector"] <= exact["sector"].value + 1e-12
@@ -715,12 +723,12 @@ class TestCertificates:
                                                admissible_constants):
         # the random batch of 1000 draws needed about 26 MB at L6
         c = admissible_constants
-        asm = sg_tower.assembly(6, admissible_cfg)
+        gen = sg_tower.generator(6, admissible_cfg)
         tracemalloc.start()
         try:
-            sandwich = certify_sandwich(asm, c.s, c.lam)
-            certify_drift_bound(asm, c.s, c.t)
-            certify_SD_axioms(asm, sandwich, c.delta, c.diam_proxy)
+            sandwich = certify_sandwich(gen, c.s, c.lam)
+            certify_drift_bound(gen, c.s, c.t)
+            certify_SD_axioms(gen, sandwich, c.delta, c.diam_proxy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

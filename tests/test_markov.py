@@ -63,10 +63,10 @@ class TestGenerator:
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_duality_with_form_on_full_basis(self, sg_tower, admissible_cfg, level):
+        # one object: the generator and the forms A = E + Q it carries
         gen = sg_tower.generator(level, admissible_cfg)
-        asm = sg_tower.assembly(level, admissible_cfg)
         lhs = -np.diag(gen.mu) @ gen.L.toarray()  # (-L f, g)_mu on basis pairs
-        rhs = asm.A_matrix.toarray()
+        rhs = (gen.E_matrix + gen.Q_matrix).toarray()
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, scale)
 
@@ -90,7 +90,7 @@ class TestGenerator:
         mu = sg_tower.measure(1).copy()
         mu[0] = 0.0
         with pytest.raises(ValueError):
-            build_generator(net, None, mu)
+            build_generator(net, None, mu, 1)
 
 
 class TestJumpParameters:

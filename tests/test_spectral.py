@@ -80,7 +80,7 @@ def cycle_generator(n, rate):
     cols = (rows + 1) % n
     off = sparse.coo_matrix((np.full(n, rate), (rows, cols)), shape=(n, n))
     L = (off - rate * sparse.identity(n)).tocsr()
-    return GeneratorMatrix(L, np.ones(n), -1, rows, cols, np.ones(n))
+    return GeneratorMatrix(L, np.ones(n), -1, rows, cols, np.zeros(n))
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,19 @@ class TestResolvent:
         gen, _ = setup
         with pytest.raises(ValueError):
             resolvent(gen, 0.0, np.ones(gen.n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, setup, bad):
+        gen, c = setup
+        f = np.ones(gen.n)
+        f[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_solve(gen, 2.0 * c.lam, f)
+
+    def test_nan_residual_fails_closed(self):
+        # NaN rates make the solution and its residual NaN, which must not pass
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            resolvent_solve(cycle_generator(4, np.nan), 1.0, np.ones(4))
 
 
 class TestSemigroup:
@@ -227,6 +240,14 @@ class TestSemigroup:
         gen, _ = setup
         with pytest.raises(ValueError):
             semigroup_apply(gen, t, np.ones(gen.n))
+
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    def test_non_finite_input_rejected(self, setup, block):
+        gen, _ = setup
+        f = np.ones((gen.n, 3) if block else gen.n)
+        f[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            semigroup_solve(gen, 0.1, f)
 
 
 class TestBlockKernel:

@@ -1,24 +1,29 @@
-"""The per-(level, drift) context of a LevelTower: realized drift, form
-assembly and chain generator are built once and shared."""
+"""The per-(level, drift) context of a LevelTower: the realized drift and
+the chain generator, which carries the form matrices, are built once and
+shared."""
 
 import json
 
 import pytest
 
-from driftform import markov
+from driftform import drift, markov
 from driftform import tower as tw
 from driftform.cli import main
 from driftform.drift import DriftError
 
 
-def counting(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records the ``level`` of
-    every call; returns the list of recorded levels."""
+def counting(monkeypatch, module, name, levels=None):
+    """Replace ``module.name`` by a wrapper that records the level of every
+    call (its ``level`` argument, else the level of its drift argument);
+    returns the list of recorded levels, ``levels`` if given."""
     original = getattr(module, name)
-    levels = []
+    levels = [] if levels is None else levels
 
     def wrapper(*args, **kwargs):
-        levels.append(kwargs["level"] if "level" in kwargs else args[2])
+        if "level" in kwargs:
+            levels.append(kwargs["level"])
+        else:
+            levels.append(args[2] if len(args) > 2 else args[1].level)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -27,8 +32,10 @@ def counting(monkeypatch, module, name):
 
 class TestContext:
     def test_generator_and_assembly_built_once(self, sg_tower, admissible_cfg):
-        assert sg_tower.generator(2, admissible_cfg) is sg_tower.generator(2, admissible_cfg)
-        assert sg_tower.assembly(2, admissible_cfg) is sg_tower.assembly(2, admissible_cfg)
+        gen = sg_tower.generator(2, admissible_cfg)
+        assert sg_tower.generator(2, admissible_cfg) is gen
+        # the form matrices are assembled on first use and kept
+        assert gen.E_matrix is gen.E_matrix and gen.Q_matrix is gen.Q_matrix
         assert sg_tower.generator(2, None) is sg_tower.generator(2, None)
 
     def test_equal_configs_share_one_entry(self, tmp_path, monkeypatch, admissible_cfg):
@@ -40,7 +47,6 @@ class TestContext:
         assert first is not second
         gen = tower.generator(2, first)
         assert tower.generator(2, second) is gen
-        assert tower.assembly(2, second) is tower.assembly(2, first)
         assert realized == [2]
         # the drift-free chain, another config and another level are other entries
         assert tower.generator(2, None) is not gen
@@ -74,7 +80,7 @@ class TestContext:
             tower.generator(1, admissible_cfg)
         gen = tower.generator(1, admissible_cfg)
         assert tower.generator(1, admissible_cfg) is gen
-        tower.assembly(1, admissible_cfg)  # shares the realized drift
+        tw.constants_for(tower, admissible_cfg, 1)  # shares the realized drift
         assert calls == [1, 1]
 
     def test_converge_realizes_and_builds_each_level_once(self, tmp_path, monkeypatch):
@@ -84,3 +90,18 @@ class TestContext:
                      "--paths", "200", "--out", str(tmp_path)]) == 0
         assert sorted(realized) == [1, 2, 3]
         assert sorted(built) == [1, 2, 3]
+
+    @pytest.mark.parametrize("argv, levels", [
+        (["check", "--level", "4"], [4]),
+        (["check", "--level", "2", "--drift", "none"], []),
+        (["converge", "--levels", "1:3", "--reference-level", "4", "--paths", "200"],
+         [1, 2, 3, 4]),
+    ], ids=["check", "check_no_drift", "converge"])
+    def test_edge_weights_computed_once_per_level(self, tmp_path, monkeypatch, argv, levels):
+        # every consumer of eta (rates, condition (I), the drift matrix, the
+        # edge certificates) reads the generator's stored copy
+        etas = []
+        for module in (drift, markov):
+            counting(monkeypatch, module, "eta_edge_values", etas)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert sorted(etas) == levels
