@@ -87,8 +87,8 @@ def write_vertex_function_report(path: Path, values: np.ndarray) -> None:
 def read_vertex_function(path, n: int) -> np.ndarray:
     """Values at vertices ``0 .. n-1`` from an ``id value`` file, the format
     :func:`write_vertex_function_report` writes; blank lines and ``#``
-    lines are skipped, ids past ``n - 1`` are ignored, and every value must
-    be finite."""
+    lines are skipped, ids past ``n - 1`` are ignored, every value must be
+    finite and no id may appear twice."""
     data: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -104,6 +104,8 @@ def read_vertex_function(path, n: int) -> np.ndarray:
                 ) from None
             if not math.isfinite(v):
                 raise ConfigError(f"{path} line {lineno}: value {v} is not finite")
+            if x in data:
+                raise ConfigError(f"{path} line {lineno}: vertex {x} is listed twice")
             data[x] = v
     missing = next((k for k in range(n) if k not in data), None)
     if missing is not None:
@@ -336,7 +338,7 @@ def cmd_check(args) -> int:
             "structurally_satisfied": True,
             "note": "finitely ramified: complement components are the level "
                     "cells and their boundaries are level vertices",
-            "cell_count": len(tower.complex(level).cells),
+            "cell_count": len(tower.complex(level).cell_ids),
             "cell_boundary_size": tower.structure.boundary_size,
         },
         "trace_compatibility_gap": tower.trace_compatibility_gap(),

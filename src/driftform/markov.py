@@ -303,6 +303,7 @@ def _jump_chains(
     if times.size and times[0] < 0:
         raise ValueError("times must be >= 0")
     q, neighbors, cumulative, total = gen.jump_tables
+    flat, width = neighbors.ravel(), neighbors.shape[1]  # a 1-D gather is cheaper
     count_type = np.min_scalar_type(len(cumulative))
     rng = _philox(seed, ENSEMBLE_STREAM)
     state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
@@ -326,7 +327,7 @@ def _jump_chains(
                 counts = np.zeros(paths.size, dtype=count_type)
                 for column in cumulative:
                     counts += column[cur] < v
-                cur = neighbors[cur, counts]
+                cur = flat[cur * width + counts]
                 if on_round is not None:
                     on_round(paths, clock, cur)
         out[row] = state

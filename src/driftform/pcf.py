@@ -17,18 +17,17 @@ identifies them) and must keep distinct vertices apart at every level.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 COORD_TOL = 1e-12
 
-Word = tuple[int, ...]
 Address = tuple[int, int]  # (symbol, boundary slot)
 
 
@@ -46,17 +45,6 @@ class AffineMap:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ self.matrix.T + self.offset
-
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """Composition ``self o inner``."""
-        return AffineMap(
-            self.matrix @ inner.matrix,
-            self.matrix @ inner.offset + self.offset,
-        )
-
-    @staticmethod
-    def identity(dim: int) -> "AffineMap":
-        return AffineMap(np.eye(dim), np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -180,24 +168,45 @@ class SelfSimilarStructure:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelComplex:
-    """All cells, vertices and intra-cell edges of one refinement level.
+    """All cells and vertices of one refinement level, as arrays.
 
+    Row ``c`` of ``cell_ids`` holds the vertex ids of cell ``c`` by boundary
+    slot, row ``c`` of ``words`` its address, in lexicographic order.
     ``coarser_counts`` holds the vertex counts ``N_0 < ... < N_{n-1}`` of the
-    coarser levels; level ``k`` keeps the ids ``0 .. N_k - 1``.
+    coarser levels; level ``k`` keeps the ids ``0 .. N_k - 1``.  ``maps``
+    stacks each cell's composed map as ``(matrices, offsets)`` (embedded
+    structures only); the next level refines from it.
     """
 
     level: int
     vertex_count: int
-    cells: tuple[tuple[Word, tuple[int, ...]], ...]
-    edges: tuple[tuple[int, int], ...]
+    cell_ids: np.ndarray  # (cells, |V0|)
+    words: np.ndarray  # (cells, level)
     coordinates: np.ndarray | None = None
     coarser_counts: tuple[int, ...] = ()
+    maps: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def vertices(self) -> range:
         return range(self.vertex_count)
+
+    def word_products(self, factors: np.ndarray) -> np.ndarray:
+        """Per cell, the product of the per-symbol ``factors`` along its
+        word, left to right."""
+        out = np.ones(len(self.cell_ids))
+        for column in self.words.T:
+            out = out * factors[column]
+        return out
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The ``(a, b)`` rows, ``a < b``, of vertex pairs that share a
+        cell, sorted."""
+        a, b = np.triu_indices(self.cell_ids.shape[1], 1)
+        pairs = np.stack([self.cell_ids[:, a], self.cell_ids[:, b]], axis=-1)
+        return np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
 
 
 @dataclass(frozen=True)
@@ -280,54 +289,43 @@ def build_sierpinski_structure() -> SelfSimilarStructure:
     return structure
 
 
-def _edges_from_cells(cells: Sequence[tuple[Word, tuple[int, ...]]]) -> tuple:
-    seen: set[tuple[int, int]] = set()
-    for _, ids in cells:
-        for a, b in itertools.combinations(ids, 2):
-            seen.add((a, b) if a < b else (b, a))
-    return tuple(sorted(seen))
+def _refine(structure: SelfSimilarStructure, pattern: _GluingPattern,
+            cx: LevelComplex) -> LevelComplex:
+    """One refinement step through the gluing pattern: level ``n + 1`` from
+    level ``n``.
 
-
-def _refine(
-    structure: SelfSimilarStructure,
-    pattern: _GluingPattern,
-    cells: Sequence[tuple[Word, tuple[int, ...]]],
-    vertex_count: int,
-    cell_maps: Sequence[AffineMap] | None,
-    coords: list[np.ndarray] | None,
-) -> tuple[list, int, list | None]:
-    """One refinement step through the gluing pattern.
-
-    With an embedding, ``cell_maps`` holds each cell's composed map; the
-    children's maps are returned and the coordinate of each new vertex (the
-    image of its smallest address) is appended to ``coords``.
+    Cell by cell, the children's corner classes take the cell's own ids and
+    the fresh classes new ids in class order.  With an embedding each child
+    map is the cell map composed with a symbol map, and a new vertex sits at
+    the image of its smallest address.
     """
     emb = structure.embedding
     m, nb = structure.symbol_count, structure.boundary_size
+    cells = len(cx.cell_ids)
     fresh = [k for k in range(len(pattern.classes)) if k not in pattern.corner_of_class]
-    child_classes = [
-        tuple(pattern.class_of[(i, j)] for j in range(nb)) for i in range(m)
-    ]
-    new_cells: list[tuple[Word, tuple[int, ...]]] = []
-    new_maps: list[AffineMap] | None = None if emb is None else []
-    next_id = vertex_count
-    for c, (word, ids) in enumerate(cells):
-        class_vertex = {k: ids[slot] for k, slot in pattern.corner_of_class.items()}
-        for k in fresh:
-            class_vertex[k] = next_id
-            next_id += 1
-        for i in range(m):
-            new_cells.append((word + (i,), tuple(class_vertex[k] for k in child_classes[i])))
-        if emb is not None:
-            child_maps = [cell_maps[c].compose(f) for f in emb.maps]
-            new_maps.extend(child_maps)
-            images: dict[int, np.ndarray] = {}
-            for k in fresh:
-                i, j = pattern.classes[k][0]
-                if i not in images:
-                    images[i] = child_maps[i](emb.boundary_coords)
-                coords.append(images[i][j])
-    return new_cells, next_id, new_maps
+    count = cx.vertex_count + cells * len(fresh)
+    class_vertex = np.empty((cells, len(pattern.classes)), dtype=np.int64)
+    for k, slot in pattern.corner_of_class.items():
+        class_vertex[:, k] = cx.cell_ids[:, slot]
+    class_vertex[:, fresh] = np.arange(cx.vertex_count, count).reshape(cells, len(fresh))
+    child_classes = [[pattern.class_of[(i, j)] for j in range(nb)] for i in range(m)]
+    cell_ids = class_vertex[:, child_classes].reshape(cells * m, nb)
+    words = np.column_stack([np.repeat(cx.words, m, axis=0), np.tile(np.arange(m), cells)])
+    coordinates = maps = None
+    if emb is not None:
+        matrices, offsets = cx.maps
+        outer = matrices[:, None]  # (cells, 1, d, d) against the M symbol maps
+        child_matrices = outer @ np.stack([f.matrix for f in emb.maps])
+        child_offsets = (outer @ np.stack([f.offset for f in emb.maps])[..., None])[..., 0]
+        child_offsets += offsets[:, None]
+        images = (emb.boundary_coords @ np.swapaxes(child_matrices, -1, -2)
+                  + child_offsets[:, :, None])  # (cells, M, |V0|, d)
+        i, j = np.array([pattern.classes[k][0] for k in fresh], dtype=np.intp).reshape(-1, 2).T
+        coordinates = np.concatenate([cx.coordinates, images[:, i, j].reshape(-1, emb.dim)])
+        maps = (child_matrices.reshape(-1, emb.dim, emb.dim),
+                child_offsets.reshape(-1, emb.dim))
+    return LevelComplex(cx.level + 1, count, cell_ids, words, coordinates,
+                        cx.coarser_counts + (cx.vertex_count,), maps)
 
 
 def _reject_coincident(coordinates: np.ndarray) -> None:
@@ -346,34 +344,38 @@ def _reject_coincident(coordinates: np.ndarray) -> None:
     )
 
 
-def build_level(structure: SelfSimilarStructure, n: int) -> LevelComplex:
+def build_level(
+    structure: SelfSimilarStructure, n: int, coarser: LevelComplex | None = None
+) -> LevelComplex:
     """Build the level-``n`` complex; ids of coarser levels are preserved.
 
-    Raises :class:`StructureError` for negative levels, inconsistent
-    structure data, or an embedding that makes two vertices coincide.
+    ``coarser``, the level-``n - 1`` complex of the same structure, is
+    refined once; without it the levels are refined from level 0.  Raises
+    :class:`StructureError` for negative levels, inconsistent structure
+    data, or an embedding that makes two vertices coincide.
     """
     if n < 0:
         raise StructureError(f"level must be >= 0, got {n}")
     structure.validate()
-    emb = structure.embedding
     pattern = _level_one_pattern(structure)
-    count = structure.boundary_size
-    cells: Sequence = [((), tuple(range(count)))]
-    cell_maps = None if emb is None else [AffineMap.identity(emb.dim)]
-    coords = None if emb is None else list(emb.boundary_coords)
-    counts = []
-    for _ in range(n):
-        counts.append(count)
-        cells, count, cell_maps = _refine(
-            structure, pattern, cells, count, cell_maps, coords
-        )
-    coordinates = None
-    if emb is not None:
-        coordinates = np.array(coords)
-        _reject_coincident(coordinates)
-    return LevelComplex(
-        n, count, tuple(cells), _edges_from_cells(cells), coordinates, tuple(counts)
-    )
+    emb = structure.embedding
+    if coarser is None:  # the one cell on the boundary, the identity its map
+        coordinates = maps = None
+        if emb is not None:
+            coordinates = np.array(emb.boundary_coords, dtype=float)
+            maps = (np.eye(emb.dim)[None], np.zeros((1, emb.dim)))
+        cells = np.arange(structure.boundary_size, dtype=np.int64)[None]
+        cx = LevelComplex(0, structure.boundary_size, cells, np.zeros((1, 0), dtype=np.intp),
+                          coordinates, (), maps)
+    elif coarser.level == n - 1:
+        cx = coarser
+    else:
+        raise StructureError(f"level {n} refines level {n - 1}, got level {coarser.level}")
+    while cx.level < n:
+        cx = _refine(structure, pattern, cx)
+    if cx.coordinates is not None:
+        _reject_coincident(cx.coordinates)
+    return cx
 
 
 def measure_weights(
@@ -396,13 +398,10 @@ def measure_weights(
         raise StructureError("theta must be M positive weights")
     if abs(theta.sum() - 1.0) > 1e-12:
         raise StructureError("theta must sum to 1")
-    mu = np.zeros(complex_.vertex_count)
     share = 1.0 / structure.boundary_size
-    for word, ids in complex_.cells:
-        tw = float(np.prod(theta[list(word)])) if word else 1.0
-        for vid in ids:
-            mu[vid] += tw * share
-    return mu
+    ids = complex_.cell_ids
+    weights = np.repeat(complex_.word_products(theta) * share, ids.shape[1])
+    return np.bincount(ids.ravel(), weights=weights, minlength=complex_.vertex_count)
 
 
 # ---------------------------------------------------------------------------

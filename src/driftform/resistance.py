@@ -394,23 +394,19 @@ def assemble_self_similar(
     base_ids = sorted(int(v) for v in net0.vertices)
     if base_ids != list(range(nb)):
         raise NetworkError("base network must live on boundary ids 0..|V0|-1")
-    sample_cell = complex_.cells[0][1]
-    if len(sample_cell) != nb:
+    cells = complex_.cell_ids
+    if cells.shape[1] != nb:
         raise NetworkError(
-            f"base network has {nb} vertices but cells have {len(sample_cell)} corners"
+            f"base network has {nb} vertices but cells have {cells.shape[1]} corners"
         )
     c0 = net0.c.toarray()[np.ix_(net0.positions(range(nb)), net0.positions(range(nb)))]
-
-    acc: dict[tuple[int, int], float] = {}
-    for word, ids in complex_.cells:
-        rw_inv = float(np.prod(1.0 / r[list(word)])) if word else 1.0
-        for a in range(nb):
-            for b in range(a + 1, nb):
-                c = c0[a, b]
-                if c == 0.0:
-                    continue
-                u, v = ids[a], ids[b]
-                key = (u, v) if u < v else (v, u)
-                acc[key] = acc.get(key, 0.0) + rw_inv * c
-    edges = [(u, v, c) for (u, v), c in sorted(acc.items())]
-    return ConductanceNetwork.from_edges(edges, vertices=range(complex_.vertex_count))
+    a, b = np.nonzero(np.triu(c0, 1))
+    rw_inv = complex_.word_products(1.0 / r)
+    u, v = cells[:, a].ravel(), cells[:, b].ravel()
+    n = complex_.vertex_count
+    # accumulate each edge's contributions in cell order
+    keys, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    c = np.bincount(inverse, weights=(rw_inv[:, None] * c0[a, b]).ravel())
+    lo, hi = np.divmod(keys, n)
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    return ConductanceNetwork(range(n), sparse.coo_matrix((np.tile(c, 2), (rows, cols)), (n, n)))

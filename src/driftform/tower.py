@@ -62,8 +62,9 @@ class LevelTower:
         self._generators: dict[tuple, markov_mod.GeneratorMatrix] = {}
 
     def complex(self, n: int) -> LevelComplex:
+        """Level ``n``, refined from level ``n - 1`` if cached, else from 0."""
         if n not in self._complexes:
-            self._complexes[n] = build_level(self.structure, n)
+            self._complexes[n] = build_level(self.structure, n, self._complexes.get(n - 1))
         return self._complexes[n]
 
     def network(self, n: int) -> ConductanceNetwork:

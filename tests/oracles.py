@@ -8,12 +8,20 @@ lower-bound oracles: a margin taken over finitely many vectors can only be
 looser than the extreme eigenvalue behind the library's certificate.
 """
 
+import itertools
+
 import numpy as np
 from scipy import linalg, sparse
 
+from driftform import pcf
 from driftform import tower as tw
 from driftform.markov import ENSEMBLE_STREAM, jump_parameters
-from driftform.resistance import _resistance_rows, energy, harmonic_extension
+from driftform.resistance import (
+    ConductanceNetwork,
+    _resistance_rows,
+    energy,
+    harmonic_extension,
+)
 from driftform.spectral import semigroup_solve
 
 DEFAULT_DRAW_SEED = 1729
@@ -212,3 +220,102 @@ def random_form_values(gen, s: float, lam: float, t: float,
         "sector": np.max(np.abs(cross) / np.sqrt(a_lam * np.roll(a_lam, 1))),
         "sd4": np.min(np.einsum("kn,kn->k", F - g1, (a_mat @ g1.T).T)),
     }
+
+
+# ---------------------------------------------------------------------------
+# The level hierarchy as tuples, cell by cell from level 0
+# ---------------------------------------------------------------------------
+
+def _tuple_refine(structure, pattern, cells, vertex_count, cell_maps, coords):
+    """One refinement step over ``(word, ids)`` tuples.
+
+    With an embedding, ``cell_maps`` holds each cell's composed map; the
+    children's maps are returned and the coordinate of each new vertex (the
+    image of its smallest address) is appended to ``coords``.
+    """
+    emb = structure.embedding
+    m, nb = structure.symbol_count, structure.boundary_size
+    fresh = [k for k in range(len(pattern.classes)) if k not in pattern.corner_of_class]
+    child_classes = [
+        tuple(pattern.class_of[(i, j)] for j in range(nb)) for i in range(m)
+    ]
+    new_cells, new_maps = [], None if emb is None else []
+    next_id = vertex_count
+    for c, (word, ids) in enumerate(cells):
+        class_vertex = {k: ids[slot] for k, slot in pattern.corner_of_class.items()}
+        for k in fresh:
+            class_vertex[k] = next_id
+            next_id += 1
+        for i in range(m):
+            new_cells.append((word + (i,), tuple(class_vertex[k] for k in child_classes[i])))
+        if emb is not None:
+            outer = cell_maps[c]
+            child_maps = [pcf.AffineMap(outer.matrix @ f.matrix,
+                                        outer.matrix @ f.offset + outer.offset)
+                          for f in emb.maps]
+            new_maps.extend(child_maps)
+            images = {}
+            for k in fresh:
+                i, j = pattern.classes[k][0]
+                if i not in images:
+                    images[i] = child_maps[i](emb.boundary_coords)
+                coords.append(images[i][j])
+    return new_cells, next_id, new_maps
+
+
+def tuple_level(structure, n: int) -> dict:
+    """Level ``n`` refined from level 0 with one composed ``AffineMap`` per
+    child: ``cells`` as ``(word, ids)`` tuples in order, ``edges`` as sorted
+    ``(a, b)`` tuples, ``vertex_count``, ``coarser_counts`` and
+    ``coordinates`` (``None`` without an embedding)."""
+    emb = structure.embedding
+    pattern = pcf._level_one_pattern(structure)
+    count = structure.boundary_size
+    cells = [((), tuple(range(count)))]
+    cell_maps = None if emb is None else [pcf.AffineMap(np.eye(emb.dim), np.zeros(emb.dim))]
+    coords = None if emb is None else list(emb.boundary_coords)
+    counts = []
+    for _ in range(n):
+        counts.append(count)
+        cells, count, cell_maps = _tuple_refine(
+            structure, pattern, cells, count, cell_maps, coords
+        )
+    edges = sorted({(min(a, b), max(a, b))
+                    for _, ids in cells for a, b in itertools.combinations(ids, 2)})
+    return {"cells": cells, "edges": edges, "vertex_count": count,
+            "coarser_counts": tuple(counts),
+            "coordinates": None if emb is None else np.array(coords)}
+
+
+def tuple_network(net0, r, level: dict) -> ConductanceNetwork:
+    """Self-similar conductances accumulated edge by edge in a dict, cell by
+    cell in order."""
+    r = np.asarray(r, dtype=float)
+    nb = net0.n
+    c0 = net0.c.toarray()[np.ix_(net0.positions(range(nb)), net0.positions(range(nb)))]
+    acc = {}
+    for word, ids in level["cells"]:
+        rw_inv = float(np.prod(1.0 / r[list(word)])) if word else 1.0
+        for a in range(nb):
+            for b in range(a + 1, nb):
+                c = c0[a, b]
+                if c == 0.0:
+                    continue
+                u, v = ids[a], ids[b]
+                key = (u, v) if u < v else (v, u)
+                acc[key] = acc.get(key, 0.0) + rw_inv * c
+    edges = [(u, v, c) for (u, v), c in sorted(acc.items())]
+    return ConductanceNetwork.from_edges(edges, vertices=range(level["vertex_count"]))
+
+
+def tuple_measure(structure, level: dict, theta) -> np.ndarray:
+    """Cell masses ``prod(theta[word])`` spread over each cell's corners,
+    vertex by vertex."""
+    theta = np.asarray(theta, dtype=float)
+    mu = np.zeros(level["vertex_count"])
+    share = 1.0 / structure.boundary_size
+    for word, ids in level["cells"]:
+        tw = float(np.prod(theta[list(word)])) if word else 1.0
+        for vid in ids:
+            mu[vid] += tw * share
+    return mu

@@ -295,6 +295,16 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert str(path) in err[0] and names in err[0], err
 
+    def test_repeated_vertex_id_exits_2(self, tmp_path, capsys):
+        # the later value used to replace the earlier one without a word
+        path = tmp_path / "f.txt"
+        path.write_text("0 1\n0 5\n1 0\n2 0\n")
+        assert run(["resolvent", "--level", "0", "--f", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {path} line 2: vertex 0 is listed twice"], err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["check", "resolvent"])
     def test_non_finite_h_base_values_exit_2(self, tmp_path, capfd, mode):
         path = tmp_path / "drift.json"

@@ -475,7 +475,7 @@ class TestStrongLocality:
         cx = sg_tower.complex(level)
         support = {5}
         star = set()
-        for _, ids in cx.cells:
+        for ids in cx.cell_ids.tolist():
             if support & set(ids):
                 star |= set(ids)
         rng = np.random.default_rng(53)

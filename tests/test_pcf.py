@@ -3,14 +3,19 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftform import pcf
+from driftform import tower as tw
+from driftform.resistance import assemble_self_similar
+from oracles import tuple_level, tuple_measure, tuple_network
 
 
 SQ3 = math.sqrt(3.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 
 
 def brute_force_vertex_count(structure: pcf.SelfSimilarStructure, n: int) -> int:
@@ -43,7 +48,8 @@ def smallest_addresses(structure: pcf.SelfSimilarStructure, n: int) -> list:
     born: dict[int, tuple] = {}
     for level in range(n + 1):
         new: dict[int, tuple] = {}
-        for word, ids in pcf.build_level(structure, level).cells:
+        cx = pcf.build_level(structure, level)
+        for word, ids in zip(map(tuple, cx.words.tolist()), cx.cell_ids.tolist()):
             for slot, vid in enumerate(ids):
                 if vid not in born:
                     new[vid] = min(new.get(vid, (level, word, slot)), (level, word, slot))
@@ -88,7 +94,7 @@ class TestSierpinskiStructure:
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, 0)
         assert cx.vertex_count == 3
-        assert len(cx.cells) == 1
+        assert len(cx.cell_ids) == 1
         assert len(cx.edges) == 3
 
     def test_level_one_counts(self):
@@ -96,13 +102,13 @@ class TestSierpinskiStructure:
         # 3 cells x 3 edges with no shared edges; midpoint identification
         # leaves 3*(3+1)/2 = 6 vertices.
         assert cx.vertex_count == 6
-        assert len(cx.cells) == 3
+        assert len(cx.cell_ids) == 3
         assert len(cx.edges) == 9
 
     def test_level_two_counts_against_coordinate_oracle(self):
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, 2)
-        assert len(cx.cells) == 9
+        assert len(cx.cell_ids) == 9
         assert cx.vertex_count == brute_force_vertex_count(sg, 2) == 15
 
     @pytest.mark.parametrize("n", range(6))
@@ -111,7 +117,7 @@ class TestSierpinskiStructure:
         cx = pcf.build_level(sg, n)
         assert cx.vertex_count == brute_force_vertex_count(sg, n)
         assert cx.vertex_count == 3 * (3**n + 1) // 2
-        assert len(cx.cells) == 3**n
+        assert len(cx.cell_ids) == 3**n
 
 
 class TestRefinement:
@@ -132,8 +138,8 @@ class TestRefinement:
         sg = pcf.build_sierpinski_structure()
         for n in (1, 2, 3):
             cx = pcf.build_level(sg, n)
-            count = {e: 0 for e in cx.edges}
-            for _, ids in cx.cells:
+            count = {e: 0 for e in map(tuple, cx.edges.tolist())}
+            for ids in cx.cell_ids.tolist():
                 for a, b in itertools.combinations(ids, 2):
                     count[(min(a, b), max(a, b))] += 1
             assert set(count.values()) == {1}
@@ -144,7 +150,7 @@ class TestRefinement:
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, 3)
         emb = sg.embedding
-        for word, ids in cx.cells:
+        for word, ids in zip(cx.words.tolist(), cx.cell_ids.tolist()):
             pts = emb.boundary_coords
             for sym in reversed(word):
                 pts = emb.maps[sym](pts)
@@ -154,7 +160,7 @@ class TestRefinement:
 
     def test_cells_ordered_lexicographically(self):
         cx = pcf.build_level(pcf.build_sierpinski_structure(), 2)
-        words = [w for w, _ in cx.cells]
+        words = [tuple(w) for w in cx.words.tolist()]
         assert words == sorted(words)
 
 
@@ -211,14 +217,14 @@ class TestCellsContaining:
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, 1)
         for mid in (3, 4, 5):
-            assert sum(mid in ids for _, ids in cx.cells) == 2
+            assert sum(mid in ids for ids in cx.cell_ids.tolist()) == 2
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_corner_in_one_cell(self, n):
         sg = pcf.build_sierpinski_structure()
         cx = pcf.build_level(sg, n)
         for corner in (0, 1, 2):
-            assert sum(corner in ids for _, ids in cx.cells) == 1
+            assert sum(corner in ids for ids in cx.cell_ids.tolist()) == 1
 
 
 class TestValidation:
@@ -269,8 +275,9 @@ class TestBuildRoutes:
         for n in range(5):
             a = pcf.build_level(sg, n)
             b = pcf.build_level(sg_comb, n)
-            assert a.cells == b.cells
-            assert a.edges == b.edges
+            assert np.array_equal(a.words, b.words)
+            assert np.array_equal(a.cell_ids, b.cell_ids)
+            assert np.array_equal(a.edges, b.edges)
             assert a.vertex_count == b.vertex_count
 
     def test_interval_structure(self, interval_config):
@@ -286,10 +293,53 @@ class TestBuildRoutes:
         interval = pcf.load_structure(interval_config)
         stripped = dataclasses.replace(interval, embedding=None)
         for n in range(5):
-            assert (
-                pcf.build_level(stripped, n).cells
-                == pcf.build_level(interval, n).cells
-            )
+            a, b = pcf.build_level(stripped, n), pcf.build_level(interval, n)
+            assert np.array_equal(a.words, b.words)
+            assert np.array_equal(a.cell_ids, b.cell_ids)
+
+
+def shipped_structure(name: str) -> pcf.SelfSimilarStructure:
+    return pcf.load_structure(CONFIGS / f"{name}.json")
+
+
+class TestArrayRoute:
+    """Each level refined once from the coarser one, as arrays, gives what
+    the tuple route from level 0 gives, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("make", [
+        pcf.build_sierpinski_structure,
+        skewed_gasket,
+        lambda: shipped_structure("interval"),
+        lambda: shipped_structure("sg_combinatorial"),
+    ], ids=["sg", "skewed_gasket", "interval", "sg_combinatorial"])
+    def test_matches_tuple_route(self, make, n):
+        structure = make()
+        tower = tw.LevelTower(structure)
+        cx, ref = tower.complex(n), tuple_level(structure, n)
+        assert [tuple(w) for w in cx.words.tolist()] == [w for w, _ in ref["cells"]]
+        assert [tuple(i) for i in cx.cell_ids.tolist()] == [i for _, i in ref["cells"]]
+        assert [tuple(e) for e in cx.edges.tolist()] == ref["edges"]
+        assert cx.vertex_count == ref["vertex_count"]
+        assert cx.coarser_counts == ref["coarser_counts"]
+        if ref["coordinates"] is None:
+            assert cx.coordinates is None
+        else:
+            assert np.array_equal(cx.coordinates, ref["coordinates"])
+        # non-uniform factors make the order of the products matter
+        m = structure.symbol_count
+        for r in (tower.scalings, np.linspace(0.31, 0.77, m)):
+            got = assemble_self_similar(tower.base_network, r, cx).c
+            want = tuple_network(tower.base_network, r, ref).c
+            assert got.shape == want.shape and (got != want).nnz == 0
+        for theta in (structure.weights, np.arange(1.0, m + 1) / (m * (m + 1) / 2)):
+            assert np.array_equal(pcf.measure_weights(structure, cx, theta),
+                                  tuple_measure(structure, ref, theta))
+
+    def test_coarser_level_must_be_the_one_below(self):
+        sg = pcf.build_sierpinski_structure()
+        with pytest.raises(pcf.StructureError, match="refines level 2"):
+            pcf.build_level(sg, 3, pcf.build_level(sg, 1))
 
 
 class TestMeasure:

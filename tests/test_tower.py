@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from driftform import drift, markov
+from driftform import drift, markov, pcf
 from driftform import tower as tw
 from driftform.cli import main
 from driftform.drift import DriftError
+from driftform.pcf import StructureError
 
 
 def counting(monkeypatch, module, name, levels=None):
@@ -105,3 +106,62 @@ class TestContext:
             counting(monkeypatch, module, "eta_edge_values", etas)
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert sorted(etas) == levels
+
+
+class TestLevelRecursion:
+    """Each level is refined once, from the cached level below it."""
+
+    @staticmethod
+    def refinements(monkeypatch) -> list:
+        """Record the level each refinement step builds."""
+        original, built = pcf._refine, []
+
+        def step(structure, pattern, cx):
+            built.append(cx.level + 1)
+            return original(structure, pattern, cx)
+
+        monkeypatch.setattr(pcf, "_refine", step)
+        return built
+
+    def test_each_level_refined_once(self, monkeypatch):
+        built = self.refinements(monkeypatch)
+        tower = tw.LevelTower(pcf.build_sierpinski_structure())
+        levels = [tower.complex(n) for n in range(8)]  # ascending, as runs ask
+        assert [cx.level for cx in levels] == list(range(8))
+        assert built == list(range(1, 8))  # 28 when each level starts at 0
+        assert tower.complex(3) is levels[3] and tower.complex(7) is levels[7]
+        assert built == list(range(1, 8))
+        assert levels[4].coarser_counts[:4] == levels[3].coarser_counts + (
+            levels[3].vertex_count,)
+
+    def test_single_level_is_one_build(self, monkeypatch):
+        """A fresh tower asked for one level calls ``build_level`` once, so
+        the per-call counters of a run keep their meaning."""
+        built, original, calls = self.refinements(monkeypatch), tw.build_level, []
+
+        def build(structure, n, coarser=None):
+            calls.append((n, coarser))
+            return original(structure, n, coarser)
+
+        monkeypatch.setattr(tw, "build_level", build)
+        tower = tw.LevelTower(pcf.build_sierpinski_structure())
+        tower.complex(5)
+        assert calls == [(5, None)] and built == list(range(1, 6))
+        assert sorted(tower._complexes) == [5]
+
+    def test_negative_level_raises_without_recursion(self, tmp_path, capsys, monkeypatch):
+        built = self.refinements(monkeypatch)
+        tower = tw.LevelTower(pcf.build_sierpinski_structure())
+        with pytest.raises(StructureError, match="level must be >= 0"):
+            tower.complex(-1)
+        assert built == [] and not tower._complexes
+        assert main(["check", "--level", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: level must be >= 0, got -1"]
+
+    def test_edges_derived_on_first_use(self):
+        cx = tw.LevelTower(pcf.build_sierpinski_structure()).complex(2)
+        assert "edges" not in vars(cx)
+        pairs = [(a, b) for a, b in cx.edges]  # as the benchmark reads them
+        assert len(pairs) == 27 and all(a < b for a, b in pairs)
+        assert cx.edges is cx.edges
