@@ -87,8 +87,8 @@ def write_vertex_function_report(path: Path, values: np.ndarray) -> None:
 def read_vertex_function(path, n: int) -> np.ndarray:
     """Values at vertices ``0 .. n-1`` from an ``id value`` file, the format
     :func:`write_vertex_function_report` writes; blank lines and ``#``
-    lines are skipped, ids past ``n - 1`` are ignored, every value must be
-    finite and no id may appear twice."""
+    lines are skipped, ids past ``n - 1`` are ignored, no id may be
+    negative or appear twice and every value must be finite."""
     data: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -102,6 +102,8 @@ def read_vertex_function(path, n: int) -> np.ndarray:
                 raise ConfigError(
                     f"{path} line {lineno}: expected 'id value', got {line.strip()!r}"
                 ) from None
+            if x < 0:
+                raise ConfigError(f"{path} line {lineno}: vertex id {x} is negative")
             if not math.isfinite(v):
                 raise ConfigError(f"{path} line {lineno}: value {v} is not finite")
             if x in data:

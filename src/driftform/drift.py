@@ -53,34 +53,21 @@ class DriftSpec:
     """Perturbation data realized at one working level.
 
     ``b``/``h`` have one row per drift term, one column per vertex of the
-    working level.  ``h`` rows are harmonic extensions of the base-level
-    rows in ``h_base`` (base vertices are ids ``0..len-1`` of the base
-    level, which are nested in every finer level).
+    working level.  ``h`` rows are harmonic extensions of base-level data
+    (see :func:`make_drift`).
     """
 
     level: int
     b: np.ndarray
     h: np.ndarray
-    h_base_level: int
-    h_base: np.ndarray
-    b_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.b = np.atleast_2d(np.asarray(self.b, dtype=float))
         self.h = np.atleast_2d(np.asarray(self.h, dtype=float))
-        self.h_base = np.atleast_2d(np.asarray(self.h_base, dtype=float))
         if self.b.shape != self.h.shape:
             raise DriftError(f"b shape {self.b.shape} != h shape {self.h.shape}")
-        if self.b.shape[0] != self.h_base.shape[0]:
-            raise DriftError("need one base row per drift term")
-        if self.b.shape[0] < 1:
-            raise DriftError("at least one drift term is required")
         if not np.all(np.isfinite(self.b)):
             raise DriftError("b values must be finite")
-        if not np.all(np.isfinite(self.h_base)):
-            raise DriftError("h base values must be finite")
-        if not self.b_labels:
-            self.b_labels = tuple(f"b_{i}" for i in range(self.N))
 
     @property
     def N(self) -> int:
@@ -192,18 +179,19 @@ def make_drift(
     """
     if len(b_specs) != len(h_specs):
         raise DriftError("need matching numbers of b and h entries")
+    if not b_specs:
+        raise DriftError("at least one drift term is required")
     n = net.n
     b = np.stack([sample_field(s, n, coordinates) for s in b_specs])
-    base_levels = {int(m) for m, _ in h_specs}
-    if len(base_levels) != 1:
+    if len({int(m) for m, _ in h_specs}) != 1:
         raise DriftError("all h entries must share one base level")
     h_base = np.stack([np.asarray(vals, dtype=float) for _, vals in h_specs])
+    if not np.all(np.isfinite(h_base)):
+        raise DriftError("h base values must be finite")
     h = np.stack(
         [harmonic_extension(net, dict(enumerate(row))) for row in h_base]
     )
-    labels = tuple(f"{kind}:{val}" if kind != "samples" else "samples"
-                   for kind, val in b_specs)
-    return DriftSpec(level, b, h, base_levels.pop(), h_base, labels)
+    return DriftSpec(level, b, h)
 
 
 # ---------------------------------------------------------------------------

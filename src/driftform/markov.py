@@ -78,7 +78,7 @@ class GeneratorMatrix:
     @cached_property
     def E_matrix(self) -> sparse.csr_matrix:
         """Matrix of the energy ``E(f, g) = g @ E @ f``: the network Laplacian."""
-        return sparse.csr_matrix(self.net.laplacian(dense=False))
+        return self.net.laplacian()
 
     @cached_property
     def Q_matrix(self) -> sparse.csr_matrix:

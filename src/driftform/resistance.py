@@ -1,10 +1,12 @@
 """Finite resistance networks and their energy calculus.
 
-A :class:`ConductanceNetwork` is a vertex list with symmetric nonnegative
-edge conductances.  The module provides the quadratic energy form, boundary
-traces via Schur complements of the graph Laplacian, harmonic (energy
-minimizing) extension of boundary data, effective resistance, and assembly
-of the self-similar energies on refinement levels of a structure.
+A :class:`ConductanceNetwork` is its symmetric nonnegative conductance
+matrix on the vertices ``0..n-1``; a vertex id is a position (a p.c.f.
+level's ids are a prefix of the next level's).  The module provides the
+quadratic energy form, boundary traces via Schur complements of the graph
+Laplacian, harmonic (energy minimizing) extension of boundary data, the
+resistance diameter, and assembly of the self-similar energies on
+refinement levels of a structure.
 
 Solves factor the interior block directly; dense linear algebra is used for
 networks below ``DENSE_CUTOFF`` vertices and sparse LU above.  The resistance
@@ -38,28 +40,20 @@ class NetworkError(ValueError):
 
 
 class ConductanceNetwork:
-    """Symmetric nonnegative conductances over an ordered vertex list.
+    """Symmetric nonnegative conductances on the vertices ``0..n-1``.
 
     Parameters
     ----------
-    vertices : sequence of int
-        Vertex ids, in the order used by all array-valued operations.
     conductances : (n, n) array or sparse matrix
-        Symmetric, nonnegative, zero diagonal.
+        Symmetric, nonnegative, zero diagonal; row ``x`` is vertex ``x``.
     """
 
-    def __init__(self, vertices: Sequence[int], conductances):
-        self.vertices = np.asarray(list(vertices), dtype=np.int64)
-        self.index = {int(v): k for k, v in enumerate(self.vertices)}
+    def __init__(self, conductances):
         c = sparse.csr_matrix(conductances, dtype=float)
-        if c.shape != (self.n, self.n):
-            raise NetworkError(
-                f"conductance matrix shape {c.shape} does not match {self.n} vertices"
-            )
+        if c.shape[0] != c.shape[1]:
+            raise NetworkError(f"conductance matrix shape {c.shape} is not square")
         c.eliminate_zeros()
         self.c = c
-        if len(self.index) != self.n:
-            raise NetworkError("duplicate vertex ids")
         gap = abs(self.c - self.c.T).max() if self.c.nnz else 0.0
         if gap > 0:
             raise NetworkError(f"conductances are not symmetric (gap {gap:.3g})")
@@ -70,81 +64,64 @@ class ConductanceNetwork:
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self.c.shape[0]
 
     @classmethod
     def from_edges(
-        cls,
-        edges: Sequence[tuple[int, int, float]],
-        vertices: Sequence[int] | None = None,
+        cls, edges: Sequence[tuple[int, int, float]], n: int | None = None
     ) -> "ConductanceNetwork":
-        """Build from ``(x, y, c)`` triples; parallel entries accumulate."""
-        if vertices is None:
-            vertices = sorted({v for x, y, _ in edges for v in (x, y)})
-        index = {int(v): k for k, v in enumerate(vertices)}
+        """Build from ``(x, y, c)`` triples on ``n`` vertices (default: one past
+        the largest id); parallel entries accumulate."""
+        if n is None:
+            n = 1 + max((max(int(x), int(y)) for x, y, _ in edges), default=-1)
         rows, cols, vals = [], [], []
         for x, y, c in edges:
             if x == y:
                 raise NetworkError(f"self loop at vertex {x}")
-            try:
-                i, j = index[int(x)], index[int(y)]
-            except KeyError as exc:
-                raise NetworkError(
-                    f"edge ({x}, {y}, {c}) names unknown vertex {exc.args[0]}"
-                ) from None
-            rows += [i, j]
-            cols += [j, i]
+            unknown = next((v for v in (x, y) if not 0 <= int(v) < n), None)
+            if unknown is not None:
+                raise NetworkError(f"edge ({x}, {y}, {c}) names unknown vertex {unknown}")
+            rows += [int(x), int(y)]
+            cols += [int(y), int(x)]
             vals += [float(c), float(c)]
-        mat = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(len(vertices), len(vertices))
-        ).tocsr()
-        return cls(vertices, mat)
+        return cls(sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
 
-    def laplacian(self, dense: bool | None = None):
+    def laplacian(self) -> sparse.csr_matrix:
         deg = np.asarray(self.c.sum(axis=1)).ravel()
-        lap = sparse.diags(deg) - self.c
-        if dense is None:
-            dense = self.n < DENSE_CUTOFF
-        return lap.toarray() if dense else lap.tocsr()
+        return (sparse.diags(deg) - self.c).tocsr()
 
     def is_connected(self) -> bool:
         ncomp, _ = csgraph.connected_components(self.c, directed=False)
         return ncomp == 1
 
-    def positions(self, ids: Sequence[int]) -> np.ndarray:
-        try:
-            return np.array([self.index[int(v)] for v in ids], dtype=np.intp)
-        except KeyError as exc:
-            raise NetworkError(f"unknown vertex id {exc.args[0]}") from exc
-
-
-def as_values(net: ConductanceNetwork, f) -> np.ndarray:
-    """Coerce a vertex function (mapping or array) to the network's order."""
-    if isinstance(f, Mapping):
-        missing = [v for v in net.vertices if int(v) not in f]
-        if missing or len(f) != net.n:
-            raise NetworkError("vertex function domain does not match network")
-        return np.array([float(f[int(v)]) for v in net.vertices])
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (net.n,):
-        raise NetworkError(
-            f"vertex function has shape {arr.shape}, expected ({net.n},)"
-        )
-    return arr
-
 
 def energy(net: ConductanceNetwork, f, g=None) -> float:
-    """Quadratic energy ``1/2 * sum c_xy (f(x)-f(y)) (g(x)-g(y))``.
+    """Quadratic energy ``1/2 * sum c_xy (f(x)-f(y)) (g(x)-g(y))`` of vertex
+    arrays.
 
     Symmetric and bilinear; equals ``f . L g`` for the graph Laplacian ``L``.
     """
-    fv = as_values(net, f)
-    gv = fv if g is None else as_values(net, g)
-    return float(fv @ (net.laplacian(dense=False) @ gv))
+    fv = np.asarray(f, dtype=float)
+    gv = fv if g is None else np.asarray(g, dtype=float)
+    for v in (fv, gv):
+        if v.shape != (net.n,):
+            raise NetworkError(f"vertex function has shape {v.shape}, expected ({net.n},)")
+    return float(fv @ (net.laplacian() @ gv))
+
+
+def _split(net: ConductanceNetwork, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted vertex ids ``ids`` and the remaining (interior) vertices."""
+    unknown = next((v for v in ids if not 0 <= v < net.n), None)
+    if unknown is not None:
+        raise NetworkError(f"unknown vertex id {unknown}")
+    keep = np.zeros(net.n, dtype=bool)
+    keep[ids] = True
+    return np.flatnonzero(keep), np.flatnonzero(~keep)
 
 
 def _interior_solver(net: ConductanceNetwork, ipos: np.ndarray, bpos: np.ndarray):
-    """Return ``solve`` for the interior Laplacian block.
+    """Return ``solve`` for the interior Laplacian block and the block
+    ``L_IB``, both dense below ``DENSE_CUTOFF`` vertices.
 
     Interior components that do not touch the boundary make the block
     singular; they are rejected up front.
@@ -157,50 +134,36 @@ def _interior_solver(net: ConductanceNetwork, ipos: np.ndarray, bpos: np.ndarray
             "interior component does not touch the boundary; "
             "the interior block is singular"
         )
-    lap = net.laplacian(dense=net.n < DENSE_CUTOFF)
-    if sparse.issparse(lap):
-        lii = lap[np.ix_(ipos, ipos)].tocsc()
-        lib = lap[np.ix_(ipos, bpos)]
-        lu = splu(lii)
-        return lambda rhs: lu.solve(rhs), lib
-    lii = lap[np.ix_(ipos, ipos)]
-    lib = lap[np.ix_(ipos, bpos)]
-    return lambda rhs: np.linalg.solve(lii, rhs), lib
+    lap = net.laplacian()
+    lii, lib = lap[np.ix_(ipos, ipos)], lap[np.ix_(ipos, bpos)]
+    if net.n < DENSE_CUTOFF:
+        lii, lib = lii.toarray(), lib.toarray()
+        return lambda rhs: np.linalg.solve(lii, rhs), lib
+    return splu(lii.tocsc()).solve, lib
 
 
 def trace(net: ConductanceNetwork, boundary: Sequence[int]) -> ConductanceNetwork:
     """Trace the energy onto a boundary subset by eliminating the interior.
 
-    The result is the network on ``boundary`` whose energy of any boundary
+    The result is the network on ``len(boundary)`` vertices, vertex ``k``
+    being the ``k``-th smallest boundary id, whose energy of any boundary
     data equals the minimum energy over all extensions to the full vertex
     set (the Schur complement of the Laplacian).  Tracing onto the full
     vertex set returns the network unchanged.  Conductances below
     ``SCHUR_CLAMP`` are dropped to keep round-off fill-in out of the
     sparsity pattern.
     """
-    bset = {int(v) for v in boundary}
-    if not bset:
+    ids = sorted({int(v) for v in boundary})
+    if not ids:
         raise NetworkError("boundary must be nonempty")
-    if not bset.issubset(int(v) for v in net.vertices):
-        raise NetworkError("boundary contains unknown vertex ids")
-    keep = np.array([int(v) in bset for v in net.vertices])
-    bpos = np.flatnonzero(keep)
-    ipos = np.flatnonzero(~keep)
-    kept_ids = [int(v) for v in net.vertices[bpos]]
+    bpos, ipos = _split(net, ids)
     if len(ipos) == 0:
-        return ConductanceNetwork(kept_ids, net.c[np.ix_(bpos, bpos)])
+        return net
 
-    solve, lib = _interior_solver(net, ipos, bpos)
-    lap = net.laplacian(dense=net.n < DENSE_CUTOFF)
-    if sparse.issparse(lap):
-        lbb = lap[np.ix_(bpos, bpos)].toarray()
-        x = solve(lib.toarray())
-        schur = lbb - lap[np.ix_(bpos, ipos)].toarray() @ x
-    else:
-        lbb = lap[np.ix_(bpos, bpos)]
-        schur = lbb - lap[np.ix_(bpos, ipos)] @ solve(lib)
-
-    cond = -schur
+    solve, _ = _interior_solver(net, ipos, bpos)
+    lap = net.laplacian()
+    x = solve(lap[np.ix_(ipos, bpos)].toarray())
+    cond = lap[np.ix_(bpos, ipos)].toarray() @ x - lap[np.ix_(bpos, bpos)].toarray()
     np.fill_diagonal(cond, 0.0)
     cond = 0.5 * (cond + cond.T)  # kill asymmetric round-off
     cond[np.abs(cond) < SCHUR_CLAMP] = 0.0
@@ -208,24 +171,21 @@ def trace(net: ConductanceNetwork, boundary: Sequence[int]) -> ConductanceNetwor
         raise NetworkError(
             f"Schur complement produced a negative conductance ({cond.min():.3g})"
         )
-    return ConductanceNetwork(kept_ids, sparse.csr_matrix(cond))
+    return ConductanceNetwork(sparse.csr_matrix(cond))
 
 
 def harmonic_extension(net: ConductanceNetwork, boundary_values: Mapping[int, float]) -> np.ndarray:
-    """Energy-minimizing extension of boundary data.
+    """Energy-minimizing extension of boundary data ``{vertex: value}``.
 
-    Returns values over all vertices (network order); the extension agrees
-    with ``boundary_values`` on its domain and the Laplacian vanishes at
-    every other vertex.
+    Returns values over all vertices; the extension agrees with
+    ``boundary_values`` on its domain and the Laplacian vanishes at every
+    other vertex.
     """
     if not boundary_values:
         raise NetworkError("boundary data must be nonempty")
     bids = sorted(int(v) for v in boundary_values)
-    bpos = net.positions(bids)
+    bpos, ipos = _split(net, bids)
     fb = np.array([float(boundary_values[v]) for v in bids])
-    keep = np.zeros(net.n, dtype=bool)
-    keep[bpos] = True
-    ipos = np.flatnonzero(~keep)
     values = np.empty(net.n)
     values[bpos] = fb
     if len(ipos) == 0:
@@ -299,7 +259,7 @@ def _resistance_rows(net: ConductanceNetwork, counts: Sequence[int] = ()):
             f"level counts {list(counts)} must increase strictly from 1 or more "
             f"to below {n}"
         )
-    lap = net.laplacian(dense=False)
+    lap = net.laplacian()
     steps = []  # (L_II^-1, H_k) for k = n .. 1
     for lo in reversed(bounds[:-1]):
         inv = _block_inverse(lap[lo:, lo:])
@@ -391,15 +351,12 @@ def assemble_self_similar(
     if np.any(r <= 0) or np.any(r >= 1):
         raise NetworkError("scale factors must lie in (0, 1)")
     nb = net0.n
-    base_ids = sorted(int(v) for v in net0.vertices)
-    if base_ids != list(range(nb)):
-        raise NetworkError("base network must live on boundary ids 0..|V0|-1")
     cells = complex_.cell_ids
     if cells.shape[1] != nb:
         raise NetworkError(
             f"base network has {nb} vertices but cells have {cells.shape[1]} corners"
         )
-    c0 = net0.c.toarray()[np.ix_(net0.positions(range(nb)), net0.positions(range(nb)))]
+    c0 = net0.c.toarray()
     a, b = np.nonzero(np.triu(c0, 1))
     rw_inv = complex_.word_products(1.0 / r)
     u, v = cells[:, a].ravel(), cells[:, b].ravel()
@@ -409,4 +366,4 @@ def assemble_self_similar(
     c = np.bincount(inverse, weights=(rw_inv[:, None] * c0[a, b]).ravel())
     lo, hi = np.divmod(keys, n)
     rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    return ConductanceNetwork(range(n), sparse.coo_matrix((np.tile(c, 2), (rows, cols)), (n, n)))
+    return ConductanceNetwork(sparse.coo_matrix((np.tile(c, 2), (rows, cols)), (n, n)))

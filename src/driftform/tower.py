@@ -50,9 +50,7 @@ class LevelTower:
         if not base:
             nb = structure.boundary_size
             base = [(a, b, 1.0) for a in range(nb) for b in range(a + 1, nb)]
-        self.base_network = ConductanceNetwork.from_edges(
-            base, vertices=range(structure.boundary_size)
-        )
+        self.base_network = ConductanceNetwork.from_edges(base, structure.boundary_size)
         self._complexes: dict[int, LevelComplex] = {}
         self._networks: dict[int, ConductanceNetwork] = {}
         self._measures: dict[int, np.ndarray] = {}
@@ -171,12 +169,14 @@ class DriftConfig:
                 if kind == "samples":
                     payload = ({int(k): float(v) for k, v in payload.items()}
                                if isinstance(payload, Mapping) else [float(v) for v in payload])
+                elif kind == "constant":
+                    payload = float(payload)
                 b_specs.append((kind, payload))
             h_specs = [
                 (int(entry["base_level"]), tuple(float(v) for v in entry["values"]))
                 for entry in d["h"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise drift_mod.DriftError(f"malformed drift config: {exc}") from exc
         return cls(tuple(b_specs), tuple(h_specs))
 

@@ -34,11 +34,10 @@ TWO_TERM_DRIFT = tw.DriftConfig(
 )
 
 
-def eta(net, drift, x: int, y: int) -> float:
+def eta(drift, x: int, y: int) -> float:
     """Asymmetric edge weight ``1/2 * sum_i b_i(x) (h_i(x) - h_i(y))`` of one
     ordered vertex pair."""
-    px, py = net.positions([x, y])
-    return 0.5 * float(np.dot(drift.b[:, px], drift.h[:, px] - drift.h[:, py]))
+    return 0.5 * float(np.dot(drift.b[:, x], drift.h[:, x] - drift.h[:, y]))
 
 
 def discrete_mutual_energy(net, h, h2, g) -> float:
@@ -74,14 +73,9 @@ def effective_resistance(net, x: int, y: int) -> float:
 
 
 def edge_list(net) -> list[tuple[int, int, float]]:
-    """The undirected edges ``(x, y, c_xy)`` with ``x < y``, sorted, in
-    vertex ids."""
+    """The undirected edges ``(x, y, c_xy)`` with ``x < y``, sorted."""
     coo = sparse.triu(net.c, k=1).tocoo()
-    triples = [
-        (int(net.vertices[i]), int(net.vertices[j]), float(v))
-        for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    return sorted(triples)
+    return sorted((int(i), int(j), float(v)) for i, j, v in zip(coo.row, coo.col, coo.data))
 
 
 def padded_row_chains(gen, initial, times, n_paths: int, seed: int) -> np.ndarray:
@@ -292,7 +286,7 @@ def tuple_network(net0, r, level: dict) -> ConductanceNetwork:
     cell in order."""
     r = np.asarray(r, dtype=float)
     nb = net0.n
-    c0 = net0.c.toarray()[np.ix_(net0.positions(range(nb)), net0.positions(range(nb)))]
+    c0 = net0.c.toarray()
     acc = {}
     for word, ids in level["cells"]:
         rw_inv = float(np.prod(1.0 / r[list(word)])) if word else 1.0
@@ -305,7 +299,7 @@ def tuple_network(net0, r, level: dict) -> ConductanceNetwork:
                 key = (u, v) if u < v else (v, u)
                 acc[key] = acc.get(key, 0.0) + rw_inv * c
     edges = [(u, v, c) for (u, v), c in sorted(acc.items())]
-    return ConductanceNetwork.from_edges(edges, vertices=range(level["vertex_count"]))
+    return ConductanceNetwork.from_edges(edges, level["vertex_count"])
 
 
 def tuple_measure(structure, level: dict, theta) -> np.ndarray:

@@ -132,14 +132,25 @@ class TestExitCodes:
             run(["check", "--no-such-flag"])
         assert exc.value.code == 2
 
-    def test_non_numeric_drift_samples_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("term", [
+        {"samples": ["a"]}, {"constant": "abc"}, {"constant": None}, {"constant": [1, 2]}, 5,
+    ], ids=["samples_text", "constant_text", "constant_null", "constant_list", "term_number"])
+    def test_non_numeric_drift_samples_exit_2(self, tmp_path, capsys, term):
         bad = tmp_path / "drift.json"
-        bad.write_text(json.dumps({"b": [{"samples": ["a"]}],
+        bad.write_text(json.dumps({"b": [term],
                                    "h": [{"base_level": 0, "values": [1.0, 0.0, 0.0]}]}))
         assert run(["check", "--level", "1", "--drift", str(bad),
                     "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    def test_empty_drift_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "drift.json"
+        bad.write_text(json.dumps({"b": [], "h": []}))
+        assert run(["check", "--level", "1", "--drift", str(bad),
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: at least one drift term is required"], err
 
     def test_bad_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -285,7 +296,9 @@ class TestExitCodes:
         ("0 0.5\n2 0.25\n", "vertex 1"),
         ("0 nan\n1 0\n2 0\n", "line 1"),
         ("0 0.5\n# inf\n1 -inf\n2 0.25\n", "line 3"),
-    ], ids=["non_numeric_value", "three_fields", "missing_id", "nan_value", "inf_value"])
+        ("-1 5\n0 1\n1 0\n2 0\n", "line 1: vertex id -1 is negative"),
+    ], ids=["non_numeric_value", "three_fields", "missing_id", "nan_value", "inf_value",
+            "negative_id"])
     def test_malformed_vertex_function_file_exits_2(self, tmp_path, capsys, content, names):
         path = tmp_path / "f.txt"
         path.write_text(content)

@@ -21,6 +21,7 @@ from driftform.drift import (
     certify_sandwich,
     check_condition_II,
     eta_edge_values,
+    make_drift,
     sample_field,
     select_constants,
 )
@@ -99,13 +100,10 @@ def recursive_harmonic_oracle(levels: int) -> dict[tuple, float]:
 
 
 def edge_eta(net, drift) -> dict[tuple[int, int], float]:
-    """``eta_edge_values`` keyed by ordered vertex-id pair."""
+    """``eta_edge_values`` keyed by ordered vertex pair."""
     coo = net.c.tocoo()
     ev = eta_edge_values(net, drift)
-    rows, cols = coo.row, coo.col
-    return {
-        (int(net.vertices[x]), int(net.vertices[y])): v for x, y, v in zip(rows, cols, ev)
-    }
+    return {(int(x), int(y)): v for x, y, v in zip(coo.row, coo.col, ev)}
 
 
 class TestEta:
@@ -117,17 +115,11 @@ class TestEta:
 
     def test_direct_arithmetic(self):
         net = ConductanceNetwork.from_edges([(0, 1, 1.0)])
-        spec = DriftSpec(
-            level=0,
-            b=np.array([[2.0, 2.0]]),
-            h=np.array([[3.0, 1.0]]),
-            h_base_level=0,
-            h_base=np.array([[3.0, 1.0]]),
-        )
+        spec = DriftSpec(level=0, b=np.array([[2.0, 2.0]]), h=np.array([[3.0, 1.0]]))
         values = edge_eta(net, spec)
         assert values == {(0, 1): pytest.approx(0.5 * 2.0 * (3.0 - 1.0)),
                           (1, 0): pytest.approx(0.5 * 2.0 * (1.0 - 3.0))}
-        assert values[(0, 1)] == pytest.approx(eta(net, spec, 0, 1))
+        assert values[(0, 1)] == pytest.approx(eta(spec, 0, 1))
 
     def test_asymmetry(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 2)
@@ -143,7 +135,7 @@ class TestEta:
         values = edge_eta(net, spec)
         assert len(values) == 2 * len(edge_list(net))
         for (x, y), v in values.items():
-            assert v == pytest.approx(eta(net, spec, x, y), rel=1e-12, abs=1e-15)
+            assert v == pytest.approx(eta(spec, x, y), rel=1e-12, abs=1e-15)
 
     def test_matches_recursive_harmonic_oracle(self, sg_tower):
         # coefficients epsilon: eta is eps/2 times finite differences of the
@@ -261,7 +253,7 @@ class TestMutualEnergy:
         spec = drift_on(sg_tower, admissible_cfg, 3)
         net = sg_tower.network(3)
         squares = sum(
-            c * (2.0 * eta(net, spec, x, y)) ** 2 + c * (2.0 * eta(net, spec, y, x)) ** 2
+            c * (2.0 * eta(spec, x, y)) ** 2 + c * (2.0 * eta(spec, y, x)) ** 2
             for x, y, c in edge_list(net)
         )
         assert condition_I_loop(net, spec) == pytest.approx(squares, rel=1e-12)
@@ -458,13 +450,13 @@ class TestSDAxioms:
         net = sg_tower.network(level)
         for x, y, _ in edge_list(net):
             for a, b in ((x, y), (y, x)):
-                lhs = abs(2.0 * eta(net, spec, a, b))
-                frozen = spec.b[:, net.index[a]] @ spec.h
+                lhs = abs(2.0 * eta(spec, a, b))
+                frozen = spec.b[:, a] @ spec.h
                 rhs = math.sqrt(
                     effective_resistance(net, a, b) * energy(net, frozen)
                 )
                 assert lhs <= rhs + 1e-12
-                assert 1.0 + 2.0 * eta(net, spec, a, b) >= 0.0
+                assert 1.0 + 2.0 * eta(spec, a, b) >= 0.0
 
 
 class TestStrongLocality:
@@ -535,10 +527,12 @@ class TestDriftSpecConstruction:
     def test_h_rows_are_harmonic_extensions(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 3)
         net = sg_tower.network(3)
-        residual = net.laplacian(dense=False) @ spec.h[0]
+        residual = net.laplacian() @ spec.h[0]
         base_size = sg_tower.vertex_count(0)
         assert np.max(np.abs(residual[base_size:])) < 1e-10
-        np.testing.assert_allclose(spec.h[0][:base_size], spec.h_base[0])
+        base_level, base_values = admissible_cfg.h_specs[0]
+        assert base_level == 0 and len(base_values) == base_size
+        np.testing.assert_allclose(spec.h[0][:base_size], base_values)
 
     def test_restriction_consistency_across_levels(self, sg_tower, admissible_cfg):
         # piecewise-harmonic data: the fine realization restricted to a
@@ -550,16 +544,17 @@ class TestDriftSpecConstruction:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DriftError):
-            DriftSpec(0, np.ones((1, 3)), np.ones((1, 4)), 0, np.ones((1, 2)))
+            DriftSpec(0, np.ones((1, 3)), np.ones((1, 4)))
 
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(DriftError):
-            DriftSpec(0, np.array([[np.inf, 0.0]]), np.ones((1, 2)), 0, np.ones((1, 2)))
+            DriftSpec(0, np.array([[np.inf, 0.0]]), np.ones((1, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_h_base_rejected(self, bad):
+        net = ConductanceNetwork.from_edges([(0, 1, 1.0)])
         with pytest.raises(DriftError, match="h base values must be finite"):
-            DriftSpec(0, np.ones((1, 2)), np.ones((1, 2)), 0, np.array([[1.0, bad]]))
+            make_drift(net, 0, [("constant", 1.0)], [(0, (1.0, bad))])
 
     def test_expression_needs_embedding(self, sg_tower):
         import dataclasses

@@ -79,10 +79,10 @@ class TestGenerator:
         L, L0 = gen.L.toarray(), gen0.L.toarray()
         for x, y, _ in edge_list(net):
             assert L[x, y] == pytest.approx(
-                L0[x, y] * (1.0 + eta(net, spec, x, y)), rel=1e-12
+                L0[x, y] * (1.0 + eta(spec, x, y)), rel=1e-12
             )
             assert L[y, x] == pytest.approx(
-                L0[y, x] * (1.0 + eta(net, spec, y, x)), rel=1e-12
+                L0[y, x] * (1.0 + eta(spec, y, x)), rel=1e-12
             )
 
     def test_zero_measure_rejected(self, sg_tower):
@@ -120,7 +120,7 @@ class TestJumpParameters:
         c = net.c.toarray()
         for x in range(net.n):
             weights = np.array(
-                [c[x, y] * (1.0 + eta(net, spec, x, y)) for y in range(net.n)]
+                [c[x, y] * (1.0 + eta(spec, x, y)) for y in range(net.n)]
             )
             np.testing.assert_allclose(dense[x], weights / weights.sum(), atol=1e-12)
 
@@ -146,9 +146,8 @@ class TestValidateRates:
         gen = sg_tower.generator(1, cfg)
         report = validate_rates(gen)
         assert not report.ok
-        net = sg_tower.network(1)
         for x, y, value in report.violations:
-            assert value == pytest.approx(1.0 + eta(net, spec, x, y), rel=1e-12)
+            assert value == pytest.approx(1.0 + eta(spec, x, y), rel=1e-12)
             assert value < 0
         # jumps from the midpoints up into the h = 1 corner are suppressed
         # hardest: eta(3, 0) = 5 * (0.4 - 1.0) = -3

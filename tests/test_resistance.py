@@ -52,7 +52,7 @@ def connected_networks(draw):
         if (a, b) not in present:
             present.add((a, b))
             edges.append((a, b, draw(conducts)))
-    return ConductanceNetwork.from_edges(edges, vertices=range(n))
+    return ConductanceNetwork.from_edges(edges, n)
 
 
 class TestEnergy:
@@ -104,10 +104,11 @@ class TestTrace:
 
     def test_series_path(self):
         # a-b-c with unit conductances: resistances add, so the trace onto
-        # the ends is a single conductance 1/2
+        # the ends is a single conductance 1/2; the ends become vertices 0, 1
         net = ConductanceNetwork.from_edges([(0, 1, 1.0), (1, 2, 1.0)])
         traced = trace(net, [0, 2])
-        assert edge_list(traced) == [(0, 2, pytest.approx(0.5))]
+        assert traced.n == 2
+        assert edge_list(traced) == [(0, 1, pytest.approx(0.5))]
 
     def test_idempotent_on_full_boundary(self):
         net = ConductanceNetwork.from_edges([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
@@ -145,9 +146,7 @@ class TestTrace:
 
     def test_stranded_interior_rejected(self):
         # two components; boundary only touches one of them
-        net = ConductanceNetwork.from_edges(
-            [(0, 1, 1.0), (2, 3, 1.0)], vertices=range(4)
-        )
+        net = ConductanceNetwork.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 4)
         with pytest.raises(NetworkError, match="singular"):
             trace(net, [0])
 
@@ -172,7 +171,7 @@ class TestHarmonicExtension:
     def test_interior_laplacian_vanishes(self, sg_tower):
         net = sg_tower.network(3)
         ext = harmonic_extension(net, {0: 1.0, 1: -1.0, 2: 0.5})
-        residual = net.laplacian(dense=False) @ ext
+        residual = net.laplacian() @ ext
         assert np.max(np.abs(residual[3:])) < 1e-10
 
     @settings(max_examples=25, deadline=None)
@@ -288,7 +287,7 @@ class TestAssembly:
 def pinv_resistances(net: ConductanceNetwork) -> np.ndarray:
     """Reference oracle: ``R = d_x + d_y - 2 L+_xy`` from the dense
     Moore-Penrose pseudo-inverse of the Laplacian."""
-    lplus = np.linalg.pinv(net.laplacian(dense=True), hermitian=True)
+    lplus = np.linalg.pinv(net.laplacian().toarray(), hermitian=True)
     d = np.diag(lplus)
     r = d[:, None] + d[None, :] - 2.0 * lplus
     np.fill_diagonal(r, 0.0)
@@ -306,8 +305,7 @@ def random_weighted_network(seed: int, n: int) -> ConductanceNetwork:
         if a != b:
             edges[(int(min(a, b)), int(max(a, b)))] = None
     return ConductanceNetwork.from_edges(
-        [(a, b, float(10.0 ** rng.uniform(-1.5, 1.5))) for a, b in edges],
-        vertices=range(n),
+        [(a, b, float(10.0 ** rng.uniform(-1.5, 1.5))) for a, b in edges], n
     )
 
 
@@ -327,7 +325,7 @@ class TestDiameter:
         np.testing.assert_allclose(resistance_matrix(net), [[0.0, 2.0], [2.0, 0.0]])
 
     def test_single_vertex(self):
-        net = ConductanceNetwork([7], np.zeros((1, 1)))
+        net = ConductanceNetwork(np.zeros((1, 1)))
         assert resistance_diameter(net) == 0.0
         assert resistance_matrix(net).tolist() == [[0.0]]
 
@@ -351,9 +349,7 @@ class TestDiameter:
         assert [sg_tower.vertex_count(k) for k in range(4)] == [3, 6, 15, 42]
 
     def test_disconnected_rejected(self):
-        net = ConductanceNetwork.from_edges(
-            [(0, 1, 1.0), (2, 3, 1.0)], vertices=range(4)
-        )
+        net = ConductanceNetwork.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 4)
         for counts in ((), (2,), (1, 3)):
             with pytest.raises(NetworkError, match="disconnected"):
                 resistance_diameter(net, counts)
@@ -424,7 +420,7 @@ class TestResistanceMatrix:
         # large, not 3x3, and the elimination must still be exact
         net = random_weighted_network(5, 150)
         bounds = (*counts, net.n)
-        lap = net.laplacian(dense=False)
+        lap = net.laplacian()
         largest = max(
             np.bincount(csgraph.connected_components(lap[lo:hi, lo:hi])[1]).max()
             for lo, hi in zip(bounds, bounds[1:])
@@ -479,17 +475,33 @@ class TestValidationAndIO:
     def test_asymmetric_matrix_rejected(self):
         c = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(NetworkError, match="symmetric"):
-            ConductanceNetwork([0, 1], c)
+            ConductanceNetwork(c)
 
     def test_negative_conductance_rejected(self):
         c = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(NetworkError, match="negative"):
-            ConductanceNetwork([0, 1], c)
+            ConductanceNetwork(c)
 
     def test_nonzero_diagonal_rejected(self):
         c = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NetworkError, match="diagonal"):
-            ConductanceNetwork([0, 1], c)
+            ConductanceNetwork(c)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(NetworkError, match="not square"):
+            ConductanceNetwork(np.zeros((2, 3)))
+
+    def test_edges_span_zero_to_largest_id(self):
+        net = ConductanceNetwork.from_edges([(0, 3, 1.0)])
+        assert net.n == 4 and edge_list(net) == [(0, 3, 1.0)]
+
+    def test_edge_id_past_n_rejected(self):
+        with pytest.raises(NetworkError, match=r"edge \(1, 5, 1.0\) names unknown vertex 5"):
+            ConductanceNetwork.from_edges([(0, 1, 1.0), (1, 5, 1.0)], 3)
+
+    def test_harmonic_extension_unknown_id_rejected(self, unit_triangle):
+        with pytest.raises(NetworkError, match="unknown vertex id 3"):
+            harmonic_extension(unit_triangle, {0: 1.0, 3: 0.0})
 
     def test_awkward_values_round_trip(self, tmp_path):
         vals = [1.0 / 3.0, np.pi, 1e-300, -7.125]
