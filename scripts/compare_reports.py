@@ -1,0 +1,112 @@
+"""Compare the report bodies of a git revision with those of the working tree.
+
+    python scripts/compare_reports.py REV
+
+Runs a fixed list of driftform commands (the README's CLI examples and some
+deeper runs) on a ``git archive`` of REV and on the working tree, each
+command in a fresh interpreter with one BLAS thread, and compares every
+output file byte for byte: a report after its ``# generated`` line, any
+other file (``trajectories.jsonl``) whole.  Prints each file that differs or
+exists on one side only, and each command whose exit code differs; exits 1
+on any difference, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = {
+    # the README's CLI examples
+    "readme_check": ["check", "--level", "3", "--reference-level", "6"],
+    "readme_plain": ["check", "--drift", "none", "--level", "3"],
+    "readme_converge": ["converge", "--levels", "1:5", "--reference-level", "6",
+                        "--t", "0.1", "--paths", "20000", "--seed", "0"],
+    "readme_simulate": ["simulate", "--level", "2", "--paths", "1000",
+                        "--t", "0.01,0.1", "--paired"],
+    "readme_resolvent": ["resolvent", "--level", "3", "--alpha", "8,12", "--f", "x"],
+    "readme_semigroup": ["semigroup", "--level", "3", "--t", "0.05,0.2",
+                         "--f", "harmonic:1,0,0"],
+    # deeper levels, the benchmark's workloads and the shipped configs
+    "check_l6": ["check", "--level", "6", "--seed", "1"],
+    "semigroup_l6": ["semigroup", "--level", "6", "--t", "0.1", "--f", "x", "--seed", "1"],
+    "simulate_l4": ["simulate", "--level", "4", "--paths", "4000", "--t", "0.01,0.1",
+                    "--paired", "--seed", "1"],
+    "converge_ref7": ["converge", "--levels", "1:6", "--reference-level", "7",
+                      "--t", "0.1", "--paths", "20000", "--seed", "1"],
+    "sg_combinatorial": ["check", "--level", "4",
+                         "--structure", "docs/configs/sg_combinatorial.json",
+                         "--drift", "docs/configs/drift_constant.json"],
+    "interval": ["check", "--level", "2", "--structure", "docs/configs/interval.json"],
+}
+
+
+def run_all(tree: Path, out: Path) -> dict[str, int]:
+    """Run every command on the sources of ``tree``; the exit code of each."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    codes = {}
+    for name, args in COMMANDS.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "driftform.cli", *args, "--out", str(out / name)],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        codes[name] = done.returncode
+    return codes
+
+
+def body(path: Path) -> bytes:
+    data = path.read_bytes()
+    if data.startswith(b"# generated "):
+        return data.split(b"\n", 1)[1]
+    return data
+
+
+def differences(base: Path, head: Path) -> list[str]:
+    """Relative paths of the files under ``base`` and ``head`` whose bodies
+    differ or that exist on one side only."""
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    old, new = files(base), files(head)
+    return sorted(
+        str(rel) + ("" if rel in old and rel in new else " (one side only)")
+        for rel in old | new
+        if rel not in old or rel not in new or body(base / rel) != body(head / rel)
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/compare_reports.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "base", filter="data")
+        codes = {side: run_all(tree, tmp / f"out_{side}")
+                 for side, tree in (("base", tmp / "base"), ("head", ROOT))}
+        diff = differences(tmp / "out_base", tmp / "out_head")
+    diff += [f"{name}: exit {codes['base'][name]} at {rev}, {codes['head'][name]} here"
+             for name in COMMANDS if codes["base"][name] != codes["head"][name]]
+    for line in diff:
+        print(line)
+    print(f"{len(diff)} differences over {len(COMMANDS)} commands")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -274,7 +274,7 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
             raise ConfigError(f"boundary values in {spec!r} must be finite")
         if len(vals) != tower.structure.boundary_size:
             raise ConfigError("harmonic input needs one value per boundary point")
-        return harmonic_extension(tower.network(level), dict(enumerate(vals)))
+        return harmonic_extension(tower.network(level), vals)
     return read_vertex_function(spec, n)
 
 

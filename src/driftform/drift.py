@@ -69,14 +69,6 @@ class DriftSpec:
         if not np.all(np.isfinite(self.b)):
             raise DriftError("b values must be finite")
 
-    @property
-    def N(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.b.shape[1]
-
     def is_zero(self) -> bool:
         return not np.any(self.b)
 
@@ -131,7 +123,8 @@ def sample_field(spec, n: int, coordinates: np.ndarray | None) -> np.ndarray:
     ``spec`` is ``("constant", v)``, ``("expression", text)`` (needs an
     embedding; variables ``x``/``y``/``z`` are the coordinates, see
     :func:`_evaluate_expression` for what else it may contain), or
-    ``("samples", values)`` with values indexed by vertex id.
+    ``("samples", values)`` with the values of the vertex ids ``0, 1, ...``
+    (at least ``n`` of them; a level reads its prefix).
     """
     kind, payload = spec
     if kind == "constant":
@@ -146,15 +139,6 @@ def sample_field(spec, n: int, coordinates: np.ndarray | None) -> np.ndarray:
         vals = _evaluate_expression(payload, names)
         return np.broadcast_to(np.asarray(vals, dtype=float), (n,)).copy()
     if kind == "samples":
-        if isinstance(payload, Mapping):
-            vals = np.full(n, np.nan)
-            for k, v in payload.items():
-                k = int(k)
-                if 0 <= k < n:
-                    vals[k] = float(v)
-            if np.any(np.isnan(vals)):
-                raise DriftError("sampled field misses some working-level vertices")
-            return vals
         arr = np.asarray(payload, dtype=float)
         if arr.shape[0] < n:
             raise DriftError(
@@ -174,8 +158,8 @@ def make_drift(
     """Realize drift data on a working-level network.
 
     ``h_specs`` entries are ``(base_level, base_values)``; the base vertices
-    are ids ``0..len(base_values)-1`` and each row is harmonically extended
-    to the working level.
+    are ids ``0..len(base_values)-1`` and the rows are harmonically extended
+    to the working level as one block.
     """
     if len(b_specs) != len(h_specs):
         raise DriftError("need matching numbers of b and h entries")
@@ -188,10 +172,7 @@ def make_drift(
     h_base = np.stack([np.asarray(vals, dtype=float) for _, vals in h_specs])
     if not np.all(np.isfinite(h_base)):
         raise DriftError("h base values must be finite")
-    h = np.stack(
-        [harmonic_extension(net, dict(enumerate(row))) for row in h_base]
-    )
-    return DriftSpec(level, b, h)
+    return DriftSpec(level, b, harmonic_extension(net, h_base))
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def build_generator(
     if drift is None or drift.is_zero():
         eta = np.zeros_like(coo.data)
     else:
-        if drift.n_vertices != net.n:
+        if drift.b.shape[1] != net.n:
             raise ValueError("drift level does not match network")
         eta = eta_edge_values(net, drift)
     rates = coo.data * (1.0 + eta) / mu[coo.row]

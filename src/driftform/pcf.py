@@ -188,10 +188,6 @@ class LevelComplex:
     coarser_counts: tuple[int, ...] = ()
     maps: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
-    @property
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
     def word_products(self, factors: np.ndarray) -> np.ndarray:
         """Per cell, the product of the per-symbol ``factors`` along its
         word, left to right."""

@@ -21,7 +21,7 @@ rows at the finest one.  Without nested sets it is one dense inverse.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -53,6 +53,13 @@ class ConductanceNetwork:
         if c.shape[0] != c.shape[1]:
             raise NetworkError(f"conductance matrix shape {c.shape} is not square")
         c.eliminate_zeros()
+        if not np.isfinite(c.data).all():
+            coo = c.tocoo()
+            k = np.flatnonzero(~np.isfinite(coo.data))[0]
+            raise NetworkError(
+                f"conductance between vertices {coo.row[k]} and {coo.col[k]} is "
+                f"{coo.data[k]}; conductances must be finite"
+            )
         self.c = c
         gap = abs(self.c - self.c.T).max() if self.c.nnz else 0.0
         if gap > 0:
@@ -109,61 +116,54 @@ def energy(net: ConductanceNetwork, f, g=None) -> float:
     return float(fv @ (net.laplacian() @ gv))
 
 
-def _split(net: ConductanceNetwork, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted vertex ids ``ids`` and the remaining (interior) vertices."""
-    unknown = next((v for v in ids if not 0 <= v < net.n), None)
-    if unknown is not None:
-        raise NetworkError(f"unknown vertex id {unknown}")
-    keep = np.zeros(net.n, dtype=bool)
-    keep[ids] = True
-    return np.flatnonzero(keep), np.flatnonzero(~keep)
-
-
-def _interior_solver(net: ConductanceNetwork, ipos: np.ndarray, bpos: np.ndarray):
-    """Return ``solve`` for the interior Laplacian block and the block
-    ``L_IB``, both dense below ``DENSE_CUTOFF`` vertices.
+def _interior_solver(net: ConductanceNetwork, k: int):
+    """Return ``solve`` for the interior Laplacian block ``L_II`` and the block
+    ``L_IB``, both dense below ``DENSE_CUTOFF`` vertices, for the boundary
+    ``B = [0, k)`` and the interior ``I = [k, n)``.
 
     Interior components that do not touch the boundary make the block
     singular; they are rejected up front.
     """
-    ncomp, labels = csgraph.connected_components(net.c, directed=False)
-    boundary_labels = set(labels[bpos])
-    stranded = [lbl for lbl in set(labels[ipos]) if lbl not in boundary_labels]
-    if stranded:
+    _, labels = csgraph.connected_components(net.c, directed=False)
+    if not np.isin(labels[k:], labels[:k]).all():
         raise NetworkError(
             "interior component does not touch the boundary; "
             "the interior block is singular"
         )
     lap = net.laplacian()
-    lii, lib = lap[np.ix_(ipos, ipos)], lap[np.ix_(ipos, bpos)]
+    lii, lib = lap[k:, k:], lap[k:, :k]
     if net.n < DENSE_CUTOFF:
         lii, lib = lii.toarray(), lib.toarray()
         return lambda rhs: np.linalg.solve(lii, rhs), lib
     return splu(lii.tocsc()).solve, lib
 
 
-def trace(net: ConductanceNetwork, boundary: Sequence[int]) -> ConductanceNetwork:
-    """Trace the energy onto a boundary subset by eliminating the interior.
+def _boundary_size(net: ConductanceNetwork, k: int) -> int:
+    """``k`` checked as the size of a boundary prefix ``[0, k)``."""
+    if k < 1:
+        raise NetworkError("boundary must be nonempty")
+    if k > net.n:
+        raise NetworkError(f"boundary of {k} vertices on a network of {net.n}")
+    return k
 
-    The result is the network on ``len(boundary)`` vertices, vertex ``k``
-    being the ``k``-th smallest boundary id, whose energy of any boundary
-    data equals the minimum energy over all extensions to the full vertex
-    set (the Schur complement of the Laplacian).  Tracing onto the full
-    vertex set returns the network unchanged.  Conductances below
+
+def trace(net: ConductanceNetwork, k: int) -> ConductanceNetwork:
+    """Trace the energy onto the boundary ``[0, k)`` by eliminating the
+    interior ``[k, n)``.
+
+    The result is the network on the vertices ``0..k-1`` whose energy of any
+    boundary data equals the minimum energy over all extensions to the full
+    vertex set (the Schur complement of the Laplacian).  Tracing onto the
+    full vertex set returns the network unchanged.  Conductances below
     ``SCHUR_CLAMP`` are dropped to keep round-off fill-in out of the
     sparsity pattern.
     """
-    ids = sorted({int(v) for v in boundary})
-    if not ids:
-        raise NetworkError("boundary must be nonempty")
-    bpos, ipos = _split(net, ids)
-    if len(ipos) == 0:
+    if _boundary_size(net, k) == net.n:
         return net
-
-    solve, _ = _interior_solver(net, ipos, bpos)
+    solve, _ = _interior_solver(net, k)
     lap = net.laplacian()
-    x = solve(lap[np.ix_(ipos, bpos)].toarray())
-    cond = lap[np.ix_(bpos, ipos)].toarray() @ x - lap[np.ix_(bpos, bpos)].toarray()
+    x = solve(lap[k:, :k].toarray())
+    cond = lap[:k, k:].toarray() @ x - lap[:k, :k].toarray()
     np.fill_diagonal(cond, 0.0)
     cond = 0.5 * (cond + cond.T)  # kill asymmetric round-off
     cond[np.abs(cond) < SCHUR_CLAMP] = 0.0
@@ -174,26 +174,23 @@ def trace(net: ConductanceNetwork, boundary: Sequence[int]) -> ConductanceNetwor
     return ConductanceNetwork(sparse.csr_matrix(cond))
 
 
-def harmonic_extension(net: ConductanceNetwork, boundary_values: Mapping[int, float]) -> np.ndarray:
-    """Energy-minimizing extension of boundary data ``{vertex: value}``.
+def harmonic_extension(net: ConductanceNetwork, values) -> np.ndarray:
+    """Energy-minimizing extension of boundary data on ``[0, k)``.
 
-    Returns values over all vertices; the extension agrees with
-    ``boundary_values`` on its domain and the Laplacian vanishes at every
-    other vertex.
+    ``values`` is a ``(k,)`` vector or an ``(N, k)`` block of ``N`` data
+    sets, all solved against one factorization of the interior block.
+    Returns the ``(n,)`` or ``(N, n)`` extensions: each agrees with its
+    data on ``[0, k)`` and the Laplacian vanishes at every other vertex.
     """
-    if not boundary_values:
-        raise NetworkError("boundary data must be nonempty")
-    bids = sorted(int(v) for v in boundary_values)
-    bpos, ipos = _split(net, bids)
-    fb = np.array([float(boundary_values[v]) for v in bids])
-    values = np.empty(net.n)
-    values[bpos] = fb
-    if len(ipos) == 0:
-        return values
-    solve, lib = _interior_solver(net, ipos, bpos)
-    rhs = -(lib @ fb)
-    values[ipos] = solve(rhs)
-    return values
+    fb = np.asarray(values, dtype=float)
+    block = np.atleast_2d(fb)
+    k = _boundary_size(net, block.shape[1])
+    out = np.empty((len(block), net.n))
+    out[:, :k] = block
+    if k < net.n:
+        solve, lib = _interior_solver(net, k)
+        out[:, k:] = solve(-(lib @ block.T)).T
+    return out if fb.ndim == 2 else out[0]
 
 
 def _block_inverse(a) -> sparse.csr_matrix:

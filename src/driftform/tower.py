@@ -4,16 +4,18 @@ A :class:`LevelTower` owns everything that is shared between levels: the
 base conductances, the per-symbol resistance scale factors and measure
 weights, plus caches so each level is built once.  It also realizes drift
 configurations consistently across levels (one base-level data set for the
-reference functions, coefficients re-sampled per level), keeps the realized
-drift and its chain generator (which carries the form matrices) once per
+reference functions, coefficients re-sampled per level), keeps the chain
+generator of the realized drift (which carries the form matrices) once per
 (level, drift configuration), and selects the derived constants against a
 fixed proxy diameter so that all levels are compared with the same shift.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -55,9 +57,7 @@ class LevelTower:
         self._networks: dict[int, ConductanceNetwork] = {}
         self._measures: dict[int, np.ndarray] = {}
         self._diameters: dict[int, float] = {}
-        # keyed by (level, _config_key(config))
-        self._drifts: dict[tuple, drift_mod.DriftSpec] = {}
-        self._generators: dict[tuple, markov_mod.GeneratorMatrix] = {}
+        self._generators: dict[tuple, markov_mod.GeneratorMatrix] = {}  # (level, config)
 
     def complex(self, n: int) -> LevelComplex:
         """Level ``n``, refined from level ``n - 1`` if cached, else from 0."""
@@ -96,27 +96,19 @@ class LevelTower:
         """Entrywise gap between the level-1 trace onto the boundary and the
         base network.  Zero (up to round-off) means the hierarchy is a
         compatible trace tower."""
-        traced = trace(self.network(1), range(self.structure.boundary_size))
+        traced = trace(self.network(1), self.structure.boundary_size)
         gap = abs(traced.c - self.base_network.c)
         return float(gap.max()) if gap.nnz else 0.0
 
-    def _drift(self, n: int, config: DriftConfig | None) -> drift_mod.DriftSpec | None:
-        """``config`` realized at level ``n`` once (``None`` for the drift-free
-        chain); a realization that raises is not kept."""
-        if config is None:
-            return None
-        key = (n, _config_key(config))
-        if key not in self._drifts:
-            self._drifts[key] = realize_drift(self, config, n)
-        return self._drifts[key]
-
     def generator(self, n: int, config: DriftConfig | None) -> markov_mod.GeneratorMatrix:
-        """Chain generator of level ``n`` under ``config``, with its form
-        matrices, built once."""
-        key = (n, _config_key(config))
+        """Chain generator of level ``n`` under ``config`` (``None`` for the
+        drift-free chain), with its form matrices, built once; a realization
+        that raises is not kept."""
+        key = (n, config)
         if key not in self._generators:
+            drift = None if config is None else realize_drift(self, config, n)
             self._generators[key] = markov_mod.build_generator(
-                self.network(n), self._drift(n, config), self.measure(n), level=n
+                self.network(n), drift, self.measure(n), level=n
             )
         return self._generators[key]
 
@@ -129,36 +121,57 @@ def sierpinski_tower() -> LevelTower:
 # Drift configuration (documented in docs/drift_config.md)
 # ---------------------------------------------------------------------------
 
+def _number(v):
+    """``v`` unless it is a boolean: JSON ``true`` is not a number."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
+
+
+def _payload(kind: str, payload):
+    """A coefficient field's payload in its one hashable form: ``constant`` a
+    float; ``samples`` the tuple of the values of the vertex ids ``0, 1,
+    ...`` (a sequence as given, a mapping ``{id: value}`` up to the first id
+    it lacks); any other kind a string."""
+    if kind == "constant":
+        return float(_number(payload))
+    if kind != "samples":
+        if not isinstance(payload, str):
+            raise TypeError(f"{kind} must be a string, got {payload!r}")
+        return payload
+    if not isinstance(payload, Mapping):
+        return tuple(float(_number(v)) for v in payload)
+    given = {int(k): float(_number(v)) for k, v in payload.items()}
+    if given and min(given) < 0:
+        raise ValueError(f"samples id {min(given)} is negative")
+    return tuple(given[k] for k in itertools.takewhile(given.__contains__, itertools.count()))
+
+
 @dataclass(frozen=True)
 class DriftConfig:
-    """Level-independent description of the drift data.
+    """Level-independent description of the drift data, hashable.
 
     ``b_specs`` entries follow :func:`driftform.drift.sample_field`;
     ``h_specs`` entries are ``(base_level, values on the base vertex set)``.
+    Construction brings every payload to one hashable form (see
+    :func:`_payload`; booleans are refused as numbers) and ``base_level`` to
+    an int, so equal data make equal configs and one generator-cache key.
     """
 
     b_specs: tuple
     h_specs: tuple
 
-    @property
-    def N(self) -> int:
-        return len(self.b_specs)
-
-    def to_dict(self) -> dict:
-        b_entries = []
-        for kind, payload in self.b_specs:
-            if kind == "samples":
-                if isinstance(payload, Mapping):
-                    payload = {str(k): float(v) for k, v in payload.items()}
-                else:
-                    payload = [float(v) for v in payload]
-            b_entries.append({kind: payload})
-        return {
-            "b": b_entries,
-            "h": [
-                {"base_level": m, "values": list(vals)} for m, vals in self.h_specs
-            ],
-        }
+    def __post_init__(self):
+        try:
+            b_specs = tuple((kind, _payload(kind, payload)) for kind, payload in self.b_specs)
+            h_specs = tuple(
+                (operator.index(_number(m)), tuple(float(_number(v)) for v in vals))
+                for m, vals in self.h_specs
+            )
+        except (TypeError, ValueError) as exc:
+            raise drift_mod.DriftError(f"malformed drift config: {exc}") from exc
+        object.__setattr__(self, "b_specs", b_specs)
+        object.__setattr__(self, "h_specs", h_specs)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DriftConfig":
@@ -166,25 +179,11 @@ class DriftConfig:
             b_specs = []
             for entry in d["b"]:
                 (kind, payload), = entry.items()
-                if kind == "samples":
-                    payload = ({int(k): float(v) for k, v in payload.items()}
-                               if isinstance(payload, Mapping) else [float(v) for v in payload])
-                elif kind == "constant":
-                    payload = float(payload)
                 b_specs.append((kind, payload))
-            h_specs = [
-                (int(entry["base_level"]), tuple(float(v) for v in entry["values"]))
-                for entry in d["h"]
-            ]
+            h_specs = [(entry["base_level"], entry["values"]) for entry in d["h"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise drift_mod.DriftError(f"malformed drift config: {exc}") from exc
         return cls(tuple(b_specs), tuple(h_specs))
-
-
-def _config_key(config: DriftConfig | None) -> str | None:
-    """Cache key of a drift configuration: equal for configurations with the
-    same content (``samples`` payloads make the dataclass unhashable)."""
-    return None if config is None else json.dumps(config.to_dict(), sort_keys=True)
 
 
 def load_drift_config(path) -> DriftConfig:

@@ -57,19 +57,23 @@ def condition_I_loop(net, drift) -> float:
     ``sum_ij discrete_mutual_energy(h_i, h_j, b_i b_j)``."""
     return sum(
         discrete_mutual_energy(net, drift.h[i], drift.h[j], drift.b[i] * drift.b[j])
-        for i in range(drift.N)
-        for j in range(drift.N)
+        for i in range(len(drift.b))
+        for j in range(len(drift.b))
     )
 
 
 def effective_resistance(net, x: int, y: int) -> float:
     """Resistance between two vertices: ``1 / E(f)`` for the unit Dirichlet
-    problem ``f(x) = 1, f(y) = 0`` solved harmonically elsewhere; 0 for
+    problem ``f(x) = 1, f(y) = 0`` solved harmonically elsewhere, on the
+    network renumbered so that ``x, y`` are its vertices ``0, 1``; 0 for
     ``x == y``."""
-    if int(x) == int(y):
+    x, y = int(x), int(y)
+    if x == y:
         return 0.0
-    f = harmonic_extension(net, {int(x): 1.0, int(y): 0.0})
-    return 1.0 / energy(net, f)
+    order = [x, y] + [v for v in range(net.n) if v not in (x, y)]
+    moved = ConductanceNetwork(net.c[order][:, order])
+    f = harmonic_extension(moved, [1.0, 0.0])
+    return 1.0 / energy(moved, f)
 
 
 def edge_list(net) -> list[tuple[int, int, float]]:

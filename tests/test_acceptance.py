@@ -82,7 +82,7 @@ def test_criterion_2_trace_tower(sg_tower):
     for n in range(0, 6):
         fine = sg_tower.network(n + 1)
         coarse = sg_tower.network(n)
-        traced = trace(fine, range(coarse.n))
+        traced = trace(fine, coarse.n)
         worst = max(worst, float(np.abs(traced.c - coarse.c).max()))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -96,7 +96,7 @@ def test_criterion_3_harmonic_midpoint_rule(sg_tower):
         np.array([[4.0, -1.0, -1.0], [-1.0, 4.0, -1.0], [-1.0, -1.0, 4.0]]),
         np.array([1.0, 1.0, 0.0]),
     )
-    ext = harmonic_extension(sg_tower.network(1), {0: 1.0, 1: 0.0, 2: 0.0})
+    ext = harmonic_extension(sg_tower.network(1), [1.0, 0.0, 0.0])
     gap = float(np.max(np.abs(ext[3:] - oracle)))
     expected = float(np.max(np.abs(oracle - np.array([0.4, 0.4, 0.2]))))
     ok = gap <= 1e-12 and expected <= 1e-12
@@ -201,7 +201,7 @@ def test_criterion_7_monte_carlo_coherence(instance):
     reference = 6
     coords = sg_tower.coordinates(reference)
     h_ref = harmonic_extension(
-        sg_tower.network(reference), {0: 1.0, 1: 0.0, 2: 0.0}
+        sg_tower.network(reference), [1.0, 0.0, 0.0]
     )
     test_functions = [coords[:, 0], coords[:, 1], h_ref]
 

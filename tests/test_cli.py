@@ -11,7 +11,6 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from driftform.cli import _parse_levels, main
-from driftform.tower import DriftConfig
 
 
 def run(args):
@@ -35,8 +34,8 @@ def body_bytes(path):
 @pytest.fixture()
 def oversized_drift(tmp_path):
     path = tmp_path / "big_drift.json"
-    config = DriftConfig((("constant", 10.0),), ((0, (1.0, 0.0, 0.0)),))
-    path.write_text(json.dumps(config.to_dict()))
+    path.write_text(json.dumps({"b": [{"constant": 10.0}],
+                                "h": [{"base_level": 0, "values": [1.0, 0.0, 0.0]}]}))
     return path
 
 
@@ -134,7 +133,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("term", [
         {"samples": ["a"]}, {"constant": "abc"}, {"constant": None}, {"constant": [1, 2]}, 5,
-    ], ids=["samples_text", "constant_text", "constant_null", "constant_list", "term_number"])
+        {"constant": True}, {"samples": [0.1] * 5 + [True]},
+        {"samples": {str(k): 0.1 for k in range(-1, 6)}}, {"expression": ["x"]},
+    ], ids=["samples_text", "constant_text", "constant_null", "constant_list", "term_number",
+            "constant_bool", "samples_bool", "samples_negative_id", "expression_list"])
     def test_non_numeric_drift_samples_exit_2(self, tmp_path, capsys, term):
         bad = tmp_path / "drift.json"
         bad.write_text(json.dumps({"b": [term],
@@ -143,6 +145,33 @@ class TestExitCodes:
                     "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize("entry", [
+        {"base_level": 0.5, "values": [1.0, 0.0, 0.0]},
+        {"base_level": 1.9, "values": [1.0, 0.0, 0.0]},
+        {"base_level": True, "values": [1.0, 0.0, 0.0]},
+        {"base_level": 0, "values": [True, 0.0, 0.0]},
+    ], ids=["base_level_half", "base_level_fraction", "base_level_bool", "values_bool"])
+    def test_malformed_drift_h_exit_2(self, tmp_path, capsys, entry):
+        bad = tmp_path / "drift.json"
+        bad.write_text(json.dumps({"b": [{"constant": 0.1}], "h": [entry]}))
+        assert run(["check", "--level", "1", "--drift", str(bad),
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed drift config:"), err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_conductance_exits_2(self, tmp_path, capfd, bad):
+        path = Path(__file__).resolve().parents[1] / "docs" / "configs" / "sg_combinatorial.json"
+        config = json.loads(path.read_text())
+        config["base_conductances"][0][2] = bad
+        structure = tmp_path / "structure.json"
+        structure.write_text(json.dumps(config))
+        assert run(["check", "--level", "2", "--structure", str(structure),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert err == [f"config error: conductance between vertices 0 and 1 is {bad}; "
+                       "conductances must be finite"], err
 
     def test_empty_drift_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "drift.json"

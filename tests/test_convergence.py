@@ -70,7 +70,7 @@ class TestResolventConvergence:
         # piecewise-harmonic input built from the boundary coordinates
         net = sg_tower.network(REF)
         coords = sg_tower.coordinates(REF)
-        f = harmonic_extension(net, {k: coords[k, 0] for k in range(3)})
+        f = harmonic_extension(net, coords[:3, 0])
         rep = resolvent_convergence(sg_tower, None, 4.0, f, [1, 2, 3, 4], REF)
         assert all(b < a for a, b in zip(rep.errors, rep.errors[1:]))
         assert rep.trend_nonincreasing_from == 1
@@ -194,7 +194,7 @@ class TestPathLaw:
 class TestEnergyMonotonicity:
     def test_piecewise_harmonic_plateaus(self, sg_tower):
         # harmonic extension from the boundary: level energies are constant
-        f = harmonic_extension(sg_tower.network(REF), {0: 1.0, 1: 0.0, 2: 0.0})
+        f = harmonic_extension(sg_tower.network(REF), [1.0, 0.0, 0.0])
         prof = energy_monotonicity_profile(sg_tower, f, [0, 1, 2, 3, 4, REF])
         assert prof["nondecreasing"]
         np.testing.assert_allclose(prof["energies"], prof["energies"][0], rtol=1e-10)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from driftform import pcf
+from driftform import pcf, resistance
 from driftform import tower as tw
 from driftform.drift import (
     DriftError,
@@ -51,7 +51,7 @@ def brute_force_Q(net, drift, f, g) -> float:
     """Independent oracle: the definition as a double loop over ordered pairs."""
     c = net.c.toarray()
     total = 0.0
-    for i in range(drift.N):
+    for i in range(len(drift.b)):
         b, h = drift.b[i], drift.h[i]
         for x in range(net.n):
             for y in range(net.n):
@@ -201,7 +201,7 @@ class TestAssembleQ:
             ((0, (1.0, 0.0, 0.0)), (0, (0.0, 1.0, 0.0))),
         )
         spec = drift_on(sg_tower, cfg, 2)
-        assert spec.N == 2
+        assert len(spec.b) == 2
         net = sg_tower.network(2)
         q = generator_of(sg_tower, spec).Q_matrix
         rng = np.random.default_rng(37)
@@ -241,7 +241,7 @@ class TestMutualEnergy:
         # harmonic extension preserves energy, so the unit-g pairing is
         # constant across levels and equals twice the base (trace) energy
         net = sg_tower.network(n)
-        h = harmonic_extension(net, {0: 1.0, 1: 0.0, 2: 0.0})
+        h = harmonic_extension(net, [1.0, 0.0, 0.0])
         base = 2.0 * energy(sg_tower.base_network, np.array([1.0, 0.0, 0.0]))
         assert discrete_mutual_energy(net, h, h, np.ones(net.n)) == pytest.approx(
             base, rel=1e-10
@@ -524,6 +524,20 @@ class TestSmallnessReport:
 
 
 class TestDriftSpecConstruction:
+    def test_terms_realized_with_one_factorization(self, sg_tower, monkeypatch):
+        # three terms over the three base indicators: one interior solve
+        cfg = tw.DriftConfig(
+            tuple(("constant", c) for c in (0.1, 0.2, 0.3)),
+            tuple((0, tuple(row)) for row in np.eye(3)),
+        )
+        calls = []
+        original = resistance._interior_solver
+        monkeypatch.setattr(resistance, "_interior_solver",
+                            lambda *a: calls.append(a) or original(*a))
+        spec = drift_on(sg_tower, cfg, 4)
+        assert len(calls) == 1
+        assert spec.h.shape == (3, sg_tower.vertex_count(4))
+
     def test_h_rows_are_harmonic_extensions(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 3)
         net = sg_tower.network(3)

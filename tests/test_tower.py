@@ -43,7 +43,10 @@ class TestContext:
         tower = tw.sierpinski_tower()
         realized = counting(monkeypatch, tw, "realize_drift")
         path = tmp_path / "drift.json"
-        path.write_text(json.dumps(admissible_cfg.to_dict()))
+        (kind, value), = admissible_cfg.b_specs
+        (base_level, values), = admissible_cfg.h_specs
+        path.write_text(json.dumps({"b": [{kind: value}],
+                                    "h": [{"base_level": base_level, "values": values}]}))
         first, second = tw.load_drift_config(path), tw.load_drift_config(path)
         assert first is not second
         gen = tower.generator(2, first)
@@ -63,7 +66,9 @@ class TestContext:
         again = tw.DriftConfig((("samples", {k: 0.1 for k in range(n)}),),
                                ((0, (1.0, 0.0, 0.0)),))
         assert tower.generator(2, cfg) is tower.generator(2, cfg)
-        assert tower.generator(2, again) is not tower.generator(2, cfg)
+        # a mapping is the tuple of its values at ids 0, 1, ...: one config
+        assert again == cfg and hash(again) == hash(cfg)
+        assert tower.generator(2, again) is tower.generator(2, cfg)
 
     def test_failed_realization_is_not_cached(self, monkeypatch, admissible_cfg):
         tower = tw.sierpinski_tower()
