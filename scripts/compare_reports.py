@@ -6,15 +6,17 @@ Runs a fixed list of driftform commands (the README's CLI examples and some
 deeper runs) on a ``git archive`` of REV and on the working tree, each
 command in a fresh interpreter with one BLAS thread, and compares every
 output file byte for byte: a report after its ``# generated`` line, any
-other file (``trajectories.jsonl``) whole.  Prints each file that differs or
-exists on one side only, and each command whose exit code differs; exits 1
-on any difference, 0 otherwise.
+other file (``trajectories.jsonl``) whole.  Prints each file that differs,
+with the largest absolute change of its numbers when only numbers differ and
+``text differs`` otherwise, each file that exists on one side only, and each
+command whose exit code differs; exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -22,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 COMMANDS = {
     # the README's CLI examples
@@ -69,18 +72,30 @@ def body(path: Path) -> bytes:
     return data
 
 
+def change(old: bytes, new: bytes) -> str:
+    """How two differing bodies differ: the largest absolute change of a
+    number when the text around the numbers is the same, else ``text
+    differs``."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return "text differs"
+    pairs = zip(NUMBER.findall(old), NUMBER.findall(new))
+    return f"largest change {max(abs(float(a) - float(b)) for a, b in pairs):.3g}"
+
+
 def differences(base: Path, head: Path) -> list[str]:
-    """Relative paths of the files under ``base`` and ``head`` whose bodies
-    differ or that exist on one side only."""
+    """One line for each file under ``base`` and ``head`` whose body differs
+    (see :func:`change`) or that exists on one side only."""
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
     old, new = files(base), files(head)
-    return sorted(
-        str(rel) + ("" if rel in old and rel in new else " (one side only)")
-        for rel in old | new
-        if rel not in old or rel not in new or body(base / rel) != body(head / rel)
-    )
+    lines = []
+    for rel in sorted(old | new):
+        if rel not in old or rel not in new:
+            lines.append(f"{rel} (one side only)")
+        elif body(base / rel) != body(head / rel):
+            lines.append(f"{rel}: {change(body(base / rel), body(head / rel))}")
+    return lines
 
 
 def main(argv: list[str]) -> int:

@@ -404,8 +404,20 @@ def measure_weights(
 # Structured-text configuration (documented in docs/structure_config.md)
 # ---------------------------------------------------------------------------
 
+def _number(v):
+    """``v`` unless it is a boolean: JSON ``true`` is not a number."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
+
+
 def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
-    index = operator.index  # integers only: 1.5 or "1" is an error, not 1
+    def index(v):  # integers only: 1.5, "1" or true is an error, not 1
+        return operator.index(_number(v))
+
+    def real(v):  # true is an error, not 1.0
+        return float(_number(v))
+
     try:
         embedding = None
         if "embedding" in d and d["embedding"] is not None:
@@ -431,10 +443,10 @@ def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
                 (index(i), index(a)) for i, a in d["boundary_addresses"]
             ),
             embedding=embedding,
-            scalings=tuple(float(r) for r in d["scalings"]) if d.get("scalings") else None,
-            weights=tuple(float(w) for w in d["weights"]) if d.get("weights") else None,
+            scalings=tuple(real(r) for r in d["scalings"]) if d.get("scalings") else None,
+            weights=tuple(real(w) for w in d["weights"]) if d.get("weights") else None,
             base_conductances=tuple(
-                (index(a), index(b), float(c)) for a, b, c in d["base_conductances"]
+                (index(a), index(b), real(c)) for a, b, c in d["base_conductances"]
             )
             if d.get("base_conductances")
             else None,

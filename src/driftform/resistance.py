@@ -1,22 +1,24 @@
 """Finite resistance networks and their energy calculus.
 
 A :class:`ConductanceNetwork` is its symmetric nonnegative conductance
-matrix on the vertices ``0..n-1``; a vertex id is a position (a p.c.f.
-level's ids are a prefix of the next level's).  The module provides the
-quadratic energy form, boundary traces via Schur complements of the graph
-Laplacian, harmonic (energy minimizing) extension of boundary data, the
-resistance diameter, and assembly of the self-similar energies on
+matrix on the vertices ``0..n-1``, plus the vertex counts
+``N_0 < ... < N_{n-1}`` of its nested coarser vertex sets
+``[0, N_0) ⊂ ... ⊂ [0, N_{n-1}) ⊂ [0, n)`` (a vertex id is a position, and
+a p.c.f. level's ids are a prefix of the next level's).  The module
+provides the quadratic energy form, boundary traces via Schur complements
+of the graph Laplacian, harmonic (energy minimizing) extension of boundary
+data, the resistance diameter, and assembly of the self-similar energies on
 refinement levels of a structure.
 
-Solves factor the interior block directly; dense linear algebra is used for
-networks below ``DENSE_CUTOFF`` vertices and sparse LU above.  The resistance
-diameter streams all-pairs resistances from the Green function grounded at
-vertex 0, built by block elimination over nested vertex sets
-``[0, N_0) ⊂ ... ⊂ [0, N_{n-1}) ⊂ [0, n)``, as a p.c.f. level and its
-coarser levels provide them.  The new vertices of one level are
-eliminated cell by cell (small dense inverses), the Green function is held
-dense on the next-to-finest set and streamed in blocks of ``BLOCK_COLUMNS``
-rows at the finest one.  Without nested sets it is one dense inverse.
+Traces, harmonic extensions and the diameter share one block Gaussian
+elimination, :func:`_eliminate`: the vertices outside a coarser set are
+eliminated fine to coarse, one nested set at a time.  The new vertices of
+different cells of a p.c.f. level share no edge, so each step inverts
+cell-sized blocks.  The resistance diameter streams all-pairs resistances
+from the Green function grounded at vertex 0, rebuilt coarse to fine from
+the steps, held dense on the next-to-finest set and streamed in blocks of
+``BLOCK_COLUMNS`` rows at the finest one.  Without nested sets it is one
+dense inverse.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import splu
 
 from .pcf import LevelComplex
 
-DENSE_CUTOFF = 500
 SCHUR_CLAMP = 1e-14
 BLOCK_COLUMNS = 64  # rows per streamed block in _resistance_rows
 
@@ -46,9 +46,13 @@ class ConductanceNetwork:
     ----------
     conductances : (n, n) array or sparse matrix
         Symmetric, nonnegative, zero diagonal; row ``x`` is vertex ``x``.
+    counts : sequence of int
+        Vertex counts ``N_0 < ... < N_{n-1}`` of nested coarser vertex sets
+        ``[0, N_k)`` (a p.c.f. level's coarser levels); they order the
+        eliminations, not their results.
     """
 
-    def __init__(self, conductances):
+    def __init__(self, conductances, counts=()):
         c = sparse.csr_matrix(conductances, dtype=float)
         if c.shape[0] != c.shape[1]:
             raise NetworkError(f"conductance matrix shape {c.shape} is not square")
@@ -68,6 +72,13 @@ class ConductanceNetwork:
             raise NetworkError("negative conductance")
         if np.any(self.c.diagonal() != 0):
             raise NetworkError("conductance diagonal must be zero")
+        self.counts = tuple(int(k) for k in counts)
+        bounds = (0, *self.counts, self.n)
+        if self.counts and any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise NetworkError(
+                f"level counts {list(self.counts)} must increase strictly from 1 or more "
+                f"to below {self.n}"
+            )
 
     @property
     def n(self) -> int:
@@ -97,10 +108,6 @@ class ConductanceNetwork:
         deg = np.asarray(self.c.sum(axis=1)).ravel()
         return (sparse.diags(deg) - self.c).tocsr()
 
-    def is_connected(self) -> bool:
-        ncomp, _ = csgraph.connected_components(self.c, directed=False)
-        return ncomp == 1
-
 
 def energy(net: ConductanceNetwork, f, g=None) -> float:
     """Quadratic energy ``1/2 * sum c_xy (f(x)-f(y)) (g(x)-g(y))`` of vertex
@@ -116,35 +123,23 @@ def energy(net: ConductanceNetwork, f, g=None) -> float:
     return float(fv @ (net.laplacian() @ gv))
 
 
-def _interior_solver(net: ConductanceNetwork, k: int):
-    """Return ``solve`` for the interior Laplacian block ``L_II`` and the block
-    ``L_IB``, both dense below ``DENSE_CUTOFF`` vertices, for the boundary
-    ``B = [0, k)`` and the interior ``I = [k, n)``.
+def _eliminate_onto(net: ConductanceNetwork, k: int):
+    """:func:`_eliminate` of ``[k, n)`` through the nested sets above ``k``
+    (no steps for ``k == n``).
 
-    Interior components that do not touch the boundary make the block
-    singular; they are rejected up front.
+    ``k`` must be a boundary size ``1..n``.  Interior components that do
+    not touch the boundary ``[0, k)`` make the interior block singular;
+    they are rejected up front.
     """
+    if not 1 <= k <= net.n:
+        raise NetworkError(f"boundary of {k} vertices on a network of {net.n}")
     _, labels = csgraph.connected_components(net.c, directed=False)
     if not np.isin(labels[k:], labels[:k]).all():
         raise NetworkError(
             "interior component does not touch the boundary; "
             "the interior block is singular"
         )
-    lap = net.laplacian()
-    lii, lib = lap[k:, k:], lap[k:, :k]
-    if net.n < DENSE_CUTOFF:
-        lii, lib = lii.toarray(), lib.toarray()
-        return lambda rhs: np.linalg.solve(lii, rhs), lib
-    return splu(lii.tocsc()).solve, lib
-
-
-def _boundary_size(net: ConductanceNetwork, k: int) -> int:
-    """``k`` checked as the size of a boundary prefix ``[0, k)``."""
-    if k < 1:
-        raise NetworkError("boundary must be nonempty")
-    if k > net.n:
-        raise NetworkError(f"boundary of {k} vertices on a network of {net.n}")
-    return k
+    return _eliminate(net.laplacian(), sorted({k, *(c for c in net.counts if c > k), net.n}))
 
 
 def trace(net: ConductanceNetwork, k: int) -> ConductanceNetwork:
@@ -153,44 +148,41 @@ def trace(net: ConductanceNetwork, k: int) -> ConductanceNetwork:
 
     The result is the network on the vertices ``0..k-1`` whose energy of any
     boundary data equals the minimum energy over all extensions to the full
-    vertex set (the Schur complement of the Laplacian).  Tracing onto the
-    full vertex set returns the network unchanged.  Conductances below
-    ``SCHUR_CLAMP`` are dropped to keep round-off fill-in out of the
-    sparsity pattern.
+    vertex set (the Schur complement of the Laplacian); it keeps the counts
+    below ``k``.  Tracing onto the full vertex set returns the network
+    unchanged.  Conductances below ``SCHUR_CLAMP`` are dropped to keep
+    round-off fill-in out of the sparsity pattern.
     """
-    if _boundary_size(net, k) == net.n:
+    steps, lap = _eliminate_onto(net, k)
+    if not steps:
         return net
-    solve, _ = _interior_solver(net, k)
-    lap = net.laplacian()
-    x = solve(lap[k:, :k].toarray())
-    cond = lap[:k, k:].toarray() @ x - lap[:k, :k].toarray()
-    np.fill_diagonal(cond, 0.0)
-    cond = 0.5 * (cond + cond.T)  # kill asymmetric round-off
-    cond[np.abs(cond) < SCHUR_CLAMP] = 0.0
-    if cond.min() < 0:
+    cond = -lap
+    cond.setdiag(0.0)
+    cond = (0.5 * (cond + cond.T)).tocsr()  # kill asymmetric round-off
+    cond.data[np.abs(cond.data) < SCHUR_CLAMP] = 0.0
+    if cond.nnz and cond.data.min() < 0:
         raise NetworkError(
-            f"Schur complement produced a negative conductance ({cond.min():.3g})"
+            f"Schur complement produced a negative conductance ({cond.data.min():.3g})"
         )
-    return ConductanceNetwork(sparse.csr_matrix(cond))
+    return ConductanceNetwork(cond, [c for c in net.counts if c < k])
 
 
 def harmonic_extension(net: ConductanceNetwork, values) -> np.ndarray:
     """Energy-minimizing extension of boundary data on ``[0, k)``.
 
     ``values`` is a ``(k,)`` vector or an ``(N, k)`` block of ``N`` data
-    sets, all solved against one factorization of the interior block.
-    Returns the ``(n,)`` or ``(N, n)`` extensions: each agrees with its
-    data on ``[0, k)`` and the Laplacian vanishes at every other vertex.
+    sets, all extended through one elimination.  Returns the ``(n,)`` or
+    ``(N, n)`` extensions: each agrees with its data on ``[0, k)`` and the
+    Laplacian vanishes at every other vertex.  Each row equals its data
+    extended alone.
     """
     fb = np.asarray(values, dtype=float)
-    block = np.atleast_2d(fb)
-    k = _boundary_size(net, block.shape[1])
-    out = np.empty((len(block), net.n))
-    out[:, :k] = block
-    if k < net.n:
-        solve, lib = _interior_solver(net, k)
-        out[:, k:] = solve(-(lib @ block.T)).T
-    return out if fb.ndim == 2 else out[0]
+    steps, _ = _eliminate_onto(net, fb.shape[-1])
+    u = np.empty((net.n, *fb.shape[:-1]))
+    u[:fb.shape[-1]] = fb.T
+    for lo, _, h in steps:  # coarse to fine
+        u[lo:lo + h.shape[0]] = h @ u[:lo]
+    return np.ascontiguousarray(u.T)
 
 
 def _block_inverse(a) -> sparse.csr_matrix:
@@ -225,55 +217,60 @@ def _block_inverse(a) -> sparse.csr_matrix:
     )
 
 
-def _resistance_rows(net: ConductanceNetwork, counts: Sequence[int] = ()):
-    """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` rows.
+def _eliminate(lap, bounds: Sequence[int]):
+    """Block Gaussian elimination of a Laplacian over nested vertex sets.
 
-    ``G`` is the Green function killed at vertex 0 (``G[0, :] = 0``) and
-    ``R(x, y) = G_xx + G_yy - 2 G_xy``.  ``counts`` are nested vertex counts
-    ``N_0 < ... < N_{n-1}`` (vertex sets ``[0, N_k)``); the vertices
-    ``I = [N_{k-1}, N_k)`` are eliminated from the Laplacian level by level,
-    fine to coarse: ``H_k = -L_II^-1 L_IS`` and ``L_SS + L_SI H_k`` is the
-    trace onto ``[0, N_{k-1})``, whose diagonal is reset to minus its
-    off-diagonal row sums.  ``G`` is rebuilt coarse to fine as
-    ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]``, held dense up to ``N_{n-1}``
-    and streamed at the finest level.  This is block Gaussian elimination,
-    exact for any counts; it is fast when ``L_II`` splits into small blocks
-    (new vertices of different cells of a p.c.f. level share no edge).
-    Without counts ``G`` is one dense inverse.
+    ``bounds`` are ``N_0 < ... < N_m = n``.  The vertices
+    ``I = [N_{j-1}, N_j)`` are eliminated fine to coarse: with ``S`` the
+    vertices below ``N_{j-1}``, ``H = -L_II^-1 L_IS`` and ``L_SS + L_SI H``
+    is the trace onto ``S``, whose diagonal is reset to minus its
+    off-diagonal row sums.  This is exact for any bounds; it is fast when
+    ``L_II`` splits into small blocks (new vertices of different cells of a
+    p.c.f. level share no edge).
 
-    Each yielded ``(lo, hi, r)`` holds ``r[x - lo, y - lo] = R(x, y)`` for
-    ``lo <= x < hi`` and ``lo <= y < n``; by symmetry the blocks cover every
-    pair.  ``r`` is a view of a buffer that the next block overwrites.
+    Returns the steps ``(N_{j-1}, L_II^-1, H)`` from coarse to fine and the
+    Laplacian traced onto ``[0, N_0)``.
     """
-    if not net.is_connected():
-        raise NetworkError("network is disconnected")
-    n = net.n
-    if n < 2:
-        return
-    bounds = [int(c) for c in counts] + [n]
-    if bounds[0] < 1 or any(a >= b for a, b in zip(bounds, bounds[1:])):
-        raise NetworkError(
-            f"level counts {list(counts)} must increase strictly from 1 or more "
-            f"to below {n}"
-        )
-    lap = net.laplacian()
-    steps = []  # (L_II^-1, H_k) for k = n .. 1
+    steps = []
     for lo in reversed(bounds[:-1]):
         inv = _block_inverse(lap[lo:, lo:])
         h = -(inv @ lap[lo:, :lo]).tocsr()
-        steps.append((inv, h))
+        steps.append((lo, inv, h))
         lap = (lap[:lo, :lo] + lap[:lo, lo:] @ h).tocsr()
         # the trace of a Laplacian is a Laplacian: rebuild its diagonal from
         # the off-diagonal row sums, so no cancellation enters the diagonal
         lap.setdiag(0.0)
         lap = (lap - sparse.diags(np.asarray(lap.sum(axis=1)).ravel())).tocsr()
-    steps.reverse()
+    return steps[::-1], lap
+
+
+def _resistance_rows(net: ConductanceNetwork):
+    """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` rows.
+
+    ``G`` is the Green function killed at vertex 0 (``G[0, :] = 0``) and
+    ``R(x, y) = G_xx + G_yy - 2 G_xy``.  With the steps of
+    :func:`_eliminate` over the network's counts, ``G`` is rebuilt coarse to
+    fine as ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]``, held dense up to
+    ``N_{n-1}`` and streamed at the finest level.  Without counts ``G`` is
+    one dense inverse.
+
+    Each yielded ``(lo, hi, r)`` holds ``r[x - lo, y - lo] = R(x, y)`` for
+    ``lo <= x < hi`` and ``lo <= y < n``; by symmetry the blocks cover every
+    pair.  ``r`` is a view of a buffer that the next block overwrites.
+    """
+    if csgraph.connected_components(net.c, directed=False)[0] > 1:
+        raise NetworkError("network is disconnected")
+    n = net.n
+    if n < 2:
+        return
+    steps, lap = _eliminate(net.laplacian(), [*net.counts, n])
 
     width = BLOCK_COLUMNS
-    m = bounds[-2] if counts else n
+    m = net.counts[-1] if net.counts else n
     g = np.zeros((m, m))
-    g[1:bounds[0], 1:bounds[0]] = np.linalg.inv(lap[1:, 1:].toarray())
-    for (inv, h), lo, hi in zip(steps[:-1], bounds, bounds[1:]):
+    g[1:lap.shape[0], 1:lap.shape[0]] = np.linalg.inv(lap[1:, 1:].toarray())
+    for lo, inv, h in steps[:-1]:
+        hi = lo + inv.shape[0]
         coarse = np.ascontiguousarray(g[:lo, :lo])
         for a in range(lo, hi, width):  # rows a:b of [H G, H G H^T]
             b = min(a + width, hi)
@@ -286,7 +283,7 @@ def _resistance_rows(net: ConductanceNetwork, counts: Sequence[int] = ()):
         g[lo + block.row, lo + block.col] += block.data
 
     if steps:
-        inv, h = steps[-1]
+        _, inv, h = steps[-1]
     else:  # nothing to stream from: every row is a row of the dense G
         inv, h = sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, n))
     d = np.empty(n)  # diag(G); d[0] = 0 at the ground
@@ -320,15 +317,13 @@ def _row_blocks(m: int, n: int, width: int):
             yield lo, min(lo + width, stop)
 
 
-def resistance_diameter(net: ConductanceNetwork, counts: Sequence[int] = ()) -> float:
+def resistance_diameter(net: ConductanceNetwork) -> float:
     """Largest effective resistance over all vertex pairs.
 
-    ``counts`` are the vertex counts ``N_0 < ... < N_{n-1}`` of nested
-    coarser vertex sets ``[0, N_k)`` (the coarser levels of a p.c.f. level);
-    they set the elimination order, not the result.  Memory is one dense
-    Green function on ``[0, N_{n-1})`` plus ``BLOCK_COLUMNS`` rows.
+    Memory is one dense Green function on the next-to-finest nested set
+    ``[0, N_{n-1})`` plus ``BLOCK_COLUMNS`` rows.
     """
-    return max((float(block.max()) for *_, block in _resistance_rows(net, counts)),
+    return max((float(block.max()) for *_, block in _resistance_rows(net)),
                default=0.0)
 
 
@@ -363,4 +358,5 @@ def assemble_self_similar(
     c = np.bincount(inverse, weights=(rw_inv[:, None] * c0[a, b]).ravel())
     lo, hi = np.divmod(keys, n)
     rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    return ConductanceNetwork(sparse.coo_matrix((np.tile(c, 2), (rows, cols)), (n, n)))
+    return ConductanceNetwork(sparse.coo_matrix((np.tile(c, 2), (rows, cols)), (n, n)),
+                              complex_.coarser_counts)

@@ -43,7 +43,6 @@ from scipy.special import gammaln, ive, pdtrc, xlogy
 
 # RateValidationError and validate_rates stay importable from this module.
 from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
-from .resistance import DENSE_CUTOFF
 
 SERIES_TAIL = 1e-13  # truncation tolerance of both series
 RESIDUAL_TOL = 1e-9
@@ -85,10 +84,10 @@ def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
     if not np.all(np.isfinite(fv)):
         raise ValueError("input values must be finite")
     system = (alpha * sparse.identity(gen.n) - gen.L).tocsr()
-    if gen.n < DENSE_CUTOFF:
-        u = np.linalg.solve(system.toarray(), fv)
-    else:
+    try:
         u = splu(system.tocsc()).solve(fv)
+    except RuntimeError:  # an exactly singular factor: no solution, fails below
+        u = np.full(gen.n, np.nan)
     residual = float(np.max(np.abs(gen.mu * (system @ u - fv))))
     # fails closed: a NaN residual does not pass
     if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(fv)))):

@@ -27,6 +27,7 @@ from .pcf import (
     LevelComplex,
     SelfSimilarStructure,
     StructureError,
+    _number,
     build_level,
     build_sierpinski_structure,
     measure_weights,
@@ -81,9 +82,7 @@ class LevelTower:
 
     def diameter(self, n: int) -> float:
         if n not in self._diameters:
-            self._diameters[n] = resistance_diameter(
-                self.network(n), self.complex(n).coarser_counts
-            )
+            self._diameters[n] = resistance_diameter(self.network(n))
         return self._diameters[n]
 
     def vertex_count(self, n: int) -> int:
@@ -120,13 +119,6 @@ def sierpinski_tower() -> LevelTower:
 # ---------------------------------------------------------------------------
 # Drift configuration (documented in docs/drift_config.md)
 # ---------------------------------------------------------------------------
-
-def _number(v):
-    """``v`` unless it is a boolean: JSON ``true`` is not a number."""
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError(f"expected a number, got {v!r}")
-    return v
-
 
 def _payload(kind: str, payload):
     """A coefficient field's payload in its one hashable form: ``constant`` a

@@ -20,7 +20,6 @@ from driftform.resistance import (
     ConductanceNetwork,
     _resistance_rows,
     energy,
-    harmonic_extension,
 )
 from driftform.spectral import semigroup_solve
 
@@ -72,8 +71,20 @@ def effective_resistance(net, x: int, y: int) -> float:
         return 0.0
     order = [x, y] + [v for v in range(net.n) if v not in (x, y)]
     moved = ConductanceNetwork(net.c[order][:, order])
-    f = harmonic_extension(moved, [1.0, 0.0])
+    f = dense_harmonic_extension(moved, [1.0, 0.0])
     return 1.0 / energy(moved, f)
+
+
+def dense_harmonic_extension(net, values) -> np.ndarray:
+    """Harmonic extension of a ``(k,)`` vector or ``(N, k)`` block of data on
+    ``[0, k)`` by one dense solve of the interior block ``L_II u = -L_IB f``."""
+    fb = np.asarray(values, dtype=float)
+    k = fb.shape[-1]
+    lap = net.laplacian().toarray()
+    out = np.empty((*fb.shape[:-1], net.n))
+    out[..., :k] = fb
+    out[..., k:] = np.linalg.solve(lap[k:, k:], -(lap[k:, :k] @ fb.T)).T
+    return out
 
 
 def edge_list(net) -> list[tuple[int, int, float]]:
@@ -125,11 +136,11 @@ def semigroup_apply(gen, t: float, f) -> np.ndarray:
     return semigroup_solve(gen, t, f).output
 
 
-def resistance_matrix(net, counts=()) -> np.ndarray:
+def resistance_matrix(net) -> np.ndarray:
     """All-pairs effective resistances (symmetric, zero diagonal), assembled
     from the streamed rows behind ``resistance_diameter``."""
     r = np.zeros((net.n, net.n))
-    for lo, hi, block in _resistance_rows(net, counts):
+    for lo, hi, block in _resistance_rows(net):
         r[lo:hi, lo:] = block
     r = np.triu(r, 1)
     return r + r.T

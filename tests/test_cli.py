@@ -111,6 +111,10 @@ class TestExitCodes:
           "embedding": {"boundary_coords": [[0.0], [1.0]],
                         "maps": [{"matrix": [[0.5]], "offset": [o]} for o in (0.0, 0.25, 0.5)]}},
          "at one point"),
+        # JSON true is not the number 1
+        ({"base_conductances": [[0, True, 1.0]]}, "expected a number, got True"),
+        ({"base_conductances": [[0, 1, True]]}, "expected a number, got True"),
+        ({"symbol_count": True}, "expected a number, got True"),
     ])
     def test_malformed_structure_fields_exit_2(self, tmp_path, capsys, interval_config,
                                                edit, message):

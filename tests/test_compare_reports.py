@@ -32,5 +32,22 @@ def test_changed_and_one_sided_files_listed(tmp_path):
     write(head, "sim/trajectories.jsonl", '{"x": 2}\n')
     write(head, "sim/extra.txt", "")
     assert compare_reports.differences(base, head) == [
-        "check/check_report.json", "sim/extra.txt (one side only)",
-        "sim/trajectories.jsonl"]
+        "check/check_report.json: text differs", "sim/extra.txt (one side only)",
+        "sim/trajectories.jsonl: largest change 1"]
+
+
+def test_numbers_only_changes_give_the_largest(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    write(base, "a.csv", "# generated 1\nlevel,gap\n6,0.6666666666665819\n7,-1.5e-3\n")
+    write(head, "a.csv", "# generated 2\nlevel,gap\n6,0.6666666666666666\n7,-1.25e-3\n")
+    assert compare_reports.differences(base, head) == ["a.csv: largest change 0.00025"]
+
+
+def test_text_around_numbers_differs(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    write(base, "a.json", '{"method": "chebyshev", "order": 724}\n')
+    write(head, "a.json", '{"method": "uniformization", "order": 724}\n')
+    write(base, "b.csv", "1,2\n")
+    write(head, "b.csv", "1,2,3\n")
+    assert compare_reports.differences(base, head) == [
+        "a.json: text differs", "b.csv: text differs"]

@@ -525,14 +525,14 @@ class TestSmallnessReport:
 
 class TestDriftSpecConstruction:
     def test_terms_realized_with_one_factorization(self, sg_tower, monkeypatch):
-        # three terms over the three base indicators: one interior solve
+        # three terms over the three base indicators: one elimination
         cfg = tw.DriftConfig(
             tuple(("constant", c) for c in (0.1, 0.2, 0.3)),
             tuple((0, tuple(row)) for row in np.eye(3)),
         )
         calls = []
-        original = resistance._interior_solver
-        monkeypatch.setattr(resistance, "_interior_solver",
+        original = resistance._eliminate
+        monkeypatch.setattr(resistance, "_eliminate",
                             lambda *a: calls.append(a) or original(*a))
         spec = drift_on(sg_tower, cfg, 4)
         assert len(calls) == 1

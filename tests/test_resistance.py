@@ -1,6 +1,7 @@
 """Energy calculus on finite networks: traces, extensions, resistances."""
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,16 @@ from driftform.resistance import (
     trace,
 )
 from driftform.cli import read_vertex_function, write_vertex_function_report
-from oracles import TWO_TERM_DRIFT, edge_list, effective_resistance, resistance_matrix
+from driftform.tower import LevelTower
+from oracles import (
+    TWO_TERM_DRIFT,
+    dense_harmonic_extension,
+    edge_list,
+    effective_resistance,
+    resistance_matrix,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 
 
 def brute_force_energy(net: ConductanceNetwork, f, g) -> float:
@@ -53,6 +63,16 @@ def connected_networks(draw):
             present.add((a, b))
             edges.append((a, b, draw(conducts)))
     return ConductanceNetwork.from_edges(edges, n)
+
+
+@st.composite
+def nested_networks(draw):
+    """A random connected network with random nested counts, and a boundary
+    size ``k`` that is not one of them."""
+    net = draw(connected_networks())
+    counts = sorted(draw(st.sets(st.integers(min_value=1, max_value=net.n - 1))))
+    k = draw(st.integers(min_value=1, max_value=net.n).filter(lambda k: k not in counts))
+    return ConductanceNetwork(net.c, counts), k
 
 
 class TestEnergy:
@@ -140,6 +160,20 @@ class TestTrace:
             candidate[3:] += 0.1 * rng.standard_normal(net.n - 3)
             assert energy(net, candidate) >= e_min - 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(nested_networks())
+    def test_prefix_between_counts_matches_dense_oracle(self, case):
+        # the trace's Laplacian is the energy matrix of the extended
+        # boundary indicators
+        net, k = case
+        ext = dense_harmonic_extension(net, np.eye(k))
+        np.testing.assert_allclose(harmonic_extension(net, np.eye(k)), ext,
+                                   rtol=0, atol=1e-12)
+        traced = trace(net, k)
+        np.testing.assert_allclose(traced.laplacian().toarray(),
+                                   ext @ net.laplacian() @ ext.T, rtol=0, atol=1e-10)
+        assert traced.counts == tuple(c for c in net.counts if c < k)
+
     def test_empty_boundary_rejected(self, unit_triangle):
         with pytest.raises(NetworkError):
             trace(unit_triangle, 0)
@@ -168,6 +202,23 @@ class TestHarmonicExtension:
         np.testing.assert_allclose(ext[3:], oracle, atol=1e-12)
         np.testing.assert_allclose(oracle, [0.4, 0.4, 0.2], atol=1e-14)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rule_in_rationals(self, sg_tower, n):
+        # each new vertex, the midpoint of the edge (p_i, p_j) of its parent
+        # cell, takes 2/5 (f(p_i) + f(p_j)) + 1/5 f(p_k); child i of a cell
+        # keeps corner i and puts the midpoint of (p_i, p_j) in slot j
+        exact = [Fraction(1), Fraction(0), Fraction(0)]
+        for m in range(1, n + 1):
+            cx, parents = sg_tower.complex(m), sg_tower.complex(m - 1).cell_ids
+            exact += [None] * (cx.vertex_count - len(exact))
+            for c, ids in enumerate(cx.cell_ids):
+                p, i = parents[c // 3], c % 3
+                for j in {0, 1, 2} - {i}:
+                    k = 3 - i - j
+                    exact[ids[j]] = (2 * (exact[p[i]] + exact[p[j]]) + exact[p[k]]) / 5
+        ext = harmonic_extension(sg_tower.network(n), [1.0, 0.0, 0.0])
+        assert max(abs(Fraction(u) - e) for u, e in zip(ext, exact)) <= 1e-15
+
     def test_interior_laplacian_vanishes(self, sg_tower):
         net = sg_tower.network(3)
         ext = harmonic_extension(net, [1.0, -1.0, 0.5])
@@ -186,7 +237,6 @@ class TestHarmonicExtension:
 
     def test_interval_extension_is_linear_interpolation(self, interval_config):
         interval = pcf.load_structure(interval_config)
-        from driftform.tower import LevelTower
 
         t = LevelTower(interval)
         net = t.network(4)
@@ -201,16 +251,12 @@ class TestHarmonicExtension:
         np.eye(3),
     ], ids=["two_term", "base_indicators"])
     def test_block_equals_rows(self, sg_tower, n, rows):
-        # one factorization against an (N, k) block; the dense solve's
-        # multi-column LAPACK path may round differently in the last bit
+        # one elimination against an (N, k) block
         net = sg_tower.network(n)
         block = harmonic_extension(net, rows)
         per_row = np.stack([harmonic_extension(net, row) for row in rows])
         assert block.shape == (len(rows), net.n)
-        if net.n >= resistance.DENSE_CUTOFF:
-            assert np.array_equal(block, per_row)
-        else:
-            np.testing.assert_allclose(block, per_row, rtol=0, atol=1e-15)
+        assert np.array_equal(block, per_row)
 
 
 class TestEffectiveResistance:
@@ -255,7 +301,6 @@ class TestEffectiveResistance:
 
     def test_interval_resistance_is_distance(self, interval_config):
         interval = pcf.load_structure(interval_config)
-        from driftform.tower import LevelTower
 
         t = LevelTower(interval)
         net = t.network(3)
@@ -327,10 +372,9 @@ def random_weighted_network(seed: int, n: int) -> ConductanceNetwork:
     )
 
 
-def tower_counts(tower, n: int) -> tuple[int, ...]:
-    """Vertex counts of the levels below ``n``: the elimination order the
-    tower hands to the engine."""
-    return tower.complex(n).coarser_counts
+def nested(net: ConductanceNetwork, counts) -> ConductanceNetwork:
+    """The network's conductances with the nested vertex counts ``counts``."""
+    return ConductanceNetwork(net.c, counts)
 
 
 class TestDiameter:
@@ -362,23 +406,23 @@ class TestDiameter:
         assert abs(sg_tower.diameter(n) - 2.0 / 3.0) < 1e-14
 
     def test_tower_passes_the_coarser_counts(self, sg_tower):
-        assert tower_counts(sg_tower, 0) == ()
-        assert tower_counts(sg_tower, 4) == (3, 6, 15, 42)
+        assert sg_tower.network(0).counts == ()
+        assert sg_tower.network(4).counts == (3, 6, 15, 42)
         assert [sg_tower.vertex_count(k) for k in range(4)] == [3, 6, 15, 42]
 
     def test_disconnected_rejected(self):
         net = ConductanceNetwork.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 4)
         for counts in ((), (2,), (1, 3)):
             with pytest.raises(NetworkError, match="disconnected"):
-                resistance_diameter(net, counts)
+                resistance_diameter(nested(net, counts))
             with pytest.raises(NetworkError, match="disconnected"):
-                resistance_matrix(net, counts)
+                resistance_matrix(nested(net, counts))
 
     @pytest.mark.parametrize("counts", [(0,), (3, 3), (5, 4), (30,), (12, 200)])
     def test_bad_counts_rejected(self, counts):
         net = random_weighted_network(4, 30)
         with pytest.raises(NetworkError, match="increase strictly"):
-            resistance_diameter(net, counts)
+            ConductanceNetwork(net.c, counts)
 
 
 class TestResistanceMatrix:
@@ -388,39 +432,37 @@ class TestResistanceMatrix:
     def test_sg_matches_pinv(self, sg_tower, n):
         net = sg_tower.network(n)
         oracle = pinv_resistances(net)
-        for counts in ((), tower_counts(sg_tower, n)):
-            r = resistance_matrix(net, counts)
+        for counts in ((), sg_tower.network(n).counts):
+            r = resistance_matrix(nested(net, counts))
             np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
-            assert resistance_diameter(net, counts) == pytest.approx(
+            assert resistance_diameter(nested(net, counts)) == pytest.approx(
                 r.max(), rel=1e-14
             )
 
     def test_interval_matches_pinv(self, interval_config):
-        from driftform.tower import LevelTower
 
         # 65 vertices: without counts, one full block of 64 rows and one row
         tower = LevelTower(pcf.load_structure(interval_config))
         net = tower.network(6)
         assert net.n == resistance.BLOCK_COLUMNS + 1
         oracle = pinv_resistances(net)
-        for counts in ((), tower_counts(tower, 6)):
+        for counts in ((), tower.network(6).counts):
             np.testing.assert_allclose(
-                resistance_matrix(net, counts), oracle, rtol=0, atol=1e-10
+                resistance_matrix(nested(net, counts)), oracle, rtol=0, atol=1e-10
             )
-            assert resistance_diameter(net, counts) == pytest.approx(1.0, rel=1e-12)
+            assert resistance_diameter(nested(net, counts)) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(0, 5))
     def test_combinatorial_sg_matches_pinv(self, n):
-        from driftform.tower import LevelTower
 
         path = Path(__file__).resolve().parents[1] / "docs" / "configs" / "sg_combinatorial.json"
         tower = LevelTower(pcf.load_structure(str(path)))
         net = tower.network(n)
         oracle = pinv_resistances(net)
-        for counts in ((), tower_counts(tower, n)):
-            r = resistance_matrix(net, counts)
+        for counts in ((), tower.network(n).counts):
+            r = resistance_matrix(nested(net, counts))
             np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
-            assert resistance_diameter(net, counts) == pytest.approx(
+            assert resistance_diameter(nested(net, counts)) == pytest.approx(
                 r.max(), rel=1e-14
             )
         assert abs(tower.diameter(n) - oracle.max()) < 1e-11
@@ -445,9 +487,9 @@ class TestResistanceMatrix:
         )
         assert largest > 3
         oracle = pinv_resistances(net)
-        r = resistance_matrix(net, counts)
+        r = resistance_matrix(nested(net, counts))
         np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
-        assert resistance_diameter(net, counts) == pytest.approx(r.max(), rel=1e-14)
+        assert resistance_diameter(nested(net, counts)) == pytest.approx(r.max(), rel=1e-14)
 
     @pytest.mark.parametrize("width", [1, 7, 64, 1000])
     def test_block_width_does_not_matter(self, sg_tower, monkeypatch, width):
@@ -456,15 +498,15 @@ class TestResistanceMatrix:
         net = sg_tower.network(4)
         monkeypatch.setattr(resistance, "BLOCK_COLUMNS", width)
         oracle = pinv_resistances(net)
-        for counts in ((), tower_counts(sg_tower, 4)):
-            r = resistance_matrix(net, counts)
+        for counts in ((), sg_tower.network(4).counts):
+            r = resistance_matrix(nested(net, counts))
             np.testing.assert_allclose(r, oracle, rtol=0, atol=1e-10)
-            assert resistance_diameter(net, counts) == pytest.approx(r.max(), rel=1e-14)
+            assert resistance_diameter(nested(net, counts)) == pytest.approx(r.max(), rel=1e-14)
 
     def test_exactly_symmetric_with_zero_diagonal(self):
         net = random_weighted_network(2, 90)
         for counts in ((), (30, 60)):
-            r = resistance_matrix(net, counts)
+            r = resistance_matrix(nested(net, counts))
             assert np.array_equal(r, r.T)
             assert np.all(np.diag(r) == 0.0)
 
@@ -473,6 +515,40 @@ class TestResistanceMatrix:
         assert resistance_diameter(net) == pytest.approx(
             resistance_matrix(net).max(), rel=1e-14
         )
+
+
+@pytest.fixture(scope="module")
+def sg3_tower() -> LevelTower:
+    return LevelTower(pcf.load_structure(str(CONFIGS / "sg3.json")))
+
+
+class TestLevelThreeGasket:
+    """The level-3 gasket: six maps, ``r = 7/15``, 7-vertex pivot blocks."""
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_conductances(self, sg3_tower, n):
+        vals = np.array(sorted({c for _, _, c in edge_list(sg3_tower.network(n))}))
+        np.testing.assert_allclose(vals, [(15.0 / 7.0) ** n], rtol=1e-15)
+
+    def test_trace_compatibility_gap(self, sg3_tower):
+        assert sg3_tower.trace_compatibility_gap() < 1e-15
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_corner_resistance(self, sg3_tower, n):
+        corners = trace(sg3_tower.network(n), 3)
+        for x, y in itertools.combinations(range(3), 2):
+            assert effective_resistance(corners, x, y) == pytest.approx(2.0 / 3.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_diameter(self, sg3_tower, n):
+        assert abs(sg3_tower.diameter(n) - 2.0 / 3.0) < 1e-14
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_extension_matches_dense_oracle(self, sg3_tower, n):
+        net = sg3_tower.network(n)
+        rows = [vals for _, vals in TWO_TERM_DRIFT.h_specs]
+        np.testing.assert_allclose(harmonic_extension(net, rows),
+                                   dense_harmonic_extension(net, rows), rtol=0, atol=1e-13)
 
 
 class TestSupNormBound:
