@@ -44,6 +44,8 @@ COMMANDS = {
                     "--paired", "--seed", "1"],
     "converge_ref7": ["converge", "--levels", "1:6", "--reference-level", "7",
                       "--t", "0.1", "--paths", "20000", "--seed", "1"],
+    "converge_ref8": ["converge", "--levels", "1:7", "--reference-level", "8",
+                      "--t", "0.1", "--paths", "20000", "--seed", "1"],
     "sg_combinatorial": ["check", "--level", "4",
                          "--structure", "docs/configs/sg_combinatorial.json",
                          "--drift", "docs/configs/drift_constant.json"],

@@ -418,19 +418,18 @@ def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
     def real(v):  # true is an error, not 1.0
         return float(_number(v))
 
+    def reals(v):  # nested lists of reals as a float array
+        a = np.array(v, dtype=object)
+        return np.array([real(x) for x in a.ravel()], dtype=float).reshape(a.shape)
+
     try:
         embedding = None
         if "embedding" in d and d["embedding"] is not None:
             emb = d["embedding"]
             embedding = Embedding(
-                boundary_coords=np.array(emb["boundary_coords"], dtype=float),
-                maps=tuple(
-                    AffineMap(
-                        np.array(m["matrix"], dtype=float),
-                        np.array(m["offset"], dtype=float),
-                    )
-                    for m in emb["maps"]
-                ),
+                boundary_coords=reals(emb["boundary_coords"]),
+                maps=tuple(AffineMap(reals(m["matrix"]), reals(m["offset"]))
+                           for m in emb["maps"]),
             )
         structure = SelfSimilarStructure(
             symbol_count=index(d["symbol_count"]),

@@ -16,8 +16,9 @@ eliminated fine to coarse, one nested set at a time.  The new vertices of
 different cells of a p.c.f. level share no edge, so each step inverts
 cell-sized blocks.  The resistance diameter streams all-pairs resistances
 from the Green function grounded at vertex 0, rebuilt coarse to fine from
-the steps, held dense on the next-to-finest set and streamed in blocks of
-``BLOCK_COLUMNS`` rows at the finest one.  Without nested sets it is one
+the steps and held dense two sets below the finest; the rows it needs on
+the next-to-finest set are formed from that and streamed on, in blocks of
+``BLOCK_COLUMNS`` rows, to the finest one.  Without nested sets it is one
 dense inverse.
 """
 
@@ -123,7 +124,7 @@ def energy(net: ConductanceNetwork, f, g=None) -> float:
     return float(fv @ (net.laplacian() @ gv))
 
 
-def _eliminate_onto(net: ConductanceNetwork, k: int):
+def _eliminate_onto(net: ConductanceNetwork, k: int, traced: bool = True):
     """:func:`_eliminate` of ``[k, n)`` through the nested sets above ``k``
     (no steps for ``k == n``).
 
@@ -139,7 +140,8 @@ def _eliminate_onto(net: ConductanceNetwork, k: int):
             "interior component does not touch the boundary; "
             "the interior block is singular"
         )
-    return _eliminate(net.laplacian(), sorted({k, *(c for c in net.counts if c > k), net.n}))
+    bounds = sorted({k, *(c for c in net.counts if c > k), net.n})
+    return _eliminate(net.laplacian(), bounds, traced)
 
 
 def trace(net: ConductanceNetwork, k: int) -> ConductanceNetwork:
@@ -177,7 +179,7 @@ def harmonic_extension(net: ConductanceNetwork, values) -> np.ndarray:
     extended alone.
     """
     fb = np.asarray(values, dtype=float)
-    steps, _ = _eliminate_onto(net, fb.shape[-1])
+    steps, _ = _eliminate_onto(net, fb.shape[-1], traced=False)
     u = np.empty((net.n, *fb.shape[:-1]))
     u[:fb.shape[-1]] = fb.T
     for lo, _, h in steps:  # coarse to fine
@@ -217,7 +219,7 @@ def _block_inverse(a) -> sparse.csr_matrix:
     )
 
 
-def _eliminate(lap, bounds: Sequence[int]):
+def _eliminate(lap, bounds: Sequence[int], traced: bool = True):
     """Block Gaussian elimination of a Laplacian over nested vertex sets.
 
     ``bounds`` are ``N_0 < ... < N_m = n``.  The vertices
@@ -229,13 +231,16 @@ def _eliminate(lap, bounds: Sequence[int]):
     p.c.f. level share no edge).
 
     Returns the steps ``(N_{j-1}, L_II^-1, H)`` from coarse to fine and the
-    Laplacian traced onto ``[0, N_0)``.
+    Laplacian traced onto ``[0, N_0)``, or ``None`` in its place when not
+    ``traced`` (a harmonic extension needs only the steps).
     """
     steps = []
     for lo in reversed(bounds[:-1]):
         inv = _block_inverse(lap[lo:, lo:])
         h = -(inv @ lap[lo:, :lo]).tocsr()
         steps.append((lo, inv, h))
+        if lo == bounds[0] and not traced:
+            return steps[::-1], None
         lap = (lap[:lo, :lo] + lap[:lo, lo:] @ h).tocsr()
         # the trace of a Laplacian is a Laplacian: rebuild its diagonal from
         # the off-diagonal row sums, so no cancellation enters the diagonal
@@ -248,15 +253,20 @@ def _resistance_rows(net: ConductanceNetwork):
     """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` rows.
 
     ``G`` is the Green function killed at vertex 0 (``G[0, :] = 0``) and
-    ``R(x, y) = G_xx + G_yy - 2 G_xy``.  With the steps of
-    :func:`_eliminate` over the network's counts, ``G`` is rebuilt coarse to
-    fine as ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]``, held dense up to
-    ``N_{n-1}`` and streamed at the finest level.  Without counts ``G`` is
+    ``R(x, y) = G_xx + G_yy - 2 G_xy``.  With the steps ``(N, L_II^-1, H)``
+    of :func:`_eliminate` over the network's counts, ``G`` grows coarse to
+    fine as ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]`` (:func:`_finer_rows`).
+    It is held dense up to ``N_{n-2}``; rows of ``G`` up to ``N_{n-1}`` are
+    formed from it and the coarser step when a block needs them, at most
+    ``BLOCK_COLUMNS`` at a time, and the finest rows are streamed from
+    those.  With one count ``G`` is held up to ``N_0``; without counts it is
     one dense inverse.
 
     Each yielded ``(lo, hi, r)`` holds ``r[x - lo, y - lo] = R(x, y)`` for
     ``lo <= x < hi`` and ``lo <= y < n``; by symmetry the blocks cover every
-    pair.  ``r`` is a view of a buffer that the next block overwrites.
+    pair.  Blocks come last rows first, so the diagonal of ``G`` right of a
+    block is known when the block is.  ``r`` is a view of a buffer that the
+    next block overwrites.
     """
     if csgraph.connected_components(net.c, directed=False)[0] > 1:
         raise NetworkError("network is disconnected")
@@ -266,47 +276,112 @@ def _resistance_rows(net: ConductanceNetwork):
     steps, lap = _eliminate(net.laplacian(), [*net.counts, n])
 
     width = BLOCK_COLUMNS
-    m = net.counts[-1] if net.counts else n
-    g = np.zeros((m, m))
-    g[1:lap.shape[0], 1:lap.shape[0]] = np.linalg.inv(lap[1:, 1:].toarray())
-    for lo, inv, h in steps[:-1]:
-        hi = lo + inv.shape[0]
-        coarse = np.ascontiguousarray(g[:lo, :lo])
-        for a in range(lo, hi, width):  # rows a:b of [H G, H G H^T]
-            b = min(a + width, hi)
-            hg = h[a - lo:b - lo] @ coarse
-            g[a:b, :lo] = hg
-            g[:lo, a:b] = hg.T
-            g[a:b, lo:hi] = (h @ hg.T).T
-        del coarse
-        block = inv.tocoo()
-        g[lo + block.row, lo + block.col] += block.data
+    g = np.zeros((lap.shape[0],) * 2)
+    g[1:, 1:] = np.linalg.inv(lap[1:, 1:].toarray())
+    for lo, inv, h in steps[:-2]:  # G held dense up to N_{n-2}
+        rows = _finer_rows(g, lo, inv, h)
+        g = np.empty((lo + inv.shape[0],) * 2)
+        for a in range(0, len(g), width):
+            g[a:a + width] = rows(np.arange(a, min(a + width, len(g))))
 
-    if steps:
-        _, inv, h = steps[-1]
-    else:  # nothing to stream from: every row is a row of the dense G
-        inv, h = sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, n))
-    d = np.empty(n)  # diag(G); d[0] = 0 at the ground
-    d[:m] = np.diag(g)
-    d[m:] = inv.diagonal()
-    for lo in range(m, n, width):
-        hb = h[lo - m:lo - m + width]
-        d[lo:lo + width] += np.asarray(hb.multiply(hb @ g).sum(axis=1)).ravel()
+    # an absent step adds no rows: the coarser one without two counts, the
+    # finest one without counts
+    p = g.shape[0]
+    empty = [(p, sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, p)))] * 2
+    coarser, (m, inv, h) = [*empty, *steps][-2:]
+    rows = _finer_rows(g, *coarser)  # rows of G up to m
+    c0, v0 = _padded(h)
+    ci0, vi0 = _padded(inv)
+
+    d = np.empty(n)  # diag(G), filled block by block; d[0] = 0 at the ground
+    inv_diagonal = inv.diagonal()
     buf = np.empty((width, n))
-    for lo, hi in _row_blocks(m, n, width):
+    for lo, hi in reversed(list(_row_blocks(m, n, width))):
         r = buf[:hi - lo, lo:]
-        if hi <= m:  # rows of V_{n-1}: [G, G H^T]
-            r[:, :m - lo] = g[lo:hi, lo:]
-            r[:, m - lo:] = (h @ g[lo:hi].T).T
+        if hi <= m:  # rows of G up to m: [G, G H^T]
+            gb = rows(np.arange(lo, hi))
+            d[lo:hi] = gb[np.arange(hi - lo), np.arange(lo, hi)]
+            np.multiply(gb[:, lo:], -2.0, out=r[:, :m - lo])
+            np.multiply((h @ gb.T).T, -2.0, out=r[:, m - lo:])
         else:  # new rows: L_II^-1 + H G H^T, right of the diagonal
-            hg = h[lo - m:hi - m] @ g
-            r[:] = (h[lo - m:] @ hg.T).T
-            rows = inv[lo - m:hi - m, lo - m:].tocoo()
-            r[rows.row, rows.col] += rows.data
-        r *= -2.0
+            a, b = lo - m, hi - m
+            hg = _times_rows(h, a, b, rows, width)
+            hgh = np.zeros(b - a)  # diag(H G H^T)
+            for c, v in zip(c0[a:b].T, v0[a:b].T):
+                hgh += v * hg[np.arange(b - a), c]
+            d[lo:hi] = inv_diagonal[a:b] + hgh
+            np.multiply((h[a:] @ hg.T).T, -2.0, out=r)
+            _add_entries(r, ci0[a:b], -2.0 * vi0[a:b], a)  # -2(y+v) == -2y + -2v
         r += d[lo:]
         r += d[lo:hi, None]
         yield lo, hi, r
+
+
+def _finer_rows(g, lo: int, inv, h):
+    """Rows of the Green function one elimination step finer than the dense
+    ``g`` on ``[0, lo)``: ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]`` for the
+    step ``(lo, L_II^-1, H)``.
+
+    The returned function maps sorted row ids to those rows.  Each entry is
+    summed in the order of the sparse products ``H @ g`` (rows of ``H G``)
+    and ``H @ g.T`` (columns of ``G H^T``), so a row does not depend on the
+    rows asked for with it.
+    """
+    (c, v), (ci, vi) = _padded(h), _padded(inv)
+    n = lo + inv.shape[0]
+
+    def rows(idx):
+        s = np.searchsorted(idx, lo)
+        new = idx[s:] - lo
+        out = np.empty((len(idx), n))
+        out[:s, :lo] = g[idx[:s]]
+        hg = np.zeros((len(idx), lo))  # rows of H G below columns of G
+        hg[:s] = g[:, idx[:s]].T
+        for cols, vals in zip(c[new].T, v[new].T):
+            hg[s:] += vals[:, None] * g[cols]
+        out[s:, :lo] = hg[s:]
+        out[:, lo:] = (h @ hg.T).T
+        _add_entries(out[s:, lo:], ci[new], vi[new], 0)
+        return out
+
+    return rows
+
+
+def _times_rows(h, a: int, b: int, rows, width: int) -> np.ndarray:
+    """Rows ``a:b`` of the CSR ``h`` times a matrix given by ``rows`` (a
+    function of sorted row ids), asking it for at most ``width`` rows at a
+    time where one row of ``h`` reads no more."""
+    ip = h.indptr[a:b + 1]
+    cols, at = np.unique(h.indices[ip[0]:ip[-1]], return_inverse=True)
+    if len(cols) > width and b - a > 1:
+        mid = (a + b) // 2
+        return np.vstack([_times_rows(h, a, mid, rows, width),
+                          _times_rows(h, mid, b, rows, width)])
+    hb = sparse.csr_matrix((h.data[ip[0]:ip[-1]], at, ip - ip[0]), (b - a, len(cols)))
+    return hb @ rows(cols)
+
+
+def _padded(a):
+    """The rows of a CSR matrix as ``(cols, vals)`` arrays of one width: a
+    row's stored entries in order, then column -1 with value 0.
+
+    A sum over the columns of ``vals * x[cols]`` adds in the order of a
+    sparse product, so it matches it bit for bit.
+    """
+    counts = np.diff(a.indptr)
+    filled = np.arange(counts.max(initial=0)) < counts[:, None]
+    cols = np.full(filled.shape, -1)
+    vals = np.zeros(filled.shape)
+    cols[filled] = a.indices
+    vals[filled] = a.data
+    return cols, vals
+
+
+def _add_entries(out, cols, vals, shift: int) -> None:
+    """``out[i, c - shift] += v`` for each entry ``(c, v)`` of the padded row
+    ``i`` with ``c >= shift``."""
+    i, k = np.nonzero(cols >= shift)
+    out[i, cols[i, k] - shift] += vals[i, k]
 
 
 def _row_blocks(m: int, n: int, width: int):
@@ -320,8 +395,9 @@ def _row_blocks(m: int, n: int, width: int):
 def resistance_diameter(net: ConductanceNetwork) -> float:
     """Largest effective resistance over all vertex pairs.
 
-    Memory is one dense Green function on the next-to-finest nested set
-    ``[0, N_{n-1})`` plus ``BLOCK_COLUMNS`` rows.
+    Memory is one dense Green function on the nested set ``[0, N_{n-2})``
+    two below the finest (``[0, N_0)`` with one count, every vertex without
+    counts) plus a few arrays of ``BLOCK_COLUMNS`` rows.
     """
     return max((float(block.max()) for *_, block in _resistance_rows(net)),
                default=0.0)

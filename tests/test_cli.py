@@ -115,6 +115,18 @@ class TestExitCodes:
         ({"base_conductances": [[0, True, 1.0]]}, "expected a number, got True"),
         ({"base_conductances": [[0, 1, True]]}, "expected a number, got True"),
         ({"symbol_count": True}, "expected a number, got True"),
+        ({"embedding": {"boundary_coords": [[0.0], [True]],
+                        "maps": [{"matrix": [[0.5]], "offset": [0.0]},
+                                 {"matrix": [[0.5]], "offset": [0.5]}]}},
+         "expected a number, got True"),
+        ({"embedding": {"boundary_coords": [[0.0], [1.0]],
+                        "maps": [{"matrix": [[True]], "offset": [0.0]},
+                                 {"matrix": [[0.5]], "offset": [0.5]}]}},
+         "expected a number, got True"),
+        ({"embedding": {"boundary_coords": [[0.0], [1.0]],
+                        "maps": [{"matrix": [[0.5]], "offset": [0.0]},
+                                 {"matrix": [[0.5]], "offset": [True]}]}},
+         "expected a number, got True"),
     ])
     def test_malformed_structure_fields_exit_2(self, tmp_path, capsys, interval_config,
                                                edit, message):

@@ -1,6 +1,8 @@
 """Energy calculus on finite networks: traces, extensions, resistances."""
 
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from driftform import pcf, resistance
 from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
+    _resistance_rows,
     assemble_self_similar,
     energy,
     harmonic_extension,
@@ -24,6 +27,7 @@ from driftform.tower import LevelTower
 from oracles import (
     TWO_TERM_DRIFT,
     dense_harmonic_extension,
+    dense_resistance_rows,
     edge_list,
     effective_resistance,
     resistance_matrix,
@@ -549,6 +553,59 @@ class TestLevelThreeGasket:
         rows = [vals for _, vals in TWO_TERM_DRIFT.h_specs]
         np.testing.assert_allclose(harmonic_extension(net, rows),
                                    dense_harmonic_extension(net, rows), rtol=0, atol=1e-13)
+
+
+class TestStreamedGreenFunction:
+    """The streamed blocks against the Green function held dense on the
+    next-to-finest set, block for block and bit for bit."""
+
+    @staticmethod
+    def assert_exact(net):
+        streamed = {(lo, hi): r.copy() for lo, hi, r in _resistance_rows(net)}
+        diameter = 0.0
+        for lo, hi, r in dense_resistance_rows(net):
+            assert np.array_equal(streamed.pop((lo, hi)), r), (lo, hi)
+            diameter = max(diameter, float(r.max()))
+        assert not streamed
+        assert resistance_diameter(net) == diameter
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_sg(self, sg_tower, n):
+        self.assert_exact(sg_tower.network(n))
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_sg3(self, sg3_tower, n):
+        self.assert_exact(sg3_tower.network(n))
+
+    @pytest.mark.parametrize("name, levels", [("interval", 7), ("sg_combinatorial", 5)])
+    def test_shipped_configs(self, name, levels):
+        tower = LevelTower(pcf.load_structure(str(CONFIGS / f"{name}.json")))
+        for n in range(levels):
+            self.assert_exact(tower.network(n))
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("counts", [(), (40,), (30, 90), (10, 70, 120)])
+    def test_counts_and_block_widths(self, sg_tower, monkeypatch, counts, width):
+        # zero to three nested sets on a graph without cells (large
+        # eliminated blocks), and the last zero to three of SG L5
+        monkeypatch.setattr(resistance, "BLOCK_COLUMNS", width)
+        self.assert_exact(nested(random_weighted_network(6, 150), counts))
+        self.assert_exact(nested(sg_tower.network(5), sg_tower.network(5).counts[-len(counts):]
+                                 if counts else ()))
+
+    def test_memory_below_the_next_to_finest_green_function(self, sg_tower):
+        net = sg_tower.network(7)
+        gc.disable()  # what a reference cycle keeps shows as held
+        tracemalloc.start()
+        try:
+            resistance_diameter(net)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # the dense Green function on the 1095 vertices of SG L6 alone
+        assert peak < 1095 ** 2 * 8, peak
+        assert held < 2 ** 20, held
 
 
 class TestSupNormBound:
