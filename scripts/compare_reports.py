@@ -50,6 +50,11 @@ COMMANDS = {
                          "--structure", "docs/configs/sg_combinatorial.json",
                          "--drift", "docs/configs/drift_constant.json"],
     "interval": ["check", "--level", "2", "--structure", "docs/configs/interval.json"],
+    # the drift-free chain outside check
+    "converge_none": ["converge", "--drift", "none", "--levels", "1:5", "--reference-level", "6",
+                      "--t", "0.1", "--paths", "2000", "--seed", "1"],
+    "simulate_none_paired": ["simulate", "--drift", "none", "--level", "3", "--paths", "500",
+                             "--t", "0.01,0.1", "--paired", "--seed", "1"],
 }
 
 

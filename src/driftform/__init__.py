@@ -63,7 +63,6 @@ from .tower import (
     default_admissible_drift,
     load_drift_config,
     realize_drift,
-    zero_drift_config,
 )
 from .convergence import (
     ConvergenceReport,

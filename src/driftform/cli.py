@@ -298,7 +298,7 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
     else:
         tower = tw.LevelTower(load_structure(args.structure))
     if args.drift == "none":
-        config = tw.zero_drift_config(tower.structure.boundary_size)
+        config = None
     elif args.drift == "default":
         config = tw.default_admissible_drift(tower, proxy_level=proxy_level)
     else:
@@ -353,7 +353,7 @@ def cmd_check(args) -> int:
         c = report.constants
         sandwich = dr.certify_sandwich(gen, c.s, c.lam)
         payload["sandwich"] = sandwich.to_dict()
-        payload["drift_bound"] = dr.certify_drift_bound(gen, c.s, c.t).to_dict()
+        payload["drift_bound"] = dr.certify_drift_bound(sandwich).to_dict()
         payload["sd_axioms"] = dr.certify_SD_axioms(
             gen, sandwich, c.delta, report.diam_proxy
         ).to_dict()

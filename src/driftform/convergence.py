@@ -27,6 +27,8 @@ PATH_LAW_BANNER = (
     "path-law comparison uses fixed-time test-function expectations, not "
     "path-space convergence"
 )
+INITIAL_VERTEX = 1  # the path-law chains start here, a vertex of every level >= 1
+TREND_SLACK = 1e-12  # relative and absolute round-off allowed in a non-increasing trend
 
 
 @dataclass
@@ -39,12 +41,12 @@ class ConvergenceReport:
     banner: str = ""
     details: dict = field(default_factory=dict)
 
-    def finalize_trend(self, rel_slack: float = 1e-12) -> "ConvergenceReport":
+    def finalize_trend(self) -> "ConvergenceReport":
         start = None
         for i in range(len(self.errors)):
             tail = self.errors[i:]
             ok = all(
-                tail[k + 1] <= tail[k] * (1 + rel_slack) + rel_slack
+                tail[k + 1] <= tail[k] * (1 + TREND_SLACK) + TREND_SLACK
                 for k in range(len(tail) - 1)
             )
             if ok:
@@ -167,7 +169,6 @@ def path_law_convergence(
     reference: int,
     paths: int = 10_000,
     seed: int = 0,
-    initial_vertex: int = 1,
 ) -> ConvergenceReport:
     """Monte-Carlo expectations of test functions at one time, per level,
     against the exact reference-level value.
@@ -190,7 +191,7 @@ def path_law_convergence(
     methods = {}
 
     def law(gen: markov_mod.GeneratorMatrix) -> np.ndarray:
-        start = markov_mod.point_mass(gen.n, initial_vertex)
+        start = markov_mod.point_mass(gen.n, INITIAL_VERTEX)
         solve = spectral_mod.semigroup_solve(gen, t, start, transpose=True)
         _record_method(methods, gen.level, solve.method)
         return solve.output
@@ -201,7 +202,7 @@ def path_law_convergence(
     errors, mc_table = [], {}
     for n in levels:
         gen = tower.generator(n, drift_cfg)
-        init = markov_mod.point_mass(gen.n, initial_vertex)
+        init = markov_mod.point_mass(gen.n, INITIAL_VERTEX)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
         p_t = law(gen)
         rows, worst = [], 0.0
@@ -221,5 +222,5 @@ def path_law_convergence(
         "path_law", list(levels), errors, reference,
         banner=PATH_LAW_BANNER,
         details={"t": t, "paths": paths, "seed": seed,
-                 "initial_vertex": initial_vertex, "mc": mc_table, "methods": methods},
+                 "initial_vertex": INITIAL_VERTEX, "mc": mc_table, "methods": methods},
     ).finalize_trend()

@@ -52,8 +52,8 @@ class InadmissibleDriftError(ValueError):
 class DriftSpec:
     """Perturbation data realized at one working level.
 
-    ``b``/``h`` have one row per drift term, one column per vertex of the
-    working level.  ``h`` rows are harmonic extensions of base-level data
+    ``b``/``h`` have one row per drift term (none for the empty drift), one
+    column per vertex of the working level.  ``h`` rows are harmonic extensions of base-level data
     (see :func:`make_drift`).
     """
 
@@ -68,9 +68,6 @@ class DriftSpec:
             raise DriftError(f"b shape {self.b.shape} != h shape {self.h.shape}")
         if not np.all(np.isfinite(self.b)):
             raise DriftError("b values must be finite")
-
-    def is_zero(self) -> bool:
-        return not np.any(self.b)
 
 
 _EXPRESSION_FUNCTIONS = {
@@ -419,8 +416,8 @@ def _factor(b):
 
 def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     """Extreme eigenvalues of the symmetric pencil ``a v = θ b v``, ``b`` SPD
-    with the factored solve ``solve_b``; ``which`` is ``"LA"`` (the top),
-    ``"LM"`` (largest modulus) or ``"BE"`` (bottom, then top).
+    with the factored solve ``solve_b``; ``which`` is ``"LA"`` (the top) or
+    ``"BE"`` (bottom, then top).
 
     Each value is the Rayleigh quotient ``θ`` of its eigenvector ``x`` with
     the residual bound ``‖a x − θ b x‖_{b⁻¹} / ‖x‖_b``: an eigenvalue lies
@@ -429,9 +426,10 @@ def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     ch. 11).  ``eigsh`` in generalized mode with ``solve_b`` as ``Minv``;
     dense ``eigh`` only on pencils too small for ARPACK.
     """
+    k = 2 if which == "BE" else 1
     if sparse.issparse(a) and not a.count_nonzero():
-        return [_ZERO] * (2 if which == "BE" else 1)
-    n, k = b.shape[0], 2 if which == "BE" else 1
+        return [_ZERO] * k
+    n = b.shape[0]
     a = aslinearoperator(a)
     try:
         if k >= n - 1:  # eigh reads the lower triangle of a
@@ -455,28 +453,29 @@ def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
         if not (math.isfinite(theta) and math.isfinite(residual)):
             raise CertificateError(f"no bracket: Ritz value {theta}, residual {residual}")
         out.append(Bracket(theta, theta - residual, theta + residual, residual))
-    return [max(out, key=lambda e: abs(e.value))] if which == "LM" else out
-
-
-def _drift_pencil(gen: GeneratorMatrix, e_coeff: float, m_coeff: float):
-    """``(Q_sym, B, solve)``: the symmetric part of the drift matrix, the SPD
-    ``B = e_coeff E + m_coeff M`` and its factored solve."""
-    q = gen.Q_matrix
-    b = (e_coeff * gen.E_matrix + m_coeff * sparse.diags(gen.mu)).tocsc()
-    return (0.5 * (q + q.T)).tocsr(), b, _factor(b)
+    return out
 
 
 @dataclass
 class SandwichReport:
-    """``(1-s) E_lam <= A_lam <= (1+s) E_lam``: the margins ``s + min θ`` and
-    ``s - max θ`` of ``Q_sym v = θ E_lam v`` are the least relative slacks
+    """``(1-s) E_lam <= A_lam <= (1+s) E_lam``: with ``theta_min`` and
+    ``theta_max`` the extreme eigenvalues of ``Q_sym v = θ E_lam v``, the
+    margins ``s + θ_min`` and ``s - θ_max`` are the least relative slacks
     ``(A_lam - (1-s) E_lam) / E_lam`` and ``((1+s) E_lam - A_lam) / E_lam``."""
 
     level: int
     s: float
     lam: float
-    lower_margin: Bracket
-    upper_margin: Bracket
+    theta_min: Bracket
+    theta_max: Bracket
+
+    @property
+    def lower_margin(self) -> Bracket:
+        return self.theta_min.map(lambda x: self.s + x)
+
+    @property
+    def upper_margin(self) -> Bracket:
+        return self.theta_max.map(lambda x: self.s - x)
 
     @property
     def passed(self) -> bool:
@@ -491,15 +490,16 @@ class SandwichReport:
 def certify_sandwich(gen: GeneratorMatrix, s: float, lam: float) -> SandwichReport:
     """The sandwich margins of one level as exact brackets; a check passes
     on the pessimistic end of its bracket."""
-    bottom, top = _extremes(*_drift_pencil(gen, 1.0, lam), "BE")
-    return SandwichReport(gen.level, s, lam,
-                          bottom.map(lambda x: s + x), top.map(lambda x: s - x))
+    q = gen.Q_matrix
+    e_lam = (gen.E_matrix + lam * sparse.diags(gen.mu)).tocsc()
+    bottom, top = _extremes((0.5 * (q + q.T)).tocsr(), e_lam, _factor(e_lam), "BE")
+    return SandwichReport(gen.level, s, lam, bottom, top)
 
 
 @dataclass
 class DriftBoundReport:
-    """``|Q(f)| <= s E(f) + t |f|^2``: the margin ``1 - max |θ|`` of
-    ``Q_sym v = θ (s E + t M) v`` is the least relative slack."""
+    """``|Q(f)| <= s E(f) + t |f|^2`` with ``t = lam s``: the margin
+    ``1 - max |θ| / s`` of ``Q_sym v = θ E_lam v`` is the least relative slack."""
 
     level: int
     s: float
@@ -515,13 +515,20 @@ class DriftBoundReport:
                 "margin": self.margin.to_dict(), "passed": self.passed}
 
 
-def certify_drift_bound(gen: GeneratorMatrix, s: float, t: float) -> DriftBoundReport:
-    """The drift-bound margin of one level as an exact bracket."""
-    (theta,) = _extremes(*_drift_pencil(gen, s, t), "LM")
-    v, r = abs(theta.value), theta.residual
-    # max |θ| lies in [max(v - r, 0), v + r]
-    margin = Bracket(1.0 - v, 1.0 - v - r, 1.0 - max(v - r, 0.0), r)
-    return DriftBoundReport(gen.level, s, t, margin)
+def certify_drift_bound(sandwich: SandwichReport) -> DriftBoundReport:
+    """The drift-bound margin of one level as an exact bracket, read off the
+    sandwich certificate: with ``t = lam s`` the pencil is ``s`` times the
+    sandwich pencil ``Q_sym v = θ E_lam v``, so ``max |θ| / s`` over its two
+    extreme eigenvalues is the drift bound's ``max |θ|``, bracketed by the
+    image of their two brackets."""
+    s, brackets = sandwich.s, (sandwich.theta_min, sandwich.theta_max)
+    value = max(abs(b.value) for b in brackets)
+    # over a bracket [lo, hi], |θ| ranges from max(lo, -hi, 0) to max(-lo, hi)
+    near = max(max(b.lo, -b.hi, 0.0) for b in brackets)
+    far = max(max(-b.lo, b.hi) for b in brackets)
+    residual = max(b.residual for b in brackets)
+    margin = Bracket(1.0 - value / s, 1.0 - far / s, 1.0 - near / s, residual / s)
+    return DriftBoundReport(sandwich.level, s, sandwich.lam * s, margin)
 
 
 @dataclass
@@ -585,15 +592,13 @@ def certify_SD_axioms(
     """
     s, lam = sandwich.s, sandwich.lam
     drift = gen.drift
-    if drift is None or drift.is_zero():
-        coeff = 0.0
-        eta_min = markov_min = 1.0  # all edge factors are exactly 1
-    else:
-        h_energies = np.einsum("in,in->i", drift.h, (gen.E_matrix @ drift.h.T).T)
-        coeff = float(np.sum(np.max(np.abs(drift.b), axis=1) * np.sqrt(h_energies)))
-        ev = gen.edge_eta
-        eta_min = float(np.min(1.0 + ev)) if ev.size else 1.0
-        markov_min = float(np.min(1.0 + 2.0 * ev)) if ev.size else 1.0
+    h_energies = np.einsum("in,in->i", drift.h, (gen.E_matrix @ drift.h.T).T)
+    # an energy is nonnegative; round-off can take a constant h's below 0
+    root_energies = np.sqrt(np.maximum(h_energies, 0.0))
+    coeff = float(np.sum(np.max(np.abs(drift.b), axis=1) * root_energies))
+    ev = gen.edge_eta
+    eta_min = float(np.min(1.0 + ev)) if ev.size else 1.0
+    markov_min = float(np.min(1.0 + 2.0 * ev)) if ev.size else 1.0
     sector_bound = (1.0 + (math.sqrt(diam_proxy) + 2.0 * delta) * coeff) / (1.0 - s)
 
     sd1 = sector = None

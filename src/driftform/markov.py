@@ -47,7 +47,7 @@ class GeneratorMatrix:
     generates: ``(-L f, g)_mu = A(f, g)`` with ``A = E + Q``.
 
     ``edge_rows``/``edge_cols``/``edge_eta`` give the drift edge weights
-    ``eta`` over the ordered conductance pattern (zero without drift); the
+    ``eta`` over the ordered conductance pattern (zero for the empty drift); the
     rates, the sign certificates and the drift matrix are all derived from
     them.  ``E_matrix`` and ``Q_matrix`` are built on first use.
     """
@@ -87,8 +87,6 @@ class GeneratorMatrix:
         Row index is the test-function (``g``) vertex, column index the input
         (``f``) vertex.  The form vanishes for constant ``f`` by construction.
         """
-        if self.drift is None or self.drift.is_zero():
-            return sparse.csr_matrix((self.n, self.n))
         weighted = self.net.c.tocoo().data * self.edge_eta
         shape = (self.n, self.n)
         off = sparse.coo_matrix((-weighted, (self.edge_rows, self.edge_cols)), shape=shape)
@@ -143,7 +141,7 @@ class GeneratorMatrix:
 
 def build_generator(
     net: ConductanceNetwork,
-    drift: DriftSpec | None,
+    drift: DriftSpec,
     mu: np.ndarray,
     level: int,
 ) -> GeneratorMatrix:
@@ -155,13 +153,10 @@ def build_generator(
         raise ValueError("measure must assign one weight per vertex")
     if np.any(mu <= 0):
         raise ValueError("measure weights must be positive")
+    if drift.b.shape[1] != net.n:
+        raise ValueError("drift level does not match network")
     coo = net.c.tocoo()
-    if drift is None or drift.is_zero():
-        eta = np.zeros_like(coo.data)
-    else:
-        if drift.b.shape[1] != net.n:
-            raise ValueError("drift level does not match network")
-        eta = eta_edge_values(net, drift)
+    eta = eta_edge_values(net, drift)
     rates = coo.data * (1.0 + eta) / mu[coo.row]
     off = sparse.coo_matrix((rates, (coo.row, coo.col)), shape=(net.n, net.n))
     diag = np.bincount(coo.row, weights=rates, minlength=net.n)

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -374,26 +374,18 @@ def build_level(
     return cx
 
 
-def measure_weights(
-    structure: SelfSimilarStructure,
-    complex_: LevelComplex,
-    theta: Sequence[float] | None = None,
-) -> np.ndarray:
+def measure_weights(structure: SelfSimilarStructure, complex_: LevelComplex) -> np.ndarray:
     """Probability weights on the level's vertices.
 
-    Each cell spreads its measure ``theta_w`` (the product of per-symbol
-    weights along the cell's word) uniformly over its boundary vertices, so
-    the total mass is 1 and every vertex carries positive weight.
+    Each cell spreads its measure ``theta_w`` (the product of the
+    structure's per-symbol weights along the cell's word, uniform when it
+    has none) uniformly over its boundary vertices, so the total mass is 1
+    and every vertex carries positive weight.
     """
-    if theta is None:
-        theta = structure.weights
+    theta = structure.weights
     if theta is None:
         theta = [1.0 / structure.symbol_count] * structure.symbol_count
     theta = np.asarray(theta, dtype=float)
-    if len(theta) != structure.symbol_count or np.any(theta <= 0):
-        raise StructureError("theta must be M positive weights")
-    if abs(theta.sum() - 1.0) > 1e-12:
-        raise StructureError("theta must sum to 1")
     share = 1.0 / structure.boundary_size
     ids = complex_.cell_ids
     weights = np.repeat(complex_.word_products(theta) * share, ids.shape[1])

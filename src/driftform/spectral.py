@@ -46,6 +46,7 @@ from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rate
 
 SERIES_TAIL = 1e-13  # truncation tolerance of both series
 RESIDUAL_TOL = 1e-9
+MARKOV_TOL = 1e-10  # round-off a Markov check allows outside [0, 1]
 # Largest growth max_k ||T_k(P) f||_inf / ||f||_inf the Chebyshev series
 # accepts; past it the call falls back to uniformization.
 GROWTH_LIMIT = 10.0
@@ -231,7 +232,7 @@ class MarkovCheckReport:
 
 
 def markov_check(
-    gen: GeneratorMatrix, t: float, trials: int = 100, seed: int = 7, tol: float = 1e-10
+    gen: GeneratorMatrix, t: float, trials: int = 100, seed: int = 7
 ) -> MarkovCheckReport:
     """For random ``0 <= f <= 1`` assert ``0 <= T_t f <= 1`` (within round-off),
     and positivity ``f >= 0 => T_t f >= 0``.  Each trial draws a uniform, then
@@ -247,5 +248,5 @@ def markov_check(
     out = solve.output
     lo, hi = float(out[:, 0::2].min()), float(out[:, 0::2].max())
     pos = float(out[:, 1::2].min())
-    ok = lo >= -tol and hi <= 1.0 + tol and pos >= -tol
+    ok = lo >= -MARKOV_TOL and hi <= 1.0 + MARKOV_TOL and pos >= -MARKOV_TOL
     return MarkovCheckReport(t, trials, seed, lo, hi, pos, bool(ok), solve.method)

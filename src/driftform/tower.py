@@ -48,7 +48,6 @@ class LevelTower:
         self.scalings = tuple(structure.scalings or ())
         if not self.scalings:
             raise StructureError("no resistance scale factors configured")
-        self.theta = structure.weights
         base = structure.base_conductances
         if not base:
             nb = structure.boundary_size
@@ -75,9 +74,7 @@ class LevelTower:
 
     def measure(self, n: int) -> np.ndarray:
         if n not in self._measures:
-            self._measures[n] = measure_weights(
-                self.structure, self.complex(n), self.theta
-            )
+            self._measures[n] = measure_weights(self.structure, self.complex(n))
         return self._measures[n]
 
     def diameter(self, n: int) -> float:
@@ -101,11 +98,15 @@ class LevelTower:
 
     def generator(self, n: int, config: DriftConfig | None) -> markov_mod.GeneratorMatrix:
         """Chain generator of level ``n`` under ``config`` (``None`` for the
-        drift-free chain), with its form matrices, built once; a realization
-        that raises is not kept."""
+        drift-free chain, whose realization has no terms), with its form
+        matrices, built once; a realization that raises is not kept."""
         key = (n, config)
         if key not in self._generators:
-            drift = None if config is None else realize_drift(self, config, n)
+            if config is None:
+                empty = np.zeros((0, self.vertex_count(n)))
+                drift = drift_mod.DriftSpec(n, empty, empty)
+            else:
+                drift = realize_drift(self, config, n)
             self._generators[key] = markov_mod.build_generator(
                 self.network(n), drift, self.measure(n), level=n
             )
@@ -181,12 +182,6 @@ class DriftConfig:
 def load_drift_config(path) -> DriftConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return DriftConfig.from_dict(json.load(fh))
-
-
-def zero_drift_config(boundary_size: int) -> DriftConfig:
-    """Coefficient-free drift: one vanishing term over the base indicator."""
-    h0 = tuple(1.0 if k == 0 else 0.0 for k in range(boundary_size))
-    return DriftConfig((("constant", 0.0),), ((0, h0),))
 
 
 def realize_drift(tower: LevelTower, config: DriftConfig, level: int) -> drift_mod.DriftSpec:

@@ -111,7 +111,7 @@ def test_criterion_4_semi_dirichlet_suite(instance):
     for level in range(1, 6):
         gen = sg_tower.generator(level, cfg)
         sw = certify_sandwich(gen, c.s, c.lam)
-        db = certify_drift_bound(gen, c.s, c.t)
+        db = certify_drift_bound(sw)
         sd = certify_SD_axioms(gen, sw, c.delta, c.diam_proxy)
         if not sw.passed:
             failures.append(f"level {level}: sandwich {sw.lower_margin}, {sw.upper_margin}")

@@ -50,6 +50,21 @@ class TestExitCodes:
         c1 = report["smallness"]["condition_I"]
         assert c1["margin"] == pytest.approx(c1["threshold"])
 
+    def test_constant_reference_function_gives_a_finite_sector_bound(self, tmp_path):
+        # E(h) of a constant h is round-off, here below 0
+        drift_file = tmp_path / "drift.json"
+        drift_file.write_text(json.dumps({"b": [{"constant": 0.3}],
+                                          "h": [{"base_level": 0, "values": [1, 1, 1]}]}))
+        assert run(["check", "--level", "2", "--drift", str(drift_file),
+                    "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "check_report.json").read_text().split("\n", 1)[1]
+        report = json.loads(text, parse_constant=reject)
+        assert report["sd_axioms"]["sd3_passed"] is True
+
     def test_check_default_admissible(self, tmp_path):
         assert run(["check", "--level", "2", "--reference-level", "4",
                     "--out", str(tmp_path)]) == 0

@@ -3,18 +3,22 @@
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from driftform import drift as drift_module
 from driftform import pcf, resistance
 from driftform import tower as tw
+from driftform.cli import main
 from driftform.drift import (
     DriftError,
     DriftSpec,
     InadmissibleDriftError,
     Bracket,
+    SandwichReport,
     check_condition_I,
     certify_SD_axioms,
     certify_drift_bound,
@@ -45,6 +49,9 @@ from oracles import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 CONSTANT_DRIFT = CONFIGS / "drift_constant.json"
+# one term with a vanishing coefficient: unlike the empty drift (config
+# None), it is realized and goes through every drift computation
+ZERO_COEFFICIENT_DRIFT = tw.DriftConfig((("constant", 0.0),), ((0, (1.0, 0.0, 0.0)),))
 
 
 def brute_force_Q(net, drift, f, g) -> float:
@@ -108,7 +115,7 @@ def edge_eta(net, drift) -> dict[tuple[int, int], float]:
 
 class TestEta:
     def test_zero_coefficients(self, sg_tower, admissible_cfg):
-        cfg = tw.zero_drift_config(3)
+        cfg = ZERO_COEFFICIENT_DRIFT
         spec = drift_on(sg_tower, cfg, 2)
         net = sg_tower.network(2)
         assert all(v == 0.0 for v in edge_eta(net, spec).values())
@@ -159,7 +166,7 @@ class TestEta:
 
 class TestAssembleQ:
     def test_zero_drift_gives_zero_matrix(self, sg_tower):
-        spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
+        spec = drift_on(sg_tower, ZERO_COEFFICIENT_DRIFT, 2)
         q = generator_of(sg_tower, spec).Q_matrix
         assert abs(q).max() == 0.0
 
@@ -274,7 +281,7 @@ class TestConditionI:
         assert value == pytest.approx(condition_I_loop(net, spec), rel=1e-14, abs=0.0)
 
     def test_zero_drift_satisfied(self, sg_tower):
-        spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
+        spec = drift_on(sg_tower, ZERO_COEFFICIENT_DRIFT, 2)
         check = check_condition_I(generator_of(sg_tower, spec), 2.0 / 3.0)
         assert check.satisfied and check.value == 0.0
         assert check.margin == pytest.approx(3.0)
@@ -302,7 +309,7 @@ class TestConditionI:
 
 class TestConditionII:
     def test_zero_drift(self, sg_tower):
-        spec = drift_on(sg_tower, tw.zero_drift_config(3), 2)
+        spec = drift_on(sg_tower, ZERO_COEFFICIENT_DRIFT, 2)
         check = check_condition_II(generator_of(sg_tower, spec), 2.0 / 3.0)
         assert check.satisfied and check.value == 0.0
 
@@ -361,7 +368,7 @@ class TestSelectConstants:
 
 class TestSandwich:
     def test_zero_drift_is_exact(self, sg_tower):
-        gen = sg_tower.generator(2, tw.zero_drift_config(3))
+        gen = sg_tower.generator(2, ZERO_COEFFICIENT_DRIFT)
         rep = certify_sandwich(gen, s=0.5, lam=1.0)
         assert rep.passed
         # A equals E exactly, so both relative margins equal s exactly
@@ -392,14 +399,71 @@ class TestSandwich:
     def test_drift_bound(self, sg_tower, admissible_cfg, admissible_constants, level):
         gen = sg_tower.generator(level, admissible_cfg)
         c = admissible_constants
-        rep = certify_drift_bound(gen, c.s, c.t)
+        rep = certify_drift_bound(certify_sandwich(gen, c.s, c.lam))
         assert rep.passed, rep.margin
         assert rep.margin.lo <= rep.margin.value <= rep.margin.hi
 
 
+class TestDriftBoundFromSandwich:
+    """The drift bound with ``t = lam s`` is the sandwich read at scale ``s``."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("drift", ["default", "two_term"])
+    def test_margin_is_the_scaled_sandwich_extreme(
+        self, sg_tower, admissible_cfg, admissible_constants, drift, level
+    ):
+        cfg = {"default": admissible_cfg, "two_term": TWO_TERM_DRIFT}[drift]
+        gen = sg_tower.generator(level, cfg)
+        c = admissible_constants
+        sandwich = certify_sandwich(gen, c.s, c.lam)
+        rep = certify_drift_bound(sandwich)
+        extreme = max(abs(sandwich.theta_min.value), abs(sandwich.theta_max.value))
+        assert rep.margin.value == 1.0 - extreme / c.s
+        assert (rep.level, rep.s, rep.t) == (level, c.s, c.t)
+        # the pencil Q_sym v = θ (s E + t M) v itself, densely
+        want = dense_form_values(gen, c.s, c.lam, c.t)["drift"]
+        assert rep.margin.value == pytest.approx(want, abs=1e-10)
+        assert rep.margin.lo - 1e-10 <= want <= rep.margin.hi + 1e-10
+
+    def test_bracket_is_the_image_of_both_brackets(self):
+        s = 0.5
+        bottom = Bracket(-0.3, -0.31, -0.29, 0.01)
+        top = Bracket(0.1, 0.05, 0.15, 0.05)
+        rep = certify_drift_bound(SandwichReport(1, s, 2.0, bottom, top))
+        assert rep.t == 1.0
+        # |θ_min| in [0.29, 0.31] dominates |θ_max| in [0.05, 0.15]
+        assert rep.margin == Bracket(1 - 0.3 / s, 1 - 0.31 / s, 1 - 0.29 / s, 0.05 / s)
+        # a bracket around 0 leaves max |θ| as low as the other's nearest end
+        straddling = Bracket(0.01, -0.02, 0.04, 0.03)
+        rep = certify_drift_bound(SandwichReport(1, s, 2.0, straddling, top))
+        assert rep.margin == Bracket(1 - 0.1 / s, 1 - 0.15 / s, 1 - 0.05 / s, 0.05 / s)
+
+
+class TestEmptyDrift:
+    """The empty drift (config ``None``) and a realized zero-coefficient term
+    give the same chain and the same form checks, bit for bit."""
+
+    @pytest.mark.parametrize("level", [2, 5])
+    def test_matches_zero_coefficient_config(self, sg_tower, level):
+        empty = sg_tower.generator(level, None)
+        zero = sg_tower.generator(level, ZERO_COEFFICIENT_DRIFT)
+        assert empty.drift.b.shape == empty.drift.h.shape == (0, empty.n)
+        assert zero.drift.b.shape == (1, zero.n)
+        assert (empty.L != zero.L).nnz == 0
+        assert np.array_equal(empty.Q_matrix.toarray(), zero.Q_matrix.toarray())
+        diam = sg_tower.diameter(level)
+        for check in (check_condition_I, check_condition_II):
+            assert check(empty, diam).to_dict() == check(zero, diam).to_dict()
+        s, lam = 0.5, 1.5
+        reports = [certify_SD_axioms(gen, certify_sandwich(gen, s, lam), 0.1, diam).to_dict()
+                   for gen in (empty, zero)]
+        assert reports[0] == reports[1]
+        assert reports[0]["passed"] is True
+
+
 class TestSDAxioms:
     def test_zero_drift(self, sg_tower):
-        gen = sg_tower.generator(2, tw.zero_drift_config(3))
+        gen = sg_tower.generator(2, ZERO_COEFFICIENT_DRIFT)
         rep = certify_SD_axioms(gen, certify_sandwich(gen, 0.5, 1.0), delta=0.1,
                                 diam_proxy=2 / 3)
         assert rep.passed
@@ -657,12 +721,13 @@ def form_instances(sg_tower, admissible_cfg):
     return out
 
 
-def certified_values(gen, s, lam, t, delta=0.1, diam=2 / 3) -> dict:
-    """The certificates' values under the keys of ``dense_form_values``."""
+def certified_values(gen, s, lam, delta=0.1, diam=2 / 3) -> dict:
+    """The certificates' values under the keys of ``dense_form_values``; the
+    drift bound's ``t`` is ``lam s``."""
     sw = certify_sandwich(gen, s, lam)
     sd = certify_SD_axioms(gen, sw, delta, diam)
     return {"lower": sw.lower_margin, "upper": sw.upper_margin,
-            "drift": certify_drift_bound(gen, s, t).margin,
+            "drift": certify_drift_bound(sw).margin,
             "sd1": sd.sd1_min, "sector": sd.sector_constant}
 
 
@@ -678,8 +743,29 @@ def dense_oracle():
     return values
 
 
+class TestCertificateSolves:
+    def test_check_makes_three_eigen_solves_and_two_factorizations(
+        self, tmp_path, monkeypatch
+    ):
+        # the sandwich, SD1 and the sector constant; the drift bound adds none
+        calls = {"eigen": 0, "splu": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(drift_module, "eigsh", counted("eigen", drift_module.eigsh))
+        monkeypatch.setattr(drift_module, "linalg",
+                            SimpleNamespace(eigh=counted("eigen", drift_module.linalg.eigh)))
+        monkeypatch.setattr(drift_module, "splu", counted("splu", drift_module.splu))
+        assert main(["check", "--level", "4", "--out", str(tmp_path)]) == 0
+        assert calls == {"eigen": 3, "splu": 2}
+
+
 class TestCertificates:
-    # fixed s, lambda and t shared by every instance
+    # fixed s, lambda and t = lambda s shared by every instance
     S, LAM, T = 0.5, 1.5, 0.75
 
     # level 0 (2 or 3 vertices) is too small for ARPACK and takes dense eigh
@@ -689,7 +775,7 @@ class TestCertificates:
         tower, cfg = form_instances[name]
         gen = tower.generator(level, cfg)
         oracle = dense_oracle(gen, (name, level), self.S, self.LAM, self.T)
-        got = certified_values(gen, self.S, self.LAM, self.T)
+        got = certified_values(gen, self.S, self.LAM)
         for key, want in oracle.items():
             b = got[key]
             assert b.value == pytest.approx(want, abs=1e-10), key
@@ -701,7 +787,7 @@ class TestCertificates:
         # constant above 1 and a generator with complex spectrum
         tower, cfg = form_instances["sg_two_term"]
         gen = tower.generator(4, cfg)
-        assert certified_values(gen, self.S, self.LAM, self.T)["sector"].lo > 1.0
+        assert certified_values(gen, self.S, self.LAM)["sector"].lo > 1.0
         eigs = np.linalg.eigvals(tower.generator(4, cfg).L.toarray())
         assert np.max(np.abs(eigs.imag)) > 1e-6
 
@@ -720,7 +806,7 @@ class TestCertificates:
         # on the same generator a random margin is never below the exact one
         tower, cfg = form_instances[name]
         gen = tower.generator(level, cfg)
-        exact = certified_values(gen, self.S, self.LAM, self.T)
+        exact = certified_values(gen, self.S, self.LAM)
         batch = random_form_values(gen, self.S, self.LAM, self.T)
         for key in ("lower", "upper", "drift", "sd1"):
             assert batch[key] >= exact[key].value - 1e-12, key
@@ -736,7 +822,7 @@ class TestCertificates:
         tracemalloc.start()
         try:
             sandwich = certify_sandwich(gen, c.s, c.lam)
-            certify_drift_bound(gen, c.s, c.t)
+            certify_drift_bound(sandwich)
             certify_SD_axioms(gen, sandwich, c.delta, c.diam_proxy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

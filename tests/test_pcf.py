@@ -333,7 +333,8 @@ class TestArrayRoute:
             want = tuple_network(tower.base_network, r, ref).c
             assert got.shape == want.shape and (got != want).nnz == 0
         for theta in (structure.weights, np.arange(1.0, m + 1) / (m * (m + 1) / 2)):
-            assert np.array_equal(pcf.measure_weights(structure, cx, theta),
+            weighted = dataclasses.replace(structure, weights=tuple(theta))
+            assert np.array_equal(pcf.measure_weights(weighted, cx),
                                   tuple_measure(structure, ref, theta))
 
     def test_coarser_level_must_be_the_one_below(self):
@@ -356,12 +357,12 @@ class TestMeasure:
         assert mu.min() > 0
 
     def test_bad_theta_rejected(self):
+        # the measure reads the structure's weights, checked when the
+        # structure is validated (as every tower does)
         sg = pcf.build_sierpinski_structure()
-        cx = pcf.build_level(sg, 1)
-        with pytest.raises(pcf.StructureError):
-            pcf.measure_weights(sg, cx, theta=[0.5, 0.5, 0.5])
-        with pytest.raises(pcf.StructureError):
-            pcf.measure_weights(sg, cx, theta=[1.0, 0.0, 0.0])
+        for theta in ((0.5, 0.5, 0.5), (1.0, 0.0, 0.0)):
+            with pytest.raises(pcf.StructureError, match="weights must"):
+                dataclasses.replace(sg, weights=theta).validate()
 
 
 class TestConfigIO:

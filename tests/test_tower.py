@@ -99,7 +99,7 @@ class TestContext:
 
     @pytest.mark.parametrize("argv, levels", [
         (["check", "--level", "4"], [4]),
-        (["check", "--level", "2", "--drift", "none"], []),
+        (["check", "--level", "2", "--drift", "none"], [2]),
         (["converge", "--levels", "1:3", "--reference-level", "4", "--paths", "200"],
          [1, 2, 3, 4]),
     ], ids=["check", "check_no_drift", "converge"])
