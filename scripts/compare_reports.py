@@ -50,6 +50,10 @@ COMMANDS = {
                          "--structure", "docs/configs/sg_combinatorial.json",
                          "--drift", "docs/configs/drift_constant.json"],
     "interval": ["check", "--level", "2", "--structure", "docs/configs/interval.json"],
+    # the level-3 gasket: 7-vertex pivot blocks in every elimination
+    "sg3_check": ["check", "--level", "4", "--structure", "docs/configs/sg3.json"],
+    "sg3_converge": ["converge", "--levels", "1:3", "--reference-level", "4",
+                     "--structure", "docs/configs/sg3.json"],
     # the drift-free chain outside check
     "converge_none": ["converge", "--drift", "none", "--levels", "1:5", "--reference-level", "6",
                       "--t", "0.1", "--paths", "2000", "--seed", "1"],

@@ -481,7 +481,9 @@ def cmd_simulate(args) -> int:
         prows = ["time,function,mean_drift,mean_plain,difference,se_difference"]
         for t in times:
             s1 = mk.ensemble_states(gen, init, [t], args.paths, args.seed)[0]
-            s0 = mk.ensemble_states(gen0, init, [t], args.paths, args.seed)[0]
+            # the empty drift's chain is the drift-free one: same seed, same states
+            s0 = s1 if gen0 is gen else mk.ensemble_states(gen0, init, [t], args.paths,
+                                                           args.seed)[0]
             for name, fn in test_fns.items():
                 d = fn[s1] - fn[s0]
                 se = float(np.std(d, ddof=1) / np.sqrt(len(d)))

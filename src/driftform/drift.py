@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh, splu
+from scipy import sparse
 
 from .resistance import ConductanceNetwork, harmonic_extension
 
@@ -408,6 +407,10 @@ _ZERO = Bracket(0.0, 0.0, 0.0, 0.0)  # the extreme eigenvalues of a zero pencil
 
 def _factor(b):
     """The ``splu`` solve of the SPD matrix ``b``."""
+    # scipy.sparse.linalg and scipy.linalg are imported where a certificate
+    # first needs them, so the commands that certify nothing never load them
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(sparse.csc_matrix(b)).solve
     except RuntimeError as exc:  # an exactly singular factor
@@ -426,6 +429,9 @@ def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     ch. 11).  ``eigsh`` in generalized mode with ``solve_b`` as ``Minv``;
     dense ``eigh`` only on pencils too small for ARPACK.
     """
+    from scipy import linalg
+    from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh
+
     k = 2 if which == "BE" else 1
     if sparse.issparse(a) and not a.count_nonzero():
         return [_ZERO] * k
@@ -590,6 +596,8 @@ def certify_SD_axioms(
     the sandwich pencil, ``S`` is factored, and the SD1 and sector values
     computed, only when the lower margin ``s + min θ`` exceeds ``s - 1``.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     s, lam = sandwich.s, sandwich.lam
     drift = gen.drift
     h_energies = np.einsum("in,in->i", drift.h, (gen.E_matrix @ drift.h.T).T)

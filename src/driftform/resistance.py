@@ -20,6 +20,14 @@ the steps and held dense two sets below the finest; the rows it needs on
 the next-to-finest set are formed from that and streamed on, in blocks of
 ``BLOCK_COLUMNS`` rows, to the finest one.  Without nested sets it is one
 dense inverse.
+
+Connected components are labelled in numpy by hooking and pointer jumping
+(:func:`_components`; Shiloach & Vishkin 1982, in the FastSV form of Zhang,
+Azad & Hu 2020) and numbered by their least vertex.  The elimination needs
+them only for its pivot blocks: a pivot component with no edge into the
+coarser set is a part of the network that misses the coarser set, so
+connectivity is checked step by step and, at the end, on the traced
+Laplacian of ``[0, N_0)``.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .pcf import LevelComplex
 
@@ -130,16 +137,10 @@ def _eliminate_onto(net: ConductanceNetwork, k: int, traced: bool = True):
 
     ``k`` must be a boundary size ``1..n``.  Interior components that do
     not touch the boundary ``[0, k)`` make the interior block singular;
-    they are rejected up front.
+    :func:`_eliminate` rejects them.
     """
     if not 1 <= k <= net.n:
         raise NetworkError(f"boundary of {k} vertices on a network of {net.n}")
-    _, labels = csgraph.connected_components(net.c, directed=False)
-    if not np.isin(labels[k:], labels[:k]).all():
-        raise NetworkError(
-            "interior component does not touch the boundary; "
-            "the interior block is singular"
-        )
     bounds = sorted({k, *(c for c in net.counts if c > k), net.n})
     return _eliminate(net.laplacian(), bounds, traced)
 
@@ -187,11 +188,41 @@ def harmonic_extension(net: ConductanceNetwork, values) -> np.ndarray:
     return np.ascontiguousarray(u.T)
 
 
-def _block_inverse(a) -> sparse.csr_matrix:
-    """Inverse of a sparse matrix whose connected components are small: one
-    batched dense inverse per component size."""
+def _components(a) -> tuple[int, np.ndarray]:
+    """The number of connected components of the graph of a sparse matrix
+    with a symmetric pattern, and each vertex's component, numbered by
+    their least vertices in increasing order.
+
+    FastSV hooking and shortcutting (Zhang, Azad & Hu 2020): each round
+    every vertex takes the least grandparent over itself and its
+    neighbours, for its own parent and its parent's, until no grandparent
+    changes.  Parents only decrease, so then every parent is its own
+    parent and equals its neighbours' parents: the least vertex of the
+    component.
+    """
+    a = sparse.csr_matrix(a)
+    n = a.shape[0]
+    rows = np.flatnonzero(np.diff(a.indptr))
+    f, gf = np.arange(n), np.arange(n)  # parents and grandparents
+    while True:
+        low = gf.copy()  # least grandparent over each vertex and its neighbours
+        if rows.size:
+            low[rows] = np.minimum(low[rows], np.minimum.reduceat(gf[a.indices], a.indptr[rows]))
+        np.minimum.at(f, f.copy(), low)  # hook each parent
+        np.minimum(f, low, out=f)  # hook each vertex, and shortcut
+        new = f[f]
+        if np.array_equal(new, gf):
+            break
+        gf = new
+    roots = f == np.arange(n)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[f]
+
+
+def _block_inverse(a, ncomp: int, labels: np.ndarray) -> sparse.csr_matrix:
+    """Inverse of a sparse matrix whose connected components (``ncomp`` of
+    them, ``labels`` by :func:`_components`) are small: one batched dense
+    inverse per component size."""
     m = a.shape[0]
-    ncomp, labels = csgraph.connected_components(a, directed=False)
     sizes = np.bincount(labels, minlength=ncomp)
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
@@ -232,12 +263,22 @@ def _eliminate(lap, bounds: Sequence[int], traced: bool = True):
 
     Returns the steps ``(N_{j-1}, L_II^-1, H)`` from coarse to fine and the
     Laplacian traced onto ``[0, N_0)``, or ``None`` in its place when not
-    ``traced`` (a harmonic extension needs only the steps).
+    ``traced`` (a harmonic extension needs only the steps).  A component of
+    ``L_II`` with no edge into ``S`` is a component of the network that
+    misses ``[0, N_0)``, and singular; it raises :class:`NetworkError`.
     """
     steps = []
     for lo in reversed(bounds[:-1]):
-        inv = _block_inverse(lap[lo:, lo:])
-        h = -(inv @ lap[lo:, :lo]).tocsr()
+        pivot, coupling = lap[lo:, lo:], lap[lo:, :lo]
+        ncomp, labels = _components(pivot)
+        coupled = labels[np.diff(coupling.indptr) > 0]  # rows with an edge into S
+        if not np.bincount(coupled, minlength=ncomp).all():
+            raise NetworkError(
+                "interior component does not touch the boundary; "
+                "the interior block is singular"
+            )
+        inv = _block_inverse(pivot, ncomp, labels)
+        h = -(inv @ coupling).tocsr()
         steps.append((lo, inv, h))
         if lo == bounds[0] and not traced:
             return steps[::-1], None
@@ -268,12 +309,15 @@ def _resistance_rows(net: ConductanceNetwork):
     block is known when the block is.  ``r`` is a view of a buffer that the
     next block overwrites.
     """
-    if csgraph.connected_components(net.c, directed=False)[0] > 1:
-        raise NetworkError("network is disconnected")
     n = net.n
     if n < 2:
         return
-    steps, lap = _eliminate(net.laplacian(), [*net.counts, n])
+    try:
+        steps, lap = _eliminate(net.laplacian(), [*net.counts, n])
+    except NetworkError:  # a part of the network misses [0, N_0)
+        raise NetworkError("network is disconnected") from None
+    if _components(lap)[0] > 1:
+        raise NetworkError("network is disconnected")
 
     width = BLOCK_COLUMNS
     g = np.zeros((lap.shape[0],) * 2)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 from scipy.special import gammaln, ive, pdtrc, xlogy
 
 # RateValidationError and validate_rates stay importable from this module.
@@ -77,6 +76,8 @@ class SemigroupApply:
 def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
     """Solve ``(alpha I - L) u = f`` and record the weighted residual
     ``max_x |A_alpha(u, 1_x) - (f, 1_x)_mu|``."""
+    from scipy.sparse.linalg import splu  # loaded by the commands that solve
+
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     fv = np.asarray(f, dtype=float)

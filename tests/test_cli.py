@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from driftform import markov as mk
 from driftform.cli import _parse_levels, main
 
 
@@ -269,7 +270,8 @@ class TestExitCodes:
                 raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
             return np.zeros(k), np.full((a.shape[0], k), np.nan)
 
-        monkeypatch.setattr("driftform.drift.eigsh", broken_eigsh)
+        # the certificates import eigsh when they call it
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", broken_eigsh)
         assert run(["check", "--level", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -471,6 +473,22 @@ class TestSimulate:
         assert lines[0] == "time,function,mean_drift,mean_plain,difference,se_difference"
         assert len(lines) > 1
 
+    def test_paired_without_drift_samples_each_time_once(self, tmp_path, monkeypatch):
+        # the empty drift's chain is the drift-free one, so its ensemble is
+        # not drawn twice with one seed; the two columns then agree exactly
+        calls = []
+        sample = mk.ensemble_states
+        monkeypatch.setattr(mk, "ensemble_states",
+                            lambda *a, **k: calls.append(a[0]) or sample(*a, **k))
+        assert run(["simulate", "--drift", "none", "--level", "2", "--paths", "50",
+                    "--t", "0.01,0.1", "--paired", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+        rows = body_bytes(tmp_path / "paired_summary.csv").decode().splitlines()[1:]
+        assert len(rows) == 6
+        for row in rows:
+            _, _, drift, plain, difference, se = row.split(",")
+            assert (drift, difference, se) == (plain, "0.0", "0.0")
+
     def test_law_summary_rows_parse(self, tmp_path):
         assert run(["simulate", "--level", "1", "--paths", "50", "--t", "0.02",
                     "--seed", "4", "--out", str(tmp_path)]) == 0
@@ -528,14 +546,31 @@ class TestModes:
         assert report["smallness"]["diam_proxy"] == pytest.approx(1.0)
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # scipy.stats costs most of a second to import and nothing in the
-    # package needs it
+    # package needs it.  ARPACK, SuperLU and LAPACK (scipy.sparse.linalg,
+    # scipy.linalg) load only when a command certifies or solves, so the
+    # import, semigroup and simulate go without them; csgraph never loads.
+    # Each step runs in the same interpreter, and a module once loaded
+    # stays, so check comes last.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import driftform.cli, sys; print('scipy.stats' in sys.modules)"
+    watched = ["scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"]
+    steps = [[], ["semigroup", "--level", "2", "--t", "0.1"],
+             ["simulate", "--level", "2", "--paths", "10", "--t", "0.1"],
+             ["check", "--level", "2"]]
+    code = (
+        "import json, sys\n"
+        "import driftform.cli\n"
+        "loaded = []\n"
+        f"for argv in {steps!r}:\n"
+        f"    if argv and driftform.cli.main(argv + ['--out', {str(tmp_path)!r}]):\n"
+        "        sys.exit(f'{argv} failed')\n"
+        f"    loaded.append([m for m in {watched!r} if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [[], [], [], ["scipy.sparse.linalg", "scipy.linalg"]]

@@ -183,10 +183,15 @@ class TestTrace:
             trace(unit_triangle, 0)
 
     def test_stranded_interior_rejected(self):
-        # two components; boundary only touches one of them
+        # two components; boundary only touches one of them.  The stranded
+        # one is found at the first elimination step, or (counts (3,)) at
+        # the second, once vertex 3 is gone
         net = ConductanceNetwork.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 4)
-        with pytest.raises(NetworkError, match="singular"):
-            trace(net, 1)
+        for counts in ((), (2,), (3,)):
+            with pytest.raises(NetworkError, match="does not touch the boundary"):
+                trace(nested(net, counts), 1)
+            with pytest.raises(NetworkError, match="does not touch the boundary"):
+                harmonic_extension(nested(net, counts), [1.0])
 
 
 class TestHarmonicExtension:
@@ -381,6 +386,52 @@ def nested(net: ConductanceNetwork, counts) -> ConductanceNetwork:
     return ConductanceNetwork(net.c, counts)
 
 
+def assert_labels_match(a, got) -> None:
+    """``got``, the ``(count, labels)`` of ``resistance._components(a)``,
+    agrees with csgraph: labels numbered by least vertex."""
+    ncomp, labels = csgraph.connected_components(a, directed=False)
+    assert got[0] == ncomp
+    assert np.array_equal(got[1], labels)
+
+
+class TestComponents:
+    """The numpy labeling against ``csgraph.connected_components``."""
+
+    def test_random_graphs(self):
+        # sparse draws leave isolated vertices; n = 1 included
+        rng = np.random.default_rng(0)
+        sizes = [1, 1, 2, *rng.integers(1, 80, size=497)]
+        for n in sizes:
+            m = int(rng.integers(0, 2 * n + 1))
+            edges = [(int(a), int(b), 1.0) for a, b in rng.integers(n, size=(m, 2)) if a != b]
+            c = ConductanceNetwork.from_edges(edges, int(n)).c
+            assert_labels_match(c, resistance._components(c))
+
+    @pytest.mark.parametrize("name, top", [
+        ("sg", 8), ("sg3.json", 4), ("interval.json", 6), ("sg_combinatorial.json", 5),
+    ])
+    def test_networks_and_pivot_sets(self, sg_tower, monkeypatch, name, top):
+        # every pivot block of the elimination goes through the oracle too
+        tower = sg_tower if name == "sg" else LevelTower(pcf.load_structure(str(CONFIGS / name)))
+        pivots = []
+        label = resistance._components
+
+        def checked(a):
+            got = label(a)
+            assert_labels_match(a, got)
+            pivots.append(a.shape[0])
+            return got
+
+        monkeypatch.setattr(resistance, "_components", checked)
+        for n in range(top + 1):
+            net = tower.network(n)
+            assert_labels_match(net.c, label(net.c))
+            bounds = [*net.counts, net.n]
+            resistance._eliminate(net.laplacian(), bounds)
+            assert pivots == [b - a for a, b in zip(bounds, bounds[1:])][::-1]
+            pivots.clear()
+
+
 class TestDiameter:
     def test_unit_triangle(self, unit_triangle):
         assert resistance_diameter(unit_triangle) == pytest.approx(2.0 / 3.0)
@@ -415,8 +466,13 @@ class TestDiameter:
         assert [sg_tower.vertex_count(k) for k in range(4)] == [3, 6, 15, 42]
 
     def test_disconnected_rejected(self):
-        net = ConductanceNetwork.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 4)
-        for counts in ((), (2,), (1, 3)):
+        # a part missing [0, N_0) is found by an elimination step; with
+        # counts (2,), the second network's parts each reach [0, 2) and the
+        # traced Laplacian there is disconnected
+        two_parts = ConductanceNetwork.from_edges([(0, 1, 1.0), (2, 3, 1.0)], 4)
+        crossed = ConductanceNetwork.from_edges([(0, 2, 1.0), (1, 3, 1.0)], 4)
+        for net, counts in ((two_parts, ()), (two_parts, (2,)), (two_parts, (1, 3)),
+                            (crossed, (2,))):
             with pytest.raises(NetworkError, match="disconnected"):
                 resistance_diameter(nested(net, counts))
             with pytest.raises(NetworkError, match="disconnected"):
