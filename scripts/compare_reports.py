@@ -8,13 +8,18 @@ command in a fresh interpreter with one BLAS thread, and compares every
 output file byte for byte: a report after its ``# generated`` line, any
 other file (``trajectories.jsonl``) whole.  Prints each file that differs,
 with the largest absolute change of its numbers when only numbers differ and
-``text differs`` otherwise, each file that exists on one side only, and each
-command whose exit code differs; exits 1 on any difference, 0 otherwise.
+``text differs`` otherwise, followed for a ``.json`` report by the key paths
+that differ (``reports.path_law.mc.4[1].mc_mean``) and for a ``.csv`` report
+by the columns that differ; then each file that exists on one side only, and
+each command whose exit code differs.  Exits 1 on any difference, 0
+otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 import os
 import re
 import subprocess
@@ -25,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+SHOWN_KEYS = 12  # key paths or columns printed per file
 
 COMMANDS = {
     # the README's CLI examples
@@ -93,20 +99,74 @@ def change(old: bytes, new: bytes) -> str:
     return f"largest change {max(abs(float(a) - float(b)) for a, b in pairs):.3g}"
 
 
-def differences(base: Path, head: Path) -> list[str]:
-    """One line for each file under ``base`` and ``head`` whose body differs
-    (see :func:`change`) or that exists on one side only."""
+def _json_paths(old, new, path: str = "") -> list[str]:
+    """The key paths at which two parsed JSON values differ: ``.key`` for a
+    member, ``[i]`` for a list item; a value whose type or length differs,
+    or a member on one side only, is one path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        found = []
+        for key in sorted(old.keys() | new.keys()):
+            inner = f"{path}.{key}" if path else key
+            if key in old and key in new:
+                found += _json_paths(old[key], new[key], inner)
+            else:
+                found.append(inner)
+        return found
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in _json_paths(a, b, f"{path}[{i}]")]
+    return [] if old == new else [path or "(root)"]
+
+
+def _csv_columns(old: bytes, new: bytes) -> list[str]:
+    """The columns (by the first row's names) whose values differ in some
+    row; a different header or row count is named as such."""
+    a, b = (list(csv.reader(body.decode().splitlines())) for body in (old, new))
+    if not a or not b or a[0] != b[0]:
+        return ["(header)"]
+    cols = [name for k, name in enumerate(a[0])
+            if any(ra[k:k + 1] != rb[k:k + 1] for ra, rb in zip(a[1:], b[1:]))]
+    return cols + ([f"(rows {len(a) - 1} -> {len(b) - 1})"] if len(a) != len(b) else [])
+
+
+def changed_keys(name: str, old: bytes, new: bytes) -> str:
+    """What differs inside two report bodies: ``keys: ...`` for JSON,
+    ``columns: ...`` for CSV, empty for other files or unparsable bodies."""
+    try:
+        if name.endswith(".json"):
+            label, found = "keys", _json_paths(json.loads(old), json.loads(new))
+        elif name.endswith(".csv"):
+            label, found = "columns", _csv_columns(old, new)
+        else:
+            return ""
+    except (ValueError, UnicodeDecodeError):
+        return ""
+    more = f" and {len(found) - SHOWN_KEYS} more" if len(found) > SHOWN_KEYS else ""
+    return f"{label}: {', '.join(found[:SHOWN_KEYS])}{more}" if found else ""
+
+
+def _compare(base: Path, head: Path):
+    """``(line, keys)`` for each file under ``base`` and ``head`` whose body
+    differs or that exists on one side only: the file and how it differs
+    (see :func:`change`), and what differs inside it (see
+    :func:`changed_keys`)."""
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
     old, new = files(base), files(head)
-    lines = []
     for rel in sorted(old | new):
         if rel not in old or rel not in new:
-            lines.append(f"{rel} (one side only)")
-        elif body(base / rel) != body(head / rel):
-            lines.append(f"{rel}: {change(body(base / rel), body(head / rel))}")
-    return lines
+            yield f"{rel} (one side only)", ""
+        else:
+            a, b = body(base / rel), body(head / rel)
+            if a != b:
+                yield f"{rel}: {change(a, b)}", changed_keys(rel.name, a, b)
+
+
+def differences(base: Path, head: Path) -> list[str]:
+    """One line for each file under ``base`` and ``head`` whose body differs
+    (see :func:`change`) or that exists on one side only."""
+    return [line for line, _ in _compare(base, head)]
 
 
 def main(argv: list[str]) -> int:
@@ -125,11 +185,15 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "base", filter="data")
         codes = {side: run_all(tree, tmp / f"out_{side}")
                  for side, tree in (("base", tmp / "base"), ("head", ROOT))}
-        diff = differences(tmp / "out_base", tmp / "out_head")
-    diff += [f"{name}: exit {codes['base'][name]} at {rev}, {codes['head'][name]} here"
+        diff = []
+        for line, keys in _compare(tmp / "out_base", tmp / "out_head"):
+            print(line + (f"\n    {keys}" if keys else ""))
+            diff.append(line)
+    exits = [f"{name}: exit {codes['base'][name]} at {rev}, {codes['head'][name]} here"
              for name in COMMANDS if codes["base"][name] != codes["head"][name]]
-    for line in diff:
+    for line in exits:
         print(line)
+    diff += exits
     print(f"{len(diff)} differences over {len(COMMANDS)} commands")
     return 1 if diff else 0
 

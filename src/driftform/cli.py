@@ -451,7 +451,8 @@ def cmd_simulate(args) -> int:
     states, trajectories = mk.sample_paths(gen, init, times, args.paths, args.seed)
     mk.write_trajectories_jsonl(trajectories, out / "trajectories.jsonl")
     # states has one row per time in increasing order; take them in --t order
-    states = states[np.searchsorted(np.sort(times), times)]
+    in_t_order = np.searchsorted(np.sort(times), times)
+    states = states[in_t_order]
     grid_rows = ["path,time,state"]
     grid_rows += [f"{k},{t!r},{s}" for k, column in enumerate(states.T)
                   for t, s in zip(times, column)]
@@ -478,12 +479,12 @@ def cmd_simulate(args) -> int:
             test_fns["x"] = coords[:, 0]
             if coords.shape[1] > 1:
                 test_fns["y"] = coords[:, 1]
+        # the drift-free chain on the same key, so the pair is coupled; the
+        # empty drift's chain is the drift-free one: same seed, same states
+        plain = states if gen0 is gen else mk.ensemble_states(
+            gen0, init, times, args.paths, args.seed)[in_t_order]
         prows = ["time,function,mean_drift,mean_plain,difference,se_difference"]
-        for t in times:
-            s1 = mk.ensemble_states(gen, init, [t], args.paths, args.seed)[0]
-            # the empty drift's chain is the drift-free one: same seed, same states
-            s0 = s1 if gen0 is gen else mk.ensemble_states(gen0, init, [t], args.paths,
-                                                           args.seed)[0]
+        for t, s1, s0 in zip(times, states, plain):
             for name, fn in test_fns.items():
                 d = fn[s1] - fn[s0]
                 se = float(np.std(d, ddof=1) / np.sqrt(len(d)))
@@ -499,6 +500,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     times = _parse_floats(args.t)
+    alphas = [] if args.alpha is None else _parse_floats(args.alpha)
+    # one time and one shift per report: a list is refused, not cut short
+    for flag, values in (("--t", times), ("--alpha", alphas)):
+        if len(values) > 1:
+            dropped = ", ".join(f"{v:g}" for v in values[1:])
+            raise ConfigError(f"converge takes one {flag} value; it would drop {dropped}")
+    t = times[0]
     levels = _parse_levels(args.levels)
     reference = args.reference_level if args.reference_level is not None else 6
     if reference <= max(levels):
@@ -513,7 +521,7 @@ def cmd_converge(args) -> int:
     if failed:
         return _fail_admissibility(failed)
     constants = reports[reference].constants
-    alphas = _alphas(args, constants)
+    alpha = _alphas(args, constants)[0]
 
     sandwiches = {n: dr.certify_sandwich(tower.generator(n, config), constants.s, constants.lam)
                   for n in levels}
@@ -525,13 +533,9 @@ def cmd_converge(args) -> int:
 
     ks = cv.ks_norm_check(tower, f, levels, reference)
     write_csv_report(out / "ks_norm.csv", ks.csv_rows())
-    resolvent_rep = cv.resolvent_convergence(
-        tower, config, alphas[0], f, levels, reference
-    )
+    resolvent_rep = cv.resolvent_convergence(tower, config, alpha, f, levels, reference)
     write_csv_report(out / "resolvent.csv", resolvent_rep.csv_rows())
-    semigroup_rep = cv.semigroup_convergence(
-        tower, config, times[0], f, levels, reference
-    )
+    semigroup_rep = cv.semigroup_convergence(tower, config, t, f, levels, reference)
     write_csv_report(out / "semigroup.csv", semigroup_rep.csv_rows())
 
     pl_levels = [n for n in levels if n <= args.path_law_max_level]
@@ -540,7 +544,7 @@ def cmd_converge(args) -> int:
     if coords is not None:
         test_fns = [coords[:, 0], coords[:, 1]] if coords.shape[1] > 1 else [coords[:, 0]]
     path_rep = cv.path_law_convergence(
-        tower, config, times[0], test_fns, pl_levels, reference,
+        tower, config, t, test_fns, pl_levels, reference,
         paths=args.paths, seed=args.seed,
     )
     write_csv_report(out / "path_law.csv", path_rep.csv_rows())
@@ -549,8 +553,8 @@ def cmd_converge(args) -> int:
         "mode": "converge",
         "levels": levels,
         "reference_level": reference,
-        "alpha": alphas[0],
-        "t": times[0],
+        "alpha": alpha,
+        "t": t,
         "constants": constants.to_dict(),
         "per_level_drift_energy": {
             n: reports[n].drift_energy for n in levels

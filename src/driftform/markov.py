@@ -11,9 +11,19 @@ clamping (clamping would silently change the form).
 
 Both samplers, :func:`ensemble_states` (states at fixed times) and
 :func:`sample_paths` (full paths as :class:`Trajectory` objects), run one
-vectorized jump-chain engine over a block of chains.  Randomness comes from
-numpy's counter-based Philox generator with the key ``(seed, 2**63)``; path
-``k`` is column ``k`` of the block, and equal arguments give equal paths.
+uniformized engine over a block of chains (Jensen 1953): between recording
+times each path makes ``N ~ Poisson(Lam dt)`` steps of ``P = I + L / Lam``,
+``Lam`` the largest holding rate, and a step that stays put is no jump.
+The paths are ordered by ``N``, so the paths still stepping are a prefix.
+Each step takes its target from one ``DIGIT_BITS``-bit digit of a raw
+Philox word through a per-state guide table (Marsaglia, Tsang & Wang 2004);
+a digit whose bin straddles a boundary of the row's cumulative
+probabilities is completed by a fresh uniform, so every step is the exact
+inverse CDF of its row.  Initial states, step counts, digits and those
+uniforms come from numpy's counter-based Philox generator with the key
+``(seed, 2**63)``; the event times of full paths come from the key
+``(seed, 2**63 + 1)``, so both samplers give the same states.  Path ``k``
+is column ``k`` of the block, and equal arguments give equal paths.
 """
 
 from __future__ import annotations
@@ -29,7 +39,11 @@ from scipy import sparse
 from .drift import DriftSpec, eta_edge_values
 from .resistance import ConductanceNetwork
 
-ENSEMBLE_STREAM = 2**63
+ENSEMBLE_STREAM = 2**63  # initial states, step counts, digits, straddle uniforms
+EVENT_TIME_STREAM = 2**63 + 1  # event times of full paths
+DIGIT_BITS = 8  # one step per digit, 64 // DIGIT_BITS steps per Philox word
+BINS = 1 << DIGIT_BITS
+_DIGITS = 64 // DIGIT_BITS
 
 
 class RateValidationError(ValueError):
@@ -115,28 +129,40 @@ class GeneratorMatrix:
         return self.uniformized[0].T.tocsr()
 
     @cached_property
-    def jump_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Tables of the path sampler: the holding rates; the
-        ``n x max_degree`` table of sorted neighbours; the cumulative jump
-        probabilities as ``max_degree - 1`` contiguous columns, column ``j``
-        holding each state's probability of jumping to one of its first
-        ``j + 1`` neighbours (``+inf`` past its degree); and each state's
-        total jump probability.  The last column is left out: a uniform
-        scaled by the total stays below it."""
-        q, pi = jump_parameters(self)
-        pi.sort_indices()
-        degree = np.diff(pi.indptr)
-        rows = np.repeat(np.arange(self.n), degree)
-        cols = np.arange(pi.nnz) - pi.indptr[rows]
-        shape = (self.n, int(degree.max()))
-        neighbors = np.zeros(shape, dtype=np.int64)
-        neighbors[rows, cols] = pi.indices
-        probabilities = np.zeros(shape)
-        probabilities[rows, cols] = pi.data
-        cumulative = np.cumsum(probabilities, axis=1)
-        total = cumulative[np.arange(self.n), degree - 1]
-        cumulative[np.arange(shape[1]) >= degree[:, None]] = np.inf
-        return q, neighbors, np.ascontiguousarray(cumulative[:, :-1].T), total
+    def event_tables(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Tables of the path sampler: ``(Lam, guide, bounds, targets)``.
+
+        Row ``x`` of ``P = I + L / Lam`` (its nonzero entries in column
+        order, the self-loop included) is cut at its cumulative sums, scaled
+        to end at ``BINS``; the last cut is left out, so a point ``v`` in
+        ``[0, BINS]`` selects entry ``#{cuts <= v}``.  ``targets[x]`` holds
+        the entries' columns times ``BINS`` and ``bounds[:, x]`` the cuts,
+        padded with ``+inf``.  ``guide[x * BINS + b]`` is the target of the
+        points of the bin ``[b, b + 1)`` when no cut falls strictly inside
+        it, and ``~(x * BINS + b)`` (negative) when one does.  Requires
+        valid rates and no absorbing vertex."""
+        jump_parameters(self)  # refuses negative rates and absorbing vertices
+        P, lam = self.uniformized
+        P = P.copy()
+        P.eliminate_zeros()
+        P.sort_indices()
+        n, degree = self.n, np.diff(P.indptr)
+        rows = np.repeat(np.arange(n), degree)
+        cols = np.arange(P.nnz) - P.indptr[rows]
+        targets = np.zeros((n, int(degree.max())), dtype=np.int64)
+        targets[rows, cols] = P.indices * BINS
+        sums = np.zeros(targets.shape)
+        sums[rows, cols] = P.data
+        sums = np.cumsum(sums, axis=1)
+        sums *= (BINS / sums[np.arange(n), degree - 1])[:, None]
+        bounds = np.ascontiguousarray(sums.T[:-1])
+        bounds[np.arange(len(bounds))[:, None] >= degree - 1] = np.inf
+        entry = np.count_nonzero(bounds[:, :, None] <= np.arange(BINS), axis=0)
+        guide = targets[np.arange(n)[:, None], entry].ravel()
+        j, x = np.nonzero((bounds != np.floor(bounds)) & (bounds < BINS))
+        cells = x * BINS + np.floor(bounds[j, x]).astype(np.int64)
+        guide[cells] = ~cells
+        return lam, guide, bounds, targets
 
 
 def build_generator(
@@ -266,7 +292,7 @@ def point_mass(n: int, x: int) -> np.ndarray:
     return p
 
 
-def _jump_chains(
+def _uniformized_chains(
     gen: GeneratorMatrix,
     initial,
     times: Sequence[float],
@@ -274,21 +300,26 @@ def _jump_chains(
     seed: int,
     on_round: Callable | None = None,
 ) -> np.ndarray:
-    """Gillespie's jump-chain construction on a block of chains.
+    """The uniformized construction on a block of chains.
 
-    Each round draws the holding times of the paths still short of the next
-    recording time, then the uniforms of the paths that jump before it.  At
-    a recording time the clocks restart, which leaves the law unchanged
-    (memorylessness).  The running paths are kept compacted, as arrays of
-    path indices, clocks and states in ascending path order; a path that
-    reaches the recording time leaves them and its state is written back.
+    In each interval between recording times every path draws its step
+    count, and the paths are put in decreasing order of it (stably), so
+    round ``k`` moves the prefix of paths with more than ``k`` steps.  With
+    ``D = 64 // DIGIT_BITS`` digits to a raw Philox word, every path of the
+    prefix draws one word in the rounds ``k = 0, D, 2D, ...`` (in prefix
+    order) and takes digit ``k % D`` of it, low digit first, in round
+    ``k``.  The guide table maps a digit to its target; the straddling
+    digits of a round then draw one uniform each, in prefix order.  States
+    are kept as ``state * BINS``, the row offset of the guide table.
     Returns the ``(len(times), n_paths)`` states at the sorted times.
 
-    ``on_round(paths, clocks, states)``, if given, sees the start (every
-    path at clock 0) and then each round: the paths that jumped in it (at
-    most once each, ascending), their jump times and their new states.  The
-    arrays are the engine's own and may change in later rounds; the callback
-    copies what it keeps.
+    ``on_round(paths, times, states)``, if given, sees the start (every
+    path at time 0) and then each round: the paths that jumped in it, their
+    jump times and their new states.  A path's event times in an interval
+    are the order statistics of its ``N`` uniforms there, drawn in
+    increasing order from the second key (the minimum of the ``r`` left is
+    the gap to the interval's end shrunk by ``U^(1/r)``); only this mode
+    draws them.  The arrays are the callback's to keep.
     """
     p0 = _check_initial(initial, gen.n)
     times = np.asarray(times, dtype=float)
@@ -297,34 +328,50 @@ def _jump_chains(
     times = np.sort(times)
     if times.size and times[0] < 0:
         raise ValueError("times must be >= 0")
-    q, neighbors, cumulative, total = gen.jump_tables
-    flat, width = neighbors.ravel(), neighbors.shape[1]  # a 1-D gather is cheaper
-    count_type = np.min_scalar_type(len(cumulative))
+    lam, guide, bounds, targets = gen.event_tables
     rng = _philox(seed, ENSEMBLE_STREAM)
+    raw = rng.bit_generator.random_raw
     state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
     out = np.empty((len(times), n_paths), dtype=np.int64)
     if on_round is not None:
-        on_round(np.arange(n_paths), np.zeros(n_paths), state)
-    start = 0.0  # every clock stands here between recording times
+        clock = _philox(seed, EVENT_TIME_STREAM)
+        on_round(np.arange(n_paths), np.zeros(n_paths), state.copy())
+    start = 0.0  # the last recording time passed
     for row, t_rec in enumerate(times):
         if t_rec > start:
-            paths, clock, cur = np.arange(n_paths), np.full(n_paths, start), state.copy()
-            start = t_rec
-            while paths.size:
-                clock += rng.standard_exponential(paths.size) / q[cur]
-                jumps = clock < t_rec
-                if not jumps.all():
-                    ended = ~jumps
-                    state[paths[ended]] = cur[ended]
-                    paths, clock, cur = paths[jumps], clock[jumps], cur[jumps]
-                v = rng.random(paths.size) * total[cur]
-                # searchsorted(side="left") in the state's row, as a count
-                counts = np.zeros(paths.size, dtype=count_type)
-                for column in cumulative:
-                    counts += column[cur] < v
-                cur = flat[cur * width + counts]
+            dt, start = t_rec - start, t_rec
+            steps = rng.poisson(lam * dt, n_paths)
+            # a stable sort of the counts from the top; radix for 16-bit keys
+            top = steps.max(initial=0)
+            order = np.argsort((top - steps).astype(np.min_scalar_type(top)), kind="stable")
+            running = n_paths - np.cumsum(np.bincount(steps))
+            cur = state[order] * BINS
+            if on_round is not None:
+                steps, gap = steps[order], np.ones(n_paths)
+            for k, m in enumerate(running[:-1]):
+                head = cur[:m]
                 if on_round is not None:
-                    on_round(paths, clock, cur)
+                    before = head.copy()
+                digit = k % _DIGITS
+                if digit == 0:  # each path of the prefix draws its next word
+                    words = raw(m).view(np.int64)
+                index = (words[:m] >> (DIGIT_BITS * digit)) & (BINS - 1)
+                index += head
+                guide.take(index, out=head, mode="clip")
+                split = (head < 0).nonzero()[0]
+                if split.size:
+                    cell = ~head[split]
+                    x = cell >> DIGIT_BITS
+                    v = (cell & (BINS - 1)) + rng.random(split.size)
+                    i = np.zeros(split.size, dtype=np.int64)
+                    for column in bounds:
+                        i += column[x] <= v
+                    head[split] = targets[x, i]
+                if on_round is not None:
+                    gap[:m] *= np.exp(np.log1p(-clock.random(m)) / (steps[:m] - k))
+                    moved = np.flatnonzero(head != before)
+                    on_round(order[moved], t_rec - dt * gap[moved], head[moved] // BINS)
+            state[order] = cur // BINS
         out[row] = state
     return out
 
@@ -339,7 +386,7 @@ def ensemble_states(
     """States of ``n_paths`` independent chains at the given times, as an
     ``(len(times), n_paths)`` array with rows in increasing time order;
     path ``k`` is column ``k``."""
-    return _jump_chains(gen, initial, times, n_paths, seed)
+    return _uniformized_chains(gen, initial, times, n_paths, seed)
 
 
 def sample_paths(
@@ -360,10 +407,10 @@ def sample_paths(
     """
     log = []
 
-    def record(paths, clocks, states):
-        log.append((paths.astype(np.int32), clocks.copy(), states.astype(np.int32)))
+    def record(paths, event_times, states):
+        log.append((paths.astype(np.int32), event_times, states.astype(np.int32)))
 
-    states = _jump_chains(gen, initial, times, n_paths, seed, record)
+    states = _uniformized_chains(gen, initial, times, n_paths, seed, record)
     counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     cursor = bounds[:-1].copy()

@@ -16,7 +16,7 @@ from scipy.sparse import csgraph
 
 from driftform import pcf, resistance
 from driftform import tower as tw
-from driftform.markov import ENSEMBLE_STREAM, jump_parameters
+from driftform.markov import BINS, DIGIT_BITS, ENSEMBLE_STREAM
 from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
@@ -97,40 +97,71 @@ def edge_list(net) -> list[tuple[int, int, float]]:
     return sorted((int(i), int(j), float(v)) for i, j, v in zip(coo.row, coo.col, coo.data))
 
 
-def padded_row_chains(gen, initial, times, n_paths: int, seed: int) -> np.ndarray:
-    """The fixed-time jump-chain sampler with per-round gathers and scatters
-    over the full path arrays, and a neighbour lookup that compares a whole
-    padded row of cumulative probabilities per jump.  Same Philox stream
-    and draw order as ``markov._jump_chains``."""
-    q, pi = jump_parameters(gen)
-    pi.sort_indices()
-    degree = np.diff(pi.indptr)
-    rows = np.repeat(np.arange(gen.n), degree)
-    cols = np.arange(pi.nnz) - pi.indptr[rows]
-    shape = (gen.n, int(degree.max()))
-    neighbors = np.zeros(shape, dtype=np.int64)
-    neighbors[rows, cols] = pi.indices
-    probabilities = np.zeros(shape)
-    probabilities[rows, cols] = pi.data
-    cumulative = np.cumsum(probabilities, axis=1)
-    total = cumulative[np.arange(gen.n), degree - 1]
-    cumulative[np.arange(shape[1]) >= degree[:, None]] = np.inf
+def uniformized_chains(gen, initial, times, n_paths: int, seed: int,
+                       per_state: bool = False, branches: dict | None = None) -> np.ndarray:
+    """The fixed-time sampler of ``markov`` from its definition, with the
+    same keys and draw order and no guide table.
+
+    Each step reads its digit ``b`` and the cuts of its state's row of
+    ``P = I + L / Lam``: the cumulative sums of the row's nonzero entries,
+    scaled to end at ``BINS``, the last left out.  When no cut lies inside
+    ``(b, b + 1)`` the step takes entry ``#{cuts <= b}``; otherwise it draws
+    ``u`` and takes entry ``#{cuts <= b + u}``.  The cuts are counted over
+    each step's whole row padded with ``+inf``, or with ``per_state`` by one
+    ``searchsorted`` per state and round.  ``branches``, if given, counts
+    the steps taken each way under ``"pure"`` and ``"straddle"``.
+    """
+    P, lam = gen.uniformized
+    dense = P.toarray()
+    entries = [np.flatnonzero(row) for row in dense]
+    width = max(len(e) for e in entries)
+    cuts = np.full((gen.n, width), np.inf)  # at least one +inf past the last cut
+    columns = np.zeros((gen.n, width), dtype=np.int64)
+    for x, (row, e) in enumerate(zip(dense, entries)):
+        c = np.cumsum(row[e])
+        cuts[x, :len(e) - 1] = (c * (BINS / c[-1]))[:-1]
+        columns[x, :len(e)] = e
+
+    def count(here, v, side):
+        """``#{cuts <= v}`` (``side="right"``) or ``#{cuts < v}`` in the
+        rows of the states ``here``."""
+        if not per_state:
+            row = cuts[here]
+            return np.count_nonzero(row <= v[:, None] if side == "right" else row < v[:, None],
+                                    axis=1)
+        out = np.empty(len(here), dtype=np.int64)
+        for x in np.unique(here):
+            at = here == x
+            out[at] = np.searchsorted(cuts[x], v[at], side=side)
+        return out
+
+    digits_per_word = 64 // DIGIT_BITS
     times = np.sort(np.asarray(times, dtype=float))
     rng = np.random.Generator(np.random.Philox(
         key=np.array([np.uint64(seed), np.uint64(ENSEMBLE_STREAM)], dtype=np.uint64)))
     state = rng.choice(gen.n, size=n_paths, p=initial).astype(np.int64)
-    now = np.zeros(n_paths)
     out = np.empty((len(times), n_paths), dtype=np.int64)
+    start = 0.0
     for row, t_rec in enumerate(times):
-        idx = np.flatnonzero(now < t_rec)
-        while idx.size:
-            t_new = now[idx] + rng.exponential(1.0, size=idx.size) / q[state[idx]]
-            jumps = t_new < t_rec
-            now[idx] = np.where(jumps, t_new, t_rec)
-            idx = idx[jumps]
-            s = state[idx]
-            v = rng.random(idx.size) * total[s]
-            state[idx] = neighbors[s, np.count_nonzero(cumulative[s] < v[:, None], axis=1)]
+        if t_rec > start:
+            steps = rng.poisson(lam * (t_rec - start), n_paths)
+            start = t_rec
+            order = np.argsort(-steps, kind="stable")
+            for k in range(steps.max(initial=0)):
+                paths = order[steps[order] > k]
+                if k % digits_per_word == 0:
+                    words = rng.bit_generator.random_raw(len(paths))
+                shift = np.uint64(DIGIT_BITS * (k % digits_per_word))
+                v = ((words[:len(paths)] >> shift) % np.uint64(BINS)).astype(float)
+                here = state[paths]
+                pick = count(here, v, "right")
+                straddle = pick != count(here, v + 1.0, "left")
+                v[straddle] += rng.random(np.count_nonzero(straddle))
+                pick[straddle] = count(here[straddle], v[straddle], "right")
+                state[paths] = columns[here, pick]
+                if branches is not None:
+                    branches["straddle"] = branches.get("straddle", 0) + int(straddle.sum())
+                    branches["pure"] = branches.get("pure", 0) + int((~straddle).sum())
         out[row] = state
     return out
 

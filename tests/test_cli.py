@@ -11,6 +11,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from driftform import markov as mk
+from driftform import tower as tw
 from driftform.cli import _parse_levels, main
 
 
@@ -456,6 +457,19 @@ class TestConverge:
         assert run(["converge", "--levels", "1:4", "--reference-level", "3",
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag, values, dropped", [
+        ("--t", "0.1,0.2,0.5", "0.2, 0.5"),
+        ("--alpha", "50,60", "60"),
+    ])
+    def test_list_of_times_or_shifts_refused(self, tmp_path, capsys, flag, values, dropped):
+        # one time and one shift per report: the tail of a list is not dropped
+        assert run(["converge", "--levels", "1:2", "--reference-level", "3",
+                    flag, values, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert err[0].endswith(f"it would drop {dropped}") and flag in err[0]
+        assert not (tmp_path / "converge_report.json").exists()
+
 
 class TestSimulate:
     def test_zero_paths_writes_summary_only(self, tmp_path):
@@ -474,20 +488,42 @@ class TestSimulate:
         assert len(lines) > 1
 
     def test_paired_without_drift_samples_each_time_once(self, tmp_path, monkeypatch):
-        # the empty drift's chain is the drift-free one, so its ensemble is
-        # not drawn twice with one seed; the two columns then agree exactly
+        # the drift chain's states come from its paths and the drift-free
+        # chain's from one ensemble over all times; the empty drift's chain
+        # is the drift-free one, so it draws no ensemble and the two columns
+        # agree exactly
         calls = []
         sample = mk.ensemble_states
         monkeypatch.setattr(mk, "ensemble_states",
                             lambda *a, **k: calls.append(a[0]) or sample(*a, **k))
         assert run(["simulate", "--drift", "none", "--level", "2", "--paths", "50",
                     "--t", "0.01,0.1", "--paired", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 0
         rows = body_bytes(tmp_path / "paired_summary.csv").decode().splitlines()[1:]
         assert len(rows) == 6
         for row in rows:
             _, _, drift, plain, difference, se = row.split(",")
             assert (drift, difference, se) == (plain, "0.0", "0.0")
+
+    def test_paired_drift_column_comes_from_the_paths(self, tmp_path, monkeypatch):
+        # one drift-free ensemble over all times, and the drift column is
+        # the mean over the written trajectory grid
+        calls = []
+        sample = mk.ensemble_states
+        monkeypatch.setattr(mk, "ensemble_states",
+                            lambda *a, **k: calls.append(a[2]) or sample(*a, **k))
+        assert run(["simulate", "--level", "2", "--paths", "40", "--t", "0.1,0.01",
+                    "--paired", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert calls == [[0.1, 0.01]]
+        x = tw.sierpinski_tower().coordinates(2)[:, 0]
+        grid = body_bytes(tmp_path / "trajectory_grid.csv").decode().splitlines()[1:]
+        at = {}
+        for line in grid:
+            _, t, state = line.split(",")
+            at.setdefault(t, []).append(x[int(state)])
+        rows = body_bytes(tmp_path / "paired_summary.csv").decode().splitlines()[1:]
+        means = {t: float(m) for t, name, m, *_ in (r.split(",") for r in rows) if name == "x"}
+        assert means == {t: float(np.mean(v)) for t, v in at.items()}
 
     def test_law_summary_rows_parse(self, tmp_path):
         assert run(["simulate", "--level", "1", "--paths", "50", "--t", "0.02",

@@ -1,6 +1,7 @@
 """The report comparison script: what it counts as a difference."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
@@ -51,3 +52,25 @@ def test_text_around_numbers_differs(tmp_path):
     write(head, "b.csv", "1,2,3\n")
     assert compare_reports.differences(base, head) == [
         "a.json: text differs", "b.csv: text differs"]
+
+
+def test_key_paths_and_columns_named(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    old = {"mode": "converge", "reports": {"path_law": {"mc": {"4": [
+        {"mc_mean": 0.5, "exact": 0.4}, {"mc_mean": 0.25, "exact": 0.2}]}}}}
+    new = json.loads(json.dumps(old))
+    new["reports"]["path_law"]["mc"]["4"][1]["mc_mean"] = 0.3
+    new["extra"] = [1]
+    write(base, "c/converge_report.json", "# generated 1\n" + json.dumps(old) + "\n")
+    write(head, "c/converge_report.json", "# generated 2\n" + json.dumps(new) + "\n")
+    write(base, "c/path_law.csv", "# generated 1\nlevel,error,mc_mean\n1,0.1,0.5\n2,0.2,0.7\n")
+    write(head, "c/path_law.csv", "# generated 2\nlevel,error,mc_mean\n1,0.1,0.5\n2,0.2,0.75\n")
+    write(base, "c/law_summary.csv", "# generated 1\nstate,frequency\n0,1.0\n")
+    write(head, "c/law_summary.csv", "# generated 2\nstate,frequency\n0,1.0\n1,0.0\n")
+    assert [keys for _, keys in compare_reports._compare(base, head)] == [
+        "keys: extra, reports.path_law.mc.4[1].mc_mean",
+        "columns: (rows 1 -> 2)",
+        "columns: mc_mean",
+    ]
+    assert compare_reports.changed_keys("a.json", b"[1, 2]", b"[1, 2, 3]") == "keys: (root)"
+    assert compare_reports.changed_keys("t.jsonl", b"1", b"2") == ""

@@ -7,14 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from driftform import pcf
 from driftform import tower as tw
 from driftform.markov import (
-    ENSEMBLE_STREAM,
+    BINS,
     RateValidationError,
     Trajectory,
-    _jump_chains,
+    _uniformized_chains,
     build_generator,
     detailed_balance_gap,
     ensemble_states,
@@ -24,7 +25,8 @@ from driftform.markov import (
     validate_rates,
     write_trajectories_jsonl,
 )
-from oracles import edge_list, eta, padded_row_chains, state_at
+from driftform.spectral import semigroup_solve
+from oracles import edge_list, eta, state_at, uniformized_chains
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
@@ -174,44 +176,6 @@ def _one_path(gen, initial, horizon, seed):
     return sample_paths(gen, initial, [horizon], 1, seed)[1][0]
 
 
-def _per_state_loop(gen, initial, times, n_paths, seed):
-    """The sampler as it was before the padded jump tables: one
-    ``searchsorted`` per distinct jumping state and round, on per-state
-    neighbour lists.  Kept as the oracle of the vectorized lookup."""
-    q, pi = jump_parameters(gen)
-    pi.sort_indices()
-    rows = pi.indptr[1:-1]
-    neighbors = np.split(pi.indices, rows)
-    cumulative = [np.cumsum(p) for p in np.split(pi.data, rows)]
-    times = np.asarray(sorted(float(t) for t in times))
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(ENSEMBLE_STREAM)], dtype=np.uint64)))
-    state = rng.choice(gen.n, size=n_paths, p=initial).astype(np.int64)
-    now = np.zeros(n_paths)
-    out = np.empty((len(times), n_paths), dtype=np.int64)
-    for row, t_rec in enumerate(times):
-        active = now < t_rec
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            hold = rng.exponential(1.0, size=idx.size) / q[state[idx]]
-            t_new = now[idx] + hold
-            crossed = t_new >= t_rec
-            now[idx[crossed]] = t_rec
-            jump_idx = idx[~crossed]
-            now[jump_idx] = t_new[~crossed]
-            if jump_idx.size:
-                u = rng.random(jump_idx.size)
-                js = state[jump_idx]
-                for s in np.unique(js):
-                    sel = jump_idx[js == s]
-                    cum = cumulative[s]
-                    k = np.searchsorted(cum, u[js == s] * cum[-1])
-                    state[sel] = neighbors[s][np.minimum(k, len(neighbors[s]) - 1)]
-            active = now < t_rec
-        out[row] = state
-    return out
-
-
 class TestSimulate:
     def test_zero_horizon(self, gen_drift_l2):
         traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.0, seed=5)
@@ -261,25 +225,27 @@ class TestSimulate:
 class TestEngine:
     @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("drift", [False, True])
-    @pytest.mark.parametrize("times", [[0.1], [0.05, 0.0, 0.01]])
+    @pytest.mark.parametrize("times", [[0.1], [0.05, 0.0, 0.01, 0.05]])
     def test_ensemble_matches_per_state_loop(self, sg_tower, admissible_cfg,
                                              level, drift, times):
         gen = sg_tower.generator(level, admissible_cfg if drift else None)
         init = point_mass(gen.n, 1)
-        expected = _per_state_loop(gen, init, times, 3000, 17)
+        expected = uniformized_chains(gen, init, times, 3000, 17, per_state=True)
         assert np.array_equal(ensemble_states(gen, init, times, 3000, 17), expected)
 
     def test_ensemble_matches_padded_row_engine_at_level_4(self, sg_tower, admissible_cfg):
-        # the largest sample of converge: 20000 paths from vertex 1 to t = 0.1
-        gen = sg_tower.generator(4, admissible_cfg)
-        init = point_mass(gen.n, 1)
-        expected = padded_row_chains(gen, init, [0.1], 20000, 1)
-        assert np.array_equal(ensemble_states(gen, init, [0.1], 20000, 1), expected)
+        # the largest sample of converge: 20000 paths from vertex 1 to t = 0.1,
+        # and the drift-free chain, whose cuts all fall on bin edges
+        for cfg in (admissible_cfg, None):
+            gen = sg_tower.generator(4, cfg)
+            init = point_mass(gen.n, 1)
+            expected = uniformized_chains(gen, init, [0.1], 20000, 1)
+            assert np.array_equal(ensemble_states(gen, init, [0.1], 20000, 1), expected)
 
     @pytest.mark.parametrize("config", ["interval.json", "sg_combinatorial.json"])
     def test_ensemble_matches_padded_row_engine_on_shipped_structures(self, config):
-        # the interval mixes degrees 1 and 2 (padded rows) and has degree 1
-        # only at level 0; a spread initial law and unsorted times
+        # the interval mixes degrees 1 and 2 and has degree 1 only at level
+        # 0; a spread initial law and unsorted, repeated times
         tower = tw.LevelTower(pcf.load_structure(CONFIGS / config))
         boundary = tower.vertex_count(0)
         indicator = tuple(1.0 if k == 0 else 0.0 for k in range(boundary))
@@ -290,15 +256,61 @@ class TestEngine:
                 gen = tower.generator(level, cfg)
                 init = np.arange(1.0, gen.n + 1.0)
                 init /= init.sum()
-                expected = padded_row_chains(gen, init, times, 1000, 5)
+                expected = uniformized_chains(gen, init, times, 1000, 5)
                 got = ensemble_states(gen, init, times, 1000, 5)
                 assert np.array_equal(got, expected), (config, level, cfg)
+
+    def test_cuts_on_bin_edges(self):
+        # the drift-free interval with its measure changed at two interior
+        # vertices: two rows cut at exactly 1/2 of the scale (one also at
+        # 1/4), and a row cut at 1/6 and 5/6 of it
+        tower = tw.LevelTower(pcf.load_structure(CONFIGS / "interval.json"))
+        base = tower.generator(2, None)
+        mu = base.mu.copy()
+        mu[3] *= 3.0
+        mu[4] *= 2.0
+        gen = build_generator(base.net, base.drift, mu, 2)
+        P, _ = gen.uniformized
+        dense = P.toarray()
+        guide = gen.event_tables[1]
+        on_edge = 0
+        for x in range(gen.n):
+            entries = np.flatnonzero(dense[x])
+            cuts = np.cumsum(dense[x, entries]) * BINS
+            if BINS / 2 in cuts:
+                on_edge += 1
+                cells = guide[x * BINS:(x + 1) * BINS]
+                assert np.all(cells >= 0)  # no straddling bin in these rows
+                k = int(np.flatnonzero(cuts == BINS / 2)[0])
+                assert cells[BINS // 2 - 1] == entries[k] * BINS
+                assert cells[BINS // 2] == entries[k + 1] * BINS
+        assert on_edge == 2
+        assert np.any(guide < 0)
+        init = np.full(gen.n, 1.0 / gen.n)
+        branches = {}
+        expected = uniformized_chains(gen, init, [0.2, 0.05], 4000, 3, branches=branches)
+        assert branches["pure"] > 0 and branches["straddle"] > 0
+        assert np.array_equal(ensemble_states(gen, init, [0.2, 0.05], 4000, 3), expected)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_law_matches_exact_law(self, sg_tower, admissible_cfg, level):
+        # chi-square of 200k states at t = 0.1 against p_t = e^{t L^T} delta_1,
+        # over the states expected at least 5 times
+        gen = sg_tower.generator(level, admissible_cfg)
+        init = point_mass(gen.n, 1)
+        paths = 200_000
+        exact = semigroup_solve(gen, 0.1, init, transpose=True).output * paths
+        counts = np.bincount(ensemble_states(gen, init, [0.1], paths, 2024)[0],
+                             minlength=gen.n)
+        kept = exact >= 5.0
+        statistic = np.sum((counts[kept] - exact[kept]) ** 2 / exact[kept])
+        assert stats.chi2.sf(statistic, np.count_nonzero(kept) - 1) > 1e-3
 
     def test_zero_paths(self, gen_drift_l2):
         init = point_mass(gen_drift_l2.n, 1)
         states = ensemble_states(gen_drift_l2, init, [0.1, 0.2], 0, 3)
         assert states.shape == (2, 0)
-        assert np.array_equal(states, _per_state_loop(gen_drift_l2, init, [0.1, 0.2], 0, 3))
+        assert np.array_equal(states, uniformized_chains(gen_drift_l2, init, [0.1, 0.2], 0, 3))
         states, trajs = sample_paths(gen_drift_l2, init, [0.1, 0.2], 0, 3)
         assert states.shape == (2, 0) and trajs == []
 
@@ -322,9 +334,8 @@ class TestEngine:
         # in a Python loop
         init, times = point_mass(gen_drift_l2.n, 1), [0.03, 0.1]
         log = []
-        _jump_chains(gen_drift_l2, init, times, 200, 9,
-                     lambda paths, clocks, states: log.append(
-                         (paths.copy(), clocks.copy(), states.copy())))
+        _uniformized_chains(gen_drift_l2, init, times, 200, 9,
+                            lambda paths, t, states: log.append((paths, t, states)))
         jump_times, jump_states = [[] for _ in range(200)], [[] for _ in range(200)]
         for paths, t, s in log:
             for k, tk, sk in zip(paths, t, s):
@@ -334,6 +345,13 @@ class TestEngine:
         for k, traj in enumerate(trajs):
             assert np.array_equal(traj.jump_times, jump_times[k])
             assert np.array_equal(traj.states, jump_states[k])
+
+    def test_first_jump_time_is_exponential(self, gen_drift_l2):
+        # self-loop steps are no jumps: a path from x leaves it at rate q(x)
+        x = 1
+        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, x), [0.02, 1.0], 2000, 12)[1]
+        first = np.array([t.jump_times[1] for t in trajs])
+        assert stats.kstest(first, stats.expon(scale=1.0 / gen_drift_l2.q[x]).cdf).pvalue > 1e-3
 
     def test_every_step_is_an_edge(self, gen_drift_l2):
         trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.2], 300, 6)[1]
