@@ -8,11 +8,14 @@ of that identity is attached to every solve.
 Semigroups run on the uniformized operator: with ``Lam`` the largest
 holding rate and ``tau = Lam t``, ``P = I + L / Lam`` is stochastic and
 ``exp(tL) f = exp(tau (P - I)) f = sum_k c_k T_k(P) f``, a Chebyshev series
-with ``c_0 = ive(0, tau)``, ``c_k = 2 ive(k, tau)`` and
-``T_{k+1} = 2 P T_k - T_{k-1}`` (Tal-Ezer & Kosloff 1984).  It stops at the
-least degree ``K`` whose coefficient tail ``sum_{j>K} |c_j|`` is at most
-``SERIES_TAIL``; ``K`` grows like ``sqrt(tau)``, where uniformization
-(the Poisson-weighted sum of ``P^k f``) needs about ``tau`` products.
+with ``c_0 = e^-tau I_0(tau)``, ``c_k = 2 e^-tau I_k(tau)`` and
+``T_{k+1} = 2 P T_k - T_{k-1}`` (Tal-Ezer & Kosloff 1984).  The Bessel
+ratios ``I_{k+1} / I_k`` come from Miller's backward recurrence (Gautschi,
+SIAM Review 9, 1967) and ``c_0`` from ``sum_k c_k = 1``, so neither series
+needs ``scipy.special``.  The series stops at the least degree ``K`` whose
+coefficient tail ``sum_{j>K} |c_j|`` is at most ``SERIES_TAIL``; ``K``
+grows like ``sqrt(tau)``, where uniformization (the Poisson-weighted sum of
+``P^k f``) needs about ``tau`` products.
 
 The series converges for a spectrum in ``[-1, 1]``.  Without drift ``P`` is
 self-adjoint in the ``mu``-weighted inner product, every ``||T_k(P)||`` is at
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln, ive, pdtrc, xlogy
 
 # RateValidationError and validate_rates stay importable from this module.
 from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
@@ -104,22 +106,41 @@ def resolvent(gen: GeneratorMatrix, alpha: float, f) -> np.ndarray:
     return resolvent_solve(gen, alpha, f).output
 
 
+def _bessel_ratios(tau: float, count: int) -> np.ndarray:
+    """``I_{k+1}(tau) / I_k(tau)`` for ``k = 0 .. count - 1``, by the backward
+    recurrence ``r_{k-1} = tau / (2k + tau r_k)`` started from ``r = 0`` about
+    ``4 sqrt(tau) + 40`` indices above ``count``, where the start's error has
+    died out (Gautschi 1967).  A plain float loop: it is sequential."""
+    top = count + int(4.0 * np.sqrt(tau)) + 40
+    r = [0.0] * top
+    rk = 0.0
+    for k in range(top, 0, -1):
+        rk = tau / (2 * k + tau * rk)
+        r[k - 1] = rk
+    return np.array(r[:count])
+
+
 def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
     """Coefficients ``c_0 .. c_K`` of ``exp(tau (x - 1))`` on ``[-1, 1]`` and
     their tail ``sum_{j>K} c_j``, with ``K`` the least degree whose tail is
     at most ``SERIES_TAIL``."""
+    if tau == 0.0:
+        return np.ones(1), 0.0
     m = int(np.sqrt(80.0 * tau)) + 40
     while True:
-        c = ive(np.arange(m + 1), tau)
+        scaled = np.cumprod(_bessel_ratios(tau, m))  # I_k / I_0 for k = 1 .. m
         # I_{k+1}(tau) / I_k(tau) <= r_k = tau / (k + 1/2 + sqrt((k + 1/2)^2 + tau^2))
         # with r_k decreasing (Amos, Math. Comp. 28, 1974), so the terms past
         # m sum to at most c_m r_m / (1 - r_m).
         r = tau / (m + 0.5 + np.hypot(m + 0.5, tau))
-        rest = 2.0 * c[m] * r / (1.0 - r)
+        rest = 2.0 * scaled[-1] * r / (1.0 - r)
+        # e^-tau (I_0 + 2 sum_k I_k) = 1 gives c_0 = e^-tau I_0
+        c0 = 1.0 / (1.0 + 2.0 * scaled.sum() + rest)
+        rest *= c0
         if rest <= SERIES_TAIL * 1e-3:
             break
         m *= 2
-    c[1:] *= 2.0
+    c = np.concatenate(([c0], 2.0 * c0 * scaled))
     tails = np.append(np.cumsum(c[::-1])[-2::-1], 0.0) + rest
     degree = int(np.argmax(tails <= SERIES_TAIL))
     return c[: degree + 1], float(tails[degree])
@@ -165,17 +186,32 @@ def _chebyshev_series(P, tau: float, f: np.ndarray) -> tuple[np.ndarray | None, 
 def _poisson_weights(mu_t: float) -> tuple[np.ndarray, float]:
     """Poisson(``mu_t``) probabilities of ``0 .. order`` and the tail mass
     past ``order``, with ``order`` one past the least ``k`` whose tail mass
-    ``P(N > k)`` is at most ``SERIES_TAIL``."""
-    lo, width = int(mu_t), int(10.0 * np.sqrt(mu_t)) + 40
+    ``P(N > k)`` is at most ``SERIES_TAIL``.
+
+    The weights are ``exp`` of the summed log-ratios ``log(mu_t / j)`` out
+    from the mode, normalized to total mass 1; the mass past the last
+    index ``top`` is at most ``p_top rho / (1 - rho)`` with
+    ``rho = mu_t / (top + 1)``, since ``p_{j+1} / p_j = mu_t / (j + 1)``."""
+    mode, width = int(mu_t), int(10.0 * np.sqrt(mu_t)) + 40
     while True:
-        ks = np.arange(lo, lo + width)
-        below = np.flatnonzero(pdtrc(ks, mu_t) <= SERIES_TAIL)
+        top = mode + width
+        step = np.log(mu_t / np.arange(1.0, top + 1))  # log(p_j / p_{j-1})
+        log_q = np.zeros(top + 1)
+        log_q[mode + 1:] = np.cumsum(step[mode:])
+        log_q[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+        q = np.exp(log_q)
+        rho = mu_t / (top + 1)
+        rest = q[-1] * rho / (1.0 - rho)
+        total = q.sum() + rest
+        p = q / total
+        # tails[k] = P(N > k)
+        tails = np.append(np.cumsum(p[:0:-1])[::-1], 0.0) + rest / total
+        below = np.flatnonzero(tails[:-1] <= SERIES_TAIL)
         if below.size:
             break
         width *= 2
-    order = int(ks[below[0]]) + 1
-    k = np.arange(order + 1)
-    return np.exp(xlogy(k, mu_t) - gammaln(k + 1) - mu_t), float(pdtrc(order, mu_t))
+    order = int(below[0]) + 1
+    return p[: order + 1], float(tails[order])
 
 
 def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int, float]:

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
+from scipy.special import gammaln, ive, pdtrc, xlogy
 
 from driftform import pcf, resistance
 from driftform import tower as tw
@@ -25,7 +26,7 @@ from driftform.resistance import (
     _row_blocks,
     energy,
 )
-from driftform.spectral import semigroup_solve
+from driftform.spectral import SERIES_TAIL, semigroup_solve
 
 DEFAULT_DRAW_SEED = 1729
 
@@ -169,6 +170,41 @@ def uniformized_chains(gen, initial, times, n_paths: int, seed: int,
 def semigroup_apply(gen, t: float, f) -> np.ndarray:
     """Semigroup applied to ``f``: the output of ``semigroup_solve``."""
     return semigroup_solve(gen, t, f).output
+
+
+def chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
+    """``spectral._chebyshev_coefficients`` from ``scipy.special.ive``: the
+    coefficients ``c_0 .. c_K`` of ``exp(tau (x - 1))``, ``K`` the least
+    degree whose tail (plus the Amos bound past ``m``) is at most
+    ``SERIES_TAIL``, and that tail."""
+    m = int(np.sqrt(80.0 * tau)) + 40
+    while True:
+        c = ive(np.arange(m + 1), tau)
+        r = tau / (m + 0.5 + np.hypot(m + 0.5, tau))
+        rest = 2.0 * c[m] * r / (1.0 - r)
+        if rest <= SERIES_TAIL * 1e-3:
+            break
+        m *= 2
+    c[1:] *= 2.0
+    tails = np.append(np.cumsum(c[::-1])[-2::-1], 0.0) + rest
+    degree = int(np.argmax(tails <= SERIES_TAIL))
+    return c[: degree + 1], float(tails[degree])
+
+
+def poisson_weights(mu_t: float) -> tuple[np.ndarray, float]:
+    """``spectral._poisson_weights`` from ``scipy.special``: the
+    Poisson(``mu_t``) probabilities of ``0 .. order``, ``order`` one past the
+    least ``k`` with ``P(N > k) <= SERIES_TAIL``, and ``P(N > order)``."""
+    lo, width = int(mu_t), int(10.0 * np.sqrt(mu_t)) + 40
+    while True:
+        ks = np.arange(lo, lo + width)
+        below = np.flatnonzero(pdtrc(ks, mu_t) <= SERIES_TAIL)
+        if below.size:
+            break
+        width *= 2
+    order = int(ks[below[0]]) + 1
+    k = np.arange(order + 1)
+    return np.exp(xlogy(k, mu_t) - gammaln(k + 1) - mu_t), float(pdtrc(order, mu_t))
 
 
 def resistance_matrix(net) -> np.ndarray:

@@ -584,17 +584,21 @@ class TestModes:
 
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # scipy.stats costs most of a second to import and nothing in the
-    # package needs it.  ARPACK, SuperLU and LAPACK (scipy.sparse.linalg,
-    # scipy.linalg) load only when a command certifies or solves, so the
-    # import, semigroup and simulate go without them; csgraph never loads.
-    # Each step runs in the same interpreter, and a module once loaded
-    # stays, so check comes last.
+    # package needs it; the series coefficients come from numpy recurrences,
+    # so no command loads scipy.special either.  ARPACK, SuperLU and LAPACK
+    # (scipy.sparse.linalg, scipy.linalg) load only when a command certifies
+    # or solves, so the import, semigroup and simulate go without them;
+    # csgraph never loads.  Each step runs in the same interpreter, and a
+    # module once loaded stays, so the solving commands come last.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    watched = ["scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"]
+    watched = ["scipy.special", "scipy.stats", "scipy.sparse.csgraph",
+               "scipy.sparse.linalg", "scipy.linalg"]
     steps = [[], ["semigroup", "--level", "2", "--t", "0.1"],
              ["simulate", "--level", "2", "--paths", "10", "--t", "0.1"],
+             ["resolvent", "--level", "2"],
+             ["converge", "--levels", "1:2", "--reference-level", "3", "--paths", "200"],
              ["check", "--level", "2"]]
     code = (
         "import json, sys\n"
@@ -609,4 +613,7 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], [], ["scipy.sparse.linalg", "scipy.linalg"]]
+    loaded = json.loads(proc.stdout)
+    assert not any("scipy.special" in step for step in loaded)
+    solved = ["scipy.sparse.linalg", "scipy.linalg"]
+    assert loaded == [[], [], [], solved, solved, solved]

@@ -24,6 +24,7 @@ from driftform.spectral import (
     GROWTH_LIMIT,
     SERIES_TAIL,
     UNIFORMIZATION,
+    _bessel_ratios,
     _chebyshev_coefficients,
     _chebyshev_series,
     _poisson_series,
@@ -33,7 +34,7 @@ from driftform.spectral import (
     resolvent_solve,
     semigroup_solve,
 )
-from oracles import TWO_TERM_DRIFT, semigroup_apply
+from oracles import TWO_TERM_DRIFT, chebyshev_coefficients, poisson_weights, semigroup_apply
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
@@ -282,8 +283,11 @@ class TestBlockKernel:
         P = gen.uniformized[0]
         f = np.random.default_rng(31).standard_normal((gen.n, 3))
         out, order, _ = _poisson_series(P, 800.0, f)
-        weights = poisson.pmf(np.arange(order + 1), 800.0)
+        weights, _ = _poisson_weights(800.0)
+        assert len(weights) == order + 1
         assert weights[0] == 0.0
+        reference = poisson.pmf(np.arange(order + 1), 800.0)
+        assert np.allclose(weights, reference, rtol=1e-9, atol=1e-250)
         acc, v = weights[0] * f, f
         for w in weights[1:]:
             v = P @ v
@@ -459,8 +463,10 @@ class TestSeriesTruncation:
     def test_chebyshev_degree_is_the_least_certified_one(self, tau):
         c, tail = _chebyshev_coefficients(tau)
         degree = len(c) - 1
-        k = np.arange(degree + 1)
-        assert np.array_equal(c, np.where(k == 0, 1.0, 2.0) * ive(k, tau))
+        reference, _ = chebyshev_coefficients(tau)
+        assert len(c) == len(reference)
+        # ive errs by about 4e-13 relative at tau = 48765
+        assert np.allclose(c, reference, rtol=1e-11, atol=0.0)
         # oracle: the tail summed term by term far past the degree
         far = np.arange(degree + 1, degree + 40 * int(np.sqrt(tau)) + 200)
         assert tail == pytest.approx(2.0 * ive(far, tau).sum(), rel=1e-9, abs=2e-16)
@@ -479,6 +485,10 @@ class TestSeriesTruncation:
         bound = tau / (k[:-1] + 0.5 + np.hypot(k[:-1] + 0.5, tau))
         assert np.all(ratio <= bound[seen] * (1.0 + 1e-12))
         assert np.all(np.diff(bound) <= 0.0)
+        # the backward recurrence gives the same ratios, under the same bound
+        recurrence = _bessel_ratios(tau, len(bound))
+        assert np.allclose(recurrence[seen], ratio, rtol=1e-11, atol=0.0)
+        assert np.all(recurrence <= bound * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("mu", [1e-3, 0.5, 7.0, 800.0, 10195.3, 48765.0])
     def test_poisson_order_bounds_the_tail_mass(self, mu):
@@ -489,4 +499,54 @@ class TestSeriesTruncation:
         assert poisson.sf(order - 1, mu) <= SERIES_TAIL
         assert abs((order - 1) - poisson.isf(SERIES_TAIL, mu)) <= 1
         assert tail == pytest.approx(poisson.sf(order, mu), rel=1e-9)
-        assert np.array_equal(weights, poisson.pmf(np.arange(order + 1), mu))
+        # poisson.pmf errs by about 1e-10 relative near the mode at mu ~ 5e4
+        assert np.allclose(weights, poisson.pmf(np.arange(order + 1), mu), rtol=1e-8, atol=1e-250)
+        assert weights.sum() + tail == pytest.approx(1.0, abs=1e-13)
+
+    # the L6 and L7 bench times: tau = Lam t at t = 0.1
+    GRID_TAUS = [0.0, 9469.7, 47159.1, *np.geomspace(1e-3, 1e6, 91)]
+
+    def test_chebyshev_degree_matches_scipy_reference(self):
+        for tau in self.GRID_TAUS:
+            c, tail = _chebyshev_coefficients(tau)
+            reference, reference_tail = chebyshev_coefficients(tau)
+            assert len(c) == len(reference), tau
+            assert np.allclose(c, reference, rtol=1e-10, atol=0.0), tau
+            assert tail == pytest.approx(reference_tail, rel=1e-9, abs=1e-30), tau
+
+    def test_poisson_order_matches_scipy_reference(self):
+        for mu in np.geomspace(1e-3, 3e5, 86):
+            weights, tail = _poisson_weights(mu)
+            reference, reference_tail = poisson_weights(mu)
+            assert len(weights) == len(reference), mu
+            assert np.allclose(weights, reference, rtol=1e-8, atol=1e-250), mu
+            assert tail == pytest.approx(reference_tail, rel=1e-6), mu
+
+
+class TestSeriesAccuracy:
+    """Both series against 30-digit mpmath values.  mpmath's ``besseli``
+    does not converge near tau = 47000 without ``maxterms``, so the
+    Chebyshev grid stops at the L6 bench time."""
+
+    @pytest.mark.parametrize("tau", [5.0, 120.0, 9469.7])
+    def test_chebyshev_coefficients(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        c, _ = _chebyshev_coefficients(tau)
+        ks = np.unique(np.linspace(0, len(c) - 1, 30).astype(int))
+        with mpmath.workdps(30):
+            x = mpmath.mpf(tau)
+            exact = np.array([float((1 if k == 0 else 2) * mpmath.besseli(int(k), x)
+                                    * mpmath.exp(-x)) for k in ks])
+        assert np.max(np.abs(c[ks] / exact - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("mu", [800.0, 10195.3, 48765.0, 2.4e5])
+    def test_poisson_weights_near_the_mode(self, mu):
+        mpmath = pytest.importorskip("mpmath")
+        weights, _ = _poisson_weights(mu)
+        spread = 3.0 * np.sqrt(mu)
+        ks = np.unique(np.linspace(mu - spread, mu + spread, 25).astype(int))
+        with mpmath.workdps(30):
+            x = mpmath.mpf(mu)
+            exact = np.array([float(mpmath.exp(int(k) * mpmath.log(x)
+                                               - mpmath.loggamma(int(k) + 1) - x)) for k in ks])
+        assert np.max(np.abs(weights[ks] / exact - 1.0)) <= 1e-13
