@@ -65,6 +65,16 @@ COMMANDS = {
                       "--t", "0.1", "--paths", "2000", "--seed", "1"],
     "simulate_none_paired": ["simulate", "--drift", "none", "--level", "3", "--paths", "500",
                              "--t", "0.01,0.1", "--paired", "--seed", "1"],
+    # resolvent solves: no nested counts (only the dense end), a deeper
+    # level, and the shipped configs
+    "resolvent_l0": ["resolvent", "--level", "0"],
+    "resolvent_l7": ["resolvent", "--level", "7", "--f", "x"],
+    "resolvent_interval": ["resolvent", "--level", "4",
+                           "--structure", "docs/configs/interval.json"],
+    "resolvent_sg3": ["resolvent", "--level", "3", "--structure", "docs/configs/sg3.json"],
+    "resolvent_sg_combinatorial": ["resolvent", "--level", "3",
+                                   "--structure", "docs/configs/sg_combinatorial.json",
+                                   "--drift", "docs/configs/drift_constant.json", "--f", "one"],
 }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -148,6 +149,14 @@ def _parse_floats(text: str) -> list[float]:
     if not all(math.isfinite(v) and v >= 0 for v in vals):
         raise ConfigError(f"grid values must be finite and >= 0, got {text!r}")
     return vals
+
+
+def _one_file_each(values: list[float], flag: str) -> list[float]:
+    """``values``, refused when two would write one ``{value:g}`` report file."""
+    for a, b in itertools.combinations(values, 2):
+        if a != b and f"{a:g}" == f"{b:g}":
+            raise ConfigError(f"{flag} values {a!r} and {b!r} share the file name suffix {a:g}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +392,7 @@ def cmd_resolvent(args) -> int:
     constants = reports[level].constants
     gen = tower.generator(level, config)
     f = _input_function(args, tower, level)
-    alphas = _alphas(args, constants)
+    alphas = _one_file_each(_alphas(args, constants), "--alpha")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     solves = []
@@ -400,7 +409,7 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
-    times = _parse_floats(args.t)
+    times = _one_file_each(_parse_floats(args.t), "--t")
     tower, config, _, failed = _setup(args)
     if failed:
         return _fail_admissibility(failed)

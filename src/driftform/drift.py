@@ -7,7 +7,9 @@ terms to the symmetric energy gives a non-symmetric bilinear form; this
 module computes its edge weights, evaluates the global and pointwise
 smallness conditions with their derived constants ``(delta, s, t, lambda)``,
 and certifies the form inequalities and axioms by extreme generalized
-eigenvalues, each with its residual bound.  The form matrices are those of
+eigenvalues, each with its residual bound; the pencils' right-hand sides
+``E_lam`` and ``S`` are factored by the level-by-level elimination of
+:mod:`driftform.resistance`.  The form matrices are those of
 the chain generator (:class:`driftform.markov.GeneratorMatrix`), which every
 check here takes.
 """
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .resistance import ConductanceNetwork, harmonic_extension
+from .resistance import ConductanceNetwork, _eliminate, _solve, harmonic_extension
 
 if TYPE_CHECKING:
     from .markov import GeneratorMatrix
@@ -405,16 +407,14 @@ class Bracket:
 _ZERO = Bracket(0.0, 0.0, 0.0, 0.0)  # the extreme eigenvalues of a zero pencil
 
 
-def _factor(b):
-    """The ``splu`` solve of the SPD matrix ``b``."""
-    # scipy.sparse.linalg and scipy.linalg are imported where a certificate
-    # first needs them, so the commands that certify nothing never load them
-    from scipy.sparse.linalg import splu
-
+def _factor(gen: GeneratorMatrix, b):
+    """The solve of the SPD CSR matrix ``b`` by the elimination over the
+    level's nested sets (:func:`driftform.resistance._eliminate`)."""
     try:
-        return splu(sparse.csc_matrix(b)).solve
-    except RuntimeError as exc:  # an exactly singular factor
+        steps, end = _eliminate(b, [*gen.net.counts, gen.n])
+    except np.linalg.LinAlgError as exc:  # a singular pivot block
         raise CertificateError(f"cannot factor the pencil's right-hand side: {exc}") from exc
+    return lambda x: _solve(steps, end, x)
 
 
 def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
@@ -497,8 +497,8 @@ def certify_sandwich(gen: GeneratorMatrix, s: float, lam: float) -> SandwichRepo
     """The sandwich margins of one level as exact brackets; a check passes
     on the pessimistic end of its bracket."""
     q = gen.Q_matrix
-    e_lam = (gen.E_matrix + lam * sparse.diags(gen.mu)).tocsc()
-    bottom, top = _extremes((0.5 * (q + q.T)).tocsr(), e_lam, _factor(e_lam), "BE")
+    e_lam = (gen.E_matrix + lam * sparse.diags(gen.mu)).tocsr()
+    bottom, top = _extremes((0.5 * (q + q.T)).tocsr(), e_lam, _factor(gen, e_lam), "BE")
     return SandwichReport(gen.level, s, lam, bottom, top)
 
 
@@ -612,8 +612,8 @@ def certify_SD_axioms(
     sd1 = sector = None
     if sandwich.lower_margin.lo > s - 1.0:
         q = gen.Q_matrix
-        big_s = (gen.E_matrix + lam * sparse.diags(gen.mu) + 0.5 * (q + q.T)).tocsc()
-        solve_s = _factor(big_s)
+        big_s = (gen.E_matrix + lam * sparse.diags(gen.mu) + 0.5 * (q + q.T)).tocsr()
+        solve_s = _factor(gen, big_s)
         (nu,) = _extremes(sparse.diags(gen.mu), big_s, solve_s, "LA")
         sd1 = nu.map(lambda x: 1.0 / x if x > 0.0 else math.inf)
         k = (0.5 * (q - q.T)).tocsr()

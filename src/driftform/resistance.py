@@ -10,16 +10,17 @@ of the graph Laplacian, harmonic (energy minimizing) extension of boundary
 data, the resistance diameter, and assembly of the self-similar energies on
 refinement levels of a structure.
 
-Traces, harmonic extensions and the diameter share one block Gaussian
-elimination, :func:`_eliminate`: the vertices outside a coarser set are
-eliminated fine to coarse, one nested set at a time.  The new vertices of
-different cells of a p.c.f. level share no edge, so each step inverts
-cell-sized blocks.  The resistance diameter streams all-pairs resistances
-from the Green function grounded at vertex 0, rebuilt coarse to fine from
-the steps and held dense two sets below the finest; the rows it needs on
-the next-to-finest set are formed from that and streamed on, in blocks of
-``BLOCK_COLUMNS`` rows, to the finest one.  Without nested sets it is one
-dense inverse.
+The package's one sparse factorization, :func:`_eliminate`, eliminates the
+vertices outside a coarser set fine to coarse, one nested set at a time:
+nested dissection with the cell boundaries as separators (George 1973).
+New vertices of different cells share no edge, so each step inverts
+cell-sized blocks.  Traces, extensions and the diameter read its steps, and
+resolvents and certificates solve with it.  The resistance diameter streams
+all-pairs resistances from the Green function grounded at vertex 0, rebuilt
+coarse to fine from the steps and held dense two sets below the finest; the
+rows it needs on the next-to-finest set are formed from that and streamed
+on, in blocks of ``BLOCK_COLUMNS`` rows, to the finest one.  Without nested
+sets it is one dense inverse.
 
 Connected components are labelled in numpy by hooking and pointer jumping
 (:func:`_components`; Shiloach & Vishkin 1982, in the FastSV form of Zhang,
@@ -183,14 +184,14 @@ def harmonic_extension(net: ConductanceNetwork, values) -> np.ndarray:
     steps, _ = _eliminate_onto(net, fb.shape[-1], traced=False)
     u = np.empty((net.n, *fb.shape[:-1]))
     u[:fb.shape[-1]] = fb.T
-    for lo, _, h in steps:  # coarse to fine
+    for lo, _, h, _ in steps:  # coarse to fine
         u[lo:lo + h.shape[0]] = h @ u[:lo]
     return np.ascontiguousarray(u.T)
 
 
 def _components(a) -> tuple[int, np.ndarray]:
-    """The number of connected components of the graph of a sparse matrix
-    with a symmetric pattern, and each vertex's component, numbered by
+    """The number of connected components of the graph of a CSR matrix with
+    a symmetric pattern, and each vertex's component, numbered by
     their least vertices in increasing order.
 
     FastSV hooking and shortcutting (Zhang, Azad & Hu 2020): each round
@@ -200,7 +201,6 @@ def _components(a) -> tuple[int, np.ndarray]:
     parent and equals its neighbours' parents: the least vertex of the
     component.
     """
-    a = sparse.csr_matrix(a)
     n = a.shape[0]
     rows = np.flatnonzero(np.diff(a.indptr))
     f, gf = np.arange(n), np.arange(n)  # parents and grandparents
@@ -221,55 +221,78 @@ def _components(a) -> tuple[int, np.ndarray]:
 def _block_inverse(a, ncomp: int, labels: np.ndarray) -> sparse.csr_matrix:
     """Inverse of a sparse matrix whose connected components (``ncomp`` of
     them, ``labels`` by :func:`_components`) are small: one batched dense
-    inverse per component size."""
+    inverse per component size, written straight into sorted CSR rows."""
     m = a.shape[0]
     sizes = np.bincount(labels, minlength=ncomp)
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(labels, kind="stable")  # each component's vertices, ascending
     starts = np.cumsum(sizes) - sizes
     pos = np.empty(m, dtype=np.intp)  # place of each vertex in its component
     pos[order] = np.arange(m) - np.repeat(starts, sizes)
-    coo = a.tocoo()
-    coo.sum_duplicates()
-    rows, cols, vals = [], [], []
+    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+    indptr = np.concatenate(([0], np.cumsum(sizes[labels]))).astype(a.indptr.dtype)
+    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+    data = np.empty(indptr[-1])
     for size in np.unique(sizes):
         comps = np.flatnonzero(sizes == size)
         slot = np.full(ncomp, -1)
         slot[comps] = np.arange(len(comps))
         members = order[starts[comps][:, None] + np.arange(size)]
         blocks = np.zeros((len(comps), size, size))
-        mine = slot[labels[coo.row]] >= 0
-        r, c = coo.row[mine], coo.col[mine]
-        blocks[slot[labels[r]], pos[r], pos[c]] = coo.data[mine]
-        inv = np.linalg.inv(blocks)
-        rows.append(np.broadcast_to(members[:, :, None], inv.shape).ravel())
-        cols.append(np.broadcast_to(members[:, None, :], inv.shape).ravel())
-        vals.append(inv.ravel())
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
+        mine = slot[labels[rows]] >= 0
+        r, c = rows[mine], a.indices[mine]
+        blocks[slot[labels[r]], pos[r], pos[c]] = a.data[mine]
+        at = indptr[members.ravel()][:, None] + np.arange(size)  # row by row
+        indices[at] = np.repeat(members, size, axis=0)
+        data[at] = np.linalg.inv(blocks).reshape(-1, size)
+    return sparse.csr_matrix((data, indices, indptr), shape=(m, m))
 
 
-def _eliminate(lap, bounds: Sequence[int], traced: bool = True):
-    """Block Gaussian elimination of a Laplacian over nested vertex sets.
+def _solve(steps, end, b) -> np.ndarray:
+    """``A^-1 b`` from the steps and the trace of :func:`_eliminate`, for an
+    ``(n,)`` or ``(n, k)`` ``b``: ``b_S += K b_I`` fine to coarse, a dense
+    solve on ``[0, N_0)``, then ``x_I = A_II^-1 b_I + H x_S`` coarse to fine
+    (the loop of :func:`harmonic_extension`)."""
+    x = np.array(b, dtype=float)
+    for lo, inv, _, k in reversed(steps):
+        x[:lo] += k @ x[lo:lo + inv.shape[0]]
+    x[:end.shape[0]] = np.linalg.solve(end.toarray(), x[:end.shape[0]])
+    for lo, inv, h, _ in steps:
+        hi = lo + inv.shape[0]
+        x[lo:hi] = inv @ x[lo:hi] + h @ x[:lo]
+    return x
+
+
+def _diagonal_csr(values: np.ndarray) -> sparse.csr_matrix:
+    """``diag(values)`` built straight as CSR (``sparse.diags`` costs more)."""
+    m = len(values)
+    return sparse.csr_matrix((values, np.arange(m), np.arange(m + 1)), shape=(m, m))
+
+
+def _eliminate(a, bounds: Sequence[int], traced: bool = True):
+    """Block Gaussian elimination over nested vertex sets of a CSR matrix
+    with a symmetric pattern (a Laplacian, ``alpha I - L``, ``E_lam``, ``S``).
 
     ``bounds`` are ``N_0 < ... < N_m = n``.  The vertices
     ``I = [N_{j-1}, N_j)`` are eliminated fine to coarse: with ``S`` the
-    vertices below ``N_{j-1}``, ``H = -L_II^-1 L_IS`` and ``L_SS + L_SI H``
-    is the trace onto ``S``, whose diagonal is reset to minus its
-    off-diagonal row sums.  This is exact for any bounds; it is fast when
-    ``L_II`` splits into small blocks (new vertices of different cells of a
-    p.c.f. level share no edge).
+    vertices below ``N_{j-1}``, ``H = -A_II^-1 A_IS``, ``K = -A_SI A_II^-1``
+    and ``A_SS + A_SI H`` is the trace onto ``S``.  The row sums ``r = a 1``
+    (diagonal added last, so a Laplacian's are 0) are carried as
+    ``r_S + K r_I``, and each trace's diagonal is reset to ``r`` minus its
+    off-diagonal row sums: no cancellation enters it, and a Laplacian's
+    trace is a Laplacian.  Fast when ``A_II`` splits into small blocks.
 
-    Returns the steps ``(N_{j-1}, L_II^-1, H)`` from coarse to fine and the
-    Laplacian traced onto ``[0, N_0)``, or ``None`` in its place when not
-    ``traced`` (a harmonic extension needs only the steps).  A component of
-    ``L_II`` with no edge into ``S`` is a component of the network that
-    misses ``[0, N_0)``, and singular; it raises :class:`NetworkError`.
+    Returns the steps ``(N_{j-1}, A_II^-1, H, K)`` coarse to fine and the
+    trace onto ``[0, N_0)``, ``None`` when not ``traced`` (a harmonic
+    extension needs only the steps); :func:`_solve` solves with both.  A
+    component of ``A_II`` with no edge into ``S`` misses ``[0, N_0)`` and
+    raises :class:`NetworkError`; a singular pivot block raises
+    ``LinAlgError``.
     """
+    diagonal = a.diagonal()
+    r = diagonal + np.asarray((a - _diagonal_csr(diagonal)).sum(axis=1)).ravel()
     steps = []
     for lo in reversed(bounds[:-1]):
-        pivot, coupling = lap[lo:, lo:], lap[lo:, :lo]
+        pivot, coupling, a_si = a[lo:, lo:], a[lo:, :lo], a[:lo, lo:]
         ncomp, labels = _components(pivot)
         coupled = labels[np.diff(coupling.indptr) > 0]  # rows with an edge into S
         if not np.bincount(coupled, minlength=ncomp).all():
@@ -278,16 +301,17 @@ def _eliminate(lap, bounds: Sequence[int], traced: bool = True):
                 "the interior block is singular"
             )
         inv = _block_inverse(pivot, ncomp, labels)
-        h = -(inv @ coupling).tocsr()
-        steps.append((lo, inv, h))
+        h, k = inv @ coupling, a_si @ inv
+        np.negative(h.data, out=h.data)
+        np.negative(k.data, out=k.data)
+        steps.append((lo, inv, h, k))
         if lo == bounds[0] and not traced:
             return steps[::-1], None
-        lap = (lap[:lo, :lo] + lap[:lo, lo:] @ h).tocsr()
-        # the trace of a Laplacian is a Laplacian: rebuild its diagonal from
-        # the off-diagonal row sums, so no cancellation enters the diagonal
-        lap.setdiag(0.0)
-        lap = (lap - sparse.diags(np.asarray(lap.sum(axis=1)).ravel())).tocsr()
-    return steps[::-1], lap
+        r = r[:lo] + k @ r[lo:]
+        a = (a[:lo, :lo] + a_si @ h).tocsr()
+        a.setdiag(0.0)
+        a = (a - _diagonal_csr(np.asarray(a.sum(axis=1)).ravel() - r)).tocsr()
+    return steps[::-1], a
 
 
 def _resistance_rows(net: ConductanceNetwork):
@@ -322,7 +346,7 @@ def _resistance_rows(net: ConductanceNetwork):
     width = BLOCK_COLUMNS
     g = np.zeros((lap.shape[0],) * 2)
     g[1:, 1:] = np.linalg.inv(lap[1:, 1:].toarray())
-    for lo, inv, h in steps[:-2]:  # G held dense up to N_{n-2}
+    for lo, inv, h, _ in steps[:-2]:  # G held dense up to N_{n-2}
         rows = _finer_rows(g, lo, inv, h)
         g = np.empty((lo + inv.shape[0],) * 2)
         for a in range(0, len(g), width):
@@ -331,9 +355,9 @@ def _resistance_rows(net: ConductanceNetwork):
     # an absent step adds no rows: the coarser one without two counts, the
     # finest one without counts
     p = g.shape[0]
-    empty = [(p, sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, p)))] * 2
-    coarser, (m, inv, h) = [*empty, *steps][-2:]
-    rows = _finer_rows(g, *coarser)  # rows of G up to m
+    empty = [(p, sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, p)), None)] * 2
+    coarser, (m, inv, h, _) = [*empty, *steps][-2:]
+    rows = _finer_rows(g, *coarser[:3])  # rows of G up to m
     c0, v0 = _padded(h)
     ci0, vi0 = _padded(inv)
 

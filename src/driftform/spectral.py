@@ -1,9 +1,11 @@
 """Resolvents and semigroups of the chain generators.
 
-The resolvent solves ``(alpha I - L) u = f`` directly; in weighted-inner-
-product terms this is exactly the characterizing identity
+The resolvent solves ``(alpha I - L) u = f`` directly, by the level-by-level
+elimination of :mod:`driftform.resistance` over the level's nested sets; in
+weighted-inner-product terms this is exactly the characterizing identity
 ``A_alpha(u, v) = (f, v)_mu`` for every test vector ``v``, and the residual
-of that identity is attached to every solve.
+of that identity is attached to every solve (a singular pivot block gives a
+NaN solution, which fails it).
 
 Semigroups run on the uniformized operator: with ``Lam`` the largest
 holding rate and ``tau = Lam t``, ``P = I + L / Lam`` is stochastic and
@@ -44,6 +46,7 @@ from scipy import sparse
 
 # RateValidationError and validate_rates stay importable from this module.
 from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
+from .resistance import _eliminate, _solve
 
 SERIES_TAIL = 1e-13  # truncation tolerance of both series
 RESIDUAL_TOL = 1e-9
@@ -78,8 +81,6 @@ class SemigroupApply:
 def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
     """Solve ``(alpha I - L) u = f`` and record the weighted residual
     ``max_x |A_alpha(u, 1_x) - (f, 1_x)_mu|``."""
-    from scipy.sparse.linalg import splu  # loaded by the commands that solve
-
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     fv = np.asarray(f, dtype=float)
@@ -88,9 +89,10 @@ def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
     if not np.all(np.isfinite(fv)):
         raise ValueError("input values must be finite")
     system = (alpha * sparse.identity(gen.n) - gen.L).tocsr()
+    counts = gen.net.counts if gen.net is not None else ()
     try:
-        u = splu(system.tocsc()).solve(fv)
-    except RuntimeError:  # an exactly singular factor: no solution, fails below
+        u = _solve(*_eliminate(system, [*counts, gen.n]), fv)
+    except np.linalg.LinAlgError:  # a singular pivot block: no solution, fails below
         u = np.full(gen.n, np.nan)
     residual = float(np.max(np.abs(gen.mu * (system @ u - fv))))
     # fails closed: a NaN residual does not pass

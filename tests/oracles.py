@@ -238,7 +238,7 @@ def dense_resistance_rows(net):
     m = net.counts[-1] if net.counts else n
     g = np.zeros((m, m))
     g[1:lap.shape[0], 1:lap.shape[0]] = np.linalg.inv(lap[1:, 1:].toarray())
-    for lo, inv, h in steps[:-1]:
+    for lo, inv, h, _ in steps[:-1]:
         hi = lo + inv.shape[0]
         coarse = np.ascontiguousarray(g[:lo, :lo])
         for a in range(lo, hi, width):  # rows a:b of [H G, H G H^T]
@@ -252,7 +252,7 @@ def dense_resistance_rows(net):
         g[lo + block.row, lo + block.col] += block.data
 
     if steps:
-        _, inv, h = steps[-1]
+        _, inv, h, _ = steps[-1]
     else:
         inv, h = sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, n))
     d = np.empty(n)
@@ -460,3 +460,57 @@ def tuple_measure(structure, level: dict, theta) -> np.ndarray:
         for vid in ids:
             mu[vid] += tw * share
     return mu
+
+
+def _coo_block_inverse(a, ncomp: int, labels: np.ndarray) -> sparse.csr_matrix:
+    """Inverse of a matrix with small connected components, assembled from
+    COO triples: one batched dense inverse per component size."""
+    m = a.shape[0]
+    sizes = np.bincount(labels, minlength=ncomp)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m) - np.repeat(starts, sizes)
+    coo = a.tocoo()
+    coo.sum_duplicates()
+    rows, cols, vals = [], [], []
+    for size in np.unique(sizes):
+        comps = np.flatnonzero(sizes == size)
+        slot = np.full(ncomp, -1)
+        slot[comps] = np.arange(len(comps))
+        members = order[starts[comps][:, None] + np.arange(size)]
+        blocks = np.zeros((len(comps), size, size))
+        mine = slot[labels[coo.row]] >= 0
+        r, c = coo.row[mine], coo.col[mine]
+        blocks[slot[labels[r]], pos[r], pos[c]] = coo.data[mine]
+        inv = np.linalg.inv(blocks)
+        rows.append(np.broadcast_to(members[:, :, None], inv.shape).ravel())
+        cols.append(np.broadcast_to(members[:, None, :], inv.shape).ravel())
+        vals.append(inv.ravel())
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m),
+    )
+
+
+def laplacian_elimination(lap, bounds, traced=True):
+    """The block elimination of a Laplacian as it was before it factored
+    any other matrix: steps ``(N_{j-1}, L_II^-1, H, None)`` coarse to fine
+    and the trace onto ``[0, N_0)``, its diagonal reset to minus the
+    off-diagonal row sums (no row sums carried).  A drop-in for
+    ``resistance._eliminate`` on Laplacians, with csgraph labels."""
+    steps = []
+    for lo in reversed(bounds[:-1]):
+        pivot, coupling = lap[lo:, lo:], lap[lo:, :lo]
+        ncomp, labels = csgraph.connected_components(pivot, directed=False)
+        if not np.bincount(labels[np.diff(coupling.indptr) > 0], minlength=ncomp).all():
+            raise NetworkError("interior component does not touch the boundary")
+        inv = _coo_block_inverse(pivot, ncomp, labels)
+        h = -(inv @ coupling).tocsr()
+        steps.append((lo, inv, h, None))
+        if lo == bounds[0] and not traced:
+            return steps[::-1], None
+        lap = (lap[:lo, :lo] + lap[:lo, lo:] @ h).tocsr()
+        lap.setdiag(0.0)
+        lap = (lap - sparse.diags(np.asarray(lap.sum(axis=1)).ravel())).tocsr()
+    return steps[::-1], lap

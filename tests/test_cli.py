@@ -11,6 +11,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from driftform import markov as mk
+from driftform import spectral
 from driftform import tower as tw
 from driftform.cli import _parse_levels, main
 
@@ -279,6 +280,24 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:"), lines
         assert not (tmp_path / "check_report.json").exists()
+
+    def test_resolvent_singular_pivot_fails_closed(self, tmp_path, capsys, monkeypatch):
+        # the finest vertex's row of the system zeroed with its entries kept:
+        # the pivot block of its cell is exactly singular, so the solution is
+        # NaN and its residual certificate fails
+        real = spectral._eliminate
+
+        def singular(a, bounds):
+            a = a.copy()
+            a.data[a.indptr[-2]:] = 0.0
+            return real(a, bounds)
+
+        monkeypatch.setattr(spectral, "_eliminate", singular)
+        assert run(["resolvent", "--level", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines == ["numerical failure: resolvent solve residual nan exceeds tolerance"]
 
     def test_resolvent_residual_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # a negative tolerance makes every solve fail its residual certificate
@@ -550,6 +569,21 @@ class TestModes:
         assert all(s["residual"] <= 1e-9 for s in report["solves"])
         assert (tmp_path / "resolvent_alpha_8.txt").exists()
 
+    @pytest.mark.parametrize("argv, first, second", [
+        (["semigroup", "--level", "2", "--t", "0.1000001,0.1000002"], "0.1000001", "0.1000002"),
+        (["resolvent", "--level", "3", "--alpha", "13.60001,13.600012"],
+         "13.60001", "13.600012"),
+    ])
+    def test_grid_values_sharing_a_file_name_rejected(self, tmp_path, capsys,
+                                                      argv, first, second):
+        # both would write one semigroup_t_0.1.txt or resolvent_alpha_13.6.txt
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert first in err[0] and second in err[0]
+        assert not out.exists()
+
     def test_resolvent_alpha_below_lambda_rejected(self, tmp_path):
         assert run(["resolvent", "--level", "2", "--alpha", "0.5",
                     "--out", str(tmp_path)]) == 2
@@ -585,11 +619,12 @@ class TestModes:
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # scipy.stats costs most of a second to import and nothing in the
     # package needs it; the series coefficients come from numpy recurrences,
-    # so no command loads scipy.special either.  ARPACK, SuperLU and LAPACK
-    # (scipy.sparse.linalg, scipy.linalg) load only when a command certifies
-    # or solves, so the import, semigroup and simulate go without them;
-    # csgraph never loads.  Each step runs in the same interpreter, and a
-    # module once loaded stays, so the solving commands come last.
+    # so no command loads scipy.special either.  ARPACK and LAPACK
+    # (scipy.sparse.linalg, scipy.linalg) load only when a command certifies,
+    # so the import, semigroup, simulate and resolvent (whose solves run
+    # through the package's own elimination) go without them; csgraph never
+    # loads.  Each step runs in the same interpreter, and a module once
+    # loaded stays, so the certifying commands come last.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -616,4 +651,4 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
     loaded = json.loads(proc.stdout)
     assert not any("scipy.special" in step for step in loaded)
     solved = ["scipy.sparse.linalg", "scipy.linalg"]
-    assert loaded == [[], [], [], solved, solved, solved]
+    assert loaded == [[], [], [], [], solved, solved]

@@ -10,10 +10,12 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy import sparse
 
+from driftform import drift as drift_module
 from driftform import pcf, resistance
 from driftform import tower as tw
 from driftform.cli import main
 from driftform.drift import (
+    CertificateError,
     DriftError,
     DriftSpec,
     InadmissibleDriftError,
@@ -28,6 +30,7 @@ from driftform.drift import (
     make_drift,
     sample_field,
     select_constants,
+    _factor,
 )
 from driftform.markov import build_generator
 from driftform.resistance import (
@@ -748,9 +751,10 @@ class TestCertificateSolves:
         self, tmp_path, monkeypatch
     ):
         # the sandwich, SD1 and the sector constant; the drift bound adds none.
-        # The certificates import the solvers when they call them, so the
-        # scipy modules are patched.
-        calls = {"eigen": 0, "splu": 0}
+        # The certificates import the eigen-solvers when they call them, so
+        # the scipy modules are patched; the factorizations are the package's
+        # elimination, as the certificates call it.
+        calls = {"eigen": 0, "factor": 0}
 
         def counted(key, func):
             def wrapper(*args, **kwargs):
@@ -760,10 +764,19 @@ class TestCertificateSolves:
 
         for module, name, key in ((scipy.sparse.linalg, "eigsh", "eigen"),
                                   (scipy.linalg, "eigh", "eigen"),
-                                  (scipy.sparse.linalg, "splu", "splu")):
+                                  (drift_module, "_eliminate", "factor")):
             monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
         assert main(["check", "--level", "4", "--out", str(tmp_path)]) == 0
-        assert calls == {"eigen": 3, "splu": 2}
+        assert calls == {"eigen": 3, "factor": 2}
+
+    def test_singular_pivot_block_raises(self, sg_tower, admissible_cfg):
+        # the finest vertex's row zeroed with its entries kept: the pivot
+        # block of its cell is exactly singular
+        gen = sg_tower.generator(3, admissible_cfg)
+        b = (gen.E_matrix + sparse.diags(gen.mu)).tocsr()
+        b.data[b.indptr[-2]:] = 0.0
+        with pytest.raises(CertificateError, match="cannot factor"):
+            _factor(gen, b)
 
 
 class TestCertificates:

@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 from driftform import pcf, resistance
+from driftform import tower as tw
 from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
@@ -30,6 +33,7 @@ from oracles import (
     dense_resistance_rows,
     edge_list,
     effective_resistance,
+    laplacian_elimination,
     resistance_matrix,
 )
 
@@ -724,3 +728,74 @@ class TestValidationAndIO:
         write_vertex_function_report(path, vals)
         back = read_vertex_function(path, len(vals))
         assert back.tolist() == vals  # bit-exact through 17 significant digits
+
+
+def shipped_tower(name: str) -> LevelTower:
+    return LevelTower(pcf.load_structure(str(CONFIGS / f"{name}.json")))
+
+
+class TestOneElimination:
+    """``_eliminate`` factors every sparse matrix of a level; the Laplacian
+    path (traces, harmonic extensions, the diameter) is bit for bit what the
+    Laplacian-only elimination gave, and every solve matches SuperLU and a
+    dense solve."""
+
+    @pytest.mark.parametrize("name, top", [
+        ("sg", 7), ("sg3", 4), ("interval", 7), ("sg_combinatorial", 5),
+    ])
+    def test_laplacian_path_is_bit_identical(self, sg_tower, monkeypatch, name, top):
+        tower = sg_tower if name == "sg" else shipped_tower(name)
+
+        def results():
+            out = []
+            for n in range(top + 1):
+                net = tower.network(n)
+                nets = [net, trace(net, net.counts[-1])] if net.counts else [net]
+                for m in nets:  # a trace's conductances are stored unsorted
+                    # the counts, and boundaries between them (fill-in)
+                    for k in sorted({1, 2, *m.counts, min(m.n, 5), m.n}):
+                        data = np.random.default_rng(k).standard_normal((2, k))
+                        out += [trace(m, k).c.toarray(), harmonic_extension(m, data)]
+                    out.append(resistance_diameter(m))
+            return out
+
+        new = results()
+        monkeypatch.setattr(resistance, "_eliminate", laplacian_elimination)
+        old = results()
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def level_matrices(gen, lam: float = 1.0, alpha: float = 2.0) -> dict:
+        """``alpha I - L``, ``E_lam`` and ``S = E_lam + Q_sym`` of a generator."""
+        q = gen.Q_matrix
+        e_lam = (gen.E_matrix + lam * sparse.diags(gen.mu)).tocsr()
+        return {"resolvent": (alpha * sparse.identity(gen.n) - gen.L).tocsr(),
+                "E_lam": e_lam, "S": (e_lam + 0.5 * (q + q.T)).tocsr()}
+
+    @pytest.mark.parametrize("name, top, drift", [
+        ("sg", 6, "default"), ("sg", 6, "two_term"), ("sg", 6, "none"),
+        ("sg3", 3, "default"), ("sg3", 3, "none"),
+        ("interval", 6, "default"), ("interval", 6, "none"),
+        ("sg_combinatorial", 5, "default"), ("sg_combinatorial", 5, "none"),
+    ])
+    def test_solves_match_splu_and_dense(self, sg_tower, admissible_cfg, name, top, drift):
+        tower = sg_tower if name == "sg" else shipped_tower(name)
+        cfg = {"none": None, "two_term": TWO_TERM_DRIFT,
+               "default": admissible_cfg if name == "sg"
+               else tw.default_admissible_drift(tower, proxy_level=3)}[drift]
+        rng = np.random.default_rng(11)
+        for n in range(top + 1):
+            gen = tower.generator(n, cfg)
+            for label, a in self.level_matrices(gen).items():
+                steps, end = resistance._eliminate(a, [*gen.net.counts, gen.n])
+                lu = splu(a.tocsc())
+                for b in (rng.standard_normal(gen.n), rng.standard_normal((gen.n, 3))):
+                    x = resistance._solve(steps, end, b)
+                    assert x.shape == b.shape
+                    for ref in (np.linalg.solve(a.toarray(), b), lu.solve(b)):
+                        gap = np.max(np.abs(x - ref))
+                        assert gap <= 1e-10 * np.max(np.abs(ref)), (label, n, gap)
+                    residual, lu_residual = (np.max(np.abs(a @ y - b)) for y in (x, lu.solve(b)))
+                    assert residual <= 10 * lu_residual + 1e-13 * np.max(np.abs(b)), (label, n)
