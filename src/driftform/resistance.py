@@ -15,7 +15,11 @@ vertices outside a coarser set fine to coarse, one nested set at a time:
 nested dissection with the cell boundaries as separators (George 1973).
 New vertices of different cells share no edge, so each step inverts
 cell-sized blocks.  Traces, extensions and the diameter read its steps, and
-resolvents and certificates solve with it.  The resistance diameter streams
+resolvents and certificates solve with it.  What a step needs of the
+pattern alone (the block split, the pivot's components, where the blocks'
+inverses go) is planned once per pattern (:func:`_plan`) and shared by every
+matrix on it: a level's Laplacian, ``alpha I - L``, ``E_lam`` and ``S``, and
+the traces of finer levels onto it.  The resistance diameter streams
 all-pairs resistances from the Green function grounded at vertex 0, rebuilt
 coarse to fine from the steps and held dense two sets below the finest; the
 rows it needs on the next-to-finest set are formed from that and streamed
@@ -42,6 +46,8 @@ from .pcf import LevelComplex
 
 SCHUR_CLAMP = 1e-14
 BLOCK_COLUMNS = 64  # rows per streamed block in _resistance_rows
+PLAN_BYTES = 32 * 2**20  # memory of the cached elimination plans (_plan)
+_PLANS: dict = {}  # step plans by pattern, least recently used first
 
 
 class NetworkError(ValueError):
@@ -218,33 +224,87 @@ def _components(a) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[f]
 
 
-def _block_inverse(a, ncomp: int, labels: np.ndarray) -> sparse.csr_matrix:
-    """Inverse of a sparse matrix whose connected components (``ncomp`` of
-    them, ``labels`` by :func:`_components`) are small: one batched dense
-    inverse per component size, written straight into sorted CSR rows."""
-    m = a.shape[0]
+def _csr(data: np.ndarray, block) -> sparse.csr_matrix:
+    """The block ``(entries, indices, indptr, shape)`` of a plan, with the
+    values ``data`` of the matrix it was split from."""
+    entries, indices, indptr, shape = block
+    return sparse.csr_matrix((data[entries], indices, indptr), shape=shape, copy=False)
+
+
+def _make_plan(a, lo: int):
+    """What the step at ``lo`` needs of ``a``'s pattern alone: the blocks
+    ``A_IS``, ``A_SI``, ``A_SS`` (entries in the order slicing keeps), per
+    pivot component size ``(count, size, entries, places in the dense
+    blocks, places in the inverse's rows)``, the inverse's CSR pattern and
+    the plan's bytes."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    blocks = []
+    for r0, c0 in ((lo, lo), (lo, 0), (0, lo), (0, 0)):
+        entries = np.flatnonzero(((rows < lo) == (r0 == 0)) & ((a.indices < lo) == (c0 == 0)))
+        shape = (lo if r0 == 0 else n - lo, lo if c0 == 0 else n - lo)
+        indptr = np.zeros(shape[0] + 1, dtype=a.indptr.dtype)
+        np.cumsum(np.bincount(rows[entries] - r0, minlength=shape[0]), out=indptr[1:])
+        blocks.append((entries, a.indices[entries] - c0, indptr, shape))
+    pivot = blocks.pop(0)
+    ncomp, labels = _components(_csr(a.data, pivot))
+    coupled = labels[np.diff(blocks[0][2]) > 0]  # rows with an edge into S
+    if not np.bincount(coupled, minlength=ncomp).all():
+        raise NetworkError(
+            "interior component does not touch the boundary; "
+            "the interior block is singular"
+        )
     sizes = np.bincount(labels, minlength=ncomp)
     order = np.argsort(labels, kind="stable")  # each component's vertices, ascending
     starts = np.cumsum(sizes) - sizes
-    pos = np.empty(m, dtype=np.intp)  # place of each vertex in its component
-    pos[order] = np.arange(m) - np.repeat(starts, sizes)
-    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+    pos = np.empty(n - lo, dtype=np.intp)  # place of each vertex in its component
+    pos[order] = np.arange(n - lo) - np.repeat(starts, sizes)
+    r, c = rows[pivot[0]] - lo, pivot[1]
     indptr = np.concatenate(([0], np.cumsum(sizes[labels]))).astype(a.indptr.dtype)
     indices = np.empty(indptr[-1], dtype=a.indices.dtype)
-    data = np.empty(indptr[-1])
+    groups = []
     for size in np.unique(sizes):
         comps = np.flatnonzero(sizes == size)
         slot = np.full(ncomp, -1)
         slot[comps] = np.arange(len(comps))
         members = order[starts[comps][:, None] + np.arange(size)]
-        blocks = np.zeros((len(comps), size, size))
-        mine = slot[labels[rows]] >= 0
-        r, c = rows[mine], a.indices[mine]
-        blocks[slot[labels[r]], pos[r], pos[c]] = a.data[mine]
-        at = indptr[members.ravel()][:, None] + np.arange(size)  # row by row
-        indices[at] = np.repeat(members, size, axis=0)
-        data[at] = np.linalg.inv(blocks).reshape(-1, size)
-    return sparse.csr_matrix((data, indices, indptr), shape=(m, m))
+        mine = np.flatnonzero(slot[labels[r]] >= 0)
+        rm, cm = r[mine], c[mine]
+        at = (indptr[members.ravel()][:, None] + np.arange(size)).ravel()  # row by row
+        indices[at] = np.repeat(members, size, axis=0).ravel()
+        groups.append((len(comps), int(size), pivot[0][mine],
+                       (slot[labels[rm]] * size + pos[rm]) * size + pos[cm], at))
+    arrays = [*(x for b in blocks for x in b[:3]), *(x for g in groups for x in g[2:]),
+              indices, indptr, a.indptr, a.indices]
+    for x in arrays[:-2]:
+        x.flags.writeable = False  # shared by every matrix on the pattern
+    return blocks, groups, (indices, indptr), sum(x.nbytes for x in arrays)
+
+
+def _plan(a, lo: int):
+    """:func:`_make_plan` of ``a``'s pattern at ``lo``, made once and shared
+    by every matrix on that pattern; past ``PLAN_BYTES`` the least recently
+    used plans are dropped."""
+    key = (lo, a.shape, a.indptr.dtype.str, a.indptr.tobytes(),
+           a.indices.dtype.str, a.indices.tobytes())
+    _PLANS[key] = plan = _PLANS.pop(key, None) or _make_plan(a, lo)
+    while len(_PLANS) > 1 and sum(p[-1] for p in _PLANS.values()) > PLAN_BYTES:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+def _block_inverse(data: np.ndarray, plan) -> sparse.csr_matrix:
+    """Inverse of the pivot ``A_II`` of the matrix with values ``data``: one
+    batched dense inverse per component size, written straight into sorted
+    CSR rows."""
+    _, groups, (indices, indptr), _ = plan
+    out = np.empty(len(indices))
+    for count, size, entries, places, at in groups:
+        blocks = np.zeros(count * size * size)
+        blocks[places] = data[entries]
+        out[at] = np.linalg.inv(blocks.reshape(count, size, size)).ravel()
+    m = len(indptr) - 1
+    return sparse.csr_matrix((out, indices, indptr), shape=(m, m), copy=False)
 
 
 def _solve(steps, end, b) -> np.ndarray:
@@ -292,15 +352,10 @@ def _eliminate(a, bounds: Sequence[int], traced: bool = True):
     r = diagonal + np.asarray((a - _diagonal_csr(diagonal)).sum(axis=1)).ravel()
     steps = []
     for lo in reversed(bounds[:-1]):
-        pivot, coupling, a_si = a[lo:, lo:], a[lo:, :lo], a[:lo, lo:]
-        ncomp, labels = _components(pivot)
-        coupled = labels[np.diff(coupling.indptr) > 0]  # rows with an edge into S
-        if not np.bincount(coupled, minlength=ncomp).all():
-            raise NetworkError(
-                "interior component does not touch the boundary; "
-                "the interior block is singular"
-            )
-        inv = _block_inverse(pivot, ncomp, labels)
+        plan = _plan(a, lo)
+        coupling, a_si, a_ss = plan[0]
+        coupling, a_si = _csr(a.data, coupling), _csr(a.data, a_si)
+        inv = _block_inverse(a.data, plan)
         h, k = inv @ coupling, a_si @ inv
         np.negative(h.data, out=h.data)
         np.negative(k.data, out=k.data)
@@ -308,7 +363,7 @@ def _eliminate(a, bounds: Sequence[int], traced: bool = True):
         if lo == bounds[0] and not traced:
             return steps[::-1], None
         r = r[:lo] + k @ r[lo:]
-        a = (a[:lo, :lo] + a_si @ h).tocsr()
+        a = (_csr(a.data, a_ss) + a_si @ h).tocsr()
         a.setdiag(0.0)
         a = (a - _diagonal_csr(np.asarray(a.sum(axis=1)).ravel() - r)).tocsr()
     return steps[::-1], a

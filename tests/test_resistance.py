@@ -427,10 +427,13 @@ class TestComponents:
             return got
 
         monkeypatch.setattr(resistance, "_components", checked)
+        # a step labels its pivot when it plans a pattern not seen before
+        monkeypatch.setattr(resistance, "_PLANS", {})
         for n in range(top + 1):
             net = tower.network(n)
             assert_labels_match(net.c, label(net.c))
             bounds = [*net.counts, net.n]
+            resistance._PLANS.clear()
             resistance._eliminate(net.laplacian(), bounds)
             assert pivots == [b - a for a, b in zip(bounds, bounds[1:])][::-1]
             pivots.clear()
@@ -765,6 +768,46 @@ class TestOneElimination:
         assert len(new) == len(old)
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
+
+    def test_plans_are_shared_by_a_pattern(self, sg_tower, admissible_cfg, monkeypatch):
+        # alpha I - L, E_lam and the Laplacian of a level share one pattern:
+        # the first elimination plans (and labels) each step, the others
+        # reuse the plans, and a cold cache gives the same steps bit for bit
+        gen = sg_tower.generator(4, admissible_cfg)
+        bounds = [*gen.net.counts, gen.n]
+        mats = [*self.level_matrices(gen).values(), gen.net.laplacian()]
+        labelled = []
+        label = resistance._components
+        monkeypatch.setattr(resistance, "_components",
+                            lambda a: labelled.append(a.shape[0]) or label(a))
+        monkeypatch.setattr(resistance, "_PLANS", {})
+        warm = [resistance._eliminate(a, bounds) for a in mats]
+        assert labelled == [b - a for a, b in zip(bounds, bounds[1:])][::-1]
+        for plan in resistance._PLANS.values():
+            assert not plan[2][0].flags.writeable
+        for a, (steps, end) in zip(mats, warm):
+            resistance._PLANS.clear()
+            cold_steps, cold_end = resistance._eliminate(a, bounds)
+            assert np.array_equal(end.toarray(), cold_end.toarray())
+            for step, cold in zip(steps, cold_steps, strict=True):
+                assert step[0] == cold[0]
+                for x, y in zip(step[1:], cold[1:]):
+                    assert np.array_equal(x.indptr, y.indptr)
+                    assert np.array_equal(x.indices, y.indices)
+                    assert np.array_equal(x.data, y.data)
+
+    def test_plan_memory_is_bounded(self, sg_tower, monkeypatch):
+        net = sg_tower.network(5)
+        bounds = [*net.counts, net.n]
+        steps, _ = resistance._eliminate(net.laplacian(), bounds)
+        monkeypatch.setattr(resistance, "_PLANS", {})
+        monkeypatch.setattr(resistance, "PLAN_BYTES", 20_000)
+        again, _ = resistance._eliminate(net.laplacian(), bounds)
+        plans = resistance._PLANS.values()
+        assert 1 <= len(plans) < len(bounds) - 1
+        assert len(plans) == 1 or sum(p[-1] for p in plans) <= 20_000
+        for step, other in zip(steps, again, strict=True):
+            assert np.array_equal(step[2].toarray(), other[2].toarray())
 
     @staticmethod
     def level_matrices(gen, lam: float = 1.0, alpha: float = 2.0) -> dict:
