@@ -45,6 +45,7 @@ COMMANDS = {
                          "--f", "harmonic:1,0,0"],
     # deeper levels, the benchmark's workloads and the shipped configs
     "check_l6": ["check", "--level", "6", "--seed", "1"],
+    "check_l8": ["check", "--level", "8"],
     "semigroup_l6": ["semigroup", "--level", "6", "--t", "0.1", "--f", "x", "--seed", "1"],
     "simulate_l4": ["simulate", "--level", "4", "--paths", "4000", "--t", "0.01,0.1",
                     "--paired", "--seed", "1"],
@@ -56,6 +57,9 @@ COMMANDS = {
                          "--structure", "docs/configs/sg_combinatorial.json",
                          "--drift", "docs/configs/drift_constant.json"],
     "interval": ["check", "--level", "2", "--structure", "docs/configs/interval.json"],
+    # a diameter between a corner and an inner vertex (not on V_0)
+    "sg_weighted_check": ["check", "--level", "4",
+                          "--structure", "docs/configs/sg_weighted.json"],
     # the level-3 gasket: 7-vertex pivot blocks in every elimination
     "sg3_check": ["check", "--level", "4", "--structure", "docs/configs/sg3.json"],
     "sg3_converge": ["converge", "--levels", "1:3", "--reference-level", "4",

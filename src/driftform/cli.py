@@ -36,6 +36,8 @@ from . import tower as tw
 from .pcf import StructureError, build_sierpinski_structure, load_structure
 from .resistance import NetworkError, harmonic_extension
 
+MAX_LAMBDA_T = 1e7  # largest Lambda t a run takes (L10 at t = 0.1 is about 6e6)
+
 
 class ConfigError(Exception):
     pass
@@ -287,10 +289,12 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
     return read_vertex_function(spec, n)
 
 
-def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None):
+def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None,
+           times: list[float] = ()):
     """The run's tower and drift configuration, and the smallness report of
     each level (default: the working level) against one proxy diameter
-    (default: ``--reference-level``, else the working level).
+    (default: ``--reference-level``, else the working level).  A time whose
+    ``Lambda t`` at a level passes ``MAX_LAMBDA_T`` is refused.
 
     Returns ``(tower, config, reports, failed)``: the reports stop at the
     first level that fails the chosen assumption, and ``failed`` lists that
@@ -317,6 +321,10 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
         reports[n] = tw.constants_for(
             tower, config, n, proxy_level=proxy_level, delta=args.delta
         )
+        lam_t = max(times, default=0.0) * float(tower.generator(n, config).q.max())
+        if not lam_t <= MAX_LAMBDA_T:
+            raise ConfigError(f"--t {max(times):g} gives Lambda t = {lam_t:.3g} at level {n}, "
+                              f"past the ceiling {MAX_LAMBDA_T:g}")
         failed = reports[n].failed_conditions(args.assumption)
         if failed:
             return tower, config, reports, failed
@@ -410,7 +418,7 @@ def cmd_resolvent(args) -> int:
 
 def cmd_semigroup(args) -> int:
     times = _one_file_each(_parse_floats(args.t), "--t")
-    tower, config, _, failed = _setup(args)
+    tower, config, _, failed = _setup(args, times=times)
     if failed:
         return _fail_admissibility(failed)
     level = args.level
@@ -443,7 +451,7 @@ def cmd_simulate(args) -> int:
     times = _parse_floats(args.t)
     if args.paired and args.paths < 2:
         raise ConfigError(f"--paired needs --paths >= 2 for a standard error, got {args.paths}")
-    tower, config, _, failed = _setup(args)
+    tower, config, _, failed = _setup(args, times=times)
     if failed:
         return _fail_admissibility(failed)
     level = args.level
@@ -526,7 +534,7 @@ def cmd_converge(args) -> int:
         raise ConfigError(f"converge needs --paths >= 2 for a standard error, got {args.paths}")
     # Admissibility at every requested level, constants from the reference
     # proxy so all levels share one shift.
-    tower, config, reports, failed = _setup(args, levels + [reference], reference)
+    tower, config, reports, failed = _setup(args, levels + [reference], reference, times)
     if failed:
         return _fail_admissibility(failed)
     constants = reports[reference].constants

@@ -14,17 +14,16 @@ The package's one sparse factorization, :func:`_eliminate`, eliminates the
 vertices outside a coarser set fine to coarse, one nested set at a time:
 nested dissection with the cell boundaries as separators (George 1973).
 New vertices of different cells share no edge, so each step inverts
-cell-sized blocks.  Traces, extensions and the diameter read its steps, and
-resolvents and certificates solve with it.  What a step needs of the
+cell-sized blocks.  Traces and extensions read its steps, and the
+diameter, resolvents and certificates solve with it.  What a step needs of the
 pattern alone (the block split, the pivot's components, where the blocks'
 inverses go) is planned once per pattern (:func:`_plan`) and shared by every
 matrix on it: a level's Laplacian, ``alpha I - L``, ``E_lam`` and ``S``, and
-the traces of finer levels onto it.  The resistance diameter streams
-all-pairs resistances from the Green function grounded at vertex 0, rebuilt
-coarse to fine from the steps and held dense two sets below the finest; the
-rows it needs on the next-to-finest set are formed from that and streamed
-on, in blocks of ``BLOCK_COLUMNS`` rows, to the finest one.  Without nested
-sets it is one dense inverse.
+the traces of finer levels onto it.  The resistance diameter solves for
+blocks of ``BLOCK_COLUMNS`` columns of the Green function with the
+Laplacian's steps (:func:`_green_columns`): every pair of a bare network,
+or only the corners of the cell pairs that a cell-scaling bound cannot rule
+out.
 
 Connected components are labelled in numpy by hooking and pointer jumping
 (:func:`_components`; Shiloach & Vishkin 1982, in the FastSV form of Zhang,
@@ -45,7 +44,8 @@ from scipy import sparse
 from .pcf import LevelComplex
 
 SCHUR_CLAMP = 1e-14
-BLOCK_COLUMNS = 64  # rows per streamed block in _resistance_rows
+BLOCK_COLUMNS = 64  # Green-function columns per solve in resistance_diameter
+GROUND = 1e3  # the shift at vertex 0 in _green_columns, per unit of its degree
 PLAN_BYTES = 32 * 2**20  # memory of the cached elimination plans (_plan)
 _PLANS: dict = {}  # step plans by pattern, least recently used first
 
@@ -318,7 +318,8 @@ def _solve(steps, end, b) -> np.ndarray:
     x[:end.shape[0]] = np.linalg.solve(end.toarray(), x[:end.shape[0]])
     for lo, inv, h, _ in steps:
         hi = lo + inv.shape[0]
-        x[lo:hi] = inv @ x[lo:hi] + h @ x[:lo]
+        x[lo:hi] = inv @ x[lo:hi]
+        x[lo:hi] += h @ x[:lo]
     return x
 
 
@@ -369,161 +370,89 @@ def _eliminate(a, bounds: Sequence[int], traced: bool = True):
     return steps[::-1], a
 
 
-def _resistance_rows(net: ConductanceNetwork):
-    """Stream the all-pairs resistances in blocks of ``BLOCK_COLUMNS`` rows.
+def _green_columns(net: ConductanceNetwork):
+    """The columns of ``G = (L + c e_0 e_0^T)^-1`` as a function of vertex
+    ids, for a connected network of two or more vertices.
 
-    ``G`` is the Green function killed at vertex 0 (``G[0, :] = 0``) and
-    ``R(x, y) = G_xx + G_yy - 2 G_xy``.  With the steps ``(N, L_II^-1, H)``
-    of :func:`_eliminate` over the network's counts, ``G`` grows coarse to
-    fine as ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]`` (:func:`_finer_rows`).
-    It is held dense up to ``N_{n-2}``; rows of ``G`` up to ``N_{n-1}`` are
-    formed from it and the coarser step when a block needs them, at most
-    ``BLOCK_COLUMNS`` at a time, and the finest rows are streamed from
-    those.  With one count ``G`` is held up to ``N_0``; without counts it is
-    one dense inverse.
+    Vertex 0 is never eliminated, so the Laplacian's steps with ``c`` added
+    to the dense end at 0 factor ``L + c e_0 e_0^T`` exactly.  ``G`` is the
+    Green function killed at 0 plus ``1/c``, which cancels in
+    ``R(x, y) = G_xx + G_yy - 2 G_xy``; with ``c = GROUND`` times vertex 0's
+    degree it is ``GROUND`` times below every ``R(0, y)``, so it costs a few
+    units in the last place (``c = 1`` cost 2e-14 on SG L8).
+    """
+    lap = net.laplacian()
+    try:
+        steps, end = _eliminate(lap, [*net.counts, net.n])
+    except NetworkError:  # a part of the network misses [0, N_0)
+        raise NetworkError("network is disconnected") from None
+    if _components(end)[0] > 1:
+        raise NetworkError("network is disconnected")
+    end = end + sparse.csr_matrix(([GROUND * lap[0, 0]], ([0], [0])), shape=end.shape)
 
-    Each yielded ``(lo, hi, r)`` holds ``r[x - lo, y - lo] = R(x, y)`` for
-    ``lo <= x < hi`` and ``lo <= y < n``; by symmetry the blocks cover every
-    pair.  Blocks come last rows first, so the diagonal of ``G`` right of a
-    block is known when the block is.  ``r`` is a view of a buffer that the
-    next block overwrites.
+    def columns(ids):
+        b = np.zeros((net.n, len(ids)))
+        b[ids, np.arange(len(ids))] = 1.0
+        return _solve(steps, end, b)
+
+    return columns
+
+
+def resistance_diameter(net: ConductanceNetwork, cells=()) -> float:
+    """Largest effective resistance over all vertex pairs, from blocks of
+    ``BLOCK_COLUMNS`` columns of :func:`_green_columns`.
+
+    Without ``cells`` every pair is compared, in the memory of a few blocks.
+    ``cells`` are ``(cell_ids, reach)`` of levels coarse to fine, the last
+    one the network's own: row ``w`` of ``cell_ids`` holds the corners of
+    cell ``w``, its children are the next level's rows ``w m .. w m + m - 1``,
+    and ``reach[w]`` bounds the resistance from any vertex of the cell to
+    any of its corners.  So ``R(x, y) <= R(a, b) + reach[w] + reach[v]`` for
+    ``x`` in cell ``w``, ``y`` in cell ``v`` and corners ``a``, ``b``
+    (Kigami, *Analysis on Fractals*, 2001, ch. 3).  From all pairs of the
+    first level's cells, a pair is dropped when its least corner resistance
+    plus both reaches is below the largest resistance found so far, and the
+    children of the others are compared next.  Only the corners of the pairs
+    compared are solved for; the finest cells' corners are every vertex, so
+    the result is exact.
     """
     n = net.n
     if n < 2:
-        return
-    try:
-        steps, lap = _eliminate(net.laplacian(), [*net.counts, n])
-    except NetworkError:  # a part of the network misses [0, N_0)
-        raise NetworkError("network is disconnected") from None
-    if _components(lap)[0] > 1:
-        raise NetworkError("network is disconnected")
+        return 0.0
+    columns, width = _green_columns(net), BLOCK_COLUMNS
+    best, d = 0.0, np.empty(n)  # d: diag(G) where known
+    if not cells:  # last block first: the diagonal below a block is known
+        for lo in reversed(range(0, n, width)):
+            g = columns(np.arange(lo, min(lo + width, n)))[lo:]
+            d[lo:lo + width] = g.diagonal()
+            best = max(best, float((d[lo:, None] + d[lo:lo + width] - 2.0 * g).max()))
+        return best
 
-    width = BLOCK_COLUMNS
-    g = np.zeros((lap.shape[0],) * 2)
-    g[1:, 1:] = np.linalg.inv(lap[1:, 1:].toarray())
-    for lo, inv, h, _ in steps[:-2]:  # G held dense up to N_{n-2}
-        rows = _finer_rows(g, lo, inv, h)
-        g = np.empty((lo + inv.shape[0],) * 2)
-        for a in range(0, len(g), width):
-            g[a:a + width] = rows(np.arange(a, min(a + width, len(g))))
-
-    # an absent step adds no rows: the coarser one without two counts, the
-    # finest one without counts
-    p = g.shape[0]
-    empty = [(p, sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, p)), None)] * 2
-    coarser, (m, inv, h, _) = [*empty, *steps][-2:]
-    rows = _finer_rows(g, *coarser[:3])  # rows of G up to m
-    c0, v0 = _padded(h)
-    ci0, vi0 = _padded(inv)
-
-    d = np.empty(n)  # diag(G), filled block by block; d[0] = 0 at the ground
-    inv_diagonal = inv.diagonal()
-    buf = np.empty((width, n))
-    for lo, hi in reversed(list(_row_blocks(m, n, width))):
-        r = buf[:hi - lo, lo:]
-        if hi <= m:  # rows of G up to m: [G, G H^T]
-            gb = rows(np.arange(lo, hi))
-            d[lo:hi] = gb[np.arange(hi - lo), np.arange(lo, hi)]
-            np.multiply(gb[:, lo:], -2.0, out=r[:, :m - lo])
-            np.multiply((h @ gb.T).T, -2.0, out=r[:, m - lo:])
-        else:  # new rows: L_II^-1 + H G H^T, right of the diagonal
-            a, b = lo - m, hi - m
-            hg = _times_rows(h, a, b, rows, width)
-            hgh = np.zeros(b - a)  # diag(H G H^T)
-            for c, v in zip(c0[a:b].T, v0[a:b].T):
-                hgh += v * hg[np.arange(b - a), c]
-            d[lo:hi] = inv_diagonal[a:b] + hgh
-            np.multiply((h[a:] @ hg.T).T, -2.0, out=r)
-            _add_entries(r, ci0[a:b], -2.0 * vi0[a:b], a)  # -2(y+v) == -2y + -2v
-        r += d[lo:]
-        r += d[lo:hi, None]
-        yield lo, hi, r
-
-
-def _finer_rows(g, lo: int, inv, h):
-    """Rows of the Green function one elimination step finer than the dense
-    ``g`` on ``[0, lo)``: ``[[G, G H^T], [H G, L_II^-1 + H G H^T]]`` for the
-    step ``(lo, L_II^-1, H)``.
-
-    The returned function maps sorted row ids to those rows.  Each entry is
-    summed in the order of the sparse products ``H @ g`` (rows of ``H G``)
-    and ``H @ g.T`` (columns of ``G H^T``), so a row does not depend on the
-    rows asked for with it.
-    """
-    (c, v), (ci, vi) = _padded(h), _padded(inv)
-    n = lo + inv.shape[0]
-
-    def rows(idx):
-        s = np.searchsorted(idx, lo)
-        new = idx[s:] - lo
-        out = np.empty((len(idx), n))
-        out[:s, :lo] = g[idx[:s]]
-        hg = np.zeros((len(idx), lo))  # rows of H G below columns of G
-        hg[:s] = g[:, idx[:s]].T
-        for cols, vals in zip(c[new].T, v[new].T):
-            hg[s:] += vals[:, None] * g[cols]
-        out[s:, :lo] = hg[s:]
-        out[:, lo:] = (h @ hg.T).T
-        _add_entries(out[s:, lo:], ci[new], vi[new], 0)
-        return out
-
-    return rows
-
-
-def _times_rows(h, a: int, b: int, rows, width: int) -> np.ndarray:
-    """Rows ``a:b`` of the CSR ``h`` times a matrix given by ``rows`` (a
-    function of sorted row ids), asking it for at most ``width`` rows at a
-    time where one row of ``h`` reads no more."""
-    ip = h.indptr[a:b + 1]
-    cols, at = np.unique(h.indices[ip[0]:ip[-1]], return_inverse=True)
-    if len(cols) > width and b - a > 1:
-        mid = (a + b) // 2
-        return np.vstack([_times_rows(h, a, mid, rows, width),
-                          _times_rows(h, mid, b, rows, width)])
-    hb = sparse.csr_matrix((h.data[ip[0]:ip[-1]], at, ip - ip[0]), (b - a, len(cols)))
-    return hb @ rows(cols)
-
-
-def _padded(a):
-    """The rows of a CSR matrix as ``(cols, vals)`` arrays of one width: a
-    row's stored entries in order, then column -1 with value 0.
-
-    A sum over the columns of ``vals * x[cols]`` adds in the order of a
-    sparse product, so it matches it bit for bit.
-    """
-    counts = np.diff(a.indptr)
-    filled = np.arange(counts.max(initial=0)) < counts[:, None]
-    cols = np.full(filled.shape, -1)
-    vals = np.zeros(filled.shape)
-    cols[filled] = a.indices
-    vals[filled] = a.data
-    return cols, vals
-
-
-def _add_entries(out, cols, vals, shift: int) -> None:
-    """``out[i, c - shift] += v`` for each entry ``(c, v)`` of the padded row
-    ``i`` with ``c >= shift``."""
-    i, k = np.nonzero(cols >= shift)
-    out[i, cols[i, k] - shift] += vals[i, k]
-
-
-def _row_blocks(m: int, n: int, width: int):
-    """``(lo, hi)`` blocks of at most ``width`` rows over ``[0, m)`` and then
-    ``[m, n)``, so that no block straddles ``m``."""
-    for start, stop in ((0, m), (m, n)):
-        for lo in range(start, stop, width):
-            yield lo, min(lo + width, stop)
-
-
-def resistance_diameter(net: ConductanceNetwork) -> float:
-    """Largest effective resistance over all vertex pairs.
-
-    Memory is one dense Green function on the nested set ``[0, N_{n-2})``
-    two below the finest (``[0, N_0)`` with one count, every vertex without
-    counts) plus a few arrays of ``BLOCK_COLUMNS`` rows.
-    """
-    return max((float(block.max()) for *_, block in _resistance_rows(net)),
-               default=0.0)
+    w, v = np.triu_indices(len(cells[0][0]))
+    for k, (ids, reach) in enumerate(cells):
+        if k:  # the children of the pairs kept, each unordered pair once
+            m = len(ids) // len(cells[k - 1][0])
+            i, j = np.divmod(np.arange(m * m), m)
+            w, v = (w[:, None] * m + i).ravel(), (v[:, None] * m + j).ravel()
+            w, v = w[w <= v], v[w <= v]
+        nb = ids.shape[1]  # R(a, b) for the corners a of w and b of v
+        a, b = np.repeat(ids[w], nb, axis=1), np.tile(ids[v], nb)
+        corners = np.unique(ids[np.concatenate([w, v])])
+        at = np.searchsorted(corners, b.ravel())  # G_ab from the column of b
+        order = np.argsort(at, kind="stable")
+        bounds = np.searchsorted(at[order], np.arange(0, len(corners) + width, width))
+        g = np.empty(b.size)
+        for lo, start, stop in zip(range(0, len(corners), width), bounds, bounds[1:]):
+            solved, mine = corners[lo:lo + width], order[start:stop]
+            block = columns(solved)
+            d[solved] = block[solved, np.arange(len(solved))]
+            g[mine] = block[a.ravel()[mine], at[mine] - lo]
+        r = d[a] + d[b] - 2.0 * g.reshape(a.shape)
+        best = max(best, float(r.max()))
+        # the bound is met exactly where resistances add (the interval)
+        keep = r.min(axis=1) + reach[w] + reach[v] >= best * (1.0 - 1e-12)
+        w, v = w[keep], v[keep]
+    return best
 
 
 def assemble_self_similar(

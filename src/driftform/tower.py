@@ -78,8 +78,16 @@ class LevelTower:
         return self._measures[n]
 
     def diameter(self, n: int) -> float:
+        """The resistance diameter of level ``n``, pruned by the cells of
+        levels ``max(n // 2, 1) .. n``.  A level-``k`` cell ``w`` alone is the
+        level-``n - k`` network scaled by ``r_w``, and the rest only lowers
+        its resistances (Rayleigh), so ``r_w diam(V_{n-k})`` is its reach."""
         if n not in self._diameters:
-            self._diameters[n] = resistance_diameter(self.network(n))
+            r, levels = np.asarray(self.scalings), range(max(n // 2, 1), n + 1)
+            diameters = [self.diameter(n - k) for k in levels]  # refines levels in order
+            cells = [(self.complex(k).cell_ids, self.complex(k).word_products(r) * d)
+                     for k, d in zip(levels, diameters)]
+            self._diameters[n] = resistance_diameter(self.network(n), cells)
         return self._diameters[n]
 
     def vertex_count(self, n: int) -> int:

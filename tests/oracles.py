@@ -22,8 +22,7 @@ from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
     _eliminate,
-    _resistance_rows,
-    _row_blocks,
+    _green_columns,
     energy,
 )
 from driftform.spectral import SERIES_TAIL, semigroup_solve
@@ -208,74 +207,17 @@ def poisson_weights(mu_t: float) -> tuple[np.ndarray, float]:
 
 
 def resistance_matrix(net) -> np.ndarray:
-    """All-pairs effective resistances (symmetric, zero diagonal), assembled
-    from the streamed rows behind ``resistance_diameter``."""
-    r = np.zeros((net.n, net.n))
-    for lo, hi, block in _resistance_rows(net):
-        r[lo:hi, lo:] = block
-    r = np.triu(r, 1)
-    return r + r.T
-
-
-def dense_resistance_rows(net):
-    """The streamed resistance blocks of ``_resistance_rows`` from a Green
-    function held dense on the next-to-finest set ``[0, N_{n-1})``.
-
-    The library's elimination steps, with ``G`` rebuilt level by level and
-    the finest rows formed by whole sparse products; the library sums every
-    entry in the same order, so each block must equal this one bit for bit.
-    Blocks come first to last row, in ``resistance.BLOCK_COLUMNS`` rows read
-    at call time.
-    """
-    if csgraph.connected_components(net.c, directed=False)[0] > 1:
-        raise NetworkError("network is disconnected")
-    n = net.n
+    """All-pairs effective resistances (symmetric, zero diagonal), from the
+    Green-function columns behind ``resistance_diameter``, solved in blocks
+    of ``resistance.BLOCK_COLUMNS`` read at call time."""
+    n, width = net.n, resistance.BLOCK_COLUMNS
     if n < 2:
-        return
-    steps, lap = _eliminate(net.laplacian(), [*net.counts, n])
-
-    width = resistance.BLOCK_COLUMNS
-    m = net.counts[-1] if net.counts else n
-    g = np.zeros((m, m))
-    g[1:lap.shape[0], 1:lap.shape[0]] = np.linalg.inv(lap[1:, 1:].toarray())
-    for lo, inv, h, _ in steps[:-1]:
-        hi = lo + inv.shape[0]
-        coarse = np.ascontiguousarray(g[:lo, :lo])
-        for a in range(lo, hi, width):  # rows a:b of [H G, H G H^T]
-            b = min(a + width, hi)
-            hg = h[a - lo:b - lo] @ coarse
-            g[a:b, :lo] = hg
-            g[:lo, a:b] = hg.T
-            g[a:b, lo:hi] = (h @ hg.T).T
-        del coarse
-        block = inv.tocoo()
-        g[lo + block.row, lo + block.col] += block.data
-
-    if steps:
-        _, inv, h, _ = steps[-1]
-    else:
-        inv, h = sparse.csr_matrix((0, 0)), sparse.csr_matrix((0, n))
-    d = np.empty(n)
-    d[:m] = np.diag(g)
-    d[m:] = inv.diagonal()
-    for lo in range(m, n, width):
-        hb = h[lo - m:lo - m + width]
-        d[lo:lo + width] += np.asarray(hb.multiply(hb @ g).sum(axis=1)).ravel()
-    buf = np.empty((width, n))
-    for lo, hi in _row_blocks(m, n, width):
-        r = buf[:hi - lo, lo:]
-        if hi <= m:
-            r[:, :m - lo] = g[lo:hi, lo:]
-            r[:, m - lo:] = (h @ g[lo:hi].T).T
-        else:
-            hg = h[lo - m:hi - m] @ g
-            r[:] = (h[lo - m:] @ hg.T).T
-            rows = inv[lo - m:hi - m, lo - m:].tocoo()
-            r[rows.row, rows.col] += rows.data
-        r *= -2.0
-        r += d[lo:]
-        r += d[lo:hi, None]
-        yield lo, hi, r
+        return np.zeros((n, n))
+    columns = _green_columns(net)
+    g = np.hstack([columns(np.arange(lo, min(lo + width, n))) for lo in range(0, n, width)])
+    d = np.diag(g)
+    r = np.triu(d[:, None] + d - 2.0 * g, 1)
+    return r + r.T
 
 
 def state_at(traj, t: float) -> int:

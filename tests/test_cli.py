@@ -226,6 +226,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
+    @pytest.mark.parametrize("mode, t, flags, level", [
+        ("simulate", "1e30", ["--level", "1", "--paths", "3"], 1),
+        ("semigroup", "1e30", ["--level", "1"], 1),
+        ("semigroup", "1e308", ["--level", "1"], 1),
+        ("converge", "1e308", ["--levels", "1", "--reference-level", "2"], 1),
+        # Lambda t is about 3.4e6 at level 1 and 1.7e7 at the reference level
+        ("converge", "1e5", ["--levels", "1", "--reference-level", "2"], 2),
+    ])
+    def test_time_past_the_ceiling_exits_2(self, tmp_path, capsys, mode, t, flags, level):
+        out = tmp_path / "out"
+        assert run([mode, *flags, "--t", t, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"config error: --t {float(t):g} gives Lambda t = "), err
+        assert err[0].endswith(f" at level {level}, past the ceiling 1e+07"), err
+        assert not out.exists()
+
     def test_config_values_take_the_flag_types(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"level": "1", "reference-level": 2,

@@ -18,7 +18,7 @@ from driftform import tower as tw
 from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
-    _resistance_rows,
+    _green_columns,
     assemble_self_similar,
     energy,
     harmonic_extension,
@@ -30,7 +30,6 @@ from driftform.tower import LevelTower
 from oracles import (
     TWO_TERM_DRIFT,
     dense_harmonic_extension,
-    dense_resistance_rows,
     edge_list,
     effective_resistance,
     laplacian_elimination,
@@ -467,6 +466,30 @@ class TestDiameter:
         # (a plain Schur complement leaves about 1e-13 at L5-L7)
         assert abs(sg_tower.diameter(n) - 2.0 / 3.0) < 1e-14
 
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_weighted_gasket_diameter_leaves_the_boundary(self, n):
+        # scalings 0.2, 0.25, 0.9: from L3 on the largest resistance joins
+        # vertex 2 to an inner vertex, so the pruning must keep inner cells
+        tower = shipped_tower("sg_weighted")
+        net = tower.network(n)
+        oracle = pinv_resistances(net)
+        assert tower.diameter(n) == pytest.approx(resistance_diameter(net), rel=1e-13)
+        assert tower.diameter(n) == pytest.approx(oracle.max(), rel=1e-12)
+        if n >= 3:
+            assert tower.diameter(n) > oracle[:3, :3].max() + 1e-3
+
+    def test_pruning_solves_a_fraction_of_the_columns(self, monkeypatch):
+        # SG L7 has 3282 vertices; comparing every pair solves for all of them
+        tower = tw.sierpinski_tower()
+        for k in range(7):
+            tower.diameter(k)
+        solved = []
+        solve = resistance._solve
+        monkeypatch.setattr(resistance, "_solve",
+                            lambda steps, end, b: solved.append(b.shape[1]) or solve(steps, end, b))
+        assert abs(tower.diameter(7) - 2.0 / 3.0) < 1e-14
+        assert sum(solved) < 600, sum(solved)
+
     def test_tower_passes_the_coarser_counts(self, sg_tower):
         assert sg_tower.network(0).counts == ()
         assert sg_tower.network(4).counts == (3, 6, 15, 42)
@@ -619,18 +642,25 @@ class TestLevelThreeGasket:
 
 
 class TestStreamedGreenFunction:
-    """The streamed blocks against the Green function held dense on the
-    next-to-finest set, block for block and bit for bit."""
+    """The Green-function columns, solved in blocks of ``BLOCK_COLUMNS``,
+    and the diameter against a dense inverse of the same shifted Laplacian
+    ``L + c e_0 e_0^T``."""
 
     @staticmethod
     def assert_exact(net):
-        streamed = {(lo, hi): r.copy() for lo, hi, r in _resistance_rows(net)}
-        diameter = 0.0
-        for lo, hi, r in dense_resistance_rows(net):
-            assert np.array_equal(streamed.pop((lo, hi)), r), (lo, hi)
-            diameter = max(diameter, float(r.max()))
-        assert not streamed
-        assert resistance_diameter(net) == diameter
+        if net.n < 2:
+            assert resistance_diameter(net) == 0.0
+            return
+        lap = net.laplacian().toarray()
+        lap[0, 0] *= 1.0 + resistance.GROUND
+        dense = np.linalg.inv(lap)
+        columns, width = _green_columns(net), resistance.BLOCK_COLUMNS
+        for lo in range(0, net.n, width):
+            ids = np.arange(lo, min(lo + width, net.n))
+            np.testing.assert_allclose(columns(ids), dense[:, ids], rtol=1e-11, atol=0)
+        d = np.diag(dense)
+        oracle = (d[:, None] + d - 2.0 * dense).max()
+        assert resistance_diameter(net) == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_sg(self, sg_tower, n):
@@ -739,7 +769,7 @@ def shipped_tower(name: str) -> LevelTower:
 
 class TestOneElimination:
     """``_eliminate`` factors every sparse matrix of a level; the Laplacian
-    path (traces, harmonic extensions, the diameter) is bit for bit what the
+    path (traces and harmonic extensions) is bit for bit what the
     Laplacian-only elimination gave, and every solve matches SuperLU and a
     dense solve."""
 
@@ -759,7 +789,6 @@ class TestOneElimination:
                     for k in sorted({1, 2, *m.counts, min(m.n, 5), m.n}):
                         data = np.random.default_rng(k).standard_normal((2, k))
                         out += [trace(m, k).c.toarray(), harmonic_extension(m, data)]
-                    out.append(resistance_diameter(m))
             return out
 
         new = results()
