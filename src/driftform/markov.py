@@ -107,18 +107,13 @@ class GeneratorMatrix:
         diag = np.bincount(self.edge_rows, weights=weighted, minlength=self.n)
         return (off + sparse.diags(diag)).tocsr()
 
-    def rates_valid(self) -> bool:
-        return bool(self.edge_factor.size == 0 or self.edge_factor.min() >= 0.0)
-
     # Derived operators, built once per generator; a failed rate validation
     # is not cached and raises on every access.
     @cached_property
     def uniformized(self) -> tuple[sparse.csr_matrix, float]:
         """``(P, Lam)`` with ``Lam`` the largest holding rate and
         ``P = I + L / Lam`` stochastic (``(I, 0)`` without jumps)."""
-        if not self.rates_valid():
-            bad = int(np.count_nonzero(self.edge_factor < 0.0))
-            raise RateValidationError(f"invalid rates on {bad} edges; semigroup evaluation refused")
+        _require_valid_rates(self)
         lam_max = float(np.max(self.q)) if self.n else 0.0
         if lam_max <= 0:
             return sparse.identity(self.n, format="csr"), 0.0
@@ -141,8 +136,9 @@ class GeneratorMatrix:
         points of the bin ``[b, b + 1)`` when no cut falls strictly inside
         it, and ``~(x * BINS + b)`` (negative) when one does.  Requires
         valid rates and no absorbing vertex."""
-        jump_parameters(self)  # refuses negative rates and absorbing vertices
         P, lam = self.uniformized
+        if np.any(self.q <= 0):
+            raise RateValidationError("absorbing vertex: some holding rate is zero")
         P = P.copy()
         P.eliminate_zeros()
         P.sort_indices()
@@ -210,11 +206,12 @@ class RateValidationReport:
 
 
 def validate_rates(gen: GeneratorMatrix) -> RateValidationReport:
-    """List every ordered edge whose rate factor ``1 + eta`` is negative.
+    """List every ordered edge whose rate factor ``1 + eta`` is negative or
+    NaN.
 
     An empty list is exactly the condition for ``gen`` to generate a CTMC.
     """
-    bad = np.flatnonzero(gen.edge_factor < 0.0)
+    bad = np.flatnonzero(~(gen.edge_factor >= 0.0))  # fails closed on NaN
     violations = [
         (int(gen.edge_rows[k]), int(gen.edge_cols[k]), float(gen.edge_factor[k]))
         for k in bad
@@ -223,18 +220,24 @@ def validate_rates(gen: GeneratorMatrix) -> RateValidationReport:
     return RateValidationReport(gen.level, violations)
 
 
-def jump_parameters(gen: GeneratorMatrix) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """Holding rates ``q(x) = -L(x, x)`` and the row-stochastic jump kernel
-    ``pi(x, y) = L(x, y) / q(x)``.
-
-    Requires valid rates and no absorbing vertex.
-    """
+def _require_valid_rates(gen: GeneratorMatrix) -> None:
+    """Raise :class:`RateValidationError` unless :func:`validate_rates`
+    passes ``gen``."""
     report = validate_rates(gen)
     if not report.ok:
         raise RateValidationError(
             f"{len(report.violations)} edges have negative rates; "
             f"first: {report.violations[0]}"
         )
+
+
+def jump_parameters(gen: GeneratorMatrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Holding rates ``q(x) = -L(x, x)`` and the row-stochastic jump kernel
+    ``pi(x, y) = L(x, y) / q(x)``.
+
+    Requires valid rates and no absorbing vertex.
+    """
+    _require_valid_rates(gen)
     q = gen.q
     if np.any(q <= 0):
         raise RateValidationError("absorbing vertex: some holding rate is zero")

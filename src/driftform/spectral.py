@@ -61,7 +61,6 @@ UNIFORMIZATION = "uniformization"
 @dataclass
 class ResolventSolve:
     alpha: float
-    input: np.ndarray
     output: np.ndarray
     residual: float
 
@@ -69,7 +68,6 @@ class ResolventSolve:
 @dataclass
 class SemigroupApply:
     t: float
-    input: np.ndarray
     output: np.ndarray
     truncation_order: int  # Chebyshev degree or Poisson order, per ``method``
     uniformization_rate: float
@@ -100,7 +98,7 @@ def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
         raise ArithmeticError(
             f"resolvent solve residual {residual:.3g} exceeds tolerance"
         )
-    return ResolventSolve(alpha, fv, u, residual)
+    return ResolventSolve(alpha, u, residual)
 
 
 def resolvent(gen: GeneratorMatrix, alpha: float, f) -> np.ndarray:
@@ -253,9 +251,9 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     tau = lam_max * t
     out, degree, tail, growth = _chebyshev_series(P, tau, fv)
     if out is not None:
-        return SemigroupApply(t, fv, out, degree, lam_max, CHEBYSHEV, tail * growth, growth)
+        return SemigroupApply(t, out, degree, lam_max, CHEBYSHEV, tail * growth, growth)
     out, order, tail = _poisson_series(P, tau, fv)
-    return SemigroupApply(t, fv, out, order, lam_max, UNIFORMIZATION, tail, growth)
+    return SemigroupApply(t, out, order, lam_max, UNIFORMIZATION, tail, growth)
 
 
 @dataclass

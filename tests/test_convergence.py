@@ -5,7 +5,8 @@ import pytest
 
 from driftform import spectral as spectral_mod
 from driftform.convergence import (
-    _record_method,
+    TREND_SLACK,
+    ConvergenceReport,
     ks_norm_check,
     path_law_convergence,
     resolvent_convergence,
@@ -29,6 +30,26 @@ def energy_monotonicity_profile(tower, f_ref, levels, slack=1e-10) -> dict:
         "energies": values,
         "nondecreasing": bool(np.all(np.diff(values) >= -slack * scale)),
     }
+
+
+def trend_from_tails(levels, errors):
+    """Reference: the first level whose tail of errors is non-increasing."""
+    for i in range(len(errors)):
+        tail = errors[i:]
+        if all(b <= a * (1 + TREND_SLACK) + TREND_SLACK for a, b in zip(tail, tail[1:])):
+            return levels[i]
+    return None
+
+
+@pytest.mark.parametrize("errors", [
+    [], [0.5], [3.0, 2.0, 1.0], [1.0, 2.0, 1.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
+    [1.0, 1.0 + 5e-13, 0.5], [1.0, 1.0 + 1e-9, 0.5], [0.0, 1e-12, 0.0],
+    [float("nan"), 1.0, 0.5], [1.0, float("nan"), 0.5], [1.0, 0.5, float("nan")],
+])
+def test_trend_start_is_the_first_non_increasing_tail(errors):
+    levels = list(range(2, 2 + len(errors)))
+    rep = ConvergenceReport(levels, errors).finalize_trend()
+    assert rep.trend_nonincreasing_from == trend_from_tails(levels, errors)
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +119,6 @@ class TestSemigroupConvergence:
     def test_decaying_profile(self, sg_tower, admissible_cfg, x_coord):
         rep = semigroup_convergence(sg_tower, admissible_cfg, 0.1, x_coord, [1, 2, 3, 4], REF)
         assert all(b < a for a, b in zip(rep.errors, rep.errors[1:]))
-
-
-def test_a_fallback_sticks_to_its_level():
-    methods = {}
-    for n, method in [(1, "chebyshev"), (2, "uniformization"), (2, "chebyshev"), (1, "chebyshev")]:
-        _record_method(methods, n, method)
-    assert methods == {1: "chebyshev", 2: "uniformization"}
 
 
 class TestPathLaw:

@@ -1,5 +1,6 @@
 """Generators, jump parameters, rate validation and path sampling."""
 
+import dataclasses
 import json
 import signal
 from contextlib import contextmanager
@@ -154,6 +155,20 @@ class TestValidateRates:
         # jumps from the midpoints up into the h = 1 corner are suppressed
         # hardest: eta(3, 0) = 5 * (0.4 - 1.0) = -3
         assert {(3, 0), (4, 0)} <= {(x, y) for x, y, _ in report.violations}
+
+    def test_nan_factor_fails_closed(self, gen_plain_l2):
+        eta_nan = gen_plain_l2.edge_eta.copy()
+        eta_nan[0] = np.nan
+        gen = dataclasses.replace(gen_plain_l2, edge_eta=eta_nan)
+        report = validate_rates(gen)
+        assert [(x, y) for x, y, _ in report.violations] == [
+            (int(gen.edge_rows[0]), int(gen.edge_cols[0]))
+        ]
+        # every entry point refuses it with the one message
+        for refused in (lambda: gen.uniformized, lambda: gen.event_tables,
+                        lambda: jump_parameters(gen)):
+            with pytest.raises(RateValidationError, match="^1 edges have negative rates; first"):
+                refused()
 
 
 @contextmanager
