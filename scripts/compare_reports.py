@@ -60,6 +60,10 @@ COMMANDS = {
     # a diameter between a corner and an inner vertex (not on V_0)
     "sg_weighted_check": ["check", "--level", "4",
                           "--structure", "docs/configs/sg_weighted.json"],
+    # the default drift sized by the level energy of h0, not its base energy
+    "sg_weighted_converge": ["converge", "--levels", "1:3", "--reference-level", "4",
+                             "--structure", "docs/configs/sg_weighted.json",
+                             "--f", "harmonic:1,0,0", "--paths", "2000"],
     # the level-3 gasket: 7-vertex pivot blocks in every elimination
     "sg3_check": ["check", "--level", "4", "--structure", "docs/configs/sg3.json"],
     "sg3_converge": ["converge", "--levels", "1:3", "--reference-level", "4",

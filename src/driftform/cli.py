@@ -37,6 +37,14 @@ from .pcf import StructureError, build_sierpinski_structure, load_structure
 from .resistance import NetworkError, harmonic_extension
 
 MAX_LAMBDA_T = 1e7  # largest Lambda t a run takes (L10 at t = 0.1 is about 6e6)
+# simulate keeps every jump until the trajectories are written.  Measured
+# peak memory: about 560 B per engine round (about Lambda t rounds) and per
+# path and recording time (its trajectory and grid row), and 32 B per
+# recorded step (at most paths * Lambda t); a run whose estimate passes
+# MAX_LOG_BYTES is refused.
+MAX_LOG_BYTES = 2**30
+LOG_OBJECT_BYTES = 600  # per engine round and per path and recording time
+LOG_STEP_BYTES = 40  # per recorded step
 
 
 class ConfigError(Exception):
@@ -294,7 +302,8 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
     """The run's tower and drift configuration, and the smallness report of
     each level (default: the working level) against one proxy diameter
     (default: ``--reference-level``, else the working level).  A time whose
-    ``Lambda t`` at a level passes ``MAX_LAMBDA_T`` is refused.
+    ``Lambda t`` at a level passes ``MAX_LAMBDA_T`` is refused, and so is a
+    ``simulate`` run whose estimated jump log passes ``MAX_LOG_BYTES``.
 
     Returns ``(tower, config, reports, failed)``: the reports stop at the
     first level that fails the chosen assumption, and ``failed`` lists that
@@ -325,6 +334,13 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
         if not lam_t <= MAX_LAMBDA_T:
             raise ConfigError(f"--t {max(times):g} gives Lambda t = {lam_t:.3g} at level {n}, "
                               f"past the ceiling {MAX_LAMBDA_T:g}")
+        if args.mode == "simulate":
+            log = (LOG_OBJECT_BYTES * (lam_t + args.paths * len(times))
+                   + LOG_STEP_BYTES * args.paths * lam_t)
+            if log > MAX_LOG_BYTES:
+                raise ConfigError(f"--paths {args.paths} and --t {max(times):g} (Lambda t = "
+                                  f"{lam_t:.3g}) need about {log / 2**30:.3g} GiB of jumps, "
+                                  f"past the ceiling {MAX_LOG_BYTES / 2**30:g} GiB")
         failed = reports[n].failed_conditions(args.assumption)
         if failed:
             return tower, config, reports, failed

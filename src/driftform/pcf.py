@@ -80,7 +80,6 @@ class SelfSimilarStructure:
     weights: tuple[float, ...] | None = None
     base_conductances: tuple[tuple[int, int, float], ...] | None = None
     name: str = "custom"
-    assumed_dense: bool = True  # density of the vertex closure is assumed, not checked
 
     def validate(self) -> None:
         m, nb = self.symbol_count, self.boundary_size
@@ -442,7 +441,6 @@ def structure_from_dict(d: Mapping) -> SelfSimilarStructure:
             if d.get("base_conductances")
             else None,
             name=d.get("name", "custom"),
-            assumed_dense=bool(d.get("assumed_dense", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed structure config: {exc}") from exc

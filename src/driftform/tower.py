@@ -210,16 +210,19 @@ def realize_drift(tower: LevelTower, config: DriftConfig, level: int) -> drift_m
     )
 
 
-def default_admissible_drift(tower: LevelTower, proxy_level: int = 6) -> DriftConfig:
+def default_admissible_drift(tower: LevelTower, proxy_level: int) -> DriftConfig:
     """One constant-coefficient term at half the pointwise smallness
     threshold, over the harmonic extension of the base indicator
     ``(1, 0, ..., 0)``.
 
-    Both smallness conditions hold with margin (for a single
-    constant-coefficient term they coincide).
+    The threshold takes the energy of that extension at the proxy level, the
+    energy of ``h0`` on the proxy network traced onto ``V_0``; it equals the
+    base energy only on a compatible trace tower.  Both smallness conditions
+    hold with margin (for a single constant-coefficient term they coincide).
     """
-    h0 = tuple(1.0 if k == 0 else 0.0 for k in range(tower.structure.boundary_size))
-    h_energy = energy(tower.base_network, np.array(h0))
+    nb = tower.structure.boundary_size
+    h0 = tuple(1.0 if k == 0 else 0.0 for k in range(nb))
+    h_energy = energy(trace(tower.network(proxy_level), nb), np.array(h0))
     diam = tower.diameter(proxy_level)
     b_max = math.sqrt(1.0 / (h_energy * diam))
     return DriftConfig(

@@ -243,6 +243,27 @@ class TestExitCodes:
         assert err[0].endswith(f" at level {level}, past the ceiling 1e+07"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("paths, t", [
+        ("3", "2.9e5"),  # Lambda t about 1e7, under its own ceiling
+        ("1", "2.95e5"),
+        ("2000", "1000"),
+        ("2000000", "0.001"),  # the trajectories and grid rows alone
+    ])
+    def test_simulate_log_past_the_ceiling_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   paths, t):
+        def refuse(*args):
+            raise AssertionError("a refused run must not sample")
+
+        monkeypatch.setattr(mk, "sample_paths", refuse)
+        out = tmp_path / "out"
+        assert run(["simulate", "--level", "1", "--paths", paths, "--t", t,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"config error: --paths {paths} and --t {float(t):g} "), err
+        assert err[0].endswith(" GiB of jumps, past the ceiling 1 GiB"), err
+        assert not out.exists()
+
     def test_config_values_take_the_flag_types(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"level": "1", "reference-level": 2,
@@ -297,6 +318,26 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:"), lines
         assert not (tmp_path / "check_report.json").exists()
+
+    @pytest.mark.parametrize("mode, flags", [("simulate", []), ("semigroup", ["--f", "one"])])
+    def test_negative_rate_exits_1_with_one_line(self, tmp_path, capsys, mode, flags):
+        # admissible under assumption B, but the drift at vertex 2 along the
+        # weak level-1 edge (2, 5) of the 0.9-scaled cell (c = 5/9) makes
+        # 1 + eta = 1 - 2.2 / 2 negative
+        drift_file = tmp_path / "drift.json"
+        drift_file.write_text(json.dumps({
+            "b": [{"samples": [0, 0, 2.2, 0, 0, 0]}],
+            "h": [{"base_level": 1, "values": [0, 0, 0, 0, 0, 1]}]}))
+        structure = Path(__file__).resolve().parents[1] / "docs" / "configs" / "sg_weighted.json"
+        out = tmp_path / "out"
+        assert run([mode, *flags, "--level", "1", "--assumption", "B",
+                    "--structure", str(structure), "--drift", str(drift_file),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(
+            "rate validation failure: 1 edges have negative rates; first: (2, 5, -0.1"), err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_resolvent_singular_pivot_fails_closed(self, tmp_path, capsys, monkeypatch):
         # the finest vertex's row of the system zeroed with its entries kept:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -371,3 +372,9 @@ class TestConfigIO:
         path.write_text('{"symbol_count": 2}')
         with pytest.raises(pcf.StructureError, match="malformed"):
             pcf.load_structure(path)
+
+    def test_retired_density_key_still_loads(self):
+        # configs written before the density flag was retired keep loading
+        data = json.loads((CONFIGS / "sg_weighted.json").read_text())
+        assert pcf.structure_from_dict({**data, "assumed_dense": True}) == \
+            pcf.structure_from_dict(data)

@@ -3,12 +3,16 @@ the chain generator, which carries the form matrices, are built once and
 shared."""
 
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftform import drift, markov, pcf
 from driftform import tower as tw
 from driftform.cli import main
+from driftform.resistance import energy
 from driftform.drift import DriftError
 from driftform.pcf import StructureError
 
@@ -170,3 +174,26 @@ class TestLevelRecursion:
         pairs = [(a, b) for a, b in cx.edges]  # as the benchmark reads them
         assert len(pairs) == 27 and all(a < b for a, b in pairs)
         assert cx.edges is cx.edges
+
+
+class TestDefaultDrift:
+    @pytest.mark.parametrize("proxy_level", [2, 6])
+    def test_gasket_size_matches_the_base_energy(self, sg_tower, proxy_level):
+        # on a compatible trace tower the traced energy of h0 is its base energy
+        (kind, b), = tw.default_admissible_drift(sg_tower, proxy_level).b_specs
+        base = energy(sg_tower.base_network, np.array([1.0, 0.0, 0.0]))
+        assert kind == "constant"
+        assert b == pytest.approx(0.5 / math.sqrt(base * sg_tower.diameter(proxy_level)),
+                                  rel=1e-14)
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_weighted_gasket_default_is_admissible(self, tmp_path, level):
+        # the level energy of h0 outgrows its base energy on this tower
+        structure = Path(__file__).resolve().parents[1] / "docs" / "configs" / "sg_weighted.json"
+        assert main(["check", "--level", str(level), "--structure", str(structure),
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "check_report.json").read_text().split("\n", 1)[1]
+        report = json.loads(text)
+        assert report["admissible"] is True
+        assert report["sandwich"]["passed"] and report["drift_bound"]["passed"]
+        assert report["sd_axioms"]["passed"]
