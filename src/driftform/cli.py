@@ -37,11 +37,10 @@ from .pcf import StructureError, build_sierpinski_structure, load_structure
 from .resistance import NetworkError, harmonic_extension
 
 MAX_LAMBDA_T = 1e7  # largest Lambda t a run takes (L10 at t = 0.1 is about 6e6)
-# simulate keeps every jump until the trajectories are written.  Measured
-# peak memory: about 560 B per engine round (about Lambda t rounds) and per
-# path and recording time (its trajectory and grid row), and 32 B per
-# recorded step (at most paths * Lambda t); a run whose estimate passes
-# MAX_LOG_BYTES is refused.
+# simulate keeps every jump until it writes the trajectories.  Measured peak
+# memory: 560 B per engine round (about Lambda t rounds), at most 550 B per
+# path and recording time (trajectory and grid row) and 32 B per recorded
+# step (at most paths * Lambda t); a run estimated past MAX_LOG_BYTES is refused.
 MAX_LOG_BYTES = 2**30
 LOG_OBJECT_BYTES = 600  # per engine round and per path and recording time
 LOG_STEP_BYTES = 40  # per recorded step

@@ -85,11 +85,7 @@ def _per_level_outputs(
         return apply_fn(gen, f_ref[: gen.n])
 
     ref_out = output_at(reference)
-    errors = []
-    for n in levels:
-        out_n = output_at(n)
-        errors.append(float(np.max(np.abs(out_n - ref_out[: len(out_n)]))))
-    return errors
+    return [float(np.max(np.abs(out - ref_out[: len(out)]))) for out in map(output_at, levels)]
 
 
 def resolvent_convergence(
