@@ -12,9 +12,9 @@ import pytest
 from driftform import drift, markov, pcf
 from driftform import tower as tw
 from driftform.cli import main
-from driftform.resistance import energy
 from driftform.drift import DriftError
 from driftform.pcf import StructureError
+from driftform.resistance import energy
 
 
 def counting(monkeypatch, module, name, levels=None):
