@@ -46,7 +46,10 @@ COMMANDS = {
     # deeper levels, the benchmark's workloads and the shipped configs
     "check_l6": ["check", "--level", "6", "--seed", "1"],
     "check_l8": ["check", "--level", "8"],
+    "check_l9": ["check", "--level", "9"],
     "semigroup_l6": ["semigroup", "--level", "6", "--t", "0.1", "--f", "x", "--seed", "1"],
+    # one column (and the Markov check's block) on the Krylov kernel
+    "semigroup_l8": ["semigroup", "--level", "8", "--t", "0.1", "--f", "x", "--seed", "1"],
     "simulate_l4": ["simulate", "--level", "4", "--paths", "4000", "--t", "0.01,0.1",
                     "--paired", "--seed", "1"],
     "converge_ref7": ["converge", "--levels", "1:6", "--reference-level", "7",

@@ -46,7 +46,6 @@ from .markov import (
     build_generator,
     detailed_balance_gap,
     ensemble_states,
-    jump_parameters,
     point_mass,
     sample_paths,
     validate_rates,

@@ -3,7 +3,8 @@
 Modes
 -----
 check      admissibility of a drift at one level: smallness conditions,
-           derived constants, form axioms, rate validation.
+           derived constants, form axioms, rate validation; admissible
+           only when every one of them passes.
 resolvent  solve the shifted systems for a grid of shifts.
 semigroup  evaluate the semigroup on a time grid, with Markov checks.
 simulate   sample paths and their empirical laws.
@@ -357,7 +358,30 @@ def _fail_admissibility(failed) -> int:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _certificate_failures(sandwich, bound, axioms) -> list[tuple[str, float]]:
+    """``(name, margin)`` of each form certificate that fails, the margin at
+    the pessimistic end of its bracket; SD1 and SD3 fail with ``1 + min θ``
+    of ``S`` against ``E_lam`` when ``S`` is not shown positive definite."""
+    definite = 1.0 + sandwich.theta_min.lo
+    sector = axioms.sector_constant
+    checks = [
+        ("sandwich", sandwich.passed,
+         min(sandwich.lower_margin.lo, sandwich.upper_margin.lo)),
+        ("drift bound", bound.passed, bound.margin.lo),
+        ("SD1 (nonnegativity)", axioms.sd1_passed,
+         definite if axioms.sd1_min is None else axioms.sd1_min.lo),
+        ("SD3 (sector condition)", axioms.sd3_passed,
+         definite if sector is None else axioms.sector_bound - sector.hi),
+        ("SD4 (Markov property)", axioms.sd4_passed, axioms.edge_markov_min),
+    ]
+    return [(name, margin) for name, ok, margin in checks if not ok]
+
+
 def cmd_check(args) -> int:
+    """The admissibility report of one level.  The drift is admissible when
+    it meets the smallness conditions, its rates are valid and every form
+    certificate passes; each failure gets one stderr line, after the report
+    is written, and exit code 1."""
     tower, config, reports, failed = _setup(args)
     level = args.level
     report = reports[level]
@@ -376,19 +400,23 @@ def cmd_check(args) -> int:
             "cell_boundary_size": tower.structure.boundary_size,
         },
         "trace_compatibility_gap": tower.trace_compatibility_gap(),
-        "admissible": not failed,
     }
     gen = tower.generator(level, config)
-    payload["rate_validation"] = mk.validate_rates(gen).to_dict()
+    rates = mk.validate_rates(gen)
+    payload["rate_validation"] = rates.to_dict()
     payload["detailed_balance_gap"] = mk.detailed_balance_gap(gen)
+    if not rates.ok:
+        failed.append(("rate validation", float(np.min([v for *_, v in rates.violations]))))
     if report.constants is not None:
         c = report.constants
         sandwich = dr.certify_sandwich(gen, c.s, c.lam)
+        bound = dr.certify_drift_bound(sandwich)
+        axioms = dr.certify_SD_axioms(gen, sandwich, c.delta, report.diam_proxy)
         payload["sandwich"] = sandwich.to_dict()
-        payload["drift_bound"] = dr.certify_drift_bound(sandwich).to_dict()
-        payload["sd_axioms"] = dr.certify_SD_axioms(
-            gen, sandwich, c.delta, report.diam_proxy
-        ).to_dict()
+        payload["drift_bound"] = bound.to_dict()
+        payload["sd_axioms"] = axioms.to_dict()
+        failed += _certificate_failures(sandwich, bound, axioms)
+    payload["admissible"] = not failed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json_report(out / "check_report.json", payload)
@@ -455,6 +483,8 @@ def cmd_semigroup(args) -> int:
             "uniformization_rate": solve.uniformization_rate,
             "markov_check": check.__dict__,
         })
+        if solve.krylov is not None:
+            applications[-1]["krylov"] = solve.krylov
     write_json_report(out / "semigroup_report.json", {
         "mode": "semigroup", "level": level, "f": args.f,
         "applications": applications,

@@ -9,7 +9,8 @@ smallness conditions with their derived constants ``(delta, s, t, lambda)``,
 and certifies the form inequalities and axioms by extreme generalized
 eigenvalues, each with its residual bound; the pencils' right-hand sides
 ``E_lam`` and ``S`` are factored by the level-by-level elimination of
-:mod:`driftform.resistance`.  The form matrices are those of
+:mod:`driftform.resistance`, and the eigenvalues found by Lanczos over that
+solve.  The form matrices are those of
 the chain generator (:class:`driftform.markov.GeneratorMatrix`), which every
 check here takes.
 """
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .resistance import ConductanceNetwork, _eliminate, _solve, harmonic_extension
+from .resistance import ConductanceNetwork, _arnoldi, _eliminate, _solve, harmonic_extension
 
 if TYPE_CHECKING:
     from .markov import GeneratorMatrix
@@ -378,6 +379,10 @@ def smallness_report(
 # Exact certificates of the form inequalities
 # ---------------------------------------------------------------------------
 
+LANCZOS_TOL = 1e-13  # residual estimate per wanted Ritz pair, relative to the largest
+LANCZOS_STEPS = 200  # Lanczos steps before an eigen-certificate gives up
+
+
 class CertificateError(ArithmeticError):
     """No eigen-certificate: no convergence, a singular factor or a non-finite residual."""
 
@@ -387,7 +392,9 @@ class Bracket:
     """A certified value: ``value`` and the interval ``[lo, hi]`` that the
     eigen-residual bound ``residual`` gives around it.  The interval holds
     (the image of) an eigenvalue of the pencil, and of the extreme one when
-    the solver has found the extreme eigenpair, which nothing here checks."""
+    Lanczos has found the extreme eigenpair, which nothing here checks (a
+    Ritz pair converges to an interior eigenvalue only when the start
+    vector nearly misses the extreme eigenvector)."""
 
     value: float
     lo: float
@@ -419,39 +426,57 @@ def _factor(gen: GeneratorMatrix, b):
 
 def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     """Extreme eigenvalues of the symmetric pencil ``a v = θ b v``, ``b`` SPD
-    with the factored solve ``solve_b``; ``which`` is ``"LA"`` (the top) or
-    ``"BE"`` (bottom, then top).
+    with the factored solve ``solve_b`` and ``a`` a sparse matrix or the
+    callable ``x -> a x``; ``which`` is ``"LA"`` (the top) or ``"BE"``
+    (bottom, then top).
 
-    Each value is the Rayleigh quotient ``θ`` of its eigenvector ``x`` with
-    the residual bound ``‖a x − θ b x‖_{b⁻¹} / ‖x‖_b``: an eigenvalue lies
-    within it of ``θ``, and it is the extreme one when the solver has found
-    the extreme pair (Parlett, *The Symmetric Eigenvalue Problem*, 1998,
-    ch. 11).  ``eigsh`` in generalized mode with ``solve_b`` as ``Minv``;
-    dense ``eigh`` only on pencils too small for ARPACK.
+    Lanczos on ``b⁻¹ a``, which is self-adjoint in the ``b`` inner product
+    (:func:`driftform.resistance._arnoldi`), from a fixed start vector, so
+    the reports are deterministic.  It stops when the residual estimate of
+    each wanted Ritz pair is at most ``LANCZOS_TOL`` times the largest Ritz
+    value in modulus, and raises :class:`CertificateError` past
+    ``LANCZOS_STEPS`` steps.  Each value is then the Rayleigh quotient ``θ``
+    of its Ritz vector ``x`` with the explicit residual bound
+    ``‖a x − θ b x‖_{b⁻¹} / ‖x‖_b``: an eigenvalue lies within it of ``θ``,
+    and it is the extreme one when Lanczos has found the extreme pair
+    (Parlett, *The Symmetric Eigenvalue Problem*, 1998, ch. 11 and 13).
+    Pencils of ``k + 1`` or fewer vertices are solved densely.
     """
-    from scipy import linalg
-    from scipy.sparse.linalg import ArpackError, LinearOperator, aslinearoperator, eigsh
-
     k = 2 if which == "BE" else 1
     if sparse.issparse(a) and not a.count_nonzero():
         return [_ZERO] * k
+    apply_a = a if callable(a) else a.__matmul__
     n = b.shape[0]
-    a = aslinearoperator(a)
+    wanted = [-1] if which == "LA" else [0, -1]
     try:
-        if k >= n - 1:  # eigh reads the lower triangle of a
-            vecs = linalg.eigh(a.matmat(np.eye(n)), b.toarray())[1]
-            vecs = vecs[:, [n - 1] if which == "LA" else [0, n - 1]]
+        if k >= n - 1:  # Cholesky b = C Cᵀ; eigh reads the lower triangle
+            c = np.linalg.cholesky(b.toarray())
+            half = np.linalg.solve(c, apply_a(np.eye(n)))
+            vecs = np.linalg.solve(c.T, np.linalg.eigh(np.linalg.solve(c, half.T))[1])
+            vecs = vecs[:, wanted]
         else:
+            def converged(_, h):
+                theta, y = np.linalg.eigh(h[:-1])
+                estimate = np.abs(h[-1, -1] * y[-1, wanted])
+                scale = np.abs(theta).max()
+                return len(theta) >= k and bool(np.all(estimate <= LANCZOS_TOL * scale))
+
             # a fixed start vector keeps the reports deterministic
             start = np.random.default_rng(0).standard_normal(n)
-            minv = LinearOperator((n, n), matvec=solve_b, dtype=float)
-            w, vecs = eigsh(a, k=k, M=b, Minv=minv, which=which, v0=start)
-            vecs = vecs[:, np.argsort(w)]
-    except (ArpackError, np.linalg.LinAlgError) as exc:
+            basis, h = _arnoldi(lambda x: solve_b(apply_a(x)), start, min(LANCZOS_STEPS, n),
+                                dual=b.__matmul__, stop=converged)
+            theta, y = np.linalg.eigh(h[:-1])
+            if not np.all(np.isfinite(theta)):
+                raise CertificateError(f"no bracket: Ritz values {theta[wanted]}")
+            if not (len(theta) == n or h[-1, -1] == 0.0 or converged(basis, h)):
+                raise CertificateError(
+                    f"extreme eigenvalue not found: no convergence in {len(theta)} Lanczos steps")
+            vecs = basis[:-1].T @ y[:, wanted]
+    except np.linalg.LinAlgError as exc:
         raise CertificateError(f"extreme eigenvalue not found: {exc}") from exc
     out = []
     for x in vecs.T:
-        ax, bx = a.matvec(x), b @ x
+        ax, bx = apply_a(x), b @ x
         norm_sq = float(x @ bx)
         theta = float(x @ ax) / norm_sq
         r = ax - theta * bx
@@ -596,8 +621,6 @@ def certify_SD_axioms(
     the sandwich pencil, ``S`` is factored, and the SD1 and sector values
     computed, only when the lower margin ``s + min θ`` exceeds ``s - 1``.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     s, lam = sandwich.s, sandwich.lam
     drift = gen.drift
     h_energies = np.einsum("in,in->i", drift.h, (gen.E_matrix @ drift.h.T).T)
@@ -617,7 +640,10 @@ def certify_SD_axioms(
         (nu,) = _extremes(sparse.diags(gen.mu), big_s, solve_s, "LA")
         sd1 = nu.map(lambda x: 1.0 / x if x > 0.0 else math.inf)
         k = (0.5 * (q - q.T)).tocsr()
-        op = LinearOperator(big_s.shape, dtype=float, matvec=lambda x: -(k @ solve_s(k @ x)))
-        (rho_sq,) = _extremes(op, big_s, solve_s, "LA") if k.count_nonzero() else (_ZERO,)
+        def sector_operator(x):
+            return -(k @ solve_s(k @ x))
+
+        (rho_sq,) = (_extremes(sector_operator, big_s, solve_s, "LA") if k.count_nonzero()
+                     else (_ZERO,))
         sector = rho_sq.map(lambda x: math.sqrt(1.0 + max(x, 0.0)))
     return SDAxiomReport(gen.level, sd1, sector, sector_bound, eta_min, markov_min)

@@ -231,23 +231,6 @@ def _require_valid_rates(gen: GeneratorMatrix) -> None:
         )
 
 
-def jump_parameters(gen: GeneratorMatrix) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """Holding rates ``q(x) = -L(x, x)`` and the row-stochastic jump kernel
-    ``pi(x, y) = L(x, y) / q(x)``.
-
-    Requires valid rates and no absorbing vertex.
-    """
-    _require_valid_rates(gen)
-    q = gen.q
-    if np.any(q <= 0):
-        raise RateValidationError("absorbing vertex: some holding rate is zero")
-    off = gen.L.copy()
-    off.setdiag(0.0)
-    off.eliminate_zeros()
-    pi = sparse.diags(1.0 / q) @ off
-    return q, pi.tocsr()
-
-
 @dataclass
 class Trajectory:
     """One sampled path: piecewise-constant, right-continuous."""

@@ -18,12 +18,14 @@ cell-sized blocks.  Traces and extensions read its steps, and the
 diameter, resolvents and certificates solve with it.  What a step needs of the
 pattern alone (the block split, the pivot's components, where the blocks'
 inverses go) is planned once per pattern (:func:`_plan`) and shared by every
-matrix on it: a level's Laplacian, ``alpha I - L``, ``E_lam`` and ``S``, and
-the traces of finer levels onto it.  The resistance diameter solves for
-blocks of ``BLOCK_COLUMNS`` columns of the Green function with the
-Laplacian's steps (:func:`_green_columns`): every pair of a bare network,
-or only the corners of the cell pairs that a cell-scaling bound cannot rule
-out.
+matrix on it: a level's Laplacian, ``alpha I - L``, ``I - gamma L``,
+``E_lam`` and ``S``, and the traces of finer levels onto it.  The resistance
+diameter solves for blocks of ``BLOCK_COLUMNS`` columns of the Green
+function with the Laplacian's steps (:func:`_green_columns`): every pair of
+a bare network, or only the corners of the cell pairs that a cell-scaling
+bound cannot rule out.  The package's one Krylov process, :func:`_arnoldi`,
+runs over these solves: Lanczos for the eigen-certificates and
+shift-and-invert Arnoldi for the semigroups.
 
 Connected components are labelled in numpy by hooking and pointer jumping
 (:func:`_components`; Shiloach & Vishkin 1982, in the FastSV form of Zhang,
@@ -36,6 +38,7 @@ Laplacian of ``[0, N_0)``.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -321,6 +324,51 @@ def _solve(steps, end, b) -> np.ndarray:
         x[lo:hi] = inv @ x[lo:hi]
         x[lo:hi] += h @ x[:lo]
     return x
+
+
+def _arnoldi(apply, v: np.ndarray, steps: int, dual=None, stop=None):
+    """Arnoldi's process: an orthonormal basis ``v_0, v_1, ...`` of the
+    Krylov space of ``apply`` from ``v``, and the Hessenberg ``H`` with
+    ``apply v_j = sum_i H_ij v_i``.
+
+    Orthonormal in ``(x, y) = x . dual(y)`` for a symmetric positive
+    definite ``dual`` (the dot product without one); in it a self-adjoint
+    ``apply`` gives a tridiagonal ``H`` (Lanczos).  Each new vector is
+    orthogonalized by classical Gram-Schmidt done twice, which keeps the
+    basis orthonormal to round-off (Giraud, Langou, Rozloznik & van den
+    Eshof, *Numer. Math.* 101, 2005).  The process stops after ``steps``
+    steps, at an invariant subspace (a new vector that Gram-Schmidt reduces
+    to round-off, kept as zero), or once ``stop(basis, H)`` is true of the
+    ``j + 2`` basis rows and the ``(j + 2, j + 1)`` Hessenberg after step
+    ``j < steps``.  Returns those rows and that Hessenberg.
+    """
+    basis = np.zeros((min(steps + 1, 64), len(v)))  # rows doubled as needed
+    duals = basis if dual is None else np.zeros_like(basis)  # dual(v_i)
+    h = np.zeros((steps + 1, steps))
+    w, dw = v, v if dual is None else dual(v)
+    for j in range(steps + 1):
+        norm = math.sqrt(max(float(w @ dw), 0.0))
+        if j and norm <= 1e-14 * np.abs(h[:j, j - 1]).sum():
+            norm = 0.0  # an invariant subspace
+        if j:
+            h[j, j - 1] = norm
+        if j == len(basis):  # double the rows, up to steps + 1
+            more = np.zeros((min(j, steps + 1 - j), len(v)))
+            basis = np.concatenate([basis, more])
+            duals = basis if dual is None else np.concatenate([duals, more])
+        if norm:
+            basis[j] = w / norm
+            if dual is not None:
+                duals[j] = dw / norm
+        done = j == steps or not norm
+        if done or (j and stop is not None and stop(basis[:j + 1], h[:j + 1, :j])):
+            return basis[:j + 1], h[:j + 1, :j]
+        w = apply(basis[j])
+        for _ in range(2):
+            c = duals[:j + 1] @ w
+            w -= c @ basis[:j + 1]
+            h[:j + 1, j] += c
+        dw = w if dual is None else dual(w)
 
 
 def _diagonal_csr(values: np.ndarray) -> sparse.csr_matrix:

@@ -31,14 +31,29 @@ never falls back silently.  The Chebyshev sum has terms of both signs, so
 positivity no longer holds by construction: :func:`markov_check` tests the
 numerics as well as the model.
 
+The series' degree grows about 2.2x per level.  From ``KRYLOV_MIN_VERTICES``
+vertices on, a semigroup runs instead a short Chebyshev start to
+``s0 = KRYLOV_START t``, then shift-and-invert Krylov on ``(I - gamma L)^-1``,
+factored once by the elimination (:func:`_krylov`; van den Eshof &
+Hochbruck, *SISC* 27, 2006).  Its error bound is the integral of the
+Krylov residual's norm, which covers the error because ``exp(sL)`` is
+stochastic (Botchev, Grimm & Hochbruck, *SISC* 35, 2013), plus the start's
+tail.  It reports ``method = "krylov"``, a ``krylov`` certificate (the
+dimension, ``gamma``, ``s0``, the bound and the start's degree) and as
+``truncation_order`` the start's degree plus the dimension.  A bound past
+``KRYLOV_TOL``, or a failed Krylov step, falls back to the series, and the
+result's ``krylov`` names the reason.
+
 ``f`` may be one vector or an ``(n, k)`` block of columns; a block runs one
-series for all columns and one method for the whole block.  A block that
+series for all columns and one method for the whole block (Krylov: one
+factorization for the block, one Krylov space per column).  A block that
 stays on the Chebyshev series equals its columns evaluated one by one, and
 :func:`markov_check` evaluates all of its trials as one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +61,7 @@ from scipy import sparse
 
 # RateValidationError and validate_rates stay importable from this module.
 from .markov import GeneratorMatrix, RateValidationError, _philox, validate_rates  # noqa: F401
-from .resistance import _eliminate, _solve
+from .resistance import _arnoldi, _eliminate, _solve
 
 SERIES_TAIL = 1e-13  # truncation tolerance of both series
 RESIDUAL_TOL = 1e-9
@@ -56,6 +71,21 @@ MARKOV_TOL = 1e-10  # round-off a Markov check allows outside [0, 1]
 GROWTH_LIMIT = 10.0
 CHEBYSHEV = "chebyshev"
 UNIFORMIZATION = "uniformization"
+KRYLOV = "krylov"
+# Shift-and-invert Krylov (_krylov) from KRYLOV_MIN_VERTICES on; below it
+# the series is cheaper.  One SG column at t = 0.1 (default drift, best of
+# three, 2 shared cores) took 0.009 s by the series against 0.015 s by
+# Krylov at L6 (1095 vertices), 0.033 s against 0.021 s at L7 (3282) and
+# 0.18 s against 0.049 s at L8; a block of 40 columns tied at L7 (0.81 s
+# against 0.77 s).
+KRYLOV_MIN_VERTICES = 3000
+KRYLOV_START = 1.0 / 300.0  # s0 / t: the series start, whose cost grows as sqrt(s0)
+KRYLOV_SHIFT = 0.1  # gamma / (t - s0)
+KRYLOV_CHECK = 8  # the bound is evaluated every KRYLOV_CHECK steps ...
+KRYLOV_DIMENSION = 48  # ... up to this dimension
+KRYLOV_FLOOR = 4.0  # a bound this many times the round-off of its residual is final
+KRYLOV_TOL = 1e-8  # largest relative bound accepted; past it the series runs
+GAUSS_NODES = 20  # Gauss-Legendre nodes of the residual integral
 
 
 @dataclass
@@ -69,11 +99,17 @@ class ResolventSolve:
 class SemigroupApply:
     t: float
     output: np.ndarray
-    truncation_order: int  # Chebyshev degree or Poisson order, per ``method``
+    # Chebyshev degree or Poisson order, per ``method``; for KRYLOV the
+    # start's Chebyshev degree plus the largest Krylov dimension (one
+    # elimination solve per dimension)
+    truncation_order: int
     uniformization_rate: float
-    method: str  # CHEBYSHEV or UNIFORMIZATION
-    tail_bound: float  # relative sup-norm truncation error bound
-    growth: float  # observed Chebyshev growth max_k ||T_k(P) f|| / ||f||
+    method: str  # CHEBYSHEV, UNIFORMIZATION or KRYLOV
+    tail_bound: float  # relative error bound (sup norm; l1 for a transposed KRYLOV)
+    growth: float  # observed Chebyshev growth max_k ||T_k(P) f|| / ||f||, of the start for KRYLOV
+    # the Krylov certificate (dimension, gamma, s0, bound, start_degree), also
+    # of an attempt that fell back to the series, with its reason; else None
+    krylov: dict | None = None
 
 
 def resolvent_solve(gen: GeneratorMatrix, alpha: float, f) -> ResolventSolve:
@@ -233,9 +269,126 @@ def _poisson_series(P, mu_t: float, f: np.ndarray) -> tuple[np.ndarray, int, flo
     return acc, len(weights) - 1, tail
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp`` of each matrix of a stack ``(..., m, m)``: the [13/13] Pade
+    approximant after scaling every matrix by one power of two, then as
+    many squarings (Higham, *SIAM J. Matrix Anal. Appl.* 26, 2005)."""
+    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    squarings = max(0, math.ceil(math.log2(norm / 5.371920351148152))) if norm else 0
+    a = a / 2.0**squarings
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
+def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> SemigroupApply:
+    """``exp(tL) f`` (``exp(tL^T) f``) by shift-and-invert Krylov with a
+    Chebyshev start, and its error bound.
+
+    1. The Chebyshev series of ``P`` to ``s0 = KRYLOV_START t`` damps the
+       fast modes, whose residual would swamp the bound near time 0.
+    2. Arnoldi (:func:`driftform.resistance._arnoldi`) on ``(I - gamma L)^-1``
+       from each column ``u`` of the start, ``gamma = KRYLOV_SHIFT (t - s0)``,
+       factored once for the block by :func:`driftform.resistance._eliminate`
+       (van den Eshof & Hochbruck, *SISC* 27, 2006).  With the basis ``V``
+       and ``L_m = (I - H^-1) / gamma``, ``exp(sL) u ~ V y(s)`` with
+       ``y(s) = |u| exp(s L_m) e_1`` (:func:`_expm`).
+    3. The error at ``t - s0`` is ``int_0^{t-s0} exp((t-s0-s)L) r(s) ds``
+       with the residual ``r(s) = (L V - V L_m) y(s)``, and
+       ``exp(sL)`` is stochastic, so the error is at most ``int ||r(s)|| ds``
+       in the sup norm (in l1 for ``L^T``; Botchev, Grimm & Hochbruck,
+       *SISC* 35, 2013).  A ``GAUSS_NODES``-point Gauss-Legendre rule
+       evaluates the integral; the rule itself is not a bound.
+
+    The bound is evaluated every ``KRYLOV_CHECK`` steps from ``2
+    KRYLOV_CHECK``, and Arnoldi stops at ``KRYLOV_DIMENSION`` or once the
+    bound is at most ``KRYLOV_TOL`` and near the floor that round-off in the
+    residual puts under it, about ``eps ||L|| (t - s0)``: below
+    ``KRYLOV_FLOOR`` times that, or fallen by less than half since the last
+    check.  The reported bound, relative to each column's norm, adds the
+    start's series tail times its growth.  A start whose growth passes
+    ``GROWTH_LIMIT`` raises ``ArithmeticError``.
+    """
+    P, lam_max = gen.uniformized
+    L = gen.L
+    if transpose:
+        P, L = gen.uniformized_transpose, L.T.tocsr()
+    s0 = KRYLOV_START * t
+    start, degree, tail, growth = _chebyshev_series(P, lam_max * s0, f)
+    if start is None:
+        raise ArithmeticError(f"the start's series grew past {GROWTH_LIMIT:g}")
+    span = t - s0
+    gamma = KRYLOV_SHIFT * span
+    counts = gen.net.counts if gen.net is not None else ()
+    factors = _eliminate((sparse.identity(gen.n) - gamma * L).tocsr(), [*counts, gen.n])
+    # Gauss-Legendre nodes and weights from the Jacobi matrix (Golub & Welsch 1969)
+    k = np.arange(1.0, GAUSS_NODES)
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    w = 2.0 * vectors[0] ** 2
+    times, weights = np.append(0.5 * span * (x + 1.0), span), 0.5 * span * w
+    order = 1 if transpose else np.inf
+    # the round-off of L V y, integrated: eps ||L|| (t - s0), with ||L||_inf = 2 Lam
+    floor = KRYLOV_FLOOR * np.finfo(float).eps * 2.0 * lam_max * span
+
+    def certificate(basis, h):
+        """``(V y(t - s0), int ||r(s)|| ds, m)`` of the first ``m = h.shape[1]``
+        rows; ``r(s) = L V y(s) - V L_m y(s)`` node by node, in ``O(n)`` memory."""
+        m = h.shape[1]
+        v = basis[:m]
+        l_m = (np.eye(m) - np.linalg.inv(h[:m])) / gamma
+        # y(s) at each time, a few at a time to bound the memory of the stack
+        y = beta * np.concatenate([_expm(chunk[:, None, None] * l_m)[:, :, 0]
+                                   for chunk in np.array_split(times, 7)])
+        r = [np.linalg.norm(L @ (y_s @ v) - (l_m @ y_s) @ v, order) for y_s in y[:-1]]
+        return y[-1] @ v, float(weights @ r), m
+
+    columns = start.reshape(gen.n, -1)
+    scales = np.linalg.norm(f.reshape(gen.n, -1), order, axis=0)
+    out, bound, dimension = np.zeros_like(columns), 0.0, 0
+    for j, (u, scale) in enumerate(zip(columns.T, scales)):
+        beta = float(np.linalg.norm(u))
+        if not beta:
+            continue
+        found = []  # the certificate of each check
+
+        def floor_reached(basis, h):
+            if h.shape[1] % KRYLOV_CHECK or h.shape[1] < 2 * KRYLOV_CHECK:
+                return False
+            found.append(certificate(basis, h))
+            integral = found[-1][1]
+            previous = found[-2][1] if len(found) > 1 else np.inf
+            return integral <= KRYLOV_TOL * scale and (integral <= floor * scale
+                                                       or integral > 0.5 * previous)
+
+        basis, h = _arnoldi(lambda z: _solve(*factors, z), u, KRYLOV_DIMENSION,
+                            stop=floor_reached)
+        if not found or found[-1][2] != h.shape[1]:  # the last step, or a breakdown
+            found.append(certificate(basis, h))
+        out[:, j], integral, m = found[-1]
+        bound, dimension = max(bound, integral / scale), max(dimension, m)
+    info = {"dimension": dimension, "gamma": gamma, "s0": s0, "bound": bound,
+            "start_degree": degree}
+    return SemigroupApply(t, out.reshape(f.shape), degree + dimension, lam_max, KRYLOV,
+                          bound + tail * growth, growth, info)
+
+
 def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) -> SemigroupApply:
     """Evaluate ``exp(tL) f`` (``exp(tL^T) f`` with ``transpose``) for an
-    ``(n,)`` vector or an ``(n, k)`` block of columns ``f``: by the
+    ``(n,)`` vector or an ``(n, k)`` block of columns ``f``: by
+    shift-and-invert Krylov (:func:`_krylov`) from ``KRYLOV_MIN_VERTICES``
+    vertices, else, or when its bound passes ``KRYLOV_TOL``, by the
     Chebyshev series of ``P``, or by uniformization when the series grows
     past ``GROWTH_LIMIT``; the result names its method and certificate."""
     if not np.isfinite(t) or t < 0:
@@ -246,14 +399,25 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     if not np.all(np.isfinite(fv)):
         raise ValueError("input values must be finite")
     P, lam_max = gen.uniformized
+    tau = lam_max * t
+    fallback = None
+    if gen.n >= KRYLOV_MIN_VERTICES and tau > 0.0 and fv.size:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                attempt = _krylov(gen, t, fv, transpose)
+            if attempt.tail_bound <= KRYLOV_TOL:
+                return attempt
+            reason = f"Krylov bound {attempt.tail_bound:.3g} above {KRYLOV_TOL:g}"
+            fallback = {**attempt.krylov, "fallback": reason}
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            fallback = {"fallback": f"Krylov failed: {exc}"}
     if transpose:
         P = gen.uniformized_transpose
-    tau = lam_max * t
     out, degree, tail, growth = _chebyshev_series(P, tau, fv)
     if out is not None:
-        return SemigroupApply(t, out, degree, lam_max, CHEBYSHEV, tail * growth, growth)
+        return SemigroupApply(t, out, degree, lam_max, CHEBYSHEV, tail * growth, growth, fallback)
     out, order, tail = _poisson_series(P, tau, fv)
-    return SemigroupApply(t, out, order, lam_max, UNIFORMIZATION, tail, growth)
+    return SemigroupApply(t, out, order, lam_max, UNIFORMIZATION, tail, growth, fallback)
 
 
 @dataclass

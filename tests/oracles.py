@@ -17,7 +17,13 @@ from scipy.special import gammaln, ive, pdtrc, xlogy
 
 from driftform import pcf, resistance
 from driftform import tower as tw
-from driftform.markov import BINS, DIGIT_BITS, ENSEMBLE_STREAM
+from driftform.markov import (
+    BINS,
+    DIGIT_BITS,
+    ENSEMBLE_STREAM,
+    RateValidationError,
+    _require_valid_rates,
+)
 from driftform.resistance import (
     ConductanceNetwork,
     NetworkError,
@@ -164,6 +170,24 @@ def uniformized_chains(gen, initial, times, n_paths: int, seed: int,
                     branches["pure"] = branches.get("pure", 0) + int((~straddle).sum())
         out[row] = state
     return out
+
+
+def jump_parameters(gen) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Holding rates ``q(x) = -L(x, x)`` and the row-stochastic jump kernel
+    ``pi(x, y) = L(x, y) / q(x)`` of the embedded jump chain, which the
+    uniformized sampler never forms.
+
+    Requires valid rates and no absorbing vertex.
+    """
+    _require_valid_rates(gen)
+    q = gen.q
+    if np.any(q <= 0):
+        raise RateValidationError("absorbing vertex: some holding rate is zero")
+    off = gen.L.copy()
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    pi = sparse.diags(1.0 / q) @ off
+    return q, pi.tocsr()
 
 
 def semigroup_apply(gen, t: float, f) -> np.ndarray:

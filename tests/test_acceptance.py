@@ -23,12 +23,11 @@ from driftform.drift import certify_SD_axioms, certify_drift_bound, certify_sand
 from driftform.markov import (
     detailed_balance_gap,
     ensemble_states,
-    jump_parameters,
     point_mass,
 )
 from driftform.resistance import harmonic_extension, trace
 from driftform.spectral import markov_check, resolvent
-from oracles import semigroup_apply
+from oracles import jump_parameters, semigroup_apply
 
 MACHINE_REL = 8 * np.finfo(float).eps
 

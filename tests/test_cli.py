@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
+from driftform import drift as dr
 from driftform import markov as mk
 from driftform import spectral
 from driftform import tower as tw
 from driftform.cli import _parse_levels, main
+from driftform.drift import Bracket
 
 
 def run(args):
@@ -305,13 +306,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("failure", ["no_convergence", "nan_vectors"])
     def test_certificate_failure_exits_1(self, tmp_path, capsys, monkeypatch, failure):
-        def broken_eigsh(a, k, **kwargs):
-            if failure == "no_convergence":
-                raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-            return np.zeros(k), np.full((a.shape[0], k), np.nan)
+        def broken_lanczos(apply, v, steps, **kwargs):
+            return np.full((3, len(v)), np.nan), np.full((3, 2), np.nan)
 
-        # the certificates import eigsh when they call it
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", broken_eigsh)
+        if failure == "no_convergence":  # the sandwich needs two Ritz values
+            monkeypatch.setattr("driftform.drift.LANCZOS_STEPS", 1)
+        else:
+            monkeypatch.setattr("driftform.drift._arnoldi", broken_lanczos)
         assert run(["check", "--level", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -338,6 +339,45 @@ class TestExitCodes:
         assert err[0].startswith(
             "rate validation failure: 1 edges have negative rates; first: (2, 5, -0.1"), err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_check_refuses_a_drift_without_a_chain(self, tmp_path, capsys):
+        # the drift of test_negative_rate_exits_1_with_one_line meets
+        # assumption B's smallness, but it has a negative rate and fails SD4
+        drift_file = tmp_path / "drift.json"
+        drift_file.write_text(json.dumps({
+            "b": [{"samples": [0, 0, 2.2, 0, 0, 0]}],
+            "h": [{"base_level": 1, "values": [0, 0, 0, 0, 0, 1]}]}))
+        structure = Path(__file__).resolve().parents[1] / "docs" / "configs" / "sg_weighted.json"
+        out = tmp_path / "out"
+        assert run(["check", "--level", "1", "--assumption", "B", "--structure", str(structure),
+                    "--drift", str(drift_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["admissibility failure: rate validation violated (margin -0.1)",
+                       "admissibility failure: SD4 (Markov property) violated (margin -1.2)"], err
+        report = load_report_json(out / "check_report.json")
+        assert report["admissible"] is False
+        assert report["smallness"]["condition_I_satisfied"]
+        assert not report["rate_validation"]["ok"] and not report["sd_axioms"]["sd4_passed"]
+
+    def test_check_refuses_a_failing_sandwich(self, tmp_path, capsys, monkeypatch):
+        # a sandwich certificate whose lower margin is -0.1 fails the
+        # sandwich and, read off it, the drift bound; smallness still holds
+        real = dr.certify_sandwich
+
+        def failing(gen, s, lam):
+            sw = real(gen, s, lam)
+            low = Bracket(-s - 0.1, -s - 0.1, -s - 0.1, 0.0)
+            return dr.SandwichReport(sw.level, s, lam, low, sw.theta_max)
+
+        monkeypatch.setattr(dr, "certify_sandwich", failing)
+        assert run(["check", "--level", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" violated")[0] for line in err] == [
+            "admissibility failure: sandwich", "admissibility failure: drift bound"], err
+        assert err[0].endswith("(margin -0.1)")
+        report = load_report_json(tmp_path / "check_report.json")
+        assert report["admissible"] is False and not report["sandwich"]["passed"]
+        assert report["smallness"]["condition_I_satisfied"]
 
     def test_resolvent_singular_pivot_fails_closed(self, tmp_path, capsys, monkeypatch):
         # the finest vertex's row of the system zeroed with its entries kept:
@@ -655,6 +695,18 @@ class TestModes:
             assert a["method"] == a["markov_check"]["method"] == "chebyshev"
             assert a["truncation_order"] >= 1 and 1.0 <= a["growth"] <= 10.0
             assert a["tail_bound"] <= 1e-13 * a["growth"]
+            assert "krylov" not in a
+
+    def test_semigroup_mode_reports_krylov(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", 0)
+        assert run(["semigroup", "--level", "2", "--t", "0.1", "--out", str(tmp_path)]) == 0
+        (a,) = load_report_json(tmp_path / "semigroup_report.json")["applications"]
+        assert a["method"] == a["markov_check"]["method"] == "krylov"
+        assert a["markov_check"]["ok"]
+        k = a["krylov"]
+        assert set(k) == {"dimension", "gamma", "s0", "bound", "start_degree"}
+        assert a["truncation_order"] == k["start_degree"] + k["dimension"]
+        assert k["bound"] <= a["tail_bound"] <= spectral.KRYLOV_TOL
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -677,12 +729,12 @@ class TestModes:
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
     # scipy.stats costs most of a second to import and nothing in the
     # package needs it; the series coefficients come from numpy recurrences,
-    # so no command loads scipy.special either.  ARPACK and LAPACK
-    # (scipy.sparse.linalg, scipy.linalg) load only when a command certifies,
-    # so the import, semigroup, simulate and resolvent (whose solves run
-    # through the package's own elimination) go without them; csgraph never
-    # loads.  Each step runs in the same interpreter, and a module once
-    # loaded stays, so the certifying commands come last.
+    # so no command loads scipy.special either.  The solves run through the
+    # package's own elimination and the eigen-certificates through its own
+    # Lanczos, so no command loads scipy.sparse.linalg (ARPACK) or
+    # scipy.linalg (LAPACK), and csgraph never loads.  Each step runs in
+    # the same interpreter, and a module once loaded stays, so the
+    # certifying commands come last.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -707,6 +759,4 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert not any("scipy.special" in step for step in loaded)
-    solved = ["scipy.sparse.linalg", "scipy.linalg"]
-    assert loaded == [[], [], [], [], solved, solved]
+    assert loaded == [[]] * 6

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy import sparse
 
 from driftform import drift as drift_module
@@ -30,6 +29,7 @@ from driftform.drift import (
     make_drift,
     sample_field,
     select_constants,
+    _extremes,
     _factor,
 )
 from driftform.markov import build_generator
@@ -751,9 +751,8 @@ class TestCertificateSolves:
         self, tmp_path, monkeypatch
     ):
         # the sandwich, SD1 and the sector constant; the drift bound adds none.
-        # The certificates import the eigen-solvers when they call them, so
-        # the scipy modules are patched; the factorizations are the package's
-        # elimination, as the certificates call it.
+        # Each eigen-solve is one Lanczos run and each factorization one
+        # elimination, as the certificates call them.
         calls = {"eigen": 0, "factor": 0}
 
         def counted(key, func):
@@ -762,8 +761,7 @@ class TestCertificateSolves:
                 return func(*args, **kwargs)
             return wrapper
 
-        for module, name, key in ((scipy.sparse.linalg, "eigsh", "eigen"),
-                                  (scipy.linalg, "eigh", "eigen"),
+        for module, name, key in ((drift_module, "_arnoldi", "eigen"),
                                   (drift_module, "_eliminate", "factor")):
             monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
         assert main(["check", "--level", "4", "--out", str(tmp_path)]) == 0
@@ -779,11 +777,67 @@ class TestCertificateSolves:
             _factor(gen, b)
 
 
+class TestLanczos:
+    """The eigen-brackets' Lanczos against dense generalized ``eigh``, on the
+    default drift's sandwich pencil (of rank 3) and on pencils of high rank:
+    a drift sampled vertex by vertex, and the sector pencil."""
+
+    LAM = 1.5
+
+    @pytest.fixture(scope="class")
+    def sampled_cfg(self):
+        values = np.random.default_rng(71).uniform(-0.3, 0.3, 400)
+        return tw.DriftConfig((("samples", tuple(values)),), ((0, (1.0, 0.0, 0.0)),))
+
+    def pencils(self, gen):
+        """``name -> (a, dense a, b)``: the sandwich pencil ``Q_sym`` against
+        ``E_lam`` and the sector pencil ``-K S^-1 K`` against ``S``."""
+        q = gen.Q_matrix
+        e_lam = (gen.E_matrix + self.LAM * sparse.diags(gen.mu)).tocsr()
+        q_sym, k = (0.5 * (q + q.T)).tocsr(), (0.5 * (q - q.T)).tocsr()
+        big_s = (e_lam + q_sym).tocsr()
+        solve_s = _factor(gen, big_s)
+        sector = -k.toarray() @ np.linalg.solve(big_s.toarray(), k.toarray())
+        return {"sandwich": (q_sym, q_sym.toarray(), e_lam),
+                "sector": (lambda x: -(k @ solve_s(k @ x)), sector, big_s)}
+
+    @pytest.mark.parametrize("drift", ["default", "sampled"])
+    @pytest.mark.parametrize("pencil", ["sandwich", "sector"])
+    @pytest.mark.parametrize("level", [3, 5])
+    def test_brackets_hold_the_dense_extremes(self, sg_tower, admissible_cfg, sampled_cfg,
+                                              drift, pencil, level):
+        gen = sg_tower.generator(level, admissible_cfg if drift == "default" else sampled_cfg)
+        a, dense, b = self.pencils(gen)[pencil]
+        want = scipy.linalg.eigh(0.5 * (dense + dense.T), b.toarray(), eigvals_only=True)
+        which = "BE" if pencil == "sandwich" else "LA"
+        got = _extremes(a, b, _factor(gen, b), which)
+        ends = [want[0], want[-1]] if which == "BE" else [want[-1]]
+        scale = np.max(np.abs(want))
+        for bracket, end in zip(got, ends):
+            assert bracket.value == pytest.approx(end, abs=1e-10 * scale)
+            # the dense sector matrix carries the round-off of a dense inverse
+            assert bracket.lo - 1e-10 * scale <= end <= bracket.hi + 1e-10 * scale
+            assert bracket.residual <= 1e-10 * scale
+
+    def test_the_pencils_are_of_low_and_high_rank(self, sg_tower, admissible_cfg, sampled_cfg):
+        rank = {name: np.linalg.matrix_rank(self.pencils(sg_tower.generator(4, cfg))[
+            "sandwich"][1], tol=1e-9) for name, cfg in (("default", admissible_cfg),
+                                                       ("sampled", sampled_cfg))}
+        assert rank["default"] <= 3 and rank["sampled"] > 60
+
+    def test_capped_iterations_raise(self, sg_tower, sampled_cfg, monkeypatch):
+        gen = sg_tower.generator(5, sampled_cfg)
+        a, _, b = self.pencils(gen)["sandwich"]
+        monkeypatch.setattr(drift_module, "LANCZOS_STEPS", 4)
+        with pytest.raises(CertificateError, match="no convergence in 4 Lanczos steps"):
+            _extremes(a, b, _factor(gen, b), "BE")
+
+
 class TestCertificates:
     # fixed s, lambda and t = lambda s shared by every instance
     S, LAM, T = 0.5, 1.5, 0.75
 
-    # level 0 (2 or 3 vertices) is too small for ARPACK and takes dense eigh
+    # level 0 (2 or 3 vertices) is too small for Lanczos and takes dense eigh
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["sg", "interval", "sg_combinatorial", "sg_two_term"])
     def test_agree_with_dense_eigenvalues(self, form_instances, dense_oracle, name, level):

@@ -20,14 +20,13 @@ from driftform.markov import (
     build_generator,
     detailed_balance_gap,
     ensemble_states,
-    jump_parameters,
     point_mass,
     sample_paths,
     validate_rates,
     write_trajectories_jsonl,
 )
 from driftform.spectral import semigroup_solve
-from oracles import edge_list, eta, state_at, uniformized_chains
+from oracles import edge_list, eta, jump_parameters, state_at, uniformized_chains
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"

@@ -871,3 +871,31 @@ class TestOneElimination:
                         assert gap <= 1e-10 * np.max(np.abs(ref)), (label, n, gap)
                     residual, lu_residual = (np.max(np.abs(a @ y - b)) for y in (x, lu.solve(b)))
                     assert residual <= 10 * lu_residual + 1e-13 * np.max(np.abs(b)), (label, n)
+
+
+class TestArnoldi:
+    """The Krylov process shared by the eigen-brackets and the semigroup."""
+
+    def test_basis_is_orthonormal_and_spans_the_relation(self):
+        rng = np.random.default_rng(73)
+        n, steps = 40, 12
+        a = rng.standard_normal((n, n))
+        m = rng.standard_normal((n, n))
+        b = m @ m.T + n * np.eye(n)  # symmetric positive definite
+        for dual in (None, b.__matmul__):
+            basis, h = resistance._arnoldi(a.__matmul__, rng.standard_normal(n), steps, dual)
+            assert basis.shape == (steps + 1, n) and h.shape == (steps + 1, steps)
+            gram = basis @ (basis if dual is None else basis @ b).T
+            np.testing.assert_allclose(gram, np.eye(steps + 1), atol=1e-12)
+            np.testing.assert_allclose(a @ basis[:-1].T, basis.T @ h, atol=1e-11)
+
+    def test_stops_at_an_invariant_subspace_and_on_request(self):
+        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        v = np.array([1.0, 1.0, 0.0, 0.0, 0.0])  # in a two-dimensional invariant subspace
+        basis, h = resistance._arnoldi(a.__matmul__, v, 4)
+        assert h.shape == (3, 2) and h[2, 1] == 0.0 and not basis[2].any()
+        np.testing.assert_allclose(np.sort(np.linalg.eigvals(h[:2]).real), [1.0, 2.0])
+        seen = []
+        basis, h = resistance._arnoldi(a.__matmul__, np.ones(5), 4,
+                                       stop=lambda b, h: seen.append(h.shape) or len(seen) == 2)
+        assert seen == [(2, 1), (3, 2)] and basis.shape == (3, 5)

@@ -1,8 +1,9 @@
 """Resolvent and semigroup identities, Markov bounds, growth estimates.
 
-The semigroup kernel is checked against dense ``scipy.linalg.expm`` and
-against the uniformization series, which stays in ``spectral`` as the
-kernel's fallback and serves here as an oracle.
+Both semigroup kernels, the Chebyshev series and shift-and-invert Krylov,
+are checked against dense ``scipy.linalg.expm``, and the series against the
+uniformization series, which stays in ``spectral`` as its fallback and
+serves here as an oracle.
 """
 
 from pathlib import Path
@@ -22,11 +23,14 @@ from driftform.markov import GeneratorMatrix, RateValidationError, _philox, poin
 from driftform.spectral import (
     CHEBYSHEV,
     GROWTH_LIMIT,
+    KRYLOV,
     SERIES_TAIL,
     UNIFORMIZATION,
     _bessel_ratios,
     _chebyshev_coefficients,
     _chebyshev_series,
+    _expm,
+    _krylov,
     _poisson_series,
     _poisson_weights,
     markov_check,
@@ -454,6 +458,101 @@ class TestChebyshevKernel:
         assert solve.tail_bound <= SERIES_TAIL
         assert np.max(np.abs(solve.output - exact)) <= 1e-12 * np.max(np.abs(f))
         assert markov_check(gen, t, trials=3).method == UNIFORMIZATION
+
+
+class TestKrylovKernel:
+    """The shift-and-invert Krylov kernel called directly, below its
+    crossover too, against dense ``expm``: forward in the sup norm and
+    transposed in l1, the norms its bound is stated in."""
+
+    T = 0.1
+
+    @staticmethod
+    def assert_bound_covers_gap(gen, t, f):
+        exact = scipy.linalg.expm(t * gen.L.toarray())
+        for transpose, order in ((False, np.inf), (True, 1)):
+            solve = _krylov(gen, t, f, transpose)
+            want = (exact.T if transpose else exact) @ f
+            gap = np.linalg.norm(solve.output - want, order)
+            assert solve.method == KRYLOV
+            assert solve.tail_bound <= spectral.KRYLOV_TOL
+            assert gap <= solve.tail_bound * np.linalg.norm(f, order), (transpose, gap)
+
+    @pytest.mark.parametrize("drift", ["none", "default", "two_term"])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+    def test_sg_matches_dense_expm(self, sg_tower, admissible_cfg, drift, level):
+        cfg = {"none": None, "default": admissible_cfg, "two_term": TWO_TERM_DRIFT}[drift]
+        gen = sg_tower.generator(level, cfg)
+        f = np.random.default_rng(level).standard_normal(gen.n)
+        self.assert_bound_covers_gap(gen, self.T, f)
+
+    @pytest.mark.parametrize("config", ["interval.json", "sg_combinatorial.json"])
+    def test_shipped_structures_match_dense_expm(self, config):
+        tower = tw.LevelTower(pcf.load_structure(CONFIGS / config))
+        boundary = tower.vertex_count(0)
+        indicator = tuple(1.0 if k == 0 else 0.0 for k in range(boundary))
+        drift = tw.DriftConfig((("constant", 0.2),), ((0, indicator),))
+        for level in (2, 4):
+            for cfg in (None, drift):
+                gen = tower.generator(level, cfg)
+                f = np.random.default_rng(level).standard_normal(gen.n)
+                self.assert_bound_covers_gap(gen, self.T, f)
+
+    def test_block_runs_column_by_column(self, setup):
+        gen, _ = setup
+        block = np.random.default_rng(59).standard_normal((gen.n, 3))
+        solve = _krylov(gen, self.T, block, False)
+        columns = [_krylov(gen, self.T, block[:, j], False) for j in range(3)]
+        np.testing.assert_allclose(solve.output, np.column_stack([c.output for c in columns]),
+                                   rtol=0.0, atol=1e-14)
+        assert solve.tail_bound == pytest.approx(max(c.tail_bound for c in columns))
+
+    def test_from_the_crossover_on(self, sg_tower, admissible_cfg, monkeypatch):
+        gen = sg_tower.generator(3, admissible_cfg)
+        f = sg_tower.coordinates(3)[:, 0]
+        series = semigroup_solve(gen, self.T, f)
+        assert series.method == CHEBYSHEV and series.krylov is None
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", gen.n)
+        solve = semigroup_solve(gen, self.T, f)
+        assert solve.method == KRYLOV
+        assert set(solve.krylov) == {"dimension", "gamma", "s0", "bound", "start_degree"}
+        k = solve.krylov
+        assert k["s0"] == pytest.approx(spectral.KRYLOV_START * self.T)
+        assert k["gamma"] == pytest.approx(spectral.KRYLOV_SHIFT * (self.T - k["s0"]))
+        assert solve.truncation_order == k["start_degree"] + k["dimension"]
+        assert np.max(np.abs(solve.output - series.output)) <= solve.tail_bound + 1e-13
+
+    def test_bound_past_the_tolerance_falls_back_and_says_so(self, sg_tower, admissible_cfg,
+                                                             monkeypatch):
+        gen = sg_tower.generator(3, admissible_cfg)
+        f = sg_tower.coordinates(3)[:, 0]
+        series = semigroup_solve(gen, self.T, f)
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", 0)
+        monkeypatch.setattr(spectral, "KRYLOV_TOL", 1e-30)
+        solve = semigroup_solve(gen, self.T, f)
+        assert solve.method == CHEBYSHEV
+        assert np.array_equal(solve.output, series.output)
+        assert solve.tail_bound == series.tail_bound
+        assert solve.krylov["fallback"].startswith("Krylov bound")
+        assert solve.krylov["bound"] > 1e-30
+
+    def test_growing_start_falls_back_and_says_so(self, monkeypatch):
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", 0)
+        gen = cycle_generator(12, 50.0)
+        f = np.random.default_rng(61).standard_normal(gen.n)
+        solve = semigroup_solve(gen, 1.0, f)
+        assert solve.method == UNIFORMIZATION
+        assert "grew past" in solve.krylov["fallback"]
+        assert np.max(np.abs(solve.output - expm_oracle(gen, 1.0, f))) <= 1e-12 * np.max(np.abs(f))
+
+    def test_expm_of_a_stack(self):
+        rng = np.random.default_rng(67)
+        a = rng.standard_normal((4, 6, 6)) * np.array([1e-3, 1.0, 30.0, 300.0])[:, None, None]
+        a[3] -= 300.0 * np.eye(6)  # a stiff, decaying one scaled with the others
+        got = _expm(a)
+        for x, e in zip(a, got):
+            want = scipy.linalg.expm(x)
+            assert np.max(np.abs(e - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestSeriesTruncation:
