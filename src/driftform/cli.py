@@ -358,25 +358,6 @@ def _fail_admissibility(failed) -> int:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _certificate_failures(sandwich, bound, axioms) -> list[tuple[str, float]]:
-    """``(name, margin)`` of each form certificate that fails, the margin at
-    the pessimistic end of its bracket; SD1 and SD3 fail with ``1 + min θ``
-    of ``S`` against ``E_lam`` when ``S`` is not shown positive definite."""
-    definite = 1.0 + sandwich.theta_min.lo
-    sector = axioms.sector_constant
-    checks = [
-        ("sandwich", sandwich.passed,
-         min(sandwich.lower_margin.lo, sandwich.upper_margin.lo)),
-        ("drift bound", bound.passed, bound.margin.lo),
-        ("SD1 (nonnegativity)", axioms.sd1_passed,
-         definite if axioms.sd1_min is None else axioms.sd1_min.lo),
-        ("SD3 (sector condition)", axioms.sd3_passed,
-         definite if sector is None else axioms.sector_bound - sector.hi),
-        ("SD4 (Markov property)", axioms.sd4_passed, axioms.edge_markov_min),
-    ]
-    return [(name, margin) for name, ok, margin in checks if not ok]
-
-
 def cmd_check(args) -> int:
     """The admissibility report of one level.  The drift is admissible when
     it meets the smallness conditions, its rates are valid and every form
@@ -415,7 +396,7 @@ def cmd_check(args) -> int:
         payload["sandwich"] = sandwich.to_dict()
         payload["drift_bound"] = bound.to_dict()
         payload["sd_axioms"] = axioms.to_dict()
-        failed += _certificate_failures(sandwich, bound, axioms)
+        failed += sandwich.failures() + bound.failures() + axioms.failures()
     payload["admissible"] = not failed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

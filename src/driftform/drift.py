@@ -508,9 +508,15 @@ class SandwichReport:
     def upper_margin(self) -> Bracket:
         return self.theta_max.map(lambda x: self.s - x)
 
+    def failures(self) -> list[tuple[str, float]]:
+        """``("sandwich", margin)`` if the check fails on the pessimistic
+        end of either bracket, with the lesser of the two ends; else empty."""
+        lower, upper = self.lower_margin.lo, self.upper_margin.lo
+        return [] if lower >= 0.0 and upper >= 0.0 else [("sandwich", min(lower, upper))]
+
     @property
     def passed(self) -> bool:
-        return self.lower_margin.lo >= 0.0 and self.upper_margin.lo >= 0.0
+        return not self.failures()
 
     def to_dict(self) -> dict:
         return {"level": self.level, "s": self.s, "lambda": self.lam,
@@ -537,9 +543,14 @@ class DriftBoundReport:
     t: float
     margin: Bracket
 
+    def failures(self) -> list[tuple[str, float]]:
+        """``("drift bound", margin)`` if the margin's pessimistic end is
+        negative; else empty."""
+        return [] if self.margin.lo >= 0.0 else [("drift bound", self.margin.lo)]
+
     @property
     def passed(self) -> bool:
-        return self.margin.lo >= 0.0
+        return not self.failures()
 
     def to_dict(self) -> dict:
         return {"level": self.level, "s": self.s, "t": self.t,
@@ -576,7 +587,9 @@ class SDAxiomReport:
     ``(1-s)^-1 (1 + (sqrt(diam) + 2 delta) sum_i |b_i|_inf E(h_i)^(1/2))``.
     ``edge_one_plus_eta_min`` is the rate certificate, ``edge_markov_min``
     the certificate ``1 + sum_i b_i(x)(h_i(x)-h_i(y)) >= 0`` behind the
-    Markov property (SD4).
+    Markov property (SD4).  ``definite_margin`` is ``1 + min θ`` of the
+    sandwich pencil at the pessimistic end, the margin by which SD1 and SD3
+    fail when ``S`` is not shown positive definite; it is not reported.
     """
 
     level: int
@@ -585,6 +598,7 @@ class SDAxiomReport:
     sector_bound: float
     edge_one_plus_eta_min: float
     edge_markov_min: float
+    definite_margin: float
 
     @property
     def sd1_passed(self) -> bool:
@@ -602,8 +616,22 @@ class SDAxiomReport:
     def passed(self) -> bool:
         return self.sd1_passed and self.sd3_passed and self.sd4_passed
 
+    def failures(self) -> list[tuple[str, float]]:
+        """``(name, margin)`` of each failed axiom, the margin at the
+        pessimistic end of its bracket."""
+        sd1, sector = self.sd1_min, self.sector_constant
+        checks = [
+            ("SD1 (nonnegativity)", self.sd1_passed,
+             self.definite_margin if sd1 is None else sd1.lo),
+            ("SD3 (sector condition)", self.sd3_passed,
+             self.definite_margin if sector is None else self.sector_bound - sector.hi),
+            ("SD4 (Markov property)", self.sd4_passed, self.edge_markov_min),
+        ]
+        return [(name, margin) for name, ok, margin in checks if not ok]
+
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
+        del d["definite_margin"]
         for key in ("sd1_min", "sector_constant"):
             d[key] = None if d[key] is None else d[key].to_dict()
         for key in ("sd1_passed", "sd3_passed", "sd4_passed", "passed"):
@@ -646,4 +674,5 @@ def certify_SD_axioms(
         (rho_sq,) = (_extremes(sector_operator, big_s, solve_s, "LA") if k.count_nonzero()
                      else (_ZERO,))
         sector = rho_sq.map(lambda x: math.sqrt(1.0 + max(x, 0.0)))
-    return SDAxiomReport(gen.level, sd1, sector, sector_bound, eta_min, markov_min)
+    return SDAxiomReport(gen.level, sd1, sector, sector_bound, eta_min, markov_min,
+                         1.0 + sandwich.theta_min.lo)

@@ -31,8 +31,8 @@ never falls back silently.  The Chebyshev sum has terms of both signs, so
 positivity no longer holds by construction: :func:`markov_check` tests the
 numerics as well as the model.
 
-The series' degree grows about 2.2x per level.  From ``KRYLOV_MIN_VERTICES``
-vertices on, a semigroup runs instead a short Chebyshev start to
+The series' degree grows about 2.2x per level.  From ``Lam t =
+KRYLOV_MIN_TAU`` on, a semigroup runs instead a short Chebyshev start to
 ``s0 = KRYLOV_START t``, then shift-and-invert Krylov on ``(I - gamma L)^-1``,
 factored once by the elimination (:func:`_krylov`; van den Eshof &
 Hochbruck, *SISC* 27, 2006).  Its error bound is the integral of the
@@ -72,18 +72,23 @@ GROWTH_LIMIT = 10.0
 CHEBYSHEV = "chebyshev"
 UNIFORMIZATION = "uniformization"
 KRYLOV = "krylov"
-# Shift-and-invert Krylov (_krylov) from KRYLOV_MIN_VERTICES on; below it
-# the series is cheaper.  One SG column at t = 0.1 (default drift, best of
-# three, 2 shared cores) took 0.009 s by the series against 0.015 s by
-# Krylov at L6 (1095 vertices), 0.033 s against 0.021 s at L7 (3282) and
-# 0.18 s against 0.049 s at L8; a block of 40 columns tied at L7 (0.81 s
-# against 0.77 s).
-KRYLOV_MIN_VERTICES = 3000
-KRYLOV_START = 1.0 / 300.0  # s0 / t: the series start, whose cost grows as sqrt(s0)
+# Shift-and-invert Krylov (_krylov) from Lam t = KRYLOV_MIN_TAU on; below
+# it the series is cheaper.  The series takes about 7.4 sqrt(Lam t) sparse
+# products at every level, Krylov one factorization and 16 to 64 solves
+# whatever t is, so the crossover is a degree of the series.  Measured on
+# SG L5-L9, default drift, t = 0.001-1 (best of two, 2 cores), Krylov time
+# over series time: `--f x` 1.6 at degree 511 (L7) and 0.72 at 1141 (L8);
+# a point mass under L^T 1.8 at 1141 (L8), 0.83 at 1397 (L9) and 0.64 at
+# 1616 (L7); 40 random columns 1.45 at 1254 (L6), 0.75 at 1397 (L9) and
+# 0.52 at 1616 (L7).  KRYLOV_MIN_TAU sits at degree 1290.
+KRYLOV_MIN_TAU = 3e4
+# s0 / t: the series start, whose cost grows as sqrt(s0).  From t/300, a
+# point mass or random columns at t <= 0.01 missed KRYLOV_TOL by dimension
+# 48 on SG L6-L10; from t/100 they need at most 56.
+KRYLOV_START = 0.01
 KRYLOV_SHIFT = 0.1  # gamma / (t - s0)
 KRYLOV_CHECK = 8  # the bound is evaluated every KRYLOV_CHECK steps ...
-KRYLOV_DIMENSION = 48  # ... up to this dimension
-KRYLOV_FLOOR = 4.0  # a bound this many times the round-off of its residual is final
+KRYLOV_DIMENSION = 64  # ... up to this dimension
 KRYLOV_TOL = 1e-8  # largest relative bound accepted; past it the series runs
 GAUSS_NODES = 20  # Gauss-Legendre nodes of the residual integral
 
@@ -105,7 +110,9 @@ class SemigroupApply:
     truncation_order: int
     uniformization_rate: float
     method: str  # CHEBYSHEV, UNIFORMIZATION or KRYLOV
-    tail_bound: float  # relative error bound (sup norm; l1 for a transposed KRYLOV)
+    # relative error bound in the sup norm; for a transposed KRYLOV the
+    # residual integral in l1 plus the start's sup-norm guard
+    tail_bound: float
     growth: float  # observed Chebyshev growth max_k ||T_k(P) f|| / ||f||, of the start for KRYLOV
     # the Krylov certificate (dimension, gamma, s0, bound, start_degree), also
     # of an attempt that fell back to the series, with its reason; else None
@@ -313,13 +320,13 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
        evaluates the integral; the rule itself is not a bound.
 
     The bound is evaluated every ``KRYLOV_CHECK`` steps from ``2
-    KRYLOV_CHECK``, and Arnoldi stops at ``KRYLOV_DIMENSION`` or once the
-    bound is at most ``KRYLOV_TOL`` and near the floor that round-off in the
-    residual puts under it, about ``eps ||L|| (t - s0)``: below
-    ``KRYLOV_FLOOR`` times that, or fallen by less than half since the last
-    check.  The reported bound, relative to each column's norm, adds the
-    start's series tail times its growth.  A start whose growth passes
-    ``GROWTH_LIMIT`` raises ``ArithmeticError``.
+    KRYLOV_CHECK``, and Arnoldi stops at the first check where it is at
+    most ``KRYLOV_TOL`` less the start's error, or at ``KRYLOV_DIMENSION``.
+    The reported bound, relative to each column's norm, is the integral
+    plus the start's error, its series tail times its growth: the series'
+    empirical guard, in the sup norm also for ``L^T``, whose integral is
+    in l1.  A start whose growth passes ``GROWTH_LIMIT`` raises
+    ``ArithmeticError``.
     """
     P, lam_max = gen.uniformized
     L = gen.L
@@ -329,6 +336,7 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
     start, degree, tail, growth = _chebyshev_series(P, lam_max * s0, f)
     if start is None:
         raise ArithmeticError(f"the start's series grew past {GROWTH_LIMIT:g}")
+    start_error = tail * growth
     span = t - s0
     gamma = KRYLOV_SHIFT * span
     counts = gen.net.counts if gen.net is not None else ()
@@ -339,8 +347,6 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
     w = 2.0 * vectors[0] ** 2
     times, weights = np.append(0.5 * span * (x + 1.0), span), 0.5 * span * w
     order = 1 if transpose else np.inf
-    # the round-off of L V y, integrated: eps ||L|| (t - s0), with ||L||_inf = 2 Lam
-    floor = KRYLOV_FLOOR * np.finfo(float).eps * 2.0 * lam_max * span
 
     def certificate(basis, h):
         """``(V y(t - s0), int ||r(s)|| ds, m)`` of the first ``m = h.shape[1]``
@@ -363,17 +369,13 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
             continue
         found = []  # the certificate of each check
 
-        def floor_reached(basis, h):
+        def accepted(basis, h):
             if h.shape[1] % KRYLOV_CHECK or h.shape[1] < 2 * KRYLOV_CHECK:
                 return False
             found.append(certificate(basis, h))
-            integral = found[-1][1]
-            previous = found[-2][1] if len(found) > 1 else np.inf
-            return integral <= KRYLOV_TOL * scale and (integral <= floor * scale
-                                                       or integral > 0.5 * previous)
+            return found[-1][1] <= (KRYLOV_TOL - start_error) * scale
 
-        basis, h = _arnoldi(lambda z: _solve(*factors, z), u, KRYLOV_DIMENSION,
-                            stop=floor_reached)
+        basis, h = _arnoldi(lambda z: _solve(*factors, z), u, KRYLOV_DIMENSION, stop=accepted)
         if not found or found[-1][2] != h.shape[1]:  # the last step, or a breakdown
             found.append(certificate(basis, h))
         out[:, j], integral, m = found[-1]
@@ -381,14 +383,14 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
     info = {"dimension": dimension, "gamma": gamma, "s0": s0, "bound": bound,
             "start_degree": degree}
     return SemigroupApply(t, out.reshape(f.shape), degree + dimension, lam_max, KRYLOV,
-                          bound + tail * growth, growth, info)
+                          bound + start_error, growth, info)
 
 
 def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) -> SemigroupApply:
     """Evaluate ``exp(tL) f`` (``exp(tL^T) f`` with ``transpose``) for an
     ``(n,)`` vector or an ``(n, k)`` block of columns ``f``: by
-    shift-and-invert Krylov (:func:`_krylov`) from ``KRYLOV_MIN_VERTICES``
-    vertices, else, or when its bound passes ``KRYLOV_TOL``, by the
+    shift-and-invert Krylov (:func:`_krylov`) from ``Lam t = KRYLOV_MIN_TAU``
+    on, else, or when its bound passes ``KRYLOV_TOL``, by the
     Chebyshev series of ``P``, or by uniformization when the series grows
     past ``GROWTH_LIMIT``; the result names its method and certificate."""
     if not np.isfinite(t) or t < 0:
@@ -401,7 +403,7 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     P, lam_max = gen.uniformized
     tau = lam_max * t
     fallback = None
-    if gen.n >= KRYLOV_MIN_VERTICES and tau > 0.0 and fv.size:
+    if tau >= KRYLOV_MIN_TAU and fv.size:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 attempt = _krylov(gen, t, fv, transpose)

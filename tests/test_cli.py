@@ -698,7 +698,7 @@ class TestModes:
             assert "krylov" not in a
 
     def test_semigroup_mode_reports_krylov(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", 0)
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_TAU", 1.0)
         assert run(["semigroup", "--level", "2", "--t", "0.1", "--out", str(tmp_path)]) == 0
         (a,) = load_report_json(tmp_path / "semigroup_report.json")["applications"]
         assert a["method"] == a["markov_check"]["method"] == "krylov"

@@ -441,6 +441,19 @@ class TestDriftBoundFromSandwich:
         rep = certify_drift_bound(SandwichReport(1, s, 2.0, straddling, top))
         assert rep.margin == Bracket(1 - 0.1 / s, 1 - 0.15 / s, 1 - 0.05 / s, 0.05 / s)
 
+    def test_failures_name_the_pessimistic_margin(self):
+        bottom = Bracket(-0.3, -0.31, -0.29, 0.01)
+        top = Bracket(0.1, 0.05, 0.15, 0.05)
+        passing = SandwichReport(1, 0.5, 2.0, bottom, top)
+        assert passing.passed and certify_drift_bound(passing).passed
+        assert passing.failures() == certify_drift_bound(passing).failures() == []
+        # s = 0.2: the lower margin's pessimistic end is 0.2 - 0.31
+        failing = SandwichReport(1, 0.2, 2.0, bottom, top)
+        bound = certify_drift_bound(failing)
+        assert not (failing.passed or bound.passed)
+        assert failing.failures() == [("sandwich", pytest.approx(0.2 - 0.31))]
+        assert bound.failures() == [("drift bound", bound.margin.lo)]
+
 
 class TestEmptyDrift:
     """The empty drift (config ``None``) and a realized zero-coefficient term
@@ -492,6 +505,7 @@ class TestSDAxioms:
         assert 1.0 <= rep.sector_constant.lo <= rep.sector_constant.hi <= rep.sector_bound
         assert rep.edge_one_plus_eta_min >= 0.0
         assert rep.edge_markov_min >= 0.0
+        assert rep.failures() == []
 
     @pytest.mark.parametrize("level", [3, 6])
     def test_indefinite_shifted_form_fails_without_crash(self, sg_tower, level):
@@ -504,8 +518,14 @@ class TestSDAxioms:
         rep = certify_SD_axioms(gen, sandwich, delta=0.1, diam_proxy=2 / 3)
         assert rep.sd1_min is None and rep.sector_constant is None
         assert not (rep.sd1_passed or rep.sd3_passed or rep.passed)
+        # both fail by the margin 1 + min θ of S against E_lam
+        definite = 1.0 + sandwich.theta_min.lo
+        assert definite < 0.0
+        assert rep.failures()[:2] == [("SD1 (nonnegativity)", definite),
+                                      ("SD3 (sector condition)", definite)]
         d = rep.to_dict()
         assert d["sd1_min"] is None and d["sector_constant"] is None
+        assert "definite_margin" not in d
         assert d["passed"] is False
 
     def test_edge_certificate_from_pointwise_condition(self, sg_tower, admissible_cfg):

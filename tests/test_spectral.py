@@ -512,7 +512,10 @@ class TestKrylovKernel:
         f = sg_tower.coordinates(3)[:, 0]
         series = semigroup_solve(gen, self.T, f)
         assert series.method == CHEBYSHEV and series.krylov is None
-        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", gen.n)
+        tau = gen.uniformized[1] * self.T
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_TAU", np.nextafter(tau, np.inf))
+        assert semigroup_solve(gen, self.T, f).method == CHEBYSHEV
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_TAU", tau)
         solve = semigroup_solve(gen, self.T, f)
         assert solve.method == KRYLOV
         assert set(solve.krylov) == {"dimension", "gamma", "s0", "bound", "start_degree"}
@@ -522,12 +525,26 @@ class TestKrylovKernel:
         assert solve.truncation_order == k["start_degree"] + k["dimension"]
         assert np.max(np.abs(solve.output - series.output)) <= solve.tail_bound + 1e-13
 
+    def test_selects_by_lambda_t_not_by_size(self, sg_tower, admissible_cfg):
+        # a small level at a long time runs Krylov, a deep one at a short
+        # time the series
+        small = sg_tower.generator(3, admissible_cfg)
+        t = spectral.KRYLOV_MIN_TAU / small.uniformized[1]
+        f = sg_tower.coordinates(3)[:, 0]
+        solve = semigroup_solve(small, t, f)
+        assert solve.method == KRYLOV
+        gap = np.max(np.abs(solve.output - scipy.linalg.expm(t * small.L.toarray()) @ f))
+        assert gap <= solve.tail_bound * np.max(np.abs(f))
+        deep = sg_tower.generator(7, admissible_cfg)
+        assert deep.uniformized[1] * 0.001 < spectral.KRYLOV_MIN_TAU
+        assert semigroup_solve(deep, 0.001, sg_tower.coordinates(7)[:, 0]).method == CHEBYSHEV
+
     def test_bound_past_the_tolerance_falls_back_and_says_so(self, sg_tower, admissible_cfg,
                                                              monkeypatch):
         gen = sg_tower.generator(3, admissible_cfg)
         f = sg_tower.coordinates(3)[:, 0]
         series = semigroup_solve(gen, self.T, f)
-        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", 0)
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_TAU", 0.0)
         monkeypatch.setattr(spectral, "KRYLOV_TOL", 1e-30)
         solve = semigroup_solve(gen, self.T, f)
         assert solve.method == CHEBYSHEV
@@ -537,7 +554,7 @@ class TestKrylovKernel:
         assert solve.krylov["bound"] > 1e-30
 
     def test_growing_start_falls_back_and_says_so(self, monkeypatch):
-        monkeypatch.setattr(spectral, "KRYLOV_MIN_VERTICES", 0)
+        monkeypatch.setattr(spectral, "KRYLOV_MIN_TAU", 0.0)
         gen = cycle_generator(12, 50.0)
         f = np.random.default_rng(61).standard_normal(gen.n)
         solve = semigroup_solve(gen, 1.0, f)
