@@ -76,6 +76,11 @@ COMMANDS = {
                       "--t", "0.1", "--paths", "2000", "--seed", "1"],
     "simulate_none_paired": ["simulate", "--drift", "none", "--level", "3", "--paths", "500",
                              "--t", "0.01,0.1", "--paired", "--seed", "1"],
+    # one long path (Lambda t about 6.8e4) and a 1-D structure's paths
+    "simulate_long_path": ["simulate", "--level", "1", "--paths", "1", "--t", "2000",
+                           "--seed", "1"],
+    "simulate_interval": ["simulate", "--level", "3", "--paths", "200", "--t", "0.01,0.1",
+                          "--structure", "docs/configs/interval.json", "--seed", "1"],
     # resolvent solves: no nested counts (only the dense end), a deeper
     # level, and the shipped configs
     "resolvent_l0": ["resolvent", "--level", "0"],

@@ -42,7 +42,6 @@ from .drift import (
 from .markov import (
     GeneratorMatrix,
     RateValidationError,
-    Trajectory,
     build_generator,
     detailed_balance_gap,
     ensemble_states,

@@ -39,12 +39,12 @@ from .resistance import NetworkError, harmonic_extension
 
 MAX_LAMBDA_T = 1e7  # largest Lambda t a run takes (L10 at t = 0.1 is about 6e6)
 # simulate keeps every jump until it writes the trajectories.  Measured peak
-# memory: 560 B per engine round (about Lambda t rounds), at most 550 B per
-# path and recording time (trajectory and grid row) and 32 B per recorded
-# step (at most paths * Lambda t); a run estimated past MAX_LOG_BYTES is refused.
+# memory: at most 129 B per path and recording time (the samplers' per-path
+# arrays and a grid row, with --paired) and 43 B per engine step (at most
+# paths * Lambda t steps); a run estimated past MAX_LOG_BYTES is refused.
 MAX_LOG_BYTES = 2**30
-LOG_OBJECT_BYTES = 600  # per engine round and per path and recording time
-LOG_STEP_BYTES = 40  # per recorded step
+LOG_OBJECT_BYTES = 144  # per path and recording time
+LOG_STEP_BYTES = 48  # per engine step
 
 
 class ConfigError(Exception):
@@ -162,9 +162,12 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _one_file_each(values: list[float], flag: str) -> list[float]:
-    """``values``, refused when two would write one ``{value:g}`` report file."""
+    """``values``, refused when two would write one ``{value:g}`` report
+    file, a repeated value included."""
     for a, b in itertools.combinations(values, 2):
-        if a != b and f"{a:g}" == f"{b:g}":
+        if a == b:
+            raise ConfigError(f"{flag} value {a!r} is given twice")
+        if f"{a:g}" == f"{b:g}":
             raise ConfigError(f"{flag} values {a!r} and {b!r} share the file name suffix {a:g}")
     return values
 
@@ -335,8 +338,7 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
             raise ConfigError(f"--t {max(times):g} gives Lambda t = {lam_t:.3g} at level {n}, "
                               f"past the ceiling {MAX_LAMBDA_T:g}")
         if args.mode == "simulate":
-            log = (LOG_OBJECT_BYTES * (lam_t + args.paths * len(times))
-                   + LOG_STEP_BYTES * args.paths * lam_t)
+            log = args.paths * (LOG_OBJECT_BYTES * len(times) + LOG_STEP_BYTES * lam_t)
             if log > MAX_LOG_BYTES:
                 raise ConfigError(f"--paths {args.paths} and --t {max(times):g} (Lambda t = "
                                   f"{lam_t:.3g}) need about {log / 2**30:.3g} GiB of jumps, "
@@ -486,8 +488,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    states, trajectories = mk.sample_paths(gen, init, times, args.paths, args.seed)
-    mk.write_trajectories_jsonl(trajectories, out / "trajectories.jsonl")
+    states, *paths = mk.sample_paths(gen, init, times, args.paths, args.seed)
+    mk.write_trajectories_jsonl(out / "trajectories.jsonl", *paths, max(times), args.seed, gen.n)
+    del paths  # the jumps are written; free them before the grid rows
     # states has one row per time in increasing order; take them in --t order
     in_t_order = np.searchsorted(np.sort(times), times)
     states = states[in_t_order]
@@ -553,6 +556,8 @@ def cmd_converge(args) -> int:
         )
     if args.paths < 2:
         raise ConfigError(f"converge needs --paths >= 2 for a standard error, got {args.paths}")
+    if args.path_law_max_level < 0:
+        raise ConfigError(f"--path-law-max-level must be >= 0, got {args.path_law_max_level}")
     # Admissibility at every requested level, constants from the reference
     # proxy so all levels share one shift.
     tower, config, reports, failed = _setup(args, levels + [reference], reference, times)

@@ -165,8 +165,9 @@ def path_law_convergence(
         methods[gen.level] = solve.method
         return solve.output
 
-    ref_law = law(tower.generator(reference, drift_cfg))
-    ref_means = [float(ref_law @ f[: len(ref_law)]) for f in fs]
+    if levels:  # with no level sampled, no reference law is needed
+        ref_law = law(tower.generator(reference, drift_cfg))
+        ref_means = [float(ref_law @ f[: len(ref_law)]) for f in fs]
 
     errors, mc_table = [], {}
     for n in levels:

@@ -440,7 +440,6 @@ def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     ``‖a x − θ b x‖_{b⁻¹} / ‖x‖_b``: an eigenvalue lies within it of ``θ``,
     and it is the extreme one when Lanczos has found the extreme pair
     (Parlett, *The Symmetric Eigenvalue Problem*, 1998, ch. 11 and 13).
-    Pencils of ``k + 1`` or fewer vertices are solved densely.
     """
     k = 2 if which == "BE" else 1
     if sparse.issparse(a) and not a.count_nonzero():
@@ -448,30 +447,24 @@ def _extremes(a, b, solve_b, which: str) -> list[Bracket]:
     apply_a = a if callable(a) else a.__matmul__
     n = b.shape[0]
     wanted = [-1] if which == "LA" else [0, -1]
-    try:
-        if k >= n - 1:  # Cholesky b = C Cᵀ; eigh reads the lower triangle
-            c = np.linalg.cholesky(b.toarray())
-            half = np.linalg.solve(c, apply_a(np.eye(n)))
-            vecs = np.linalg.solve(c.T, np.linalg.eigh(np.linalg.solve(c, half.T))[1])
-            vecs = vecs[:, wanted]
-        else:
-            def converged(_, h):
-                theta, y = np.linalg.eigh(h[:-1])
-                estimate = np.abs(h[-1, -1] * y[-1, wanted])
-                scale = np.abs(theta).max()
-                return len(theta) >= k and bool(np.all(estimate <= LANCZOS_TOL * scale))
+    def converged(_, h):
+        theta, y = np.linalg.eigh(h[:-1])
+        estimate = np.abs(h[-1, -1] * y[-1, wanted])
+        scale = np.abs(theta).max()
+        return len(theta) >= k and bool(np.all(estimate <= LANCZOS_TOL * scale))
 
-            # a fixed start vector keeps the reports deterministic
-            start = np.random.default_rng(0).standard_normal(n)
-            basis, h = _arnoldi(lambda x: solve_b(apply_a(x)), start, min(LANCZOS_STEPS, n),
-                                dual=b.__matmul__, stop=converged)
-            theta, y = np.linalg.eigh(h[:-1])
-            if not np.all(np.isfinite(theta)):
-                raise CertificateError(f"no bracket: Ritz values {theta[wanted]}")
-            if not (len(theta) == n or h[-1, -1] == 0.0 or converged(basis, h)):
-                raise CertificateError(
-                    f"extreme eigenvalue not found: no convergence in {len(theta)} Lanczos steps")
-            vecs = basis[:-1].T @ y[:, wanted]
+    try:
+        # a fixed start vector keeps the reports deterministic
+        start = np.random.default_rng(0).standard_normal(n)
+        basis, h = _arnoldi(lambda x: solve_b(apply_a(x)), start, min(LANCZOS_STEPS, n),
+                            dual=b.__matmul__, stop=converged)
+        theta, y = np.linalg.eigh(h[:-1])
+        if not np.all(np.isfinite(theta)):
+            raise CertificateError(f"no bracket: Ritz values {theta[wanted]}")
+        if not (len(theta) == n or h[-1, -1] == 0.0 or converged(basis, h)):
+            raise CertificateError(
+                f"extreme eigenvalue not found: no convergence in {len(theta)} Lanczos steps")
+        vecs = basis[:-1].T @ y[:, wanted]
     except np.linalg.LinAlgError as exc:
         raise CertificateError(f"extreme eigenvalue not found: {exc}") from exc
     out = []

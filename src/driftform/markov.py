@@ -10,7 +10,7 @@ edges and all simulation entry points refuse invalid generators rather than
 clamping (clamping would silently change the form).
 
 Both samplers, :func:`ensemble_states` (states at fixed times) and
-:func:`sample_paths` (full paths as :class:`Trajectory` objects), run one
+:func:`sample_paths` (full paths as flat arrays), run one
 uniformized engine over a block of chains (Jensen 1953): between recording
 times each path makes ``N ~ Poisson(Lam dt)`` steps of ``P = I + L / Lam``,
 ``Lam`` the largest holding rate, and a step that stays put is no jump.
@@ -28,10 +28,9 @@ is column ``k`` of the block, and equal arguments give equal paths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -231,40 +230,6 @@ def _require_valid_rates(gen: GeneratorMatrix) -> None:
         )
 
 
-@dataclass
-class Trajectory:
-    """One sampled path: piecewise-constant, right-continuous."""
-
-    jump_times: np.ndarray
-    states: np.ndarray
-    horizon: float
-    seed: int
-    index: int
-    n_states: int
-
-    def __post_init__(self):
-        self.jump_times = np.asarray(self.jump_times, dtype=float)
-        self.states = np.asarray(self.states, dtype=np.int64)
-        if len(self.jump_times) != len(self.states):
-            raise ValueError("one state per jump time required")
-        if len(self.jump_times) == 0 or self.jump_times[0] != 0.0:
-            raise ValueError("trajectories start at time 0")
-        if np.any(np.diff(self.jump_times) <= 0):
-            raise ValueError("jump times must be strictly increasing")
-        if self.jump_times[-1] > self.horizon:
-            raise ValueError("jump beyond the horizon")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "index": self.index,
-            "horizon": self.horizon,
-            "n_states": self.n_states,
-            "times": self.jump_times.tolist(),
-            "states": self.states.tolist(),
-        }
-
-
 def _check_initial(initial, n: int) -> np.ndarray:
     p = np.asarray(initial, dtype=float)
     if p.shape != (n,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
@@ -284,8 +249,8 @@ def _uniformized_chains(
     times: Sequence[float],
     n_paths: int,
     seed: int,
-    on_round: Callable | None = None,
-) -> np.ndarray:
+    paths: bool = False,
+):
     """The uniformized construction on a block of chains.
 
     In each interval between recording times every path draws its step
@@ -299,13 +264,16 @@ def _uniformized_chains(
     are kept as ``state * BINS``, the row offset of the guide table.
     Returns the ``(len(times), n_paths)`` states at the sorted times.
 
-    ``on_round(paths, times, states)``, if given, sees the start (every
-    path at time 0) and then each round: the paths that jumped in it, their
-    jump times and their new states.  A path's event times in an interval
-    are the order statistics of its ``N`` uniforms there, drawn in
-    increasing order from the second key (the minimum of the ``r`` left is
-    the gap to the interval's end shrunk by ``U^(1/r)``); only this mode
-    draws them.  The arrays are the callback's to keep.
+    With ``paths`` it also returns the full paths, ``(states, offsets,
+    jump_times, jump_states)`` as :func:`sample_paths` gives them.  Each
+    interval lays the paths out one after another, path ``k`` as a run of
+    its jumps so far (``(0, initial state)`` first) and then one slot per
+    step; round ``k`` writes its step into slot ``k`` of the new part, and
+    one mask drops the steps that stay put at the interval's end.  A path's
+    event times in an interval are the order statistics of its ``N``
+    uniforms there, drawn in increasing order from the second key (the
+    minimum of the ``r`` left is the gap to the interval's end shrunk by
+    ``U^(1/r)``); only this mode draws them.
     """
     p0 = _check_initial(initial, gen.n)
     times = np.asarray(times, dtype=float)
@@ -319,9 +287,11 @@ def _uniformized_chains(
     raw = rng.bit_generator.random_raw
     state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
     out = np.empty((len(times), n_paths), dtype=np.int64)
-    if on_round is not None:
+    if paths:
         clock = _philox(seed, EVENT_TIME_STREAM)
-        on_round(np.arange(n_paths), np.zeros(n_paths), state.copy())
+        # the paths so far, states scaled by BINS as in the rounds
+        counts, jump_times = np.ones(n_paths, dtype=np.int64), np.zeros(n_paths)
+        jump_states = state * BINS
     start = 0.0  # the last recording time passed
     for row, t_rec in enumerate(times):
         if t_rec > start:
@@ -332,12 +302,19 @@ def _uniformized_chains(
             order = np.argsort((top - steps).astype(np.min_scalar_type(top)), kind="stable")
             running = n_paths - np.cumsum(np.bincount(steps))
             cur = state[order] * BINS
-            if on_round is not None:
-                steps, gap = steps[order], np.ones(n_paths)
+            if paths:
+                # path k's run: its jumps so far from base[k], then a slot a
+                # step; the jumps so far move by the steps of the paths before
+                runs = counts + steps
+                base = np.cumsum(runs) - runs
+                jumped = np.repeat(np.cumsum(steps) - steps, counts)
+                jumped += np.arange(len(jumped))
+                jump_times = _placed(jump_times, jumped, runs.sum())
+                jump_states = _placed(jump_states, jumped, runs.sum())
+                del jumped
+                slot, left, gap = (base + counts)[order], steps[order], np.ones(n_paths)
             for k, m in enumerate(running[:-1]):
                 head = cur[:m]
-                if on_round is not None:
-                    before = head.copy()
                 digit = k % _DIGITS
                 if digit == 0:  # each path of the prefix draws its next word
                     words = raw(m).view(np.int64)
@@ -353,12 +330,34 @@ def _uniformized_chains(
                     for column in bounds:
                         i += column[x] <= v
                     head[split] = targets[x, i]
-                if on_round is not None:
-                    gap[:m] *= np.exp(np.log1p(-clock.random(m)) / (steps[:m] - k))
-                    moved = np.flatnonzero(head != before)
-                    on_round(order[moved], t_rec - dt * gap[moved], head[moved] // BINS)
+                if paths:
+                    gap[:m] *= np.exp(np.log1p(-clock.random(m)) / (left[:m] - k))
+                    at = slot[:m] + k
+                    jump_times[at] = t_rec - dt * gap[:m]
+                    jump_states[at] = head
+            if paths:
+                # a slot is kept when it starts its run or its state differs
+                # from the slot before
+                keep = np.empty(len(jump_states), dtype=bool)
+                np.not_equal(jump_states[1:], jump_states[:-1], out=keep[1:])
+                keep[base] = True
+                counts = np.add.reduceat(keep, base, dtype=np.int64)
+                jump_times = jump_times[keep]  # one at a time, for the peak
+                jump_states = jump_states[keep]
             state[order] = cur // BINS
         out[row] = state
+    if not paths:
+        return out
+    offsets = np.zeros(n_paths + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    jump_states //= BINS
+    return out, offsets, jump_times, jump_states
+
+
+def _placed(values: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """An array of ``size`` entries holding ``values`` at ``at``."""
+    out = np.empty(size, dtype=values.dtype)
+    out[at] = values
     return out
 
 
@@ -381,40 +380,19 @@ def sample_paths(
     times: Sequence[float],
     n_paths: int,
     seed: int,
-) -> tuple[np.ndarray, list[Trajectory]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Full paths up to the largest of ``times``, with their states at
     ``times``.
 
-    Returns the states exactly as :func:`ensemble_states` gives them for the
-    same arguments, and one :class:`Trajectory` per column.  One engine run
-    logs each round with 32-bit path and state indices; the rounds are then
-    placed path by path in two flat arrays, each dropped from the log once
-    placed, so the log is gone before the trajectories are built.
+    Returns ``(states, offsets, jump_times, jump_states)``: ``states``
+    exactly as :func:`ensemble_states` gives them for the same arguments,
+    and path ``k`` (column ``k``) as its jumps ``jump_times[a:b]`` and
+    ``jump_states[a:b]`` with ``a, b = offsets[k], offsets[k + 1]``.  Each
+    path starts at ``(0.0, initial state)``; its times then increase
+    strictly up to the horizon, and it holds each state until the next
+    jump.
     """
-    log = []
-
-    def record(paths, event_times, states):
-        log.append((paths.astype(np.int32), event_times, states.astype(np.int32)))
-
-    states = _uniformized_chains(gen, initial, times, n_paths, seed, record)
-    counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    cursor = bounds[:-1].copy()
-    jump_times, jump_states = np.empty(bounds[-1]), np.empty(bounds[-1], dtype=np.int64)
-    # a path jumps at most once a round, so the rounds in order keep each
-    # path's jumps in time order
-    log.reverse()
-    while log:
-        paths, t, s = log.pop()
-        at = cursor[paths]
-        jump_times[at], jump_states[at] = t, s
-        cursor[paths] = at + 1
-    horizon = float(max(times, default=0.0))
-    trajectories = [
-        Trajectory(jump_times[a:b], jump_states[a:b], horizon, seed, k, gen.n)
-        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-    return states, trajectories
+    return _uniformized_chains(gen, initial, times, n_paths, seed, paths=True)
 
 
 def detailed_balance_gap(gen: GeneratorMatrix) -> float:
@@ -432,7 +410,24 @@ def detailed_balance_gap(gen: GeneratorMatrix) -> float:
 # Trajectory export
 # ---------------------------------------------------------------------------
 
-def write_trajectories_jsonl(trajectories: Sequence[Trajectory], path) -> None:
+def write_trajectories_jsonl(path, offsets, jump_times, jump_states,
+                             horizon: float, seed: int, n_states: int) -> None:
+    """One line per path of :func:`sample_paths`: the JSON object with the
+    keys ``horizon``, ``index``, ``n_states``, ``seed``, ``states`` and
+    ``times`` as ``json.dumps(..., sort_keys=True)`` writes it, its lists
+    written a chunk at a time."""
+    def write_list(values):
+        fh.write("[")
+        for lo in range(0, len(values), 1 << 16):
+            chunk = values[lo:lo + (1 << 16)].tolist()
+            fh.write((", " if lo else "") + ", ".join(map(repr, chunk)))
+        fh.write("]")
+
     with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(traj.to_dict(), sort_keys=True) + "\n")
+        for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+            fh.write(f'{{"horizon": {float(horizon)!r}, "index": {k}, '
+                     f'"n_states": {n_states}, "seed": {seed}, "states": ')
+            write_list(jump_states[a:b])
+            fh.write(', "times": ')
+            write_list(jump_times[a:b])
+            fh.write("}\n")

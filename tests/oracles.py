@@ -18,10 +18,14 @@ from scipy.special import gammaln, ive, pdtrc, xlogy
 from driftform import pcf, resistance
 from driftform import tower as tw
 from driftform.markov import (
+    _DIGITS,
     BINS,
     DIGIT_BITS,
     ENSEMBLE_STREAM,
+    EVENT_TIME_STREAM,
     RateValidationError,
+    _check_initial,
+    _philox,
     _require_valid_rates,
 )
 from driftform.resistance import (
@@ -172,6 +176,77 @@ def uniformized_chains(gen, initial, times, n_paths: int, seed: int,
     return out
 
 
+def _chains_with_callback(gen, initial, times, n_paths: int, seed: int, on_round) -> np.ndarray:
+    """The engine of ``markov`` with a per-round callback in place of its
+    slot layout: ``on_round(paths, times, states)`` sees the start (every
+    path at time 0) and then each round: the paths that jumped in it, their
+    jump times and their new states.  Same keys and draw order."""
+    p0 = _check_initial(initial, gen.n)
+    times = np.sort(np.asarray(times, dtype=float))
+    lam, guide, bounds, targets = gen.event_tables
+    rng = _philox(seed, ENSEMBLE_STREAM)
+    raw = rng.bit_generator.random_raw
+    state = rng.choice(gen.n, size=n_paths, p=p0).astype(np.int64)
+    out = np.empty((len(times), n_paths), dtype=np.int64)
+    clock = _philox(seed, EVENT_TIME_STREAM)
+    on_round(np.arange(n_paths), np.zeros(n_paths), state.copy())
+    start = 0.0
+    for row, t_rec in enumerate(times):
+        if t_rec > start:
+            dt, start = t_rec - start, t_rec
+            steps = rng.poisson(lam * dt, n_paths)
+            top = steps.max(initial=0)
+            order = np.argsort((top - steps).astype(np.min_scalar_type(top)), kind="stable")
+            running = n_paths - np.cumsum(np.bincount(steps))
+            cur = state[order] * BINS
+            steps, gap = steps[order], np.ones(n_paths)
+            for k, m in enumerate(running[:-1]):
+                head = cur[:m]
+                before = head.copy()
+                digit = k % _DIGITS
+                if digit == 0:
+                    words = raw(m).view(np.int64)
+                index = (words[:m] >> (DIGIT_BITS * digit)) & (BINS - 1)
+                index += head
+                guide.take(index, out=head, mode="clip")
+                split = (head < 0).nonzero()[0]
+                if split.size:
+                    cell = ~head[split]
+                    x = cell >> DIGIT_BITS
+                    v = (cell & (BINS - 1)) + rng.random(split.size)
+                    i = np.zeros(split.size, dtype=np.int64)
+                    for column in bounds:
+                        i += column[x] <= v
+                    head[split] = targets[x, i]
+                gap[:m] *= np.exp(np.log1p(-clock.random(m)) / (steps[:m] - k))
+                moved = np.flatnonzero(head != before)
+                on_round(order[moved], t_rec - dt * gap[moved], head[moved] // BINS)
+            state[order] = cur // BINS
+        out[row] = state
+    return out
+
+
+def logged_paths(gen, initial, times, n_paths: int, seed: int):
+    """``markov.sample_paths`` by an earlier route: one engine run logs each
+    round (:func:`_chains_with_callback`), and a cursor per path places the
+    rounds path by path in two flat arrays.  Returns ``(states, offsets,
+    jump_times, jump_states)``."""
+    log = []
+    states = _chains_with_callback(gen, initial, times, n_paths, seed,
+                                   lambda *entry: log.append(entry))
+    counts = np.bincount(np.concatenate([paths for paths, _, _ in log]), minlength=n_paths)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    cursor = offsets[:-1].copy()
+    jump_times, jump_states = np.empty(offsets[-1]), np.empty(offsets[-1], dtype=np.int64)
+    # a path jumps at most once a round, so the rounds in order keep each
+    # path's jumps in time order
+    for paths, t, s in log:
+        at = cursor[paths]
+        jump_times[at], jump_states[at] = t, s
+        cursor[paths] = at + 1
+    return states, offsets, jump_times, jump_states
+
+
 def jump_parameters(gen) -> tuple[np.ndarray, sparse.csr_matrix]:
     """Holding rates ``q(x) = -L(x, x)`` and the row-stochastic jump kernel
     ``pi(x, y) = L(x, y) / q(x)`` of the embedded jump chain, which the
@@ -244,13 +319,13 @@ def resistance_matrix(net) -> np.ndarray:
     return r + r.T
 
 
-def state_at(traj, t: float) -> int:
-    """State of a trajectory at time ``t``, holding the value over
-    ``[jump_k, jump_k+1)``."""
-    if t < 0 or t > traj.horizon:
-        raise ValueError(f"time {t} outside [0, {traj.horizon}]")
-    k = int(np.searchsorted(traj.jump_times, t, side="right")) - 1
-    return int(traj.states[k])
+def state_at(jump_times, jump_states, horizon: float, t: float) -> int:
+    """State at time ``t`` of a path with the given jumps, holding each
+    state over ``[jump_k, jump_k+1)`` up to ``horizon``."""
+    if t < 0 or t > horizon:
+        raise ValueError(f"time {t} outside [0, {horizon}]")
+    k = int(np.searchsorted(jump_times, t, side="right")) - 1
+    return int(jump_states[k])
 
 
 def form_value(matrix, f, g=None) -> float:

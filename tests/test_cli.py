@@ -246,9 +246,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("paths, t", [
         ("3", "2.9e5"),  # Lambda t about 1e7, under its own ceiling
-        ("1", "2.95e5"),
+        ("4", "2e5"),
         ("2000", "1000"),
-        ("2000000", "0.001"),  # the trajectories and grid rows alone
+        ("9000000", "0.001"),  # the samplers' per-path arrays and grid rows alone
     ])
     def test_simulate_log_past_the_ceiling_exits_2(self, tmp_path, capsys, monkeypatch,
                                                    paths, t):
@@ -264,6 +264,19 @@ class TestExitCodes:
         assert err[0].startswith(f"config error: --paths {paths} and --t {float(t):g} "), err
         assert err[0].endswith(" GiB of jumps, past the ceiling 1 GiB"), err
         assert not out.exists()
+
+    def test_simulate_one_long_path_passes_the_ceiling(self, tmp_path, monkeypatch):
+        # Lambda t about 2e6 at 48 B a step, past the old per-round estimate
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(mk, "sample_paths", sampled)
+        with pytest.raises(Sampled):
+            run(["simulate", "--level", "1", "--paths", "1", "--t", "60000",
+                 "--out", str(tmp_path / "out")])
 
     def test_config_values_take_the_flag_types(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -427,6 +440,9 @@ class TestExitCodes:
         ["simulate", "--seed", str(2**64)],
         ["semigroup", "--f", "harmonic:nan,0,0"],
         ["resolvent", "--f", "harmonic:1,inf,0"],
+        # a repeated value would solve twice into one file
+        ["semigroup", "--t", "0.1,0.1"],
+        ["resolvent", "--alpha", "30,30"],
     ])
     def test_bad_numeric_grid_exits_2(self, tmp_path, capsys, mode_args):
         assert run(mode_args + ["--level", "1", "--out", str(tmp_path)]) == 2
@@ -573,6 +589,21 @@ class TestConverge:
     def test_reference_must_exceed_levels(self, tmp_path):
         assert run(["converge", "--levels", "1:4", "--reference-level", "3",
                     "--out", str(tmp_path)]) == 2
+
+    def test_negative_path_law_cap_refused(self, tmp_path, capsys):
+        assert run(["converge", "--levels", "1:2", "--reference-level", "3", "--paths", "200",
+                    "--path-law-max-level", "-5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: --path-law-max-level must be >= 0, got -5"], err
+        assert not (tmp_path / "converge_report.json").exists()
+
+    def test_path_law_cap_below_every_level_samples_nothing(self, tmp_path):
+        # no level sampled: an empty path-law report, and no reference law
+        assert run(["converge", "--levels", "1:2", "--reference-level", "3", "--paths", "200",
+                    "--path-law-max-level", "0", "--out", str(tmp_path)]) == 0
+        path_law = load_report_json(tmp_path / "converge_report.json")["reports"]["path_law"]
+        assert path_law["errors"] == [] and path_law["mc"] == {}
+        assert path_law["methods"] == {}
 
     @pytest.mark.parametrize("flag, values, dropped", [
         ("--t", "0.1,0.2,0.5", "0.2, 0.5"),

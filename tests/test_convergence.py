@@ -191,6 +191,16 @@ class TestPathLaw:
             noise = 3.0 * (a["mc_se"] + b["mc_se"])
             assert gap > noise, (lvl, gap, noise)
 
+    def test_no_levels_solve_no_reference_law(self, sg_tower, admissible_cfg, x_coord,
+                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no level is sampled, so no law is needed")
+
+        monkeypatch.setattr(spectral_mod, "semigroup_solve", refuse)
+        rep = path_law_convergence(sg_tower, admissible_cfg, 0.1, [x_coord], [], REF,
+                                   paths=100, seed=3)
+        assert rep.errors == [] and rep.details == {"mc": {}, "methods": {}}
+
     @pytest.mark.parametrize("paths", [0, 1])
     def test_fewer_than_two_paths_rejected(self, sg_tower, admissible_cfg, x_coord, paths):
         # one sample has no standard error

@@ -857,7 +857,7 @@ class TestCertificates:
     # fixed s, lambda and t = lambda s shared by every instance
     S, LAM, T = 0.5, 1.5, 0.75
 
-    # level 0 (2 or 3 vertices) is too small for Lanczos and takes dense eigh
+    # level 0 (2 or 3 vertices) runs Lanczos to its full length
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["sg", "interval", "sg_combinatorial", "sg_two_term"])
     def test_agree_with_dense_eigenvalues(self, form_instances, dense_oracle, name, level):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,8 +16,6 @@ from driftform import tower as tw
 from driftform.markov import (
     BINS,
     RateValidationError,
-    Trajectory,
-    _uniformized_chains,
     build_generator,
     detailed_balance_gap,
     ensemble_states,
@@ -26,21 +25,28 @@ from driftform.markov import (
     write_trajectories_jsonl,
 )
 from driftform.spectral import semigroup_solve
-from oracles import edge_list, eta, jump_parameters, state_at, uniformized_chains
+from oracles import (
+    edge_list,
+    eta,
+    jump_parameters,
+    logged_paths,
+    state_at,
+    uniformized_chains,
+)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "docs" / "configs"
 
 
-def read_trajectories_jsonl(path) -> list[Trajectory]:
-    """The trajectories of a ``trajectories.jsonl`` report, one per line."""
+def read_trajectories_jsonl(path) -> list[dict]:
+    """The paths of a ``trajectories.jsonl`` report, one object per line."""
     with open(path, "r", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    return [
-        Trajectory(np.array(d["times"]), np.array(d["states"]), d["horizon"],
-                   d["seed"], d["index"], d["n_states"])
-        for d in records
-    ]
+        return [json.loads(line) for line in fh]
+
+
+def split_paths(offsets, jump_times, jump_states):
+    """The ``(times, states)`` of each path of :func:`sample_paths`."""
+    return [(jump_times[a:b], jump_states[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -186,31 +192,47 @@ def deadline(seconds: int):
 
 
 def _one_path(gen, initial, horizon, seed):
-    """The first trajectory of a one-path run up to ``horizon``."""
-    return sample_paths(gen, initial, [horizon], 1, seed)[1][0]
+    """``(times, states)`` of a one-path run up to ``horizon``."""
+    return split_paths(*sample_paths(gen, initial, [horizon], 1, seed)[1:])[0]
 
 
 class TestSimulate:
     def test_zero_horizon(self, gen_drift_l2):
-        traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.0, seed=5)
-        assert traj.states.tolist() == [1]
-        assert traj.jump_times.tolist() == [0.0]
+        times, states = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.0, seed=5)
+        assert states.tolist() == [1]
+        assert times.tolist() == [0.0]
 
     def test_seeded_reproducibility(self, gen_drift_l2):
         init = point_mass(gen_drift_l2.n, 1)
-        a = sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1][3]
-        b = sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1][3]
-        c = sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1][4]
-        assert np.array_equal(a.jump_times, b.jump_times)
-        assert np.array_equal(a.states, b.states)
-        assert not np.array_equal(a.jump_times, c.jump_times)
+        a = split_paths(*sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1:])
+        b = split_paths(*sample_paths(gen_drift_l2, init, [0.2], 5, seed=42)[1:])
+        assert np.array_equal(a[3][0], b[3][0])
+        assert np.array_equal(a[3][1], b[3][1])
+        assert not np.array_equal(a[3][0], a[4][0])
 
     def test_trajectory_invariants(self, gen_drift_l2):
-        traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.5, seed=9)
-        assert traj.jump_times[0] == 0.0
-        assert np.all(np.diff(traj.jump_times) > 0)
-        assert traj.jump_times[-1] <= traj.horizon
-        assert len(traj.states) == len(traj.jump_times)
+        # each path starts at (0, initial state), jumps at strictly
+        # increasing times below the horizon, along edges only, and is at
+        # the recording times where the fixed-time sampler puts it
+        times, x = [0.02, 0.0, 0.2, 0.05], 1
+        init = point_mass(gen_drift_l2.n, x)
+        states, offsets, jump_times, jump_states = sample_paths(gen_drift_l2, init,
+                                                                times, 300, 6)
+        starts, ends = offsets[:-1], offsets[1:]
+        assert np.all(ends > starts)
+        assert np.all(jump_times[starts] == 0.0) and np.all(jump_states[starts] == x)
+        within = np.ones(len(jump_times) - 1, dtype=bool)
+        within[ends[:-1] - 1] = False  # the pairs that cross into the next path
+        assert np.all(np.diff(jump_times)[within] > 0)
+        assert np.all(jump_times < 0.2)
+        adjacency = gen_drift_l2.net.c.toarray() > 0
+        assert np.all(adjacency[jump_states[:-1][within], jump_states[1:][within]])
+        # the last jump at or before each time, per path
+        for t, row in zip(sorted(times), ensemble_states(gen_drift_l2, init, times, 300, 6)):
+            last = [a + np.searchsorted(jump_times[a:b], t, side="right") - 1
+                    for a, b in zip(starts, ends)]
+            assert np.array_equal(jump_states[last], row)
+        assert np.array_equal(states, ensemble_states(gen_drift_l2, init, times, 300, 6))
 
     def test_invalid_initial_rejected(self, gen_drift_l2):
         with pytest.raises(ValueError):
@@ -222,18 +244,18 @@ class TestSimulate:
         # estimate is the total exposure over the number of jumps
         gen = sg_tower.generator(1, None)
         paths, horizon = 300, 2.0
-        trajs = sample_paths(gen, point_mass(gen.n, 1), [horizon], paths, seed=123)[1]
-        jumps = sum(len(t.states) - 1 for t in trajs)
+        offsets = sample_paths(gen, point_mass(gen.n, 1), [horizon], paths, seed=123)[1]
+        jumps = offsets[-1] - paths
         mean = paths * horizon / jumps
         se = mean / np.sqrt(jumps)
         assert abs(mean - 1.0 / 30.0) <= 3.0 * se
 
     def test_right_continuity(self, gen_drift_l2):
-        traj = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.3, seed=21)
-        if len(traj.jump_times) > 1:
-            t1 = traj.jump_times[1]
-            assert state_at(traj, t1) == traj.states[1]
-            assert state_at(traj, t1 - 1e-12) == traj.states[0]
+        times, states = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.3, seed=21)
+        if len(times) > 1:
+            t1 = times[1]
+            assert state_at(times, states, 0.3, t1) == states[1]
+            assert state_at(times, states, 0.3, t1 - 1e-12) == states[0]
 
 
 class TestEngine:
@@ -325,63 +347,88 @@ class TestEngine:
         states = ensemble_states(gen_drift_l2, init, [0.1, 0.2], 0, 3)
         assert states.shape == (2, 0)
         assert np.array_equal(states, uniformized_chains(gen_drift_l2, init, [0.1, 0.2], 0, 3))
-        states, trajs = sample_paths(gen_drift_l2, init, [0.1, 0.2], 0, 3)
-        assert states.shape == (2, 0) and trajs == []
+        states, offsets, jump_times, jump_states = sample_paths(gen_drift_l2, init,
+                                                                [0.1, 0.2], 0, 3)
+        assert states.shape == (2, 0) and offsets.tolist() == [0]
+        assert jump_times.size == jump_states.size == 0
 
     def test_sample_paths_states_equal_ensemble_states(self, gen_drift_l2):
         init = point_mass(gen_drift_l2.n, 1)
         times = [0.1, 0.0, 0.03]
-        states, trajs = sample_paths(gen_drift_l2, init, times, 500, 8)
+        states, offsets, jump_times, jump_states = sample_paths(gen_drift_l2, init, times, 500, 8)
         assert np.array_equal(states, ensemble_states(gen_drift_l2, init, times, 500, 8))
-        assert len(trajs) == 500
-        assert all(t.horizon == 0.1 and t.index == k for k, t in enumerate(trajs))
+        assert len(offsets) == 501 and offsets[-1] == len(jump_times) == len(jump_states)
 
     def test_paths_pass_through_their_states(self, gen_drift_l2):
         times = [0.0, 0.02, 0.05, 0.1]
-        states, trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1),
-                                     times, 300, 4)
-        for k, traj in enumerate(trajs):
-            assert [state_at(traj, t) for t in times] == states[:, k].tolist()
+        states, *paths = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1),
+                                      times, 300, 4)
+        for k, (jump_times, jump_states) in enumerate(split_paths(*paths)):
+            assert [state_at(jump_times, jump_states, 0.1, t) for t in times] == \
+                states[:, k].tolist()
 
-    def test_paths_equal_a_round_by_round_log(self, gen_drift_l2):
-        # reference: one engine run logging each round, laid out path by path
-        # in a Python loop
-        init, times = point_mass(gen_drift_l2.n, 1), [0.03, 0.1]
-        log = []
-        _uniformized_chains(gen_drift_l2, init, times, 200, 9,
-                            lambda paths, t, states: log.append((paths, t, states)))
-        jump_times, jump_states = [[] for _ in range(200)], [[] for _ in range(200)]
-        for paths, t, s in log:
-            for k, tk, sk in zip(paths, t, s):
-                jump_times[k].append(tk)
-                jump_states[k].append(sk)
-        trajs = sample_paths(gen_drift_l2, init, times, 200, 9)[1]
-        for k, traj in enumerate(trajs):
-            assert np.array_equal(traj.jump_times, jump_times[k])
-            assert np.array_equal(traj.states, jump_states[k])
+    def test_paths_equal_a_round_by_round_log(self, sg_tower, admissible_cfg):
+        # reference: the engine logging each round through a callback, the
+        # rounds then placed path by path; bit for bit, dtypes included, on
+        # SG L1-L3 with and without the drift, the interval with a spread
+        # initial law, unsorted repeated times and no paths
+        interval = tw.LevelTower(pcf.load_structure(CONFIGS / "interval.json"))
+        interval_drift = tw.DriftConfig((("constant", 0.2),), ((0, (1.0, 0.0)),))
+        cases = [(sg_tower.generator(level, cfg), [0.03, 0.1], 200)
+                 for level in (1, 2, 3) for cfg in (None, admissible_cfg)]
+        cases += [(interval.generator(3, cfg), [0.3, 0.0, 0.05, 0.3, 0.1], 300)
+                  for cfg in (None, interval_drift)]
+        cases += [(sg_tower.generator(2, admissible_cfg), [0.05, 0.0, 0.01, 0.05], 100),
+                  (sg_tower.generator(2, admissible_cfg), [0.1], 0)]
+        for gen, times, n_paths in cases:
+            init = np.arange(1.0, gen.n + 1.0)
+            init /= init.sum()
+            got = sample_paths(gen, init, times, n_paths, 9)
+            want = logged_paths(gen, init, times, n_paths, 9)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (gen.n, times, n_paths)
+
+    def test_one_long_path_keeps_no_per_round_log(self, sg_tower, admissible_cfg):
+        # one path makes about Lambda t rounds of one step each; the flat
+        # slots take 16 B a step, where a log of small arrays per round took
+        # about 460 B
+        gen = sg_tower.generator(1, admissible_cfg)
+        lam = float(gen.q.max())
+        horizon = 2e4 / lam
+        gen.event_tables
+        tracemalloc.start()
+        try:
+            offsets = sample_paths(gen, point_mass(gen.n, 1), [horizon], 1, 3)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert offsets[-1] > 1e4
+        assert peak <= 64 * 2e4, peak
 
     def test_first_jump_time_is_exponential(self, gen_drift_l2):
         # self-loop steps are no jumps: a path from x leaves it at rate q(x)
         x = 1
-        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, x), [0.02, 1.0], 2000, 12)[1]
-        first = np.array([t.jump_times[1] for t in trajs])
+        offsets, jump_times, _ = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, x),
+                                              [0.02, 1.0], 2000, 12)[1:]
+        assert np.all(np.diff(offsets) > 1)
+        first = jump_times[offsets[:-1] + 1]
         assert stats.kstest(first, stats.expon(scale=1.0 / gen_drift_l2.q[x]).cdf).pvalue > 1e-3
 
     def test_every_step_is_an_edge(self, gen_drift_l2):
-        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.2], 300, 6)[1]
+        paths = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.2], 300, 6)[1:]
         adjacency = gen_drift_l2.net.c.toarray() > 0
-        steps = np.concatenate([np.stack([t.states[:-1], t.states[1:]]) for t in trajs], axis=1)
+        steps = np.concatenate([np.stack([s[:-1], s[1:]]) for _, s in split_paths(*paths)],
+                               axis=1)
         assert steps.shape[1] > 0
         assert np.all(adjacency[steps[0], steps[1]])
 
     def test_seed_fixes_the_paths(self, gen_drift_l2):
         init = point_mass(gen_drift_l2.n, 1)
-        a = sample_paths(gen_drift_l2, init, [0.1], 50, 1)[1]
-        b = sample_paths(gen_drift_l2, init, [0.1], 50, 1)[1]
-        c = sample_paths(gen_drift_l2, init, [0.1], 50, 2)[1]
-        assert all(np.array_equal(x.jump_times, y.jump_times)
-                   and np.array_equal(x.states, y.states) for x, y in zip(a, b))
-        assert not all(np.array_equal(x.jump_times, y.jump_times) for x, y in zip(a, c))
+        a = sample_paths(gen_drift_l2, init, [0.1], 50, 1)
+        b = sample_paths(gen_drift_l2, init, [0.1], 50, 1)
+        c = sample_paths(gen_drift_l2, init, [0.1], 50, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[2], c[2])
 
     def test_negative_time_rejected(self, gen_drift_l2):
         with pytest.raises(ValueError):
@@ -415,9 +462,9 @@ class TestEmpiricalLaw:
         assert law[1] == 1.0
 
     def test_beyond_horizon_rejected(self, gen_drift_l2):
-        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.05], 3, seed=7)[1]
+        times, states = _one_path(gen_drift_l2, point_mass(gen_drift_l2.n, 1), 0.05, seed=7)
         with pytest.raises(ValueError):
-            state_at(trajs[0], 0.1)
+            state_at(times, states, 0.05, 0.1)
 
     def test_long_time_law_approaches_reference_measure(self, sg_tower):
         # reversible unperturbed chain: the stationary law is the reference
@@ -439,21 +486,32 @@ class TestDetailedBalance:
 
 class TestTrajectoryIO:
     def test_jsonl_round_trip(self, tmp_path, gen_drift_l2):
-        trajs = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1), [0.1], 5, seed=77)[1]
+        states, *paths = sample_paths(gen_drift_l2, point_mass(gen_drift_l2.n, 1),
+                                      [0.1], 5, seed=77)
         path = tmp_path / "trajs.jsonl"
-        write_trajectories_jsonl(trajs, path)
+        write_trajectories_jsonl(path, *paths, 0.1, 77, gen_drift_l2.n)
         back = read_trajectories_jsonl(path)
-        assert len(back) == len(trajs)
-        for a, b in zip(trajs, back):
-            assert np.array_equal(a.jump_times, b.jump_times)
-            assert np.array_equal(a.states, b.states)
-            assert a.horizon == b.horizon
+        assert len(back) == 5
+        for k, (d, (jump_times, jump_states)) in enumerate(zip(back, split_paths(*paths))):
+            assert np.array_equal(d["times"], jump_times)
+            assert np.array_equal(d["states"], jump_states)
+            assert (d["horizon"], d["index"], d["seed"], d["n_states"]) == \
+                (0.1, k, 77, gen_drift_l2.n)
 
-    def test_invalid_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.5, 0.4]), np.array([0, 1, 0]), 1.0, 0, 0, 3)
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.1, 0.5]), np.array([0, 1]), 1.0, 0, 0, 3)
+    def test_jsonl_lines_are_json_dumps(self, tmp_path, gen_drift_l2):
+        # the lines the writer builds by hand, in chunks for a long list,
+        # are the bytes of json.dumps(..., sort_keys=True)
+        offsets = np.array([0, 1, 70_001])
+        jump_times = np.concatenate(([0.0, 0.0], np.sort(np.random.default_rng(4).random(70_000))))
+        jump_states = np.arange(70_001) % 7
+        path = tmp_path / "trajs.jsonl"
+        write_trajectories_jsonl(path, offsets, jump_times, jump_states, 2, 5, 7)
+        want = "".join(
+            json.dumps({"seed": 5, "index": k, "horizon": 2.0, "n_states": 7,
+                        "times": jump_times[a:b].tolist(), "states": jump_states[a:b].tolist()},
+                       sort_keys=True) + "\n"
+            for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])))
+        assert path.read_text() == want
 
     def test_grid_csv_matches_states(self, tmp_path):
         # the simulate mode's time grid against the trajectories it wrote
@@ -469,4 +527,5 @@ class TestTrajectoryIO:
         assert len(lines) == 2 + 4 * 3
         for line in lines[2:]:
             k, t, s = line.split(",")
-            assert state_at(trajs[int(k)], float(t)) == int(s)
+            d = trajs[int(k)]
+            assert state_at(d["times"], d["states"], d["horizon"], float(t)) == int(s)
