@@ -71,6 +71,13 @@ COMMANDS = {
     "sg3_check": ["check", "--level", "4", "--structure", "docs/configs/sg3.json"],
     "sg3_converge": ["converge", "--levels", "1:3", "--reference-level", "4",
                      "--structure", "docs/configs/sg3.json"],
+    # a 1-D test function, and the constant test function on a structure
+    # with no embedding
+    "interval_converge": ["converge", "--levels", "1:3", "--reference-level", "4",
+                          "--structure", "docs/configs/interval.json"],
+    "sg_combinatorial_converge": ["converge", "--levels", "1:3", "--reference-level", "4",
+                                  "--structure", "docs/configs/sg_combinatorial.json",
+                                  "--drift", "docs/configs/drift_constant.json", "--f", "one"],
     # the drift-free chain outside check
     "converge_none": ["converge", "--drift", "none", "--levels", "1:5", "--reference-level", "6",
                       "--t", "0.1", "--paths", "2000", "--seed", "1"],

@@ -65,7 +65,6 @@ from .tower import (
 from .convergence import (
     ConvergenceReport,
     ks_norm_check,
-    path_law_convergence,
     resolvent_convergence,
     semigroup_convergence,
 )

@@ -34,10 +34,13 @@ from . import drift as dr
 from . import markov as mk
 from . import spectral as sp
 from . import tower as tw
-from .pcf import StructureError, build_sierpinski_structure, load_structure
+from .pcf import StructureError, build_sierpinski_structure, load_structure, vertex_count
 from .resistance import NetworkError, harmonic_extension
 
 MAX_LAMBDA_T = 1e7  # largest Lambda t a run takes (L10 at t = 0.1 is about 6e6)
+# Largest level a run builds.  Measured peaks: SG L10 (88575 vertices) 231 MiB
+# for check, 342 MiB for semigroup; SG L11 (265722 vertices) 602 MiB for check.
+MAX_VERTICES = 100_000
 # simulate keeps every jump until it writes the trajectories.  Measured peak
 # memory: at most 129 B per path and recording time (the samplers' per-path
 # arrays and a grid row, with --paired) and 43 B per engine step (at most
@@ -301,12 +304,13 @@ def _input_function(args, tower: tw.LevelTower, level: int) -> np.ndarray:
 
 
 def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None,
-           times: list[float] = ()):
+           times: list[float] = (), sampled: bool = False):
     """The run's tower and drift configuration, and the smallness report of
     each level (default: the working level) against one proxy diameter
-    (default: ``--reference-level``, else the working level).  A time whose
-    ``Lambda t`` at a level passes ``MAX_LAMBDA_T`` is refused, and so is a
-    ``simulate`` run whose estimated jump log passes ``MAX_LOG_BYTES``.
+    (default: ``--reference-level``, else the working level).  Refused
+    unbuilt: a level past ``MAX_VERTICES``, a ``sampled`` run whose states
+    pass ``MAX_LOG_BYTES``; refused: a ``Lambda t`` past ``MAX_LAMBDA_T``,
+    a ``simulate`` run whose jump log passes ``MAX_LOG_BYTES``.
 
     Returns ``(tower, config, reports, failed)``: the reports stop at the
     first level that fails the chosen assumption, and ``failed`` lists that
@@ -318,10 +322,18 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
         raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     if proxy_level is None:
         proxy_level = args.reference_level if args.reference_level is not None else args.level
-    if args.structure == "sg":
-        tower = tw.LevelTower(build_sierpinski_structure())
-    else:
-        tower = tw.LevelTower(load_structure(args.structure))
+    structure = (build_sierpinski_structure() if args.structure == "sg"
+                 else load_structure(args.structure))
+    for n in {*(levels or [args.level]), proxy_level}:
+        # past level 64 a level has at least 2**64 vertices, unless the
+        # gluing makes none fresh and every level has |V0|
+        if n >= 0 and vertex_count(structure, min(n, 64)) > MAX_VERTICES:
+            raise ConfigError(f"level {n} has more than {MAX_VERTICES} vertices, the ceiling")
+    states = args.paths * LOG_OBJECT_BYTES / 2**30
+    if sampled and states > MAX_LOG_BYTES / 2**30:
+        raise ConfigError(f"--paths {args.paths} needs about {states:.3g} GiB of sampled states, "
+                          f"past the ceiling {MAX_LOG_BYTES / 2**30:g} GiB")
+    tower = tw.LevelTower(structure)
     if args.drift == "none":
         config = None
     elif args.drift == "default":
@@ -558,9 +570,11 @@ def cmd_converge(args) -> int:
         raise ConfigError(f"converge needs --paths >= 2 for a standard error, got {args.paths}")
     if args.path_law_max_level < 0:
         raise ConfigError(f"--path-law-max-level must be >= 0, got {args.path_law_max_level}")
+    pl_levels = [n for n in levels if n <= args.path_law_max_level]
     # Admissibility at every requested level, constants from the reference
     # proxy so all levels share one shift.
-    tower, config, reports, failed = _setup(args, levels + [reference], reference, times)
+    tower, config, reports, failed = _setup(args, levels + [reference], reference, times,
+                                            sampled=bool(pl_levels))
     if failed:
         return _fail_admissibility(failed)
     constants = reports[reference].constants
@@ -578,18 +592,11 @@ def cmd_converge(args) -> int:
     write_csv_report(out / "ks_norm.csv", ks.csv_rows())
     resolvent_rep = cv.resolvent_convergence(tower, config, alpha, f, levels, reference)
     write_csv_report(out / "resolvent.csv", resolvent_rep.csv_rows())
-    semigroup_rep = cv.semigroup_convergence(tower, config, t, f, levels, reference)
+    coords = tower.coordinates(reference)  # the test functions: x and y, or 1 unembedded
+    test_fns = [np.ones(tower.vertex_count(reference))] if coords is None else [*coords.T[:2]]
+    semigroup_rep, path_rep = cv.semigroup_convergence(
+        tower, config, t, f, levels, reference, test_fns, pl_levels, args.paths, args.seed)
     write_csv_report(out / "semigroup.csv", semigroup_rep.csv_rows())
-
-    pl_levels = [n for n in levels if n <= args.path_law_max_level]
-    coords = tower.coordinates(reference)
-    test_fns = [np.ones(tower.vertex_count(reference))]
-    if coords is not None:
-        test_fns = [coords[:, 0], coords[:, 1]] if coords.shape[1] > 1 else [coords[:, 0]]
-    path_rep = cv.path_law_convergence(
-        tower, config, t, test_fns, pl_levels, reference,
-        paths=args.paths, seed=args.seed,
-    )
     write_csv_report(out / "path_law.csv", path_rep.csv_rows())
 
     payload = {
@@ -614,17 +621,13 @@ def cmd_converge(args) -> int:
                 "errors": resolvent_rep.errors,
                 "trend_from": resolvent_rep.trend_nonincreasing_from,
             },
-            "semigroup_sup": {
+            "semigroup_sup": {  # with methods and bounds
                 "errors": semigroup_rep.errors,
                 "trend_from": semigroup_rep.trend_nonincreasing_from,
-                "methods": semigroup_rep.details["methods"],
+                **semigroup_rep.details,
             },
-            "path_law": {
-                "errors": path_rep.errors,
-                "banner": path_rep.banner,
-                "mc": path_rep.details["mc"],
-                "methods": path_rep.details["methods"],
-            },
+            # with mc, methods and bounds
+            "path_law": {"errors": path_rep.errors, "banner": path_rep.banner, **path_rep.details},
         },
     }
     write_json_report(out / "converge_report.json", payload)

@@ -9,7 +9,8 @@ only the observed trends are recorded.
 
 Path-law comparisons use time marginals of test-function expectations
 rather than path-space topologies; this weakening is stated in every report
-banner.
+banner.  Their exact values ``E[g(X_t)] = (T_t g)(x0)`` come from the same
+forward semigroup block as the semigroup report: one block per level.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ class ConvergenceReport:
         return self
 
     def csv_rows(self) -> list[str]:
-        rows = ["level,error"]
-        rows += [f"{lvl},{err!r}" for lvl, err in zip(self.levels, self.errors)]
-        return rows
+        return ["level,error"] + [f"{lvl},{err!r}" for lvl, err in zip(self.levels, self.errors)]
 
 
 def ks_norm_check(
@@ -99,11 +98,8 @@ def resolvent_convergence(
     """Sup-norm gaps between per-level resolvents and the restricted
     reference resolvent, for one input function given on the reference
     level."""
-    errors = _per_level_outputs(
-        tower, drift_cfg, levels, reference,
-        lambda gen, f: spectral_mod.resolvent(gen, alpha, f),
-        f_ref,
-    )
+    errors = _per_level_outputs(tower, drift_cfg, levels, reference,
+                                lambda gen, f: spectral_mod.resolvent(gen, alpha, f), f_ref)
     return ConvergenceReport(list(levels), errors).finalize_trend()
 
 
@@ -114,81 +110,54 @@ def semigroup_convergence(
     f_ref: np.ndarray,
     levels: Sequence[int],
     reference: int,
-) -> ConvergenceReport:
-    """Same comparison for the semigroup at one time; ``details["methods"]``
-    names the semigroup method of each level's one series, the reference
-    included."""
-    methods = {}
-
-    def apply(gen: markov_mod.GeneratorMatrix, f: np.ndarray) -> np.ndarray:
-        solve = spectral_mod.semigroup_solve(gen, t, f)
-        methods[gen.level] = solve.method
-        return solve.output
-
-    errors = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
-    return ConvergenceReport(list(levels), errors, details={"methods": methods}).finalize_trend()
-
-
-def path_law_convergence(
-    tower: LevelTower,
-    drift_cfg: DriftConfig | None,
-    t: float,
-    test_functions: Sequence[np.ndarray],
-    levels: Sequence[int],
-    reference: int,
+    test_functions: Sequence[np.ndarray] = (),
+    path_law_levels: Sequence[int] = (),
     paths: int = 10_000,
     seed: int = 0,
-) -> ConvergenceReport:
-    """Monte-Carlo expectations of test functions at one time, per level,
-    against the exact reference-level value.
-
-    Test functions are given on the reference level; the chains start at a
-    common coarse vertex present in every level.  Each level's law at time
-    ``t``, ``p_t = exp(t L^T) delta_x0``, comes from one transpose series,
-    and every exact value is ``p_t . f``.  Every Monte-Carlo mean is
-    cross-checked against the same level's exact value, and the reported
-    error is the gap to the exact reference value, maximized over test
-    functions.  ``details["methods"]`` names the semigroup method of each
-    level's law.
+) -> tuple[ConvergenceReport, ConvergenceReport]:
+    """The semigroup's sup-norm gaps at one time and the path law's
+    Monte-Carlo gaps, from one forward block ``[f | test functions]`` per
+    level: the test functions ride only at the ``path_law_levels`` (some of
+    ``levels``) and then at the reference.  Column 0 is compared with the
+    restricted reference; row ``INITIAL_VERTEX`` of the rest holds the exact
+    means ``E[g(X_t)] = (T_t g)(x0)``.  ``paths`` chains from ``x0`` give
+    each path-law level's Monte-Carlo means, cross-checked against its exact
+    means; its error is the largest gap to an exact reference mean.  Each
+    report's ``details`` name the ``methods`` and ``bounds`` (``tail_bound``)
+    of the blocks its values come from.
     """
-    fs = [np.asarray(f, dtype=float) for f in test_functions]
-    if not fs:
-        raise ValueError("need at least one test function")
-    if paths < 2:
-        raise ValueError(f"need at least 2 paths for a standard error, got {paths}")
+    fs = [np.asarray(g, dtype=float) for g in test_functions]
+    if path_law_levels and not (fs and paths >= 2 and set(path_law_levels) <= set(levels)):
+        raise ValueError(f"a path law needs a test function, 2 paths and levels among "
+                         f"{list(levels)}; got {len(fs)}, {paths} and {list(path_law_levels)}")
+    with_law = {*path_law_levels, reference} if path_law_levels else set()
+    solves = {}
 
-    methods = {}
+    def apply(gen: markov_mod.GeneratorMatrix, f: np.ndarray) -> np.ndarray:
+        block = [f, *(g[: gen.n] for g in fs)] if gen.level in with_law else [f]
+        solves[gen.level] = spectral_mod.semigroup_solve(gen, t, np.column_stack(block))
+        return solves[gen.level].output[:, 0]
 
-    def law(gen: markov_mod.GeneratorMatrix) -> np.ndarray:
-        start = markov_mod.point_mass(gen.n, INITIAL_VERTEX)
-        solve = spectral_mod.semigroup_solve(gen, t, start, transpose=True)
-        methods[gen.level] = solve.method
-        return solve.output
-
-    if levels:  # with no level sampled, no reference law is needed
-        ref_law = law(tower.generator(reference, drift_cfg))
-        ref_means = [float(ref_law @ f[: len(ref_law)]) for f in fs]
-
-    errors, mc_table = [], {}
-    for n in levels:
+    errors = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
+    ref_means = solves[reference].output[INITIAL_VERTEX, 1:].tolist()
+    law_errors, mc_table = [], {}
+    for n in path_law_levels:
         gen = tower.generator(n, drift_cfg)
         init = markov_mod.point_mass(gen.n, INITIAL_VERTEX)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
-        p_t = law(gen)
-        rows, worst = [], 0.0
-        for f, ref_val in zip(fs, ref_means):
-            samples = f[: gen.n][states]
+        rows = mc_table[n] = []
+        for g, exact, ref_val in zip(fs, solves[n].output[INITIAL_VERTEX, 1:].tolist(), ref_means):
+            samples = g[: gen.n][states]
             mean = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / np.sqrt(paths))
-            exact = float(p_t @ f[: gen.n])
-            rows.append(
-                {"mc_mean": mean, "mc_se": se, "exact": exact,
-                 "mc_vs_exact": abs(mean - exact), "reference_exact": ref_val}
-            )
-            worst = max(worst, abs(mean - ref_val))
-        mc_table[n] = rows
-        errors.append(worst)
-    return ConvergenceReport(
-        list(levels), errors, banner=PATH_LAW_BANNER,
-        details={"mc": mc_table, "methods": methods},
-    ).finalize_trend()
+            rows.append({"mc_mean": mean, "mc_se": se, "exact": exact,
+                         "mc_vs_exact": abs(mean - exact), "reference_exact": ref_val})
+        law_errors.append(max(abs(row["mc_mean"] - row["reference_exact"]) for row in rows))
+
+    def details(kept) -> dict:
+        return {"methods": {n: s.method for n, s in solves.items() if n in kept},
+                "bounds": {n: s.tail_bound for n, s in solves.items() if n in kept}}
+
+    return (ConvergenceReport(list(levels), errors, details=details(solves)).finalize_trend(),
+            ConvergenceReport(list(path_law_levels), law_errors, banner=PATH_LAW_BANNER,
+                              details={"mc": mc_table, **details(with_law)}).finalize_trend())

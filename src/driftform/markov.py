@@ -119,10 +119,6 @@ class GeneratorMatrix:
         return (sparse.identity(self.n) + self.L / lam_max).tocsr(), lam_max
 
     @cached_property
-    def uniformized_transpose(self) -> sparse.csr_matrix:
-        return self.uniformized[0].T.tocsr()
-
-    @cached_property
     def event_tables(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Tables of the path sampler: ``(Lam, guide, bounds, targets)``.
 

@@ -373,6 +373,16 @@ def build_level(
     return cx
 
 
+def vertex_count(structure: SelfSimilarStructure, n: int) -> int:
+    """The vertex count of level ``n >= 0``, unbuilt: ``N_0 = |V0|`` and
+    ``N_{k+1} = N_k + M^k F``, each of the ``M^k`` cells of level ``k`` adding
+    the ``F`` fresh classes of the level-1 gluing pattern (see :func:`_refine`)."""
+    pattern = _level_one_pattern(structure)
+    fresh = len(pattern.classes) - len(pattern.corner_of_class)
+    m = structure.symbol_count
+    return structure.boundary_size + fresh * (m**n - 1) // (m - 1)
+
+
 def measure_weights(structure: SelfSimilarStructure, complex_: LevelComplex) -> np.ndarray:
     """Probability weights on the level's vertices.
 

@@ -36,7 +36,7 @@ KRYLOV_MIN_TAU`` on, a semigroup runs instead a short Chebyshev start to
 ``s0 = KRYLOV_START t``, then shift-and-invert Krylov on ``(I - gamma L)^-1``,
 factored once by the elimination (:func:`_krylov`; van den Eshof &
 Hochbruck, *SISC* 27, 2006).  Its error bound is the integral of the
-Krylov residual's norm, which covers the error because ``exp(sL)`` is
+Krylov residual's sup norm, which covers the error because ``exp(sL)`` is
 stochastic (Botchev, Grimm & Hochbruck, *SISC* 35, 2013), plus the start's
 tail.  It reports ``method = "krylov"``, a ``krylov`` certificate (the
 dimension, ``gamma``, ``s0``, the bound and the start's degree) and as
@@ -47,8 +47,10 @@ result's ``krylov`` names the reason.
 ``f`` may be one vector or an ``(n, k)`` block of columns; a block runs one
 series for all columns and one method for the whole block (Krylov: one
 factorization for the block, one Krylov space per column).  A block that
-stays on the Chebyshev series equals its columns evaluated one by one, and
-:func:`markov_check` evaluates all of its trials as one block.
+stays on the Chebyshev series equals its columns evaluated one by one.
+:func:`markov_check` runs all of its trials as one block, and
+:func:`driftform.convergence.semigroup_convergence` one block per level (a
+law's means ``p_t . g`` are its ``(exp(tL) g)(x0)``: every bound is sup-norm).
 """
 
 from __future__ import annotations
@@ -78,9 +80,8 @@ KRYLOV = "krylov"
 # whatever t is, so the crossover is a degree of the series.  Measured on
 # SG L5-L9, default drift, t = 0.001-1 (best of two, 2 cores), Krylov time
 # over series time: `--f x` 1.6 at degree 511 (L7) and 0.72 at 1141 (L8);
-# a point mass under L^T 1.8 at 1141 (L8), 0.83 at 1397 (L9) and 0.64 at
-# 1616 (L7); 40 random columns 1.45 at 1254 (L6), 0.75 at 1397 (L9) and
-# 0.52 at 1616 (L7).  KRYLOV_MIN_TAU sits at degree 1290.
+# 40 random columns 1.45 at 1254 (L6), 0.75 at 1397 (L9) and 0.52 at 1616
+# (L7).  KRYLOV_MIN_TAU sits at degree 1290.
 KRYLOV_MIN_TAU = 3e4
 # s0 / t: the series start, whose cost grows as sqrt(s0).  From t/300, a
 # point mass or random columns at t <= 0.01 missed KRYLOV_TOL by dimension
@@ -110,9 +111,7 @@ class SemigroupApply:
     truncation_order: int
     uniformization_rate: float
     method: str  # CHEBYSHEV, UNIFORMIZATION or KRYLOV
-    # relative error bound in the sup norm; for a transposed KRYLOV the
-    # residual integral in l1 plus the start's sup-norm guard
-    tail_bound: float
+    tail_bound: float  # relative error bound in the sup norm
     growth: float  # observed Chebyshev growth max_k ||T_k(P) f|| / ||f||, of the start for KRYLOV
     # the Krylov certificate (dimension, gamma, s0, bound, start_degree), also
     # of an attempt that fell back to the series, with its reason; else None
@@ -300,9 +299,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> SemigroupApply:
-    """``exp(tL) f`` (``exp(tL^T) f``) by shift-and-invert Krylov with a
-    Chebyshev start, and its error bound.
+def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray) -> SemigroupApply:
+    """``exp(tL) f`` by shift-and-invert Krylov with a Chebyshev start, and
+    its error bound.
 
     1. The Chebyshev series of ``P`` to ``s0 = KRYLOV_START t`` damps the
        fast modes, whose residual would swamp the bound near time 0.
@@ -315,23 +314,20 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
     3. The error at ``t - s0`` is ``int_0^{t-s0} exp((t-s0-s)L) r(s) ds``
        with the residual ``r(s) = (L V - V L_m) y(s)``, and
        ``exp(sL)`` is stochastic, so the error is at most ``int ||r(s)|| ds``
-       in the sup norm (in l1 for ``L^T``; Botchev, Grimm & Hochbruck,
-       *SISC* 35, 2013).  A ``GAUSS_NODES``-point Gauss-Legendre rule
-       evaluates the integral; the rule itself is not a bound.
+       in the sup norm (Botchev, Grimm & Hochbruck, *SISC* 35, 2013).  A
+       ``GAUSS_NODES``-point Gauss-Legendre rule evaluates the integral; the
+       rule itself is not a bound.
 
     The bound is evaluated every ``KRYLOV_CHECK`` steps from ``2
     KRYLOV_CHECK``, and Arnoldi stops at the first check where it is at
     most ``KRYLOV_TOL`` less the start's error, or at ``KRYLOV_DIMENSION``.
-    The reported bound, relative to each column's norm, is the integral
+    The reported bound, relative to each column's sup norm, is the integral
     plus the start's error, its series tail times its growth: the series'
-    empirical guard, in the sup norm also for ``L^T``, whose integral is
-    in l1.  A start whose growth passes ``GROWTH_LIMIT`` raises
+    empirical guard.  A start whose growth passes ``GROWTH_LIMIT`` raises
     ``ArithmeticError``.
     """
     P, lam_max = gen.uniformized
     L = gen.L
-    if transpose:
-        P, L = gen.uniformized_transpose, L.T.tocsr()
     s0 = KRYLOV_START * t
     start, degree, tail, growth = _chebyshev_series(P, lam_max * s0, f)
     if start is None:
@@ -346,7 +342,6 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
     x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     w = 2.0 * vectors[0] ** 2
     times, weights = np.append(0.5 * span * (x + 1.0), span), 0.5 * span * w
-    order = 1 if transpose else np.inf
 
     def certificate(basis, h):
         """``(V y(t - s0), int ||r(s)|| ds, m)`` of the first ``m = h.shape[1]``
@@ -357,11 +352,11 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
         # y(s) at each time, a few at a time to bound the memory of the stack
         y = beta * np.concatenate([_expm(chunk[:, None, None] * l_m)[:, :, 0]
                                    for chunk in np.array_split(times, 7)])
-        r = [np.linalg.norm(L @ (y_s @ v) - (l_m @ y_s) @ v, order) for y_s in y[:-1]]
+        r = [np.abs(L @ (y_s @ v) - (l_m @ y_s) @ v).max() for y_s in y[:-1]]
         return y[-1] @ v, float(weights @ r), m
 
     columns = start.reshape(gen.n, -1)
-    scales = np.linalg.norm(f.reshape(gen.n, -1), order, axis=0)
+    scales = np.abs(f.reshape(gen.n, -1)).max(axis=0)
     out, bound, dimension = np.zeros_like(columns), 0.0, 0
     for j, (u, scale) in enumerate(zip(columns.T, scales)):
         beta = float(np.linalg.norm(u))
@@ -386,9 +381,9 @@ def _krylov(gen: GeneratorMatrix, t: float, f: np.ndarray, transpose: bool) -> S
                           bound + start_error, growth, info)
 
 
-def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) -> SemigroupApply:
-    """Evaluate ``exp(tL) f`` (``exp(tL^T) f`` with ``transpose``) for an
-    ``(n,)`` vector or an ``(n, k)`` block of columns ``f``: by
+def semigroup_solve(gen: GeneratorMatrix, t: float, f) -> SemigroupApply:
+    """Evaluate ``exp(tL) f`` for an ``(n,)`` vector or an ``(n, k)`` block
+    of columns ``f``: by
     shift-and-invert Krylov (:func:`_krylov`) from ``Lam t = KRYLOV_MIN_TAU``
     on, else, or when its bound passes ``KRYLOV_TOL``, by the
     Chebyshev series of ``P``, or by uniformization when the series grows
@@ -406,15 +401,13 @@ def semigroup_solve(gen: GeneratorMatrix, t: float, f, transpose: bool = False) 
     if tau >= KRYLOV_MIN_TAU and fv.size:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                attempt = _krylov(gen, t, fv, transpose)
+                attempt = _krylov(gen, t, fv)
             if attempt.tail_bound <= KRYLOV_TOL:
                 return attempt
             reason = f"Krylov bound {attempt.tail_bound:.3g} above {KRYLOV_TOL:g}"
             fallback = {**attempt.krylov, "fallback": reason}
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             fallback = {"fallback": f"Krylov failed: {exc}"}
-    if transpose:
-        P = gen.uniformized_transpose
     out, degree, tail, growth = _chebyshev_series(P, tau, fv)
     if out is not None:
         return SemigroupApply(t, out, degree, lam_max, CHEBYSHEV, tail * growth, growth, fallback)

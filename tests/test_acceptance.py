@@ -15,7 +15,6 @@ import pytest
 
 from driftform import tower as tw
 from driftform.convergence import (
-    path_law_convergence,
     resolvent_convergence,
     semigroup_convergence,
 )
@@ -180,7 +179,7 @@ def test_criterion_6_convergence_trends(instance):
     f = sg_tower.coordinates(reference)[:, 0].copy()
 
     res = resolvent_convergence(sg_tower, cfg, 2.0 * c.lam, f, levels, reference)
-    sem = semigroup_convergence(sg_tower, cfg, 0.1, f, levels, reference)
+    sem, _ = semigroup_convergence(sg_tower, cfg, 0.1, f, levels, reference)
     res_ratio = res.errors[-1] / res.errors[0]
     sem_ratio = sem.errors[-1] / sem.errors[0]
     decreasing = res.trend_nonincreasing_from == 1 and sem.trend_nonincreasing_from == 1
@@ -241,8 +240,8 @@ def test_criterion_8_path_law_surrogate(instance):
     sg_tower, cfg, c = instance
     reference = 6
     y = sg_tower.coordinates(reference)[:, 1].copy()
-    rep = path_law_convergence(
-        sg_tower, cfg, 0.1, [y], [1, 2, 3], reference, paths=50_000, seed=31
+    _, rep = semigroup_convergence(
+        sg_tower, cfg, 0.1, y, [1, 2, 3], reference, [y], [1, 2, 3], paths=50_000, seed=31
     )
     rows = [rep.details["mc"][lvl][0] for lvl in (1, 2, 3)]
 

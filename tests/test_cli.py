@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,51 @@ class TestExitCodes:
         assert err[0].startswith(f"config error: --paths {paths} and --t {float(t):g} "), err
         assert err[0].endswith(" GiB of jumps, past the ceiling 1 GiB"), err
         assert not out.exists()
+
+    def test_converge_samples_past_the_ceiling_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the path law's states at 144 B a path: 1e8 paths need 13 GiB
+        def refuse(*args):
+            raise AssertionError("a refused run must not sample")
+
+        monkeypatch.setattr(mk, "ensemble_states", refuse)
+        out = tmp_path / "out"
+        assert run(["converge", "--levels", "1:2", "--reference-level", "3",
+                    "--paths", "100000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("config error: --paths 100000000 needs about 13.4 GiB"), err
+        assert not out.exists()
+
+    def test_converge_without_path_law_levels_samples_nothing(self, tmp_path, monkeypatch):
+        # no path-law level: no states, so no ceiling on --paths
+        monkeypatch.setattr(mk, "ensemble_states", None)
+        assert run(["converge", "--levels", "1:2", "--reference-level", "3", "--paths",
+                    "100000000", "--path-law-max-level", "0", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--level", "40"],
+        ["semigroup", "--level", "14", "--t", "0.1"],
+        ["check", "--level", "12", "--reference-level", "3"],
+        ["check", "--level", "3", "--reference-level", "11"],
+        ["converge", "--levels", "1:2", "--reference-level", "11"],
+        ["check", "--level", "17", "--structure", "docs/configs/interval.json"],
+        ["check", "--level", "1000000000"],
+    ])
+    def test_level_past_the_vertex_ceiling_exits_2_unbuilt(self, tmp_path, capsys, monkeypatch,
+                                                           args):
+        def refuse(*a, **k):
+            raise AssertionError("a refused level must not be built")
+
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        monkeypatch.setattr(tw, "build_level", refuse)
+        start = time.monotonic()
+        assert run([*args, "--out", str(tmp_path / "out")]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("config error: level ") and err[0].endswith(
+            " has more than 100000 vertices, the ceiling"), err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_one_long_path_passes_the_ceiling(self, tmp_path, monkeypatch):
         # Lambda t about 2e6 at 48 B a step, past the old per-round estimate
@@ -579,6 +625,20 @@ class TestConverge:
         semigroup, path_law = report["reports"]["semigroup_sup"], report["reports"]["path_law"]
         assert semigroup["methods"] == {str(n): "chebyshev" for n in (1, 2, 3, 4)}
         assert path_law["methods"] == {str(n): "chebyshev" for n in (1, 2, 3, 4)}
+        # both reports read each level's one block, so they share its bound
+        assert path_law["bounds"] == semigroup["bounds"]
+        assert sorted(semigroup["bounds"]) == ["1", "2", "3", "4"]
+
+    def test_one_semigroup_block_per_level(self, tmp_path, monkeypatch):
+        # [f | x, y] at the path-law levels and the reference, [f] elsewhere
+        calls = []
+        solve = spectral.semigroup_solve
+        monkeypatch.setattr(spectral, "semigroup_solve",
+                            lambda gen, t, f: calls.append((gen.level, f.shape[1]))
+                            or solve(gen, t, f))
+        assert run(["converge", "--levels", "1:3", "--reference-level", "4", "--paths", "200",
+                    "--path-law-max-level", "2", "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == [(1, 3), (2, 3), (3, 1), (4, 3)]
 
     def test_time_zero_semigroup_errors_vanish(self, tmp_path):
         assert run(["converge", "--levels", "1:2", "--reference-level", "3",
@@ -603,7 +663,7 @@ class TestConverge:
                     "--path-law-max-level", "0", "--out", str(tmp_path)]) == 0
         path_law = load_report_json(tmp_path / "converge_report.json")["reports"]["path_law"]
         assert path_law["errors"] == [] and path_law["mc"] == {}
-        assert path_law["methods"] == {}
+        assert path_law["methods"] == {} and path_law["bounds"] == {}
 
     @pytest.mark.parametrize("flag, values, dropped", [
         ("--t", "0.1,0.2,0.5", "0.2, 0.5"),

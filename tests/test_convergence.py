@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from driftform import spectral as spectral_mod
+from driftform import tower as tw
 from driftform.convergence import (
+    INITIAL_VERTEX,
     TREND_SLACK,
     ConvergenceReport,
     ks_norm_check,
-    path_law_convergence,
     resolvent_convergence,
     semigroup_convergence,
 )
+from driftform.pcf import load_structure
 from driftform.resistance import harmonic_extension
+from oracles import TWO_TERM_DRIFT
 
 
 REF = 5  # module-local reference level keeps these tests quick
@@ -105,28 +109,46 @@ class TestResolventConvergence:
         assert rep.trend_nonincreasing_from == 1
 
 
+def path_law(tower, cfg, t, test_fns, levels, reference, paths, seed):
+    """The path-law report of ``semigroup_convergence`` with every level
+    sampled (the semigroup input is the first test function)."""
+    return semigroup_convergence(tower, cfg, t, test_fns[0], levels, reference, test_fns,
+                                 levels, paths=paths, seed=seed)[1]
+
+
+def count_blocks(monkeypatch) -> list:
+    """Record ``(level, width)`` of every semigroup block solved."""
+    calls = []
+    solve = spectral_mod.semigroup_solve
+
+    def counted(gen, t, f):
+        calls.append((gen.level, np.shape(f)[1]))
+        return solve(gen, t, f)
+
+    monkeypatch.setattr(spectral_mod, "semigroup_solve", counted)
+    return calls
+
+
 class TestSemigroupConvergence:
     def test_time_zero_exact(self, sg_tower, admissible_cfg, x_coord):
-        rep = semigroup_convergence(sg_tower, admissible_cfg, 0.0, x_coord, [1, 2, 3], REF)
+        rep, _ = semigroup_convergence(sg_tower, admissible_cfg, 0.0, x_coord, [1, 2, 3], REF)
         np.testing.assert_allclose(rep.errors, 0.0, atol=1e-14)
 
     def test_unit_function_exact(self, sg_tower, admissible_cfg):
-        rep = semigroup_convergence(
+        rep, _ = semigroup_convergence(
             sg_tower, admissible_cfg, 0.1, np.ones(sg_tower.vertex_count(REF)), [1, 2, 3], REF
         )
         np.testing.assert_allclose(rep.errors, 0.0, atol=1e-10)
 
     def test_decaying_profile(self, sg_tower, admissible_cfg, x_coord):
-        rep = semigroup_convergence(sg_tower, admissible_cfg, 0.1, x_coord, [1, 2, 3, 4], REF)
+        rep, _ = semigroup_convergence(sg_tower, admissible_cfg, 0.1, x_coord, [1, 2, 3, 4], REF)
         assert all(b < a for a, b in zip(rep.errors, rep.errors[1:]))
 
 
 class TestPathLaw:
     def test_constant_function_exact(self, sg_tower, admissible_cfg):
         ones = np.ones(sg_tower.vertex_count(REF))
-        rep = path_law_convergence(
-            sg_tower, admissible_cfg, 0.05, [ones], [1, 2], REF, paths=500, seed=4
-        )
+        rep = path_law(sg_tower, admissible_cfg, 0.05, [ones], [1, 2], REF, paths=500, seed=4)
         np.testing.assert_allclose(rep.errors, 0.0, atol=1e-12)
         for rows in rep.details["mc"].values():
             for row in rows:
@@ -134,44 +156,69 @@ class TestPathLaw:
                 assert row["mc_se"] == 0.0
 
     def test_mc_coheres_with_semigroup(self, sg_tower, admissible_cfg, x_coord):
-        rep = path_law_convergence(
-            sg_tower, admissible_cfg, 0.1, [x_coord], [1, 2, 3], REF,
-            paths=20000, seed=5,
-        )
+        rep = path_law(sg_tower, admissible_cfg, 0.1, [x_coord], [1, 2, 3], REF,
+                       paths=20000, seed=5)
         for rows in rep.details["mc"].values():
             for row in rows:
                 assert row["mc_vs_exact"] <= 3.0 * row["mc_se"] + 1e-12
 
     def test_exact_values_equal_semigroup_values(self, sg_tower, admissible_cfg,
                                                  x_coord, monkeypatch):
-        # one transpose series per level, the reference included, and each
-        # p_t . f equals (exp(tL) f)(x0) from a series per function
+        # one forward block per level, the reference included: [f | test
+        # functions] where the path law needs it, [f] elsewhere; each exact
+        # mean equals (exp(tL) g)(x0) from a series per function
         f2 = np.cos(3.0 * x_coord)
-        calls = []
-        solve = spectral_mod.semigroup_solve
-
-        def counted(gen, t, f, transpose=False):
-            calls.append((gen.level, transpose))
-            return solve(gen, t, f, transpose)
-
-        monkeypatch.setattr(spectral_mod, "semigroup_solve", counted)
-        rep = path_law_convergence(
-            sg_tower, admissible_cfg, 0.1, [x_coord, f2], [1, 2, 3], REF,
-            paths=100, seed=3,
+        calls = count_blocks(monkeypatch)
+        sem, rep = semigroup_convergence(
+            sg_tower, admissible_cfg, 0.1, x_coord, [1, 2, 3, 4], REF, [x_coord, f2],
+            [1, 2, 3], paths=100, seed=3,
         )
-        assert sorted(calls) == [(1, True), (2, True), (3, True), (REF, True)]
+        assert sorted(calls) == [(1, 3), (2, 3), (3, 3), (4, 1), (REF, 3)]
         monkeypatch.undo()
 
         def semigroup_value(level, f):
             gen = sg_tower.generator(level, admissible_cfg)
-            return float(solve(gen, 0.1, f[: gen.n]).output[1])
+            return float(spectral_mod.semigroup_solve(gen, 0.1, f[: gen.n]).output[1])
 
         for k, f in enumerate((x_coord, f2)):
             for lvl, rows in rep.details["mc"].items():
                 assert rows[k]["exact"] == pytest.approx(semigroup_value(lvl, f), abs=1e-13)
                 assert rows[k]["reference_exact"] == pytest.approx(
                     semigroup_value(REF, f), abs=1e-13)
+        assert sem.details["methods"] == {lvl: "chebyshev" for lvl in (1, 2, 3, 4, REF)}
         assert rep.details["methods"] == {lvl: "chebyshev" for lvl in (1, 2, 3, REF)}
+        # one block per level, so both reports carry its one bound
+        assert rep.details["bounds"] == {lvl: sem.details["bounds"][lvl] for lvl in (1, 2, 3, REF)}
+        assert all(0.0 <= b <= 1e-12 for b in sem.details["bounds"].values())
+
+    @pytest.mark.parametrize("drift", ["none", "default", "two_term"])
+    def test_exact_values_match_dense_expm(self, sg_tower, admissible_cfg, drift):
+        # E[g(X_t)] = (expm(tL) g)(x0) at SG L1-L2 and the reference L3
+        cfg = {"none": None, "default": admissible_cfg, "two_term": TWO_TERM_DRIFT}[drift]
+        coords = sg_tower.coordinates(3)
+        self.assert_exact_matches_expm(sg_tower, cfg, [coords[:, 0], coords[:, 1]], 3)
+
+    def test_interval_exact_values_match_dense_expm(self, interval_config):
+        tower = tw.LevelTower(load_structure(interval_config))
+        test_fns = [tower.coordinates(4)[:, 0], np.ones(tower.vertex_count(4))]
+        self.assert_exact_matches_expm(tower, tw.default_admissible_drift(tower, 4), test_fns, 4)
+
+    @staticmethod
+    def assert_exact_matches_expm(tower, cfg, test_fns, reference):
+        levels = list(range(1, reference))
+        t = 0.1
+        rep = path_law(tower, cfg, t, test_fns, levels, reference, paths=10, seed=1)
+
+        def oracle(level, g):
+            gen = tower.generator(level, cfg)
+            return scipy.linalg.expm(t * gen.L.toarray())[INITIAL_VERTEX] @ g[: gen.n]
+
+        for k, g in enumerate(test_fns):
+            scale = np.max(np.abs(g))
+            for lvl in levels:
+                row = rep.details["mc"][lvl][k]
+                assert abs(row["exact"] - oracle(lvl, g)) <= 1e-12 * scale, (lvl, k)
+                assert abs(row["reference_exact"] - oracle(reference, g)) <= 1e-12 * scale
 
     def test_drift_shifts_expectations(self, sg_tower, admissible_cfg):
         # paired seeds: the drift moves the mean at every level.  The height
@@ -180,10 +227,8 @@ class TestPathLaw:
         # horizontal coordinate would be nearly symmetric under it.
         y_coord = sg_tower.coordinates(REF)[:, 1].copy()
         kwargs = dict(levels=[1, 2], reference=REF, paths=20000, seed=6)
-        with_drift = path_law_convergence(
-            sg_tower, admissible_cfg, 0.1, [y_coord], **kwargs
-        )
-        without = path_law_convergence(sg_tower, None, 0.1, [y_coord], **kwargs)
+        with_drift = path_law(sg_tower, admissible_cfg, 0.1, [y_coord], **kwargs)
+        without = path_law(sg_tower, None, 0.1, [y_coord], **kwargs)
         for lvl in (1, 2):
             a = with_drift.details["mc"][lvl][0]
             b = without.details["mc"][lvl][0]
@@ -193,25 +238,27 @@ class TestPathLaw:
 
     def test_no_levels_solve_no_reference_law(self, sg_tower, admissible_cfg, x_coord,
                                               monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("no level is sampled, so no law is needed")
-
-        monkeypatch.setattr(spectral_mod, "semigroup_solve", refuse)
-        rep = path_law_convergence(sg_tower, admissible_cfg, 0.1, [x_coord], [], REF,
-                                   paths=100, seed=3)
-        assert rep.errors == [] and rep.details == {"mc": {}, "methods": {}}
+        # no level sampled: no test-function columns, the reference included
+        calls = count_blocks(monkeypatch)
+        _, rep = semigroup_convergence(sg_tower, admissible_cfg, 0.1, x_coord, [1, 2], REF,
+                                       [x_coord], [], paths=100, seed=3)
+        assert sorted(calls) == [(1, 1), (2, 1), (REF, 1)]
+        assert rep.errors == [] and rep.details == {"mc": {}, "methods": {}, "bounds": {}}
 
     @pytest.mark.parametrize("paths", [0, 1])
     def test_fewer_than_two_paths_rejected(self, sg_tower, admissible_cfg, x_coord, paths):
         # one sample has no standard error
         with pytest.raises(ValueError):
-            path_law_convergence(sg_tower, admissible_cfg, 0.05, [x_coord], [1], REF,
-                                 paths=paths, seed=7)
+            path_law(sg_tower, admissible_cfg, 0.05, [x_coord], [1], REF, paths=paths, seed=7)
+
+    def test_path_law_levels_must_be_levels(self, sg_tower, admissible_cfg, x_coord):
+        # a path-law level outside the semigroup levels would need its own block
+        with pytest.raises(ValueError):
+            semigroup_convergence(sg_tower, admissible_cfg, 0.05, x_coord, [1], REF,
+                                  [x_coord], [2])
 
     def test_banner_documents_weakening(self, sg_tower, admissible_cfg, x_coord):
-        rep = path_law_convergence(
-            sg_tower, admissible_cfg, 0.05, [x_coord], [1], REF, paths=100, seed=7
-        )
+        rep = path_law(sg_tower, admissible_cfg, 0.05, [x_coord], [1], REF, paths=100, seed=7)
         assert "fixed-time" in rep.banner
 
 
