@@ -4,7 +4,8 @@
 
 Runs a fixed list of driftform commands (the README's CLI examples and some
 deeper runs) on a ``git archive`` of REV and on the working tree, each
-command in a fresh interpreter with one BLAS thread, and compares every
+command in a fresh interpreter with one BLAS thread and the working tree's
+config files (a config new since REV runs on both sides), and compares every
 output file byte for byte: a report after its ``# generated`` line, any
 other file (``trajectories.jsonl``) whole.  Prints each file that differs,
 with the largest absolute change of its numbers when only numbers differ and
@@ -47,9 +48,13 @@ COMMANDS = {
     "check_l6": ["check", "--level", "6", "--seed", "1"],
     "check_l8": ["check", "--level", "8"],
     "check_l9": ["check", "--level", "9"],
+    # an h given on level 1: a trace and a harmonic extension onto N_1
+    "check_base1": ["check", "--level", "4", "--drift", "docs/configs/drift_base1.json"],
     "semigroup_l6": ["semigroup", "--level", "6", "--t", "0.1", "--f", "x", "--seed", "1"],
     # one column (and the Markov check's block) on the Krylov kernel
     "semigroup_l8": ["semigroup", "--level", "8", "--t", "0.1", "--f", "x", "--seed", "1"],
+    # refused by the lower bound of Lambda t, before the diameter (exit 2)
+    "semigroup_past_ceiling": ["semigroup", "--level", "9", "--t", "10"],
     "simulate_l4": ["simulate", "--level", "4", "--paths", "4000", "--t", "0.01,0.1",
                     "--paired", "--seed", "1"],
     "converge_ref7": ["converge", "--levels", "1:6", "--reference-level", "7",
@@ -102,11 +107,14 @@ COMMANDS = {
 
 
 def run_all(tree: Path, out: Path) -> dict[str, int]:
-    """Run every command on the sources of ``tree``; the exit code of each."""
+    """Run every command on the sources of ``tree``, its config files read
+    from the working tree so that both sides take the same inputs; the exit
+    code of each."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     codes = {}
     for name, args in COMMANDS.items():
+        args = [str(ROOT / a) if a.startswith("docs/") else a for a in args]
         done = subprocess.run(
             [sys.executable, "-m", "driftform.cli", *args, "--out", str(out / name)],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

@@ -309,8 +309,10 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
     each level (default: the working level) against one proxy diameter
     (default: ``--reference-level``, else the working level).  Refused
     unbuilt: a level past ``MAX_VERTICES``, a ``sampled`` run whose states
-    pass ``MAX_LOG_BYTES``; refused: a ``Lambda t`` past ``MAX_LAMBDA_T``,
-    a ``simulate`` run whose jump log passes ``MAX_LOG_BYTES``.
+    pass ``MAX_LOG_BYTES``; refused before any diameter: a ``Lambda t`` whose
+    lower bound is past ``MAX_LAMBDA_T``; refused: a ``Lambda t`` past
+    ``MAX_LAMBDA_T``, a ``simulate`` run whose jump log passes
+    ``MAX_LOG_BYTES``.
 
     Returns ``(tower, config, reports, failed)``: the reports stop at the
     first level that fails the chosen assumption, and ``failed`` lists that
@@ -334,12 +336,29 @@ def _setup(args, levels: list[int] | None = None, proxy_level: int | None = None
         raise ConfigError(f"--paths {args.paths} needs about {states:.3g} GiB of sampled states, "
                           f"past the ceiling {MAX_LOG_BYTES / 2**30:g} GiB")
     tower = tw.LevelTower(structure)
-    if args.drift == "none":
-        config = None
-    elif args.drift == "default":
+    config = None if args.drift in ("none", "default") else tw.load_drift_config(args.drift)
+    if times:
+        # Off the drift's base set V_m every h_i is harmonic, so a row's drift
+        # terms sum to 0 there and its holding rate is the drift-free
+        # deg / mu.  The largest of those bounds Lambda from below before the
+        # diameter or the generator is built; with no drift, every vertex.
+        if args.drift == "none":
+            base = None
+        elif config is None:  # the default drift
+            base = 0
+        else:
+            base = max((m for m, _ in config.h_specs), default=None)
+        for n in levels or [args.level]:
+            if base is not None and not 0 <= base <= n:
+                continue  # realize_drift refuses this base level
+            first = 0 if base is None else tower.vertex_count(base)
+            rates = (tower.network(n).laplacian().diagonal() / tower.measure(n))[first:]
+            lam_t = max(times) * float(rates.max(initial=0.0))
+            if lam_t > MAX_LAMBDA_T * (1.0 + 1e-9):
+                raise ConfigError(f"--t {max(times):g} gives Lambda t = {lam_t:.3g} or more at "
+                                  f"level {n}, past the ceiling {MAX_LAMBDA_T:g}")
+    if args.drift == "default":
         config = tw.default_admissible_drift(tower, proxy_level=proxy_level)
-    else:
-        config = tw.load_drift_config(args.drift)
     reports: dict[int, dr.SmallnessReport] = {}
     for n in levels or [args.level]:
         reports[n] = tw.constants_for(

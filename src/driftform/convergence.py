@@ -117,10 +117,11 @@ def semigroup_convergence(
 ) -> tuple[ConvergenceReport, ConvergenceReport]:
     """The semigroup's sup-norm gaps at one time and the path law's
     Monte-Carlo gaps, from one forward block ``[f | test functions]`` per
-    level: the test functions ride only at the ``path_law_levels`` (some of
-    ``levels``) and then at the reference.  Column 0 is compared with the
-    restricted reference; row ``INITIAL_VERTEX`` of the rest holds the exact
-    means ``E[g(X_t)] = (T_t g)(x0)``.  ``paths`` chains from ``x0`` give
+    level, each distinct column solved once: the test functions ride only at
+    the ``path_law_levels`` (some of ``levels``) and then at the reference.
+    Column 0 is compared with the restricted reference; row
+    ``INITIAL_VERTEX`` of the rest holds the exact means
+    ``E[g(X_t)] = (T_t g)(x0)``.  ``paths`` chains from ``x0`` give
     each path-law level's Monte-Carlo means, cross-checked against its exact
     means; its error is the largest gap to an exact reference mean.  Each
     report's ``details`` name the ``methods`` and ``bounds`` (``tail_bound``)
@@ -131,22 +132,27 @@ def semigroup_convergence(
         raise ValueError(f"a path law needs a test function, 2 paths and levels among "
                          f"{list(levels)}; got {len(fs)}, {paths} and {list(path_law_levels)}")
     with_law = {*path_law_levels, reference} if path_law_levels else set()
-    solves = {}
+    solves, outputs = {}, {}
 
     def apply(gen: markov_mod.GeneratorMatrix, f: np.ndarray) -> np.ndarray:
         block = [f, *(g[: gen.n] for g in fs)] if gen.level in with_law else [f]
-        solves[gen.level] = spectral_mod.semigroup_solve(gen, t, np.column_stack(block))
-        return solves[gen.level].output[:, 0]
+        # each column solved once, by its bytes: f may be a test function
+        distinct = {col.tobytes(): col for col in block}
+        where = [list(distinct).index(col.tobytes()) for col in block]
+        solves[gen.level] = spectral_mod.semigroup_solve(
+            gen, t, np.column_stack(list(distinct.values())))
+        outputs[gen.level] = solves[gen.level].output[:, where]
+        return outputs[gen.level][:, 0]
 
     errors = _per_level_outputs(tower, drift_cfg, levels, reference, apply, f_ref)
-    ref_means = solves[reference].output[INITIAL_VERTEX, 1:].tolist()
+    ref_means = outputs[reference][INITIAL_VERTEX, 1:].tolist()
     law_errors, mc_table = [], {}
     for n in path_law_levels:
         gen = tower.generator(n, drift_cfg)
         init = markov_mod.point_mass(gen.n, INITIAL_VERTEX)
         states = markov_mod.ensemble_states(gen, init, [t], paths, seed)[0]
         rows = mc_table[n] = []
-        for g, exact, ref_val in zip(fs, solves[n].output[INITIAL_VERTEX, 1:].tolist(), ref_means):
+        for g, exact, ref_val in zip(fs, outputs[n][INITIAL_VERTEX, 1:].tolist(), ref_means):
             samples = g[: gen.n][states]
             mean = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / np.sqrt(paths))

@@ -88,7 +88,7 @@ class GeneratorMatrix:
         """The rate factors ``1 + eta`` of the ordered edges."""
         return 1.0 + self.edge_eta
 
-    @cached_property
+    @property
     def E_matrix(self) -> sparse.csr_matrix:
         """Matrix of the energy ``E(f, g) = g @ E @ f``: the network Laplacian."""
         return self.net.laplacian()

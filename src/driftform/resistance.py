@@ -14,8 +14,10 @@ The package's one sparse factorization, :func:`_eliminate`, eliminates the
 vertices outside a coarser set fine to coarse, one nested set at a time:
 nested dissection with the cell boundaries as separators (George 1973).
 New vertices of different cells share no edge, so each step inverts
-cell-sized blocks.  Traces and extensions read its steps, and the
-diameter, resolvents and certificates solve with it.  What a step needs of the
+cell-sized blocks.  A network's Laplacian is eliminated once per boundary
+and kept on the network (:func:`_eliminate_onto`): traces, harmonic
+extensions and the diameter's Green columns share that elimination, and
+resolvents and certificates solve with their own.  What a step needs of the
 pattern alone (the block split, the pivot's components, where the blocks'
 inverses go) is planned once per pattern (:func:`_plan`) and shared by every
 matrix on it: a level's Laplacian, ``alpha I - L``, ``I - gamma L``,
@@ -97,6 +99,8 @@ class ConductanceNetwork:
                 f"level counts {list(self.counts)} must increase strictly from 1 or more "
                 f"to below {self.n}"
             )
+        self._laplacian = None
+        self._eliminations: dict = {}  # _eliminate_onto's results by boundary size
 
     @property
     def n(self) -> int:
@@ -123,8 +127,15 @@ class ConductanceNetwork:
         return cls(sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
 
     def laplacian(self) -> sparse.csr_matrix:
-        deg = np.asarray(self.c.sum(axis=1)).ravel()
-        return (sparse.diags(deg) - self.c).tocsr()
+        """The graph Laplacian, built once and read-only: every reader shares
+        it."""
+        if self._laplacian is None:
+            deg = np.asarray(self.c.sum(axis=1)).ravel()
+            lap = (sparse.diags(deg) - self.c).tocsr()
+            for x in (lap.data, lap.indices, lap.indptr):
+                x.flags.writeable = False
+            self._laplacian = lap
+        return self._laplacian
 
 
 def energy(net: ConductanceNetwork, f, g=None) -> float:
@@ -141,18 +152,22 @@ def energy(net: ConductanceNetwork, f, g=None) -> float:
     return float(fv @ (net.laplacian() @ gv))
 
 
-def _eliminate_onto(net: ConductanceNetwork, k: int, traced: bool = True):
-    """:func:`_eliminate` of ``[k, n)`` through the nested sets above ``k``
-    (no steps for ``k == n``).
+def _eliminate_onto(net: ConductanceNetwork, k: int):
+    """:func:`_eliminate` of the Laplacian's ``[k, n)`` through the nested
+    sets above ``k`` (no steps for ``k == n``), made on the first call for
+    ``k`` and kept on the network: traces, harmonic extensions and the Green
+    columns onto one boundary share it.
 
     ``k`` must be a boundary size ``1..n``.  Interior components that do
     not touch the boundary ``[0, k)`` make the interior block singular;
-    :func:`_eliminate` rejects them.
+    :func:`_eliminate` rejects them, and nothing is kept.
     """
     if not 1 <= k <= net.n:
         raise NetworkError(f"boundary of {k} vertices on a network of {net.n}")
-    bounds = sorted({k, *(c for c in net.counts if c > k), net.n})
-    return _eliminate(net.laplacian(), bounds, traced)
+    if k not in net._eliminations:
+        bounds = sorted({k, *(c for c in net.counts if c > k), net.n})
+        net._eliminations[k] = _eliminate(net.laplacian(), bounds)
+    return net._eliminations[k]
 
 
 def trace(net: ConductanceNetwork, k: int) -> ConductanceNetwork:
@@ -184,13 +199,14 @@ def harmonic_extension(net: ConductanceNetwork, values) -> np.ndarray:
     """Energy-minimizing extension of boundary data on ``[0, k)``.
 
     ``values`` is a ``(k,)`` vector or an ``(N, k)`` block of ``N`` data
-    sets, all extended through one elimination.  Returns the ``(n,)`` or
-    ``(N, n)`` extensions: each agrees with its data on ``[0, k)`` and the
-    Laplacian vanishes at every other vertex.  Each row equals its data
-    extended alone.
+    sets, all extended by the steps of the network's one elimination onto
+    ``[0, k)`` (:func:`_eliminate_onto`, shared with :func:`trace`).
+    Returns the ``(n,)`` or ``(N, n)`` extensions: each agrees with its data
+    on ``[0, k)`` and the Laplacian vanishes at every other vertex.  Each
+    row equals its data extended alone.
     """
     fb = np.asarray(values, dtype=float)
-    steps, _ = _eliminate_onto(net, fb.shape[-1], traced=False)
+    steps, _ = _eliminate_onto(net, fb.shape[-1])
     u = np.empty((net.n, *fb.shape[:-1]))
     u[:fb.shape[-1]] = fb.T
     for lo, _, h, _ in steps:  # coarse to fine
@@ -377,7 +393,7 @@ def _diagonal_csr(values: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((values, np.arange(m), np.arange(m + 1)), shape=(m, m))
 
 
-def _eliminate(a, bounds: Sequence[int], traced: bool = True):
+def _eliminate(a, bounds: Sequence[int]):
     """Block Gaussian elimination over nested vertex sets of a CSR matrix
     with a symmetric pattern (a Laplacian, ``alpha I - L``, ``E_lam``, ``S``).
 
@@ -391,8 +407,9 @@ def _eliminate(a, bounds: Sequence[int], traced: bool = True):
     trace is a Laplacian.  Fast when ``A_II`` splits into small blocks.
 
     Returns the steps ``(N_{j-1}, A_II^-1, H, K)`` coarse to fine and the
-    trace onto ``[0, N_0)``, ``None`` when not ``traced`` (a harmonic
-    extension needs only the steps); :func:`_solve` solves with both.  A
+    trace onto ``[0, N_0)``; :func:`_solve` solves with both, a harmonic
+    extension reads the steps and a trace the end.  A Laplacian's results
+    are kept on its network (:func:`_eliminate_onto`).  A
     component of ``A_II`` with no edge into ``S`` misses ``[0, N_0)`` and
     raises :class:`NetworkError`; a singular pivot block raises
     ``LinAlgError``.
@@ -409,8 +426,6 @@ def _eliminate(a, bounds: Sequence[int], traced: bool = True):
         np.negative(h.data, out=h.data)
         np.negative(k.data, out=k.data)
         steps.append((lo, inv, h, k))
-        if lo == bounds[0] and not traced:
-            return steps[::-1], None
         r = r[:lo] + k @ r[lo:]
         a = (_csr(a.data, a_ss) + a_si @ h).tocsr()
         a.setdiag(0.0)
@@ -429,14 +444,15 @@ def _green_columns(net: ConductanceNetwork):
     degree it is ``GROUND`` times below every ``R(0, y)``, so it costs a few
     units in the last place (``c = 1`` cost 2e-14 on SG L8).
     """
-    lap = net.laplacian()
     try:
-        steps, end = _eliminate(lap, [*net.counts, net.n])
+        steps, end = _eliminate_onto(net, net.counts[0] if net.counts else net.n)
     except NetworkError:  # a part of the network misses [0, N_0)
         raise NetworkError("network is disconnected") from None
     if _components(end)[0] > 1:
         raise NetworkError("network is disconnected")
-    end = end + sparse.csr_matrix(([GROUND * lap[0, 0]], ([0], [0])), shape=end.shape)
+    # a shifted copy: the network keeps the elimination unchanged
+    shift = GROUND * net.laplacian()[0, 0]
+    end = end + sparse.csr_matrix(([shift], ([0], [0])), shape=end.shape)
 
     def columns(ids):
         b = np.zeros((net.n, len(ids)))

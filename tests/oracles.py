@@ -534,7 +534,7 @@ def _coo_block_inverse(a, ncomp: int, labels: np.ndarray) -> sparse.csr_matrix:
     )
 
 
-def laplacian_elimination(lap, bounds, traced=True):
+def laplacian_elimination(lap, bounds):
     """The block elimination of a Laplacian as it was before it factored
     any other matrix: steps ``(N_{j-1}, L_II^-1, H, None)`` coarse to fine
     and the trace onto ``[0, N_0)``, its diagonal reset to minus the
@@ -549,8 +549,6 @@ def laplacian_elimination(lap, bounds, traced=True):
         inv = _coo_block_inverse(pivot, ncomp, labels)
         h = -(inv @ coupling).tocsr()
         steps.append((lo, inv, h, None))
-        if lo == bounds[0] and not traced:
-            return steps[::-1], None
         lap = (lap[:lo, :lo] + lap[:lo, lo:] @ h).tocsr()
         lap.setdiag(0.0)
         lap = (lap - sparse.diags(np.asarray(lap.sum(axis=1)).ravel())).tocsr()

@@ -12,6 +12,7 @@ import pytest
 
 from driftform import drift as dr
 from driftform import markov as mk
+from driftform import resistance
 from driftform import spectral
 from driftform import tower as tw
 from driftform.cli import _parse_levels, main
@@ -243,6 +244,21 @@ class TestExitCodes:
         assert len(err) == 1, err
         assert err[0].startswith(f"config error: --t {float(t):g} gives Lambda t = "), err
         assert err[0].endswith(f" at level {level}, past the ceiling 1e+07"), err
+        assert not out.exists()
+
+    def test_time_past_the_ceiling_exits_2_before_the_diameter(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the drift-free holding rates off V_0 bound Lambda t = 1.2e8 below
+        def refuse(*args):
+            raise AssertionError("a refused run must not compute a diameter")
+
+        monkeypatch.setattr(tw.LevelTower, "diameter", refuse)
+        out = tmp_path / "out"
+        assert run(["semigroup", "--level", "9", "--t", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("config error: --t 10 gives Lambda t = "), err
+        assert err[0].endswith(" or more at level 9, past the ceiling 1e+07"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("paths, t", [
@@ -630,15 +646,18 @@ class TestConverge:
         assert sorted(semigroup["bounds"]) == ["1", "2", "3", "4"]
 
     def test_one_semigroup_block_per_level(self, tmp_path, monkeypatch):
-        # [f | x, y] at the path-law levels and the reference, [f] elsewhere
-        calls = []
+        # the distinct columns of [f | x, y] at the path-law levels and the
+        # reference, [f] elsewhere: f = x is solved once, f = one is not
         solve = spectral.semigroup_solve
-        monkeypatch.setattr(spectral, "semigroup_solve",
-                            lambda gen, t, f: calls.append((gen.level, f.shape[1]))
-                            or solve(gen, t, f))
-        assert run(["converge", "--levels", "1:3", "--reference-level", "4", "--paths", "200",
-                    "--path-law-max-level", "2", "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == [(1, 3), (2, 3), (3, 1), (4, 3)]
+        for f, width in (("x", 2), ("one", 3)):
+            calls = []
+            monkeypatch.setattr(spectral, "semigroup_solve",
+                                lambda gen, t, f: calls.append((gen.level, f.shape[1]))
+                                or solve(gen, t, f))
+            assert run(["converge", "--levels", "1:3", "--reference-level", "4", "--paths",
+                        "200", "--path-law-max-level", "2", "--f", f,
+                        "--out", str(tmp_path / f)]) == 0
+            assert sorted(calls) == [(1, width), (2, width), (3, 1), (4, width)], f
 
     def test_time_zero_semigroup_errors_vanish(self, tmp_path):
         assert run(["converge", "--levels", "1:2", "--reference-level", "3",
@@ -750,6 +769,28 @@ class TestSimulate:
 
 
 class TestModes:
+    @pytest.mark.parametrize("argv, count", [
+        (["converge", "--levels", "1:3", "--reference-level", "4", "--paths", "200"], 12),
+        (["check", "--level", "4"], 6),
+    ])
+    def test_each_matrix_is_eliminated_once_per_boundary(self, tmp_path, monkeypatch,
+                                                         argv, count):
+        # every elimination of the run, wherever it is made; a Laplacian's
+        # traces, extensions and Green columns onto one boundary share one
+        calls = []
+        eliminate = resistance._eliminate
+
+        def counted(a, bounds):
+            calls.append((tuple(bounds), a.indptr.tobytes(), a.indices.tobytes(),
+                          a.data.tobytes()))
+            return eliminate(a, bounds)
+
+        for module in (resistance, spectral, dr):
+            monkeypatch.setattr(module, "_eliminate", counted)
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert len(calls) == count
+        assert len(set(calls)) == count  # no matrix eliminated twice onto one set
+
     def test_resolvent_mode(self, tmp_path):
         assert run(["resolvent", "--level", "2", "--alpha", "8,12",
                     "--out", str(tmp_path)]) == 0

@@ -611,8 +611,9 @@ class TestSmallnessReport:
 
 
 class TestDriftSpecConstruction:
-    def test_terms_realized_with_one_factorization(self, sg_tower, monkeypatch):
-        # three terms over the three base indicators: one elimination
+    def test_terms_realized_with_one_factorization(self, monkeypatch):
+        # three terms over the three base indicators: one elimination, on a
+        # fresh tower whose networks keep no elimination from other tests
         cfg = tw.DriftConfig(
             tuple(("constant", c) for c in (0.1, 0.2, 0.3)),
             tuple((0, tuple(row)) for row in np.eye(3)),
@@ -621,9 +622,10 @@ class TestDriftSpecConstruction:
         original = resistance._eliminate
         monkeypatch.setattr(resistance, "_eliminate",
                             lambda *a: calls.append(a) or original(*a))
-        spec = drift_on(sg_tower, cfg, 4)
+        tower = tw.sierpinski_tower()
+        spec = drift_on(tower, cfg, 4)
         assert len(calls) == 1
-        assert spec.h.shape == (3, sg_tower.vertex_count(4))
+        assert spec.h.shape == (3, tower.vertex_count(4))
 
     def test_h_rows_are_harmonic_extensions(self, sg_tower, admissible_cfg):
         spec = drift_on(sg_tower, admissible_cfg, 3)

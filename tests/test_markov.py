@@ -65,6 +65,20 @@ class TestGenerator:
         gen = sg_tower.generator(n, None)
         np.testing.assert_allclose(gen.q, 6.0 * 5.0**n, rtol=1e-13)
 
+    @pytest.mark.parametrize("level", [3, 5])
+    @pytest.mark.parametrize("drift", ["default", "drift_base1"])
+    def test_holding_rates_off_the_base_set_are_drift_free(self, sg_tower, admissible_cfg,
+                                                           level, drift):
+        # h is harmonic off V_m, so a row's drift terms sum to 0 there: the
+        # lower bound of Lambda that the CLI checks before any diameter
+        cfg = (admissible_cfg if drift == "default"
+               else tw.load_drift_config(CONFIGS / f"{drift}.json"))
+        first = sg_tower.vertex_count(cfg.h_specs[0][0])
+        gen = sg_tower.generator(level, cfg)
+        free = sg_tower.network(level).laplacian().diagonal() / sg_tower.measure(level)
+        np.testing.assert_allclose(gen.q[first:], free[first:], rtol=1e-14)
+        assert free[first:].max() <= gen.q.max()
+
     def test_rows_sum_to_zero(self, gen_drift_l2):
         rows = np.asarray(gen_drift_l2.L.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-10

@@ -779,21 +779,27 @@ class TestOneElimination:
     def test_laplacian_path_is_bit_identical(self, sg_tower, monkeypatch, name, top):
         tower = sg_tower if name == "sg" else shipped_tower(name)
 
-        def results():
-            out = []
+        def results(fresh):
+            out, boundaries = [], 0
             for n in range(top + 1):
                 net = tower.network(n)
+                if fresh:  # no elimination kept from an earlier pass or test
+                    net = ConductanceNetwork(net.c, net.counts)
                 nets = [net, trace(net, net.counts[-1])] if net.counts else [net]
                 for m in nets:  # a trace's conductances are stored unsorted
                     # the counts, and boundaries between them (fill-in)
                     for k in sorted({1, 2, *m.counts, min(m.n, 5), m.n}):
                         data = np.random.default_rng(k).standard_normal((2, k))
                         out += [trace(m, k).c.toarray(), harmonic_extension(m, data)]
-            return out
+                        boundaries += 1
+            return out, boundaries
 
-        new = results()
-        monkeypatch.setattr(resistance, "_eliminate", laplacian_elimination)
-        old = results()
+        new, _ = results(fresh=False)
+        calls = []
+        monkeypatch.setattr(resistance, "_eliminate",
+                            lambda *a: calls.append(a) or laplacian_elimination(*a))
+        old, boundaries = results(fresh=True)
+        assert len(calls) == boundaries  # the oracle made every (network, boundary)
         assert len(new) == len(old)
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
@@ -871,6 +877,66 @@ class TestOneElimination:
                         assert gap <= 1e-10 * np.max(np.abs(ref)), (label, n, gap)
                     residual, lu_residual = (np.max(np.abs(a @ y - b)) for y in (x, lu.solve(b)))
                     assert residual <= 10 * lu_residual + 1e-13 * np.max(np.abs(b)), (label, n)
+
+
+class TestSharedElimination:
+    """A network eliminates its Laplacian once per boundary and keeps it:
+    traces, harmonic extensions and the Green columns read that one
+    elimination, and a kept one gives what a fresh one gives, bit for bit."""
+
+    @staticmethod
+    def results(net, boundaries) -> list:
+        out = [resistance_diameter(net)]
+        for k in boundaries:
+            data = np.random.default_rng(k).standard_normal((2, k))
+            traced = trace(net, k)
+            out += [traced.c.toarray(), traced.c.indices.copy(), harmonic_extension(net, data)]
+        return out
+
+    @pytest.mark.parametrize("name, level", [
+        ("sg", 5), ("sg3", 3), ("interval", 5), ("sg_weighted", 4),
+    ])
+    def test_kept_eliminations_match_fresh_ones(self, sg_tower, monkeypatch, name, level):
+        tower = sg_tower if name == "sg" else shipped_tower(name)
+        net = tower.network(level)
+        # every nested set, sets between them, and the whole network
+        boundaries = sorted({1, 2, *net.counts, net.counts[0] + 1, net.counts[-1] + 2, net.n})
+        calls = []
+        eliminate = resistance._eliminate
+        monkeypatch.setattr(resistance, "_eliminate",
+                            lambda *a: calls.append(a[1]) or eliminate(*a))
+        warm = ConductanceNetwork(net.c, net.counts)
+        first = self.results(warm, boundaries)  # fills the kept eliminations
+        assert sorted(calls, key=lambda b: b[0]) == [
+            sorted({k, *(c for c in net.counts if c > k), net.n}) for k in boundaries]
+        again = self.results(warm, boundaries)
+        assert len(calls) == len(boundaries)  # nothing eliminated twice
+        for results in (first, again):
+            cold = [self.results(ConductanceNetwork(net.c, net.counts), [k]) for k in boundaries]
+            assert results[0] == cold[0][0]  # each diameter on a fresh network
+            for got, fresh in zip(results[1:], (x for c in cold for x in c[1:]), strict=True):
+                assert np.array_equal(got, fresh)
+
+    def test_a_failed_elimination_keeps_nothing(self):
+        # vertex 3 misses [0, 2): no elimination onto 2, none kept
+        net = ConductanceNetwork.from_edges([(0, 1, 1.0), (1, 2, 1.0)], n=4)
+        with pytest.raises(NetworkError):
+            trace(net, 2)
+        assert net._eliminations == {}
+        assert trace(net, 4) is net and list(net._eliminations) == [4]
+
+    def test_a_trace_keeps_its_own_eliminations(self, sg_tower):
+        net = ConductanceNetwork(sg_tower.network(3).c, sg_tower.network(3).counts)
+        traced = trace(net, net.counts[0])
+        assert list(net._eliminations) == [net.counts[0]] and traced._eliminations == {}
+
+    def test_the_laplacian_is_built_once_and_read_only(self, sg_tower):
+        net = sg_tower.network(3)
+        lap = net.laplacian()
+        assert net.laplacian() is lap
+        for x in (lap.data, lap.indices, lap.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[0]
 
 
 class TestArnoldi:
